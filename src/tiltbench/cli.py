@@ -1,10 +1,11 @@
 """Scenario-driven verifier front end.
 
-A scenario file selects suites, budgets, the master seed and size bounds;
-command-line flags override its fields.  Exit code 0 means every selected
-suite passed, 1 means failures were found, 2 a parse or validation error,
-3 an unsupported combination.  Reruns with the same scenario reproduce the
-report byte for byte except for wall times.
+A scenario file selects the ring, suites, budget, the master seed and size
+bounds; command-line flags override its fields.  Exit code 0 means every
+selected suite passed, 1 means failures were found (a sample that raised
+counts as a ``crash`` failure), 2 a parse or validation error, 3 suites
+that do not run over the chosen ring.  Reruns with the same scenario
+reproduce the report byte for byte except for wall times.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .exactness import Carrier, ExactStructure, Flavor
 from .reports import RunReport
 from .rings import RingSpec
 from .samplers import SizeBounds
@@ -26,8 +26,10 @@ EXIT_FAILURES = 1
 EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
 
-# suites that are meaningful over the polynomial ring as well
-_RING_AGNOSTIC = {"snf_identities", "snf_polynomials", "solve_kernel_duality"}
+_BOUND_FIELDS = ("max_rank", "max_entry", "max_width")
+# the only suite that samples over the polynomial ring; the others draw
+# integer data whatever the scenario's ring
+_POLYNOMIAL_SUITES = {"snf_polynomials"}
 
 
 class ScenarioError(ValueError):
@@ -41,8 +43,6 @@ class UnsupportedScenarioError(ValueError):
 @dataclass
 class Scenario:
     ring: str = "Integers"
-    carrier: str = "FpZ"
-    flavor: str = "Maximal"
     suites: list[str] = field(default_factory=default_suite_names)
     sample_budget: int = 100
     seed: int = 1
@@ -54,32 +54,41 @@ class Scenario:
     def from_dict(cls, data: dict) -> "Scenario":
         if not isinstance(data, dict):
             raise ScenarioError("scenario must be a JSON object")
-        known = {"ring", "carrier", "flavor", "suites", "sample_budget",
-                 "seed", "bounds"}
-        unknown = set(data) - known
+        unknown = set(data) - {"ring", "suites", "sample_budget", "seed", "bounds"}
         if unknown:
             raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
+        bounds = data.get("bounds", {})
+        if not isinstance(bounds, dict):
+            raise ScenarioError("bounds must be a JSON object")
+        unknown = set(bounds) - set(_BOUND_FIELDS)
+        if unknown:
+            raise ScenarioError(f"unknown bounds: {sorted(unknown)}")
         sc = cls()
         sc.ring = data.get("ring", sc.ring)
-        sc.carrier = data.get("carrier", sc.carrier)
-        sc.flavor = data.get("flavor", sc.flavor)
-        suites = data.get("suites", "all")
-        if suites == "all":
-            sc.suites = default_suite_names()
-        else:
-            if not isinstance(suites, list):
-                raise ScenarioError("suites must be a list of names or \"all\"")
-            sc.suites = list(suites)
-        sc.sample_budget = int(data.get("sample_budget", sc.sample_budget))
-        sc.seed = int(data.get("seed", sc.seed))
-        bounds = data.get("bounds", {})
-        sc.max_rank = int(bounds.get("max_rank", sc.max_rank))
-        sc.max_entry = int(bounds.get("max_entry", sc.max_entry))
-        sc.max_width = int(bounds.get("max_width", sc.max_width))
+        if data.get("suites", "all") != "all":
+            sc.suites = data["suites"]
+        sc.sample_budget = data.get("sample_budget", sc.sample_budget)
+        sc.seed = data.get("seed", sc.seed)
+        for key in _BOUND_FIELDS:
+            setattr(sc, key, bounds.get(key, getattr(sc, key)))
         sc.validate()
         return sc
 
     def validate(self):
+        if not isinstance(self.ring, str):
+            raise ScenarioError(f"ring must be a string, got {self.ring!r}")
+        if not (isinstance(self.suites, list)
+                and all(isinstance(name, str) for name in self.suites)):
+            raise ScenarioError("suites must be \"all\" or a list of suite names")
+        for key in ("sample_budget", "seed", *_BOUND_FIELDS):
+            value = getattr(self, key)
+            if type(value) is not int:  # refuses floats, strings and booleans
+                raise ScenarioError(f"{key} must be an integer, got {value!r}")
+        if self.sample_budget < 0 or self.seed < 0:
+            raise ScenarioError("budget and seed must be nonnegative")
+        small = [key for key in _BOUND_FIELDS if getattr(self, key) < 1]
+        if small:
+            raise ScenarioError(f"bounds must be at least 1: {small}")
         for name in self.suites:
             if name not in REGISTRY:
                 raise ScenarioError(f"unknown suite name: {name}")
@@ -87,20 +96,11 @@ class Scenario:
             ring = RingSpec(self.ring)
         except ValueError:
             raise ScenarioError(f"unknown ring tag: {self.ring}")
-        try:
-            ex = ExactStructure(Carrier(self.carrier), Flavor(self.flavor))
-        except ValueError as e:
-            if self.carrier not in {c.value for c in Carrier} \
-                    or self.flavor not in {f.value for f in Flavor}:
-                raise ScenarioError(str(e))
-            raise UnsupportedScenarioError(str(e))
         if ring is RingSpec.RATIONAL_POLYNOMIALS:
-            bad = [s for s in self.suites if s not in _RING_AGNOSTIC]
+            bad = [s for s in self.suites if s not in _POLYNOMIAL_SUITES]
             if bad:
                 raise UnsupportedScenarioError(
                     f"suites unavailable over {self.ring}: {bad}")
-        if self.sample_budget < 0 or self.seed < 0:
-            raise ScenarioError("budget and seed must be nonnegative")
 
     def bounds(self) -> SizeBounds:
         return SizeBounds(self.max_rank, self.max_entry, self.max_width)
@@ -108,13 +108,10 @@ class Scenario:
     def to_dict(self) -> dict:
         return {
             "ring": self.ring,
-            "carrier": self.carrier,
-            "flavor": self.flavor,
             "suites": list(self.suites),
             "sample_budget": self.sample_budget,
             "seed": self.seed,
-            "bounds": {"max_rank": self.max_rank, "max_entry": self.max_entry,
-                       "max_width": self.max_width},
+            "bounds": {key: getattr(self, key) for key in _BOUND_FIELDS},
         }
 
 
@@ -133,9 +130,8 @@ def run_scenario(scenario: Scenario) -> RunReport:
     run = RunReport(scenario=scenario.to_dict())
     for name in sorted(scenario.suites):
         suite = REGISTRY[name]
-        result = suite.run(scenario.sample_budget, scenario.seed, scenario.bounds())
-        result.law = suite.law
-        run.suites.append(result)
+        run.suites.append(
+            suite.run(scenario.sample_budget, scenario.seed, scenario.bounds()))
     return run
 
 

@@ -17,6 +17,7 @@ projections).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from . import modules
@@ -500,39 +501,39 @@ def serre_closure_check(ex: ExactStructure, sample_budget: int, seed: int,
                         bounds=None):
     """Sampled closure of the effaceables under extensions, admissible
     subobjects and admissible quotients; counterexamples reported."""
-    from . import samplers, serialize
-    from .reports import CheckReport
-    from .samplers import SizeBounds, rng_for
+    from .reports import run_samples
+    from .samplers import SizeBounds
 
-    bounds = bounds or SizeBounds()
-    report = CheckReport(f"serre_closure[{ex.config_string()}]",
-                         "effaceables are closed under extensions, admissible "
-                         "subobjects and quotients",
-                         seed)
-    for i in range(sample_budget):
-        rnd = rng_for(seed, "serre", ex.config_string(), i)
-        t = FreydObject(ex, samplers.random_carrier_deflation(ex, rnd, bounds))
-        payload = {"carrier": serialize.morphism_to_json(t.carrier)}
-        extra_src = samplers.random_carrier_module(ex, rnd, bounds)
-        extra = _retarget(ex, rnd, bounds, extra_src, t.generators)
-        rel_sum, rel_inj, rel_proj = modules.direct_sum([t.relations, extra_src])
-        bigger = modules.add_morphisms(
-            modules.compose(t.carrier, rel_proj[0]),
-            modules.compose(extra, rel_proj[1]))
-        quotient = FreydObject(ex, bigger)
-        if not is_effaceable(quotient):
-            report.record(i, "quotient_closure", payload)
-        pi = FreydMorphism(t, quotient, FpMorphism.identity(t.generators), rel_inj[0])
-        sub, _ = freyd_kernel(pi)
-        if not is_effaceable(sub):
-            report.record(i, "subobject_closure", payload)
-        t1 = FreydObject(ex, samplers.random_carrier_deflation(ex, rnd, bounds))
-        t2 = FreydObject(ex, samplers.random_carrier_deflation(ex, rnd, bounds))
-        middle = extension_middle(ex, rnd, t1, t2, bounds)
-        if not is_effaceable(middle):
-            report.record(i, "extension_closure", payload)
-        report.samples += 1
-    return report
+    return run_samples(f"serre_closure[{ex.config_string()}]",
+                       "effaceables are closed under extensions, admissible "
+                       "subobjects and quotients",
+                       sample_budget, seed, ("serre", ex.config_string()),
+                       partial(_serre_sample, ex), bounds or SizeBounds())
+
+
+def _serre_sample(ex: ExactStructure, rnd, bounds):
+    from . import samplers, serialize
+
+    t = FreydObject(ex, samplers.random_carrier_deflation(ex, rnd, bounds))
+    payload = {"carrier": serialize.morphism_to_json(t.carrier)}
+    extra_src = samplers.random_carrier_module(ex, rnd, bounds)
+    extra = _retarget(ex, rnd, bounds, extra_src, t.generators)
+    rel_sum, rel_inj, rel_proj = modules.direct_sum([t.relations, extra_src])
+    bigger = modules.add_morphisms(
+        modules.compose(t.carrier, rel_proj[0]),
+        modules.compose(extra, rel_proj[1]))
+    quotient = FreydObject(ex, bigger)
+    if not is_effaceable(quotient):
+        yield "quotient_closure", payload
+    pi = FreydMorphism(t, quotient, FpMorphism.identity(t.generators), rel_inj[0])
+    sub, _ = freyd_kernel(pi)
+    if not is_effaceable(sub):
+        yield "subobject_closure", payload
+    t1 = FreydObject(ex, samplers.random_carrier_deflation(ex, rnd, bounds))
+    t2 = FreydObject(ex, samplers.random_carrier_deflation(ex, rnd, bounds))
+    middle = extension_middle(ex, rnd, t1, t2, bounds)
+    if not is_effaceable(middle):
+        yield "extension_closure", payload
 
 
 def _retarget(ex, rnd, bounds, src: FpModule, tgt: FpModule) -> FpMorphism:

@@ -1,4 +1,4 @@
-"""Report values shared by the library-level checkers and the verifier CLI.
+"""Report values and the sample driver shared by every checker and the CLI.
 
 A report is reproducible by construction: it records the seed, the number
 of samples run, and one serialised counterexample per failure.  Rerunning
@@ -9,7 +9,11 @@ wall time field varies.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
+
+from .samplers import SizeBounds, rng_for
 
 
 @dataclass
@@ -50,6 +54,30 @@ class CheckReport:
             "passed": self.passed,
             "wall_time": self.wall_time,
         }
+
+
+# one sample's checks: sample(rnd, bounds) yields (check, payload) per failure
+Sample = Callable[[random.Random, SizeBounds], Iterable[tuple[str, dict]]]
+
+
+def run_samples(name: str, law: str, budget: int, seed: int, labels: tuple,
+                sample: Sample, bounds: SizeBounds) -> CheckReport:
+    """Run ``budget`` samples of one law and collect their failures.
+
+    Sample ``i`` draws from ``rng_for(seed, *labels, i)``, so any sample can
+    be replayed alone.  Each ``(check, payload)`` it yields is a failure of
+    sample ``i``.  An exception ends only that sample, recorded as a
+    ``crash`` failure carrying the exception's type name.
+    """
+    report = CheckReport(name, law, seed)
+    for i in range(budget):
+        try:
+            for check, payload in sample(rng_for(seed, *labels, i), bounds):
+                report.record(i, check, payload)
+        except Exception as e:  # a crashing sample must not end the run
+            report.record(i, "crash", {"exception": type(e).__name__})
+        report.samples += 1
+    return report
 
 
 @dataclass

@@ -146,22 +146,6 @@ def is_unit(ring: RingSpec, a: Element) -> bool:
     return a.degree == 0
 
 
-def add(ring: RingSpec, a: Element, b: Element) -> Element:
-    return a + b
-
-
-def sub(ring: RingSpec, a: Element, b: Element) -> Element:
-    return a - b
-
-
-def mul(ring: RingSpec, a: Element, b: Element) -> Element:
-    return a * b
-
-
-def neg(ring: RingSpec, a: Element) -> Element:
-    return -a
-
-
 def norm(ring: RingSpec, a: Element) -> int:
     """Euclidean size used for pivot selection: |a| over Z, degree over Q[x]."""
     if ring is RingSpec.INTEGERS:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from . import modules, samplers, serialize
@@ -44,7 +45,7 @@ from .complexes import (
 from .exactness import Carrier, ExactStructure, Flavor, e_cokernel, e_kernel
 from .matrices import IntMatrix, solve_lift
 from .modules import FpModule, FpMorphism
-from .reports import CheckReport
+from .reports import CheckReport, run_samples
 from .rings import RingSpec, one as _one
 from .samplers import SizeBounds
 
@@ -674,32 +675,31 @@ def check_tstructure_axioms(spec: TStructureSpec, sample_budget: int,
     the approximating triangle is distinguished with its parts in the
     correct classes.  Failures carry serialised counterexamples.
     """
-    report = CheckReport(
-        name=f"tstructure_axioms[{spec.config_string()}]",
-        law="aisle shift-closure, orthogonality, approximating triangles",
-        seed=seed)
-    for i in range(sample_budget):
-        rnd = samplers.rng_for(seed, "axiom", spec.config_string(), i)
-        x = _sample_for(spec, rnd, bounds)
-        x2 = _sample_for(spec, rnd, bounds)
-        a, counit = truncate_le(spec, 0, x)
-        b, unit = truncate_ge(spec, 1, x2)
-        payload = {"sample": serialize.complex_to_json(x),
-                   "second": serialize.complex_to_json(x2)}
-        if not in_aisle(spec, 0, a):
-            report.record(i, "aisle_membership_of_truncation", payload)
-        if not in_aisle(spec, 0, a.shift(1)):
-            report.record(i, "aisle_shift_closure", payload)
-        hom0 = derived_hom(_resolve(spec, a), _resolve(spec, b), 0)
-        if not hom0.is_zero_module():
-            report.record(i, "orthogonality", payload)
-        tri = approximating_triangle(spec, x)
-        if not triangle_is_distinguished(tri.counit, tri.unit, spec.localization):
-            report.record(i, "approximating_triangle", payload)
-        if not in_coaisle(spec, 1, tri.coaisle_part):
-            report.record(i, "coaisle_membership_of_truncation", payload)
-        report.samples += 1
-    return report
+    return run_samples(f"tstructure_axioms[{spec.config_string()}]",
+                       "aisle shift-closure, orthogonality, approximating triangles",
+                       sample_budget, seed, ("axiom", spec.config_string()),
+                       partial(_axiom_sample, spec), bounds)
+
+
+def _axiom_sample(spec: TStructureSpec, rnd, bounds: SizeBounds):
+    x = _sample_for(spec, rnd, bounds)
+    x2 = _sample_for(spec, rnd, bounds)
+    a, counit = truncate_le(spec, 0, x)
+    b, unit = truncate_ge(spec, 1, x2)
+    payload = {"sample": serialize.complex_to_json(x),
+               "second": serialize.complex_to_json(x2)}
+    if not in_aisle(spec, 0, a):
+        yield "aisle_membership_of_truncation", payload
+    if not in_aisle(spec, 0, a.shift(1)):
+        yield "aisle_shift_closure", payload
+    hom0 = derived_hom(_resolve(spec, a), _resolve(spec, b), 0)
+    if not hom0.is_zero_module():
+        yield "orthogonality", payload
+    tri = approximating_triangle(spec, x)
+    if not triangle_is_distinguished(tri.counit, tri.unit, spec.localization):
+        yield "approximating_triangle", payload
+    if not in_coaisle(spec, 1, tri.coaisle_part):
+        yield "coaisle_membership_of_truncation", payload
 
 
 # -- tilting class checks --------------------------------------------------------------
@@ -741,72 +741,64 @@ def tilting_class_check(class_tag: ClassTag, n: int, sample_budget: int,
     the dual mode), and the n-step cokernel condition (kernel condition in
     the dual mode).
     """
-    report = CheckReport(
-        name=f"tilting_class[{class_tag.value},n={n},{mode}]",
-        law="cogeneration, extension closure, kernels, n-step cokernel condition",
-        seed=seed)
-    for i in range(sample_budget):
-        rnd = samplers.rng_for(seed, "tilting", class_tag.value, n, mode, i)
-        sample = samplers.random_module(rnd, bounds)
-        payload = {"module": serialize.module_to_json(sample)}
-        if mode == "tilting":
-            if cogeneration_witness(class_tag, sample) is None:
-                report.record(i, "cogeneration", payload)
-        else:
-            # generation: the canonical cover from the generators must be an
-            # epimorphism from a class object
-            cover = FpModule.free(Z, sample.generators)
-            epi = FpMorphism.from_generator_matrix(
-                cover, sample, IntMatrix.identity(Z, sample.generators))
-            if not modules.is_epi(epi) or not _class_contains(class_tag, cover):
-                report.record(i, "generation", payload)
-        # extension closure: reduced presentations make every block honest
-        s_mod = _sample_class_module(class_tag, rnd, bounds)
-        q_mod = _sample_class_module(class_tag, rnd, bounds)
-        s_red = modules.reduce_presentation(s_mod)
-        q_red = modules.reduce_presentation(q_mod)
-        delta = samplers.random_matrix(rnd, s_red.generators, q_red.relations,
-                                       bounds.max_entry)
-        block_top = s_red.presentation.hstack(delta)
-        block_bot = IntMatrix.zeros(Z, q_red.generators, s_red.relations).hstack(
-            q_red.presentation)
-        middle = FpModule(block_top.vstack(block_bot))
-        if not _class_contains(class_tag, modules.reduce_presentation(middle)):
-            report.record(i, "extension_closure",
-                          {"middle": serialize.module_to_json(middle)})
-        if mode == "tilting":
-            # kernels inside the class
-            src = _sample_class_module(class_tag, rnd, bounds)
-            tgt = _sample_class_module(class_tag, rnd, bounds)
-            f = samplers.random_morphism(rnd, src, tgt)
-            k, _ = modules.kernel(f)
-            if not _class_contains(class_tag, modules.reduce_presentation(k)):
-                report.record(i, "kernel_closure",
-                              {"kernel": serialize.module_to_json(k)})
-            # n-step cokernel condition
-            if n == 1:
-                host = _sample_class_module(class_tag, rnd, bounds)
-                g = samplers.random_morphism(rnd, samplers.random_module(rnd, bounds), host)
-                sub, incl = modules.image(g)
-                c, _ = modules.cokernel(incl)
-                if not _class_contains(class_tag, modules.reduce_presentation(c)):
-                    report.record(i, "cokernel_condition",
-                                  {"quotient": serialize.module_to_json(c)})
-            else:
-                x2 = _sample_class_module(class_tag, rnd, bounds)
-                x1 = _sample_class_module(class_tag, rnd, bounds)
-                f2 = samplers.random_morphism(rnd, x2, x1)
-                c, _ = modules.cokernel(f2)
-                if not _class_contains(class_tag, modules.reduce_presentation(c)):
-                    report.record(i, "cokernel_condition",
-                                  {"quotient": serialize.module_to_json(c)})
-        else:
-            # dual: closure under subobjects
+    return run_samples(f"tilting_class[{class_tag.value},n={n},{mode}]",
+                       "cogeneration, extension closure, kernels, n-step cokernel condition",
+                       sample_budget, seed, ("tilting", class_tag.value, n, mode),
+                       partial(_tilting_sample, class_tag, n, mode), bounds)
+
+
+def _tilting_sample(class_tag: ClassTag, n: int, mode: str, rnd, bounds: SizeBounds):
+    sample = samplers.random_module(rnd, bounds)
+    payload = {"module": serialize.module_to_json(sample)}
+    if mode == "tilting":
+        if cogeneration_witness(class_tag, sample) is None:
+            yield "cogeneration", payload
+    else:
+        # generation: the canonical cover from the generators must be an
+        # epimorphism from a class object
+        cover = FpModule.free(Z, sample.generators)
+        epi = FpMorphism.from_generator_matrix(
+            cover, sample, IntMatrix.identity(Z, sample.generators))
+        if not modules.is_epi(epi) or not _class_contains(class_tag, cover):
+            yield "generation", payload
+    # extension closure: reduced presentations make every block honest
+    s_mod = _sample_class_module(class_tag, rnd, bounds)
+    q_mod = _sample_class_module(class_tag, rnd, bounds)
+    s_red = modules.reduce_presentation(s_mod)
+    q_red = modules.reduce_presentation(q_mod)
+    delta = samplers.random_matrix(rnd, s_red.generators, q_red.relations,
+                                   bounds.max_entry)
+    block_top = s_red.presentation.hstack(delta)
+    block_bot = IntMatrix.zeros(Z, q_red.generators, s_red.relations).hstack(
+        q_red.presentation)
+    middle = FpModule(block_top.vstack(block_bot))
+    if not _class_contains(class_tag, modules.reduce_presentation(middle)):
+        yield "extension_closure", {"middle": serialize.module_to_json(middle)}
+    if mode == "tilting":
+        # kernels inside the class
+        src = _sample_class_module(class_tag, rnd, bounds)
+        tgt = _sample_class_module(class_tag, rnd, bounds)
+        f = samplers.random_morphism(rnd, src, tgt)
+        k, _ = modules.kernel(f)
+        if not _class_contains(class_tag, modules.reduce_presentation(k)):
+            yield "kernel_closure", {"kernel": serialize.module_to_json(k)}
+        # n-step cokernel condition
+        if n == 1:
             host = _sample_class_module(class_tag, rnd, bounds)
             g = samplers.random_morphism(rnd, samplers.random_module(rnd, bounds), host)
-            sub, _ = modules.image(g)
-            if not _class_contains(class_tag, modules.reduce_presentation(sub)):
-                report.record(i, "subobject_closure",
-                              {"subobject": serialize.module_to_json(sub)})
-        report.samples += 1
-    return report
+            sub, incl = modules.image(g)
+            c, _ = modules.cokernel(incl)
+        else:
+            x2 = _sample_class_module(class_tag, rnd, bounds)
+            x1 = _sample_class_module(class_tag, rnd, bounds)
+            f2 = samplers.random_morphism(rnd, x2, x1)
+            c, _ = modules.cokernel(f2)
+        if not _class_contains(class_tag, modules.reduce_presentation(c)):
+            yield "cokernel_condition", {"quotient": serialize.module_to_json(c)}
+    else:
+        # dual: closure under subobjects
+        host = _sample_class_module(class_tag, rnd, bounds)
+        g = samplers.random_morphism(rnd, samplers.random_module(rnd, bounds), host)
+        sub, _ = modules.image(g)
+        if not _class_contains(class_tag, modules.reduce_presentation(sub)):
+            yield "subobject_closure", {"subobject": serialize.module_to_json(sub)}

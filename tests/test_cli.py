@@ -1,5 +1,10 @@
+import hashlib
+import io
 import json
 
+import pytest
+
+from tiltbench import suites, tstructures
 from tiltbench.cli import (
     EXIT_FAILURES,
     EXIT_OK,
@@ -8,7 +13,14 @@ from tiltbench.cli import (
     Scenario,
     main,
     run,
+    run_scenario,
 )
+from tiltbench.samplers import SizeBounds
+from tiltbench.suites import REGISTRY
+
+# sha256 of the default scenario's report at budget 3, seed 1, without wall
+# times, as json.dumps(sort_keys=True, indent=2)
+DEFAULT_BUDGET_3_DIGEST = "12899190a5f2c9c67ce50d727a259c97b9aade5eab48029073ecfc4295c22c96"
 
 
 def write_scenario(tmp_path, name="scenario.json", **fields):
@@ -35,15 +47,43 @@ def test_unknown_suite_exits_2(tmp_path):
     assert run(path, None) == EXIT_PARSE
 
 
-def test_unsupported_combination_exits_3(tmp_path):
-    path = write_scenario(tmp_path, carrier="TorsionClassZ", flavor="Maximal")
-    assert run(path, None) == EXIT_UNSUPPORTED
+def test_carrier_field_exits_2(tmp_path):
+    path = write_scenario(tmp_path, carrier="FpZ")
+    out = io.StringIO()
+    assert run(path, None, stream=out) == EXIT_PARSE
+    assert "unknown scenario fields: ['carrier']" in out.getvalue()
+
+
+@pytest.mark.parametrize("fields", [
+    {"sample_budget": "x"},
+    {"sample_budget": 2.0},
+    {"sample_budget": -1},
+    {"seed": 1.5},
+    {"seed": "1"},
+    {"seed": True},
+    {"ring": 5},
+    {"ring": "Reals"},
+    {"suites": [["a"]]},
+    {"suites": "some"},
+    {"bounds": []},
+    {"bounds": {"max_rnk": 3}},
+    {"bounds": {"max_rank": 0}},
+    {"bounds": {"max_entry": -1}},
+    {"bounds": {"max_width": 0}},
+    {"bounds": {"max_entry": "10"}},
+])
+def test_bad_scenario_value_exits_2(tmp_path, fields):
+    path = write_scenario(tmp_path, **fields)
+    out = io.StringIO()
+    assert run(path, None, stream=out) == EXIT_PARSE
+    assert out.getvalue().startswith("scenario error: ")
 
 
 def test_polynomial_ring_restricts_suites(tmp_path):
-    path = write_scenario(tmp_path, ring="RationalPolynomials",
-                          suites=["fp_universal_properties"])
-    assert run(path, None) == EXIT_UNSUPPORTED
+    # these sample integer matrices whatever the scenario's ring says
+    for name in ("fp_universal_properties", "snf_identities", "solve_kernel_duality"):
+        path = write_scenario(tmp_path, ring="RationalPolynomials", suites=[name])
+        assert run(path, None) == EXIT_UNSUPPORTED, name
     ok = write_scenario(tmp_path, name="ok.json", ring="RationalPolynomials",
                         suites=["snf_polynomials"])
     assert run(ok, None) == EXIT_OK
@@ -118,3 +158,46 @@ def test_main_without_scenario_runs_builtin_defaults(tmp_path):
                  "--seed", "2", "--out", str(out)])
     assert code == EXIT_OK
     assert json.loads(out.read_text())["scenario"]["seed"] == 2
+
+
+def test_crashing_sample_is_reported_and_the_run_goes_on(tmp_path, monkeypatch):
+    real, calls = suites.smith_normal_form, []
+
+    def fails_on_second_call(m):
+        calls.append(m)
+        if len(calls) == 2:
+            raise ZeroDivisionError("forced")
+        return real(m)
+
+    monkeypatch.setattr(suites, "smith_normal_form", fails_on_second_call)
+    path = write_scenario(tmp_path, suites=["snf_identities", "solve_kernel_duality"],
+                          sample_budget=3)
+    out = tmp_path / "r.json"
+    assert run(path, str(out), stream=io.StringIO()) == EXIT_FAILURES
+    by_name = {s["name"]: s for s in json.loads(out.read_text())["suites"]}
+    assert by_name["snf_identities"]["samples"] == 3
+    assert by_name["snf_identities"]["failures"] == [
+        {"sample_index": 1, "check": "crash",
+         "payload": {"exception": "ZeroDivisionError"}}]
+    assert by_name["solve_kernel_duality"]["passed"]
+
+
+def test_control_reports_a_crash_of_its_sub_check(monkeypatch):
+    def broken_truncation(spec, n, x):
+        raise RuntimeError("forced")
+
+    monkeypatch.setattr(tstructures, "truncate_le", broken_truncation)
+    report = REGISTRY["corrupted_tstructure_detected"].run(2, 1, SizeBounds())
+    assert report.samples == 2
+    assert sorted((f.sample_index, f.check) for f in report.failures) == [
+        (0, "crash"), (0, "vacuous_checker"), (1, "crash")]
+
+
+def test_default_scenario_digest():
+    scenario = Scenario()
+    scenario.sample_budget = 3
+    data = json.loads(run_scenario(scenario).to_json_string())
+    for suite in data["suites"]:
+        suite.pop("wall_time")
+    text = json.dumps(data, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_BUDGET_3_DIGEST
