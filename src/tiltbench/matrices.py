@@ -105,7 +105,7 @@ class IntMatrix:
         return tuple(self.at(i, j) for i in range(self.rows))
 
     def is_zero(self) -> bool:
-        return all(rings.is_zero(self.ring, e) for e in self.entries)
+        return not any(self.entries)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -136,21 +136,17 @@ class IntMatrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        ring = self.ring
-        z = rings.zero(ring)
-        out = [z] * (self.rows * other.cols)
+        n, m = self.cols, other.cols
+        zero_row = [rings.zero(self.ring)] * m
+        other_rows = [other.entries[k * m:(k + 1) * m] for k in range(n)]
+        out = []
         for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if rings.is_zero(ring, a):
-                    continue
-                obase = k * other.cols
-                for j in range(other.cols):
-                    b = other.entries[obase + j]
-                    if not rings.is_zero(ring, b):
-                        out[i * other.cols + j] = out[i * other.cols + j] + a * b
-        return IntMatrix(ring, self.rows, other.cols, tuple(out))
+            acc = zero_row
+            for a, brow in zip(self.entries[i * n:(i + 1) * n], other_rows):
+                if a:
+                    acc = [c + a * b if b else c for c, b in zip(acc, brow)]
+            out.extend(acc)
+        return IntMatrix(self.ring, self.rows, m, tuple(out))
 
     def scale(self, c: Element) -> "IntMatrix":
         return IntMatrix(self.ring, self.rows, self.cols,
@@ -213,18 +209,15 @@ def block_diag(ring: RingSpec, blocks: Sequence[IntMatrix]) -> IntMatrix:
 def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Kronecker product, used to vectorise two-sided matrix equations."""
     a._check_ring(b)
-    ring = a.ring
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    out = [rings.zero(ring)] * (rows * cols)
+    zero_row = [rings.zero(a.ring)] * b.cols
+    b_rows = [b.row(k) for k in range(b.rows)]
+    out = []
     for i in range(a.rows):
-        for j in range(a.cols):
-            aij = a.at(i, j)
-            if rings.is_zero(ring, aij):
-                continue
-            for k in range(b.rows):
-                for l in range(b.cols):
-                    out[(i * b.rows + k) * cols + (j * b.cols + l)] = aij * b.at(k, l)
-    return IntMatrix(ring, rows, cols, tuple(out))
+        a_row = a.row(i)
+        for brow in b_rows:
+            for aij in a_row:
+                out.extend([aij * e for e in brow] if aij else zero_row)
+    return IntMatrix(a.ring, a.rows * b.rows, a.cols * b.cols, tuple(out))
 
 
 def vec(m: IntMatrix) -> IntMatrix:
@@ -252,9 +245,8 @@ def determinant(m: IntMatrix) -> Element:
     sign = 1
     prev = rings.one(ring)
     for k in range(n - 1):
-        if rings.is_zero(ring, a[k][k]):
-            pivot_row = next((i for i in range(k + 1, n)
-                              if not rings.is_zero(ring, a[i][k])), None)
+        if not a[k][k]:
+            pivot_row = next((i for i in range(k + 1, n) if a[i][k]), None)
             if pivot_row is None:
                 return rings.zero(ring)
             a[k], a[pivot_row] = a[pivot_row], a[k]
@@ -272,9 +264,12 @@ def determinant(m: IntMatrix) -> Element:
 class _SNFWorker:
     """Row/column reduction state for the Smith normal form.
 
-    The pivot rule is deterministic: the minimal-norm nonzero entry of the
-    trailing submatrix, scanned row major, so transforms are reproducible
-    for golden tests.
+    The pivot rule is deterministic: the first nonzero entry of minimal
+    norm in the trailing submatrix, scanned row major, so transforms are
+    reproducible for golden tests.  The scan stops at the first entry
+    whose norm is the norm of a unit (1 over Z, degree 0 over Q[x]): it
+    only replaces its choice on a strictly smaller norm, and no nonzero
+    entry is smaller than a unit, so the full scan would pick it too.
     """
 
     def __init__(self, m: IntMatrix):
@@ -284,14 +279,13 @@ class _SNFWorker:
         self.u = IntMatrix.identity(m.ring, m.rows).to_rows()
         self.v = IntMatrix.identity(m.ring, m.cols).to_rows()
         if m.ring is RingSpec.INTEGERS:
-            self._nonzero = lambda x: x != 0
             self._norm = abs
             self._divides = lambda a, b: b % a == 0
         else:
             ring = m.ring
-            self._nonzero = lambda x: not rings.is_zero(ring, x)
             self._norm = lambda x: rings.norm(ring, x)
             self._divides = lambda a, b: rings.divides(ring, a, b)
+        self._unit_norm = self._norm(rings.one(m.ring))
 
     def _swap_rows(self, i, j):
         if i != j:
@@ -307,15 +301,14 @@ class _SNFWorker:
 
     def _add_row(self, dst, src, c):
         """row[dst] += c * row[src]"""
-        if rings.is_zero(self.ring, c):
+        if not c:
             return
-        for j in range(self.nc):
-            self.a[dst][j] = self.a[dst][j] + c * self.a[src][j]
-        for j in range(self.nr):
-            self.u[dst][j] = self.u[dst][j] + c * self.u[src][j]
+        a, u = self.a, self.u
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
 
     def _add_col(self, dst, src, c):
-        if rings.is_zero(self.ring, c):
+        if not c:
             return
         for row in self.a:
             row[dst] = row[dst] + c * row[src]
@@ -323,23 +316,21 @@ class _SNFWorker:
             row[dst] = row[dst] + c * row[src]
 
     def _scale_row(self, i, unit):
-        for j in range(self.nc):
-            self.a[i][j] = unit * self.a[i][j]
-        for j in range(self.nr):
-            self.u[i][j] = unit * self.u[i][j]
+        self.a[i] = [unit * x for x in self.a[i]]
+        self.u[i] = [unit * x for x in self.u[i]]
 
     def _find_pivot(self, t):
         best = None
         best_norm = None
-        nonzero, norm = self._nonzero, self._norm
+        norm, unit_norm = self._norm, self._unit_norm
         for i in range(t, self.nr):
-            row = self.a[i]
-            for j in range(t, self.nc):
-                e = row[j]
-                if not nonzero(e):
+            for j, e in enumerate(self.a[i][t:], t):
+                if not e:
                     continue
                 n = norm(e)
                 if best is None or n < best_norm:
+                    if n == unit_norm:
+                        return i, j
                     best, best_norm = (i, j), n
         return best
 
@@ -350,7 +341,6 @@ class _SNFWorker:
         kernel extraction do not need.
         """
         ring = self.ring
-        nonzero = self._nonzero
         t = 0
         limit = min(self.nr, self.nc)
         while t < limit:
@@ -362,18 +352,18 @@ class _SNFWorker:
             while True:
                 dirty = False
                 for i in range(t + 1, self.nr):
-                    if not nonzero(self.a[i][t]):
+                    if not self.a[i][t]:
                         continue
                     q, r = rings.euc_divmod(ring, self.a[i][t], self.a[t][t])
                     self._add_row(i, t, -q)
-                    if nonzero(r):
+                    if r:
                         dirty = True
                 for j in range(t + 1, self.nc):
-                    if not nonzero(self.a[t][j]):
+                    if not self.a[t][j]:
                         continue
                     q, r = rings.euc_divmod(ring, self.a[t][j], self.a[t][t])
                     self._add_col(j, t, -q)
-                    if nonzero(r):
+                    if r:
                         dirty = True
                 if dirty:
                     piv = self._find_pivot(t)
@@ -389,7 +379,7 @@ class _SNFWorker:
                     row = self.a[i]
                     for j in range(t + 1, self.nc):
                         e = row[j]
-                        if nonzero(e) and not divides(pivot_val, e):
+                        if e and not divides(pivot_val, e):
                             offender = i
                             break
                     if offender is not None:
@@ -403,7 +393,7 @@ class _SNFWorker:
             t += 1
         for i in range(limit):
             d = self.a[i][i]
-            if nonzero(d):
+            if d:
                 unit = rings.canonical_unit(ring, d)
                 if unit != rings.one(ring):
                     self._scale_row(i, unit)
@@ -454,8 +444,8 @@ class PreparedSolver:
             di = self.d.at(i, i) if i < r else rings.zero(ring)
             for j in range(b.cols):
                 rhs = ub.at(i, j)
-                if rings.is_zero(ring, di):
-                    if not rings.is_zero(ring, rhs):
+                if not di:
+                    if rhs:
                         return None
                 else:
                     if not rings.divides(ring, di, rhs):
@@ -485,7 +475,7 @@ def kernel_matrix(a: IntMatrix) -> IntMatrix:
     _, d, v = _SNFWorker(a).run(enforce_chain=False)
     r = min(a.rows, a.cols)
     free = [j for j in range(a.cols)
-            if j >= r or rings.is_zero(a.ring, d.at(j, j))]
+            if j >= r or not d.at(j, j)]
     return v.take_columns(free)
 
 

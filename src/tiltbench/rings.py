@@ -54,6 +54,9 @@ class QPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     def lead(self) -> Fraction:
         if not self.coeffs:
             raise ZeroDivisionError("zero polynomial has no leading coefficient")
