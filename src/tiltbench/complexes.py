@@ -16,7 +16,7 @@ import enum
 from typing import Optional, Sequence
 
 from . import modules
-from .matrices import IntMatrix, kron, solve_lift, unvec, vec
+from .matrices import IntMatrix, block_matrix, kron, solve_lift, unvec, vec
 from .modules import FpModule, FpMorphism
 from .rings import RingSpec
 
@@ -86,17 +86,6 @@ class Complex:
 
     def is_zero_complex(self) -> bool:
         return all(obj.is_zero_module() for obj in self.objects)
-
-    def trim(self) -> "Complex":
-        """Drop zero objects at the ends of the support window."""
-        objs, diffs, lo = self.objects, self.differentials, self.lo
-        while objs and objs[0].is_zero_module():
-            objs, diffs, lo = objs[1:], diffs[1:], lo + 1
-        while objs and objs[-1].is_zero_module():
-            objs, diffs = objs[:-1], diffs[:-1]
-        if not objs:
-            return Complex(self.ring, self.base, 0, [FpModule.zero(self.ring)], [], check=False)
-        return Complex(self.ring, self.base, lo, objs, diffs, check=False)
 
     def shift(self, k: int) -> "Complex":
         """The complex X[k] with X[k]^n = X^{n+k} and differential (-1)^k d."""
@@ -194,13 +183,6 @@ def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
     for n in f.source.degrees():
         comps[n] = modules.compose(g.component_at(n), f.component_at(n))
     return ChainMap(f.source, g.target, comps, check=False)
-
-
-def add_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
-    comps = {}
-    for n in set(f.components) | set(g.components):
-        comps[n] = modules.add_morphisms(f.component_at(n), g.component_at(n))
-    return ChainMap(f.source, f.target, comps, check=False)
 
 
 def sub_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -370,53 +352,35 @@ def is_nullhomotopic(f: ChainMap) -> Optional[Homotopy]:
                  if x.object_at(n).generators and y.object_at(n - 1).generators]
     eq_degrees = [n for n in range(max(x.lo, y.lo), min(x.hi, y.hi) + 1)
                   if x.object_at(n).generators and y.object_at(n).generators]
-    h_sizes = [(n, y.object_at(n - 1).generators * x.object_at(n).generators)
-               for n in h_degrees]
-    col_offset = {}
-    total_cols = 0
-    for n, size in h_sizes:
-        col_offset[n] = total_cols
-        total_cols += size
-    rows_blocks = []
-    rhs_blocks = []
-    for n in eq_degrees:
-        rx = x.object_at(n).generators
-        ry = y.object_at(n).generators
-        block_rows = ry * rx
-        row = [IntMatrix.zeros(ring, block_rows, size) for _, size in h_sizes]
-        if n in col_offset:
-            dy = y.differential_at(n - 1).gen
-            row[h_degrees.index(n)] = kron(IntMatrix.identity(ring, rx), dy)
-        if n + 1 in col_offset:
-            dx = x.differential_at(n).gen
-            m = kron(dx.transpose(), IntMatrix.identity(ring, ry))
-            row[h_degrees.index(n + 1)] = row[h_degrees.index(n + 1)] + m
-        block = None
-        for piece in row:
-            block = piece if block is None else block.hstack(piece)
-        if block is None:
-            block = IntMatrix.zeros(ring, block_rows, 0)
-        rows_blocks.append(block)
-        rhs_blocks.append(vec(f.component_at(n).gen))
-    if not rows_blocks:
+    if not eq_degrees:
         return Homotopy(x, y, {})
-    system = rows_blocks[0]
-    for b in rows_blocks[1:]:
-        system = system.vstack(b)
-    rhs = rhs_blocks[0]
-    for b in rhs_blocks[1:]:
-        rhs = rhs.vstack(b)
-    sol = solve_lift(system, rhs)
+    h_sizes = [y.object_at(n - 1).generators * x.object_at(n).generators
+               for n in h_degrees]
+    eq_sizes = [y.object_at(n).generators * x.object_at(n).generators
+                for n in eq_degrees]
+    blocks = {}
+    for i, n in enumerate(eq_degrees):
+        if n in h_degrees:
+            blocks[i, h_degrees.index(n)] = kron(
+                IntMatrix.identity(ring, x.object_at(n).generators),
+                y.differential_at(n - 1).gen)
+        if n + 1 in h_degrees:
+            blocks[i, h_degrees.index(n + 1)] = kron(
+                x.differential_at(n).gen.transpose(),
+                IntMatrix.identity(ring, y.object_at(n).generators))
+    rhs = block_matrix(ring, eq_sizes, [1], {
+        (i, 0): vec(f.component_at(n).gen) for i, n in enumerate(eq_degrees)})
+    sol = solve_lift(block_matrix(ring, eq_sizes, h_sizes, blocks), rhs)
     if sol is None:
         return None
     comps = {}
-    for n, size in h_sizes:
-        ry = y.object_at(n - 1).generators
-        rx = x.object_at(n).generators
-        block = sol.take_rows(range(col_offset[n], col_offset[n] + size))
-        g = unvec(block, ry, rx)
+    offset = 0
+    for n, size in zip(h_degrees, h_sizes):
+        g = unvec(sol.take_rows(range(offset, offset + size)),
+                  y.object_at(n - 1).generators, x.object_at(n).generators)
         comps[n] = FpMorphism.from_generator_matrix(
             x.object_at(n), y.object_at(n - 1), g)
+        offset += size
     h = Homotopy(x, y, comps)
     if not h.certifies(f):
         raise AssertionError("homotopy solver produced a non-certifying witness")
@@ -463,33 +427,17 @@ def total_hom_complex(x: Complex, y: Complex) -> Complex:
     for k in range(lo, hi):
         ps, sizes = layout(k)
         qs, tsizes = layout(k + 1)
-        rows = sum(tsizes)
-        cols = sum(sizes)
-        block = [[IntMatrix.zeros(ring, tsizes[i], sizes[j])
-                  for j in range(len(ps))] for i in range(len(qs))]
+        blocks = {}
         for j, p in enumerate(ps):
-            rx = x.object_at(p).generators
-            ry1 = y.object_at(p + k + 1).generators
-            if p in qs and ry1:
-                i = qs.index(p)
-                block[i][j] = kron(IntMatrix.identity(ring, rx),
-                                   y.differential_at(p + k).gen)
+            if p in qs:
+                blocks[qs.index(p), j] = kron(
+                    IntMatrix.identity(ring, x.object_at(p).generators),
+                    y.differential_at(p + k).gen)
             if p - 1 in qs:
-                i = qs.index(p - 1)
-                sign = -1 if k % 2 == 0 else 1
                 m = kron(x.differential_at(p - 1).gen.transpose(),
                          IntMatrix.identity(ring, y.object_at(p + k).generators))
-                block[i][j] = block[i][j] + (m if sign > 0 else -m)
-        if rows == 0 or cols == 0:
-            mats.append(IntMatrix.zeros(ring, rows, cols))
-            continue
-        stacked = None
-        for i in range(len(qs)):
-            rowm = None
-            for j in range(len(ps)):
-                rowm = block[i][j] if rowm is None else rowm.hstack(block[i][j])
-            stacked = rowm if stacked is None else stacked.vstack(rowm)
-        mats.append(stacked)
+                blocks[qs.index(p - 1), j] = -m if k % 2 == 0 else m
+        mats.append(block_matrix(ring, tsizes, sizes, blocks))
     ranks = [sum(layout(k)[1]) for k in range(lo, hi + 1)]
     objs = [FpModule.free(ring, r) for r in ranks]
     diffs = [FpMorphism.from_generator_matrix(objs[i], objs[i + 1], m)

@@ -50,11 +50,6 @@ class FreydObject:
         return self.carrier.source
 
     @classmethod
-    def representable(cls, ex: ExactStructure, obj: FpModule) -> "FreydObject":
-        zero = FpModule.zero(obj.ring)
-        return cls(ex, FpMorphism.zero(zero, obj))
-
-    @classmethod
     def from_presentation_matrix(cls, ex: ExactStructure, mat: IntMatrix) -> "FreydObject":
         src = FpModule.free(mat.ring, mat.cols)
         tgt = FpModule.free(mat.ring, mat.rows)
@@ -116,16 +111,6 @@ def freyd_equal(f: FreydMorphism, g: FreydMorphism) -> bool:
     """Equality: the difference factors through the target's presentation."""
     delta = modules.sub_morphisms(f.gen, g.gen)
     return modules.factor(delta, f.target.carrier) is not None
-
-
-def freyd_is_zero(f: FreydMorphism) -> bool:
-    return modules.factor(f.gen, f.target.carrier) is not None
-
-
-def freyd_add(f: FreydMorphism, g: FreydMorphism) -> FreydMorphism:
-    return FreydMorphism(f.source, f.target,
-                         modules.add_morphisms(f.gen, g.gen),
-                         modules.add_morphisms(f.wit, g.wit))
 
 
 def freyd_direct_sum(a: FreydObject, b: FreydObject):

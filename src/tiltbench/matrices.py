@@ -190,20 +190,33 @@ class IntMatrix:
         return f"IntMatrix({self.ring.value}, {self.rows}x{self.cols}, {self.to_rows()})"
 
 
-def block_diag(ring: RingSpec, blocks: Sequence[IntMatrix]) -> IntMatrix:
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = [[rings.zero(ring)] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for b in blocks:
+def block_matrix(ring: RingSpec, row_sizes: Sequence[int], col_sizes: Sequence[int],
+                 blocks: dict[tuple[int, int], IntMatrix]) -> IntMatrix:
+    """The matrix cut into blocks of the given row and column sizes.
+
+    ``blocks`` maps (i, j) to the IntMatrix of shape row_sizes[i] x
+    col_sizes[j] placed in block row i and block column j; an absent block
+    is zero.
+    """
+    for (i, j), b in blocks.items():
         if b.ring is not ring:
             raise RingMismatchError("block ring mismatch")
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out[r0 + i][c0 + j] = b.at(i, j)
-        r0 += b.rows
-        c0 += b.cols
-    return IntMatrix.from_rows(ring, out, cols=cols)
+        if not (0 <= i < len(row_sizes) and 0 <= j < len(col_sizes)) \
+                or (b.rows, b.cols) != (row_sizes[i], col_sizes[j]):
+            raise DimensionMismatchError(f"block {(i, j)} is {b.rows}x{b.cols}")
+    zero_rows = [(rings.zero(ring),) * width for width in col_sizes]
+    out = []
+    for i, height in enumerate(row_sizes):
+        row_blocks = [blocks.get((i, j)) for j in range(len(col_sizes))]
+        for k in range(height):
+            for b, zero_row in zip(row_blocks, zero_rows):
+                out.extend(zero_row if b is None else b.row(k))
+    return IntMatrix(ring, sum(row_sizes), sum(col_sizes), tuple(out))
+
+
+def block_diag(ring: RingSpec, blocks: Sequence[IntMatrix]) -> IntMatrix:
+    return block_matrix(ring, [b.rows for b in blocks], [b.cols for b in blocks],
+                        {(i, i): b for i, b in enumerate(blocks)})
 
 
 def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:

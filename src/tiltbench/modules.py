@@ -19,7 +19,9 @@ from . import rings
 from .matrices import (
     IntMatrix,
     DimensionMismatchError,
+    PreparedSolver,
     block_diag,
+    block_matrix,
     kernel_matrix,
     kron,
     smith_normal_form,
@@ -88,11 +90,6 @@ class FpModule:
             if not rings.is_zero(self.ring, e) and not rings.is_unit(self.ring, e):
                 out.append(e)
         return out
-
-    def rank_of_presentation(self) -> int:
-        _, d, _ = self.snf()
-        return sum(1 for i in range(min(d.rows, d.cols))
-                   if not rings.is_zero(self.ring, d.at(i, i)))
 
     def free_rank(self) -> int:
         _, d, _ = self.snf()
@@ -211,6 +208,33 @@ def sub_morphisms(f: FpMorphism, g: FpMorphism) -> FpMorphism:
     return add_morphisms(f, negate(g))
 
 
+def _solve_morphism(x: FpModule, y: FpModule, left: IntMatrix, right: IntMatrix,
+                    g: IntMatrix, modulo: FpModule) -> Optional[FpMorphism]:
+    """A morphism h : x -> y whose matrix H has left * H * right = g modulo
+    the relations of ``modulo``, or None.
+
+    One Kronecker-vectorised system in the unknowns vec H, vec T1, vec T2:
+    left * H * right + P_Z * T1 = g, and H * P_X = P_Y * T2 so that H
+    descends to the cokernels.
+    """
+    ring = x.ring
+    p_x, p_y, p_z = x.presentation, y.presentation, modulo.presentation
+    b_x, b_y, a_x = x.generators, y.generators, x.relations
+    row_sizes = [g.rows * g.cols, b_y * a_x]
+    col_sizes = [b_y * b_x, modulo.relations * g.cols, y.relations * a_x]
+    system = block_matrix(ring, row_sizes, col_sizes, {
+        (0, 0): kron(right.transpose(), left),
+        (0, 1): kron(IntMatrix.identity(ring, g.cols), p_z),
+        (1, 0): kron(p_x.transpose(), IntMatrix.identity(ring, b_y)),
+        (1, 2): kron(IntMatrix.identity(ring, a_x), -p_y),
+    })
+    sol = solve_lift(system, block_matrix(ring, row_sizes, [1], {(0, 0): vec(g)}))
+    if sol is None:
+        return None
+    h = unvec(sol.take_rows(range(b_y * b_x)), b_y, b_x)
+    return FpMorphism.from_generator_matrix(x, y, h)
+
+
 def factor(g: FpMorphism, through: FpMorphism) -> Optional[FpMorphism]:
     """A morphism h with through o h = g, or None.
 
@@ -219,29 +243,8 @@ def factor(g: FpMorphism, through: FpMorphism) -> Optional[FpMorphism]:
     """
     if g.target.presentation != through.target.presentation:
         raise ValueError("factor: targets differ")
-    ring = g.source.ring
-    f_gen = through.gen                      # bM x bK
-    p_m = g.target.presentation             # bM x aM
-    p_t = g.source.presentation             # bT x aT
-    p_k = through.source.presentation       # bK x aK
-    b_k, b_t = f_gen.cols, g.gen.cols
-    a_m, a_t, a_k = p_m.cols, p_t.cols, p_k.cols
-
-    i_bt = IntMatrix.identity(ring, b_t)
-    i_at = IntMatrix.identity(ring, a_t)
-    i_bk = IntMatrix.identity(ring, b_k)
-    # unknowns: vec H (bK*bT), vec T1 (aM*bT), vec T2 (aK*aT)
-    eq1 = kron(i_bt, f_gen).hstack(kron(i_bt, p_m)).hstack(
-        IntMatrix.zeros(ring, g.gen.rows * b_t, a_k * a_t))
-    eq2 = kron(p_t.transpose(), i_bk).hstack(
-        IntMatrix.zeros(ring, b_k * a_t, a_m * b_t)).hstack(
-        kron(i_at, -p_k))
-    rhs = vec(g.gen).vstack(IntMatrix.zeros(ring, b_k * a_t, 1))
-    sol = solve_lift(eq1.vstack(eq2), rhs)
-    if sol is None:
-        return None
-    h = unvec(sol.take_rows(range(b_k * b_t)), b_k, b_t)
-    return FpMorphism.from_generator_matrix(g.source, through.source, h)
+    return _solve_morphism(g.source, through.source, through.gen,
+                           IntMatrix.identity(g.source.ring, g.gen.cols), g.gen, g.target)
 
 
 def cofactor(g: FpMorphism, through: FpMorphism) -> Optional[FpMorphism]:
@@ -251,29 +254,9 @@ def cofactor(g: FpMorphism, through: FpMorphism) -> Optional[FpMorphism]:
     """
     if g.source.presentation != through.source.presentation:
         raise ValueError("cofactor: sources differ")
-    ring = g.source.ring
-    f_gen = through.gen                      # bC x bM
-    p_t = g.target.presentation             # bT x aT
-    p_c = through.target.presentation       # bC x aC
-    b_t, b_c = g.gen.rows, f_gen.rows
-    a_t, a_c = p_t.cols, p_c.cols
-    b_m = f_gen.cols
-
-    i_bt = IntMatrix.identity(ring, b_t)
-    i_bm = IntMatrix.identity(ring, b_m)
-    i_ac = IntMatrix.identity(ring, a_c)
-    # unknowns: vec H (bT*bC), vec T1 (aT*bM), vec T2 (aT*aC)
-    eq1 = kron(f_gen.transpose(), i_bt).hstack(kron(i_bm, p_t)).hstack(
-        IntMatrix.zeros(ring, b_t * b_m, a_t * a_c))
-    eq2 = kron(p_c.transpose(), i_bt).hstack(
-        IntMatrix.zeros(ring, b_t * a_c, a_t * b_m)).hstack(
-        kron(i_ac, -p_t))
-    rhs = vec(g.gen).vstack(IntMatrix.zeros(ring, b_t * a_c, 1))
-    sol = solve_lift(eq1.vstack(eq2), rhs)
-    if sol is None:
-        return None
-    h = unvec(sol.take_rows(range(b_t * b_c)), b_t, b_c)
-    return FpMorphism.from_generator_matrix(through.target, g.target, h)
+    return _solve_morphism(through.target, g.target,
+                           IntMatrix.identity(g.source.ring, g.gen.rows), through.gen,
+                           g.gen, g.target)
 
 
 def lift_through_epi(p: FpMorphism, g: FpMorphism) -> FpMorphism:
@@ -395,14 +378,18 @@ class HomGroup:
 
     ``module`` presents the group; ``element(coords)`` converts a
     coordinate column (one entry per generator) into an actual morphism.
+    ``trivial`` spans the vectorised generator matrices P_N * S of the
+    zero morphisms.
     """
 
     def __init__(self, source: FpModule, target: FpModule,
-                 module: FpModule, gen_vecs: IntMatrix):
+                 module: FpModule, gen_vecs: IntMatrix, trivial: IntMatrix):
         self.source = source
         self.target = target
         self.module = module
         self._gen_vecs = gen_vecs
+        self._trivial = trivial
+        self._coord_solver = None
 
     def element(self, coords: Sequence[int]) -> FpMorphism:
         ring = self.source.ring
@@ -416,13 +403,9 @@ class HomGroup:
         coords[i] = 1
         return self.element(coords)
 
-    def _solver(self):
-        if getattr(self, "_coord_solver", None) is None:
-            from .matrices import PreparedSolver
-            ring = self.source.ring
-            triv = kron(IntMatrix.identity(ring, self.source.generators),
-                        self.target.presentation)
-            self._coord_solver = PreparedSolver(self._gen_vecs.hstack(triv))
+    def _solver(self) -> PreparedSolver:
+        if self._coord_solver is None:
+            self._coord_solver = PreparedSolver(self._gen_vecs.hstack(self._trivial))
         return self._coord_solver
 
     def coordinates(self, f: FpMorphism) -> Optional[IntMatrix]:
@@ -448,7 +431,7 @@ def hom_group(source: FpModule, target: FpModule) -> HomGroup:
     # trivial morphisms: G = P_N * S
     triv = kron(IntMatrix.identity(ring, b_m), target.presentation)
     module, gens, _ = span_quotient(gen_vecs, triv)
-    return HomGroup(source, target, module, gen_vecs)
+    return HomGroup(source, target, module, gen_vecs, triv)
 
 
 # -- torsion pair over Z -----------------------------------------------------

@@ -43,7 +43,7 @@ from .complexes import (
     zero_complex,
 )
 from .exactness import Carrier, ExactStructure, Flavor, e_cokernel, e_kernel
-from .matrices import IntMatrix, solve_lift
+from .matrices import IntMatrix, block_matrix, solve_lift
 from .modules import FpModule, FpMorphism
 from .reports import CheckReport, run_samples
 from .rings import RingSpec, one as _one
@@ -768,10 +768,9 @@ def _tilting_sample(class_tag: ClassTag, n: int, mode: str, rnd, bounds: SizeBou
     q_red = modules.reduce_presentation(q_mod)
     delta = samplers.random_matrix(rnd, s_red.generators, q_red.relations,
                                    bounds.max_entry)
-    block_top = s_red.presentation.hstack(delta)
-    block_bot = IntMatrix.zeros(Z, q_red.generators, s_red.relations).hstack(
-        q_red.presentation)
-    middle = FpModule(block_top.vstack(block_bot))
+    middle = FpModule(block_matrix(
+        Z, [s_red.generators, q_red.generators], [s_red.relations, q_red.relations],
+        {(0, 0): s_red.presentation, (0, 1): delta, (1, 1): q_red.presentation}))
     if not _class_contains(class_tag, modules.reduce_presentation(middle)):
         yield "extension_closure", {"middle": serialize.module_to_json(middle)}
     if mode == "tilting":

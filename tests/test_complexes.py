@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -26,6 +27,12 @@ from tiltbench.complexes import (
 from tiltbench.matrices import IntMatrix
 from tiltbench.modules import FpModule, FpMorphism, compose
 from tiltbench.rings import RingSpec
+from tiltbench.samplers import (
+    SizeBounds,
+    random_exact_free_complex,
+    random_free_complex,
+    rng_for,
+)
 
 Z = RingSpec.INTEGERS
 
@@ -278,3 +285,30 @@ def test_derived_hom_enumeration_oracle_z3():
         order *= int(d)
     assert h0.free_rank() == 0
     assert len(classes) == order == 3
+
+
+def test_homotopy_solves_are_pinned():
+    # golden hashes of null-homotopy witnesses and total Hom differentials;
+    # reordering the unknowns or changing any block of either system moves them
+    bounds = SizeBounds(max_rank=2, max_entry=3, max_width=3)
+    witnesses, hom_diffs = hashlib.sha256(), hashlib.sha256()
+    found = missing = 0
+    for i in range(20):
+        rnd = rng_for(5, "pinned-homotopies", i)
+        x = random_free_complex(rnd, bounds)
+        y = random_free_complex(rnd, bounds)
+        e = random_exact_free_complex(rnd, bounds)
+        cc, incl, _ = cone(ChainMap.identity(x))
+        for f in (ChainMap.identity(x), ChainMap.identity(e), ChainMap.identity(cc), incl):
+            w = is_nullhomotopic(f)
+            found, missing = found + (w is not None), missing + (w is None)
+            witnesses.update(repr(None if w is None else sorted(
+                (n, c.gen) for n, c in w.components.items())).encode())
+        for a, b in ((x, y), (e, x), (cc, y)):
+            hc = total_hom_complex(a, b)
+            hom_diffs.update(repr((hc.lo, [d.gen for d in hc.differentials])).encode())
+    assert found > 30 and missing > 10
+    assert witnesses.hexdigest() == (
+        "4fc45a0b676b0790ffceaf7ab4b32b997eace3a4defbe44da7f6f12016fa907f")
+    assert hom_diffs.hexdigest() == (
+        "e3c34ff9e3036c6ce06be3b459954f8363a5a8f6e63051b7a48552b8bf403f7f")

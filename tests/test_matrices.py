@@ -13,6 +13,8 @@ from tiltbench.matrices import (
     DimensionMismatchError,
     IntMatrix,
     RingMismatchError,
+    block_diag,
+    block_matrix,
     determinant,
     is_unimodular,
     kernel_matrix,
@@ -209,6 +211,36 @@ def test_vec_kron_identity():
     rhs = kron(b.transpose(), a) * vec(x)
     assert lhs == rhs
     assert unvec(vec(x), 2, 2) == x
+
+
+def test_block_matrix_places_blocks_and_zeros():
+    m = block_matrix(Z, [1, 2], [2, 1], {(0, 0): zmat([[1, 2]]), (1, 1): zmat([[3], [4]])})
+    assert m == zmat([[1, 2, 0], [0, 0, 3], [0, 0, 4]])
+    assert block_matrix(Z, [2], [3], {}) == IntMatrix.zeros(Z, 2, 3)
+
+
+def test_block_matrix_empty_block_rows_and_columns():
+    a = zmat([[1], [2]])
+    m = block_matrix(Z, [0, 2], [1, 0], {(1, 0): a, (0, 1): IntMatrix.zeros(Z, 0, 0)})
+    assert m == a
+    assert block_matrix(Z, [0, 0], [3], {}) == IntMatrix.zeros(Z, 0, 3)
+    assert block_matrix(Z, [2], [], {}) == IntMatrix.zeros(Z, 2, 0)
+    assert block_matrix(Z, [], [], {}) == IntMatrix.zeros(Z, 0, 0)
+
+
+def test_block_matrix_shape_and_ring_errors():
+    with pytest.raises(DimensionMismatchError):
+        block_matrix(Z, [1, 2], [2], {(1, 0): zmat([[1, 2]])})
+    with pytest.raises(DimensionMismatchError):
+        block_matrix(Z, [1], [1], {(0, 1): zmat([[1]])})
+    with pytest.raises(RingMismatchError):
+        block_matrix(Z, [1], [1], {(0, 0): IntMatrix.from_rows(QX, [[QPoly.const(1)]])})
+
+
+def test_block_diag_with_an_empty_block():
+    m = block_diag(Z, [zmat([[1, 2]]), IntMatrix.zeros(Z, 0, 1), zmat([[3], [4]])])
+    assert m == zmat([[1, 2, 0, 0], [0, 0, 0, 3], [0, 0, 0, 4]])
+    assert block_diag(Z, []) == IntMatrix.zeros(Z, 0, 0)
 
 
 def test_polynomial_solve():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -31,6 +32,7 @@ from tiltbench.modules import (
     torsion_decompose,
 )
 from tiltbench.rings import QPoly, RingSpec
+from tiltbench.samplers import SizeBounds, random_module, random_morphism, rng_for
 
 Z = RingSpec.INTEGERS
 
@@ -342,3 +344,29 @@ def test_subgroup_of_free_is_free():
             zmat([[rnd.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]))
         k, _ = kernel(f)
         assert reduce_presentation(k).relations == 0
+
+
+def test_morphism_solves_are_pinned():
+    # golden hash of factor/cofactor solutions through kernel inclusions and
+    # cokernel projections, solvable by construction and random; reordering
+    # the unknowns or changing any block of the vectorised system moves it
+    bounds = SizeBounds(max_rank=2, max_entry=3)
+    h = hashlib.sha256()
+    solved = unsolved = 0
+    for i in range(25):
+        rnd = rng_for(5, "pinned-solves", i)
+        m, n, t = (random_module(rnd, bounds) for _ in range(3))
+        f = random_morphism(rnd, m, n)
+        k, incl = kernel(f)
+        c, proj = cokernel(f)
+        through_kernel = factor(compose(incl, random_morphism(rnd, t, k)), incl)
+        through_cokernel = cofactor(compose(random_morphism(rnd, c, t), proj), proj)
+        assert through_kernel is not None and through_cokernel is not None
+        for sol in (through_kernel, through_cokernel,
+                    factor(random_morphism(rnd, t, m), incl),
+                    cofactor(random_morphism(rnd, n, t), proj)):
+            solved, unsolved = solved + (sol is not None), unsolved + (sol is None)
+            h.update(repr(None if sol is None else sol.gen).encode())
+    assert solved > 50 and unsolved > 5
+    assert h.hexdigest() == (
+        "b7942d34740852481b23a7218873dbf64e1ef0497d92ba080964817a61453a1e")
