@@ -283,14 +283,22 @@ class _SNFWorker:
     whose norm is the norm of a unit (1 over Z, degree 0 over Q[x]): it
     only replaces its choice on a strictly smaller norm, and no nonzero
     entry is smaller than a unit, so the full scan would pick it too.
+
+    U and V are not stored: the worker logs its row and its column
+    operations as (i, j, c), "line i += c * line j", with (i, j, None) a
+    swap and (i, None, c) a scaling.  U * B replays the row log forward on
+    the rows of B; V * Y replays the column log backward on the rows of Y,
+    "col i += c * col j" acting as "row j += c * row i".  Column operations
+    at pivot t skip the rows above t: those rows are already zero outside
+    their own pivot, so zero in both columns (both >= t) that are combined.
     """
 
     def __init__(self, m: IntMatrix):
         self.ring = m.ring
         self.nr, self.nc = m.rows, m.cols
         self.a = m.to_rows()
-        self.u = IntMatrix.identity(m.ring, m.rows).to_rows()
-        self.v = IntMatrix.identity(m.ring, m.cols).to_rows()
+        self.row_log = []
+        self.col_log = []
         if m.ring is RingSpec.INTEGERS:
             self._norm = abs
             self._divides = lambda a, b: b % a == 0
@@ -303,34 +311,55 @@ class _SNFWorker:
     def _swap_rows(self, i, j):
         if i != j:
             self.a[i], self.a[j] = self.a[j], self.a[i]
-            self.u[i], self.u[j] = self.u[j], self.u[i]
+            self.row_log.append((i, j, None))
 
-    def _swap_cols(self, i, j):
-        if i != j:
-            for row in self.a:
-                row[i], row[j] = row[j], row[i]
-            for row in self.v:
-                row[i], row[j] = row[j], row[i]
+    def _swap_cols(self, t, j):
+        """Swap column t with column j >= t."""
+        if t != j:
+            for row in self.a[t:]:
+                row[t], row[j] = row[j], row[t]
+            self.col_log.append((t, j, None))
 
     def _add_row(self, dst, src, c):
         """row[dst] += c * row[src]"""
         if not c:
             return
-        a, u = self.a, self.u
+        a = self.a
         a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        self.row_log.append((dst, src, c))
 
-    def _add_col(self, dst, src, c):
+    def _add_col(self, dst, t, c):
+        """col[dst] += c * col[t], for the pivot column t."""
         if not c:
             return
-        for row in self.a:
-            row[dst] = row[dst] + c * row[src]
-        for row in self.v:
-            row[dst] = row[dst] + c * row[src]
+        for row in self.a[t:]:
+            if row[t]:
+                row[dst] += c * row[t]
+        self.col_log.append((dst, t, c))
 
     def _scale_row(self, i, unit):
         self.a[i] = [unit * x for x in self.a[i]]
-        self.u[i] = [unit * x for x in self.u[i]]
+        self.row_log.append((i, None, unit))
+
+    def apply_u(self, rows: list) -> list:
+        """U * B on the rows of B, in place."""
+        for i, j, c in self.row_log:
+            if c is None:
+                rows[i], rows[j] = rows[j], rows[i]
+            elif j is None:
+                rows[i] = [c * x for x in rows[i]]
+            else:
+                rows[i] = [x + c * y if y else x for x, y in zip(rows[i], rows[j])]
+        return rows
+
+    def apply_v(self, rows: list) -> list:
+        """V * Y on the rows of Y, in place."""
+        for i, j, c in reversed(self.col_log):
+            if c is None:
+                rows[i], rows[j] = rows[j], rows[i]
+            else:
+                rows[j] = [x + c * y if y else x for x, y in zip(rows[j], rows[i])]
+        return rows
 
     def _find_pivot(self, t):
         best = None
@@ -347,11 +376,11 @@ class _SNFWorker:
                     best, best_norm = (i, j), n
         return best
 
-    def run(self, enforce_chain: bool = True):
+    def run(self, enforce_chain: bool = True) -> "_SNFWorker":
         """Diagonalise; with enforce_chain also establish d1 | d2 | ...
 
         The chain requires extra folding passes that pure solving and
-        kernel extraction do not need.
+        kernel extraction do not need.  Returns the worker.
         """
         ring = self.ring
         t = 0
@@ -410,11 +439,7 @@ class _SNFWorker:
                 unit = rings.canonical_unit(ring, d)
                 if unit != rings.one(ring):
                     self._scale_row(i, unit)
-        return (
-            IntMatrix.from_rows(ring, self.u, cols=self.nr),
-            IntMatrix.from_rows(ring, self.a, cols=self.nc),
-            IntMatrix.from_rows(ring, self.v, cols=self.nc),
-        )
+        return self
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -424,8 +449,15 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     canonical associates (nonnegative integers / monic polynomials), with
     zeros trailing the chain.
     """
-    u, d, v = _SNFWorker(m).run()
-    return u, d, v
+    ring = m.ring
+    w = _SNFWorker(m).run()
+    return (
+        IntMatrix.from_rows(ring, w.apply_u(IntMatrix.identity(ring, m.rows).to_rows()),
+                            cols=m.rows),
+        IntMatrix.from_rows(ring, w.a, cols=m.cols),
+        IntMatrix.from_rows(ring, w.apply_v(IntMatrix.identity(ring, m.cols).to_rows()),
+                            cols=m.cols),
+    )
 
 
 def snf_diagonal(m: IntMatrix) -> list[Element]:
@@ -441,7 +473,7 @@ class PreparedSolver:
 
     def __init__(self, a: IntMatrix):
         self.a = a
-        self.u, self.d, self.v = _SNFWorker(a).run(enforce_chain=False)
+        self._snf = _SNFWorker(a).run(enforce_chain=False)
 
     def solve(self, b: IntMatrix) -> Optional[IntMatrix]:
         a = self.a
@@ -450,22 +482,21 @@ class PreparedSolver:
         if a.rows != b.rows:
             raise DimensionMismatchError("solve_lift row mismatch")
         ring = a.ring
-        ub = self.u * b
-        y = [[rings.zero(ring)] * b.cols for _ in range(a.cols)]
+        zero = rings.zero(ring)
+        d = self._snf.a
+        y = [[zero] * b.cols for _ in range(a.cols)]
         r = min(a.rows, a.cols)
-        for i in range(a.rows):
-            di = self.d.at(i, i) if i < r else rings.zero(ring)
-            for j in range(b.cols):
-                rhs = ub.at(i, j)
+        for i, ub_row in enumerate(self._snf.apply_u(b.to_rows())):
+            di = d[i][i] if i < r else zero
+            for j, rhs in enumerate(ub_row):
                 if not di:
                     if rhs:
                         return None
                 else:
                     if not rings.divides(ring, di, rhs):
                         return None
-                    if i < a.cols:
-                        y[i][j] = rings.exact_div(ring, rhs, di)
-        return self.v * IntMatrix.from_rows(ring, y, cols=b.cols)
+                    y[i][j] = rings.exact_div(ring, rhs, di)
+        return IntMatrix.from_rows(ring, self._snf.apply_v(y), cols=b.cols)
 
 
 def solve_lift(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
@@ -483,13 +514,15 @@ def kernel_matrix(a: IntMatrix) -> IntMatrix:
     """Columns generating the full solution lattice {x : A*x = 0}.
 
     Over the catalogued domains the kernel is free; the returned matrix has
-    full column rank (or zero columns when the kernel is trivial).
+    full column rank (or zero columns when the kernel is trivial).  They are
+    the columns of V at the zero diagonal positions and past the rank.
     """
-    _, d, v = _SNFWorker(a).run(enforce_chain=False)
+    w = _SNFWorker(a).run(enforce_chain=False)
     r = min(a.rows, a.cols)
-    free = [j for j in range(a.cols)
-            if j >= r or not d.at(j, j)]
-    return v.take_columns(free)
+    free = [j for j in range(a.cols) if j >= r or not w.a[j][j]]
+    zero, one = rings.zero(a.ring), rings.one(a.ring)
+    units = [[one if j == f else zero for f in free] for j in range(a.cols)]
+    return IntMatrix.from_rows(a.ring, w.apply_v(units), cols=len(free))
 
 
 def is_unimodular(m: IntMatrix) -> bool:

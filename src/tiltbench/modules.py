@@ -215,7 +215,7 @@ def _solve_morphism(x: FpModule, y: FpModule, left: IntMatrix, right: IntMatrix,
 
     One Kronecker-vectorised system in the unknowns vec H, vec T1, vec T2:
     left * H * right + P_Z * T1 = g, and H * P_X = P_Y * T2 so that H
-    descends to the cokernels.
+    descends to the cokernels; T2 is the witness of the result.
     """
     ring = x.ring
     p_x, p_y, p_z = x.presentation, y.presentation, modulo.presentation
@@ -232,7 +232,8 @@ def _solve_morphism(x: FpModule, y: FpModule, left: IntMatrix, right: IntMatrix,
     if sol is None:
         return None
     h = unvec(sol.take_rows(range(b_y * b_x)), b_y, b_x)
-    return FpMorphism.from_generator_matrix(x, y, h)
+    t2 = unvec(sol.take_rows(range(sum(col_sizes[:2]), sol.rows)), y.relations, a_x)
+    return FpMorphism(x, y, h, t2)
 
 
 def factor(g: FpMorphism, through: FpMorphism) -> Optional[FpMorphism]:
@@ -379,24 +380,26 @@ class HomGroup:
     ``module`` presents the group; ``element(coords)`` converts a
     coordinate column (one entry per generator) into an actual morphism.
     ``trivial`` spans the vectorised generator matrices P_N * S of the
-    zero morphisms.
+    zero morphisms; ``wit_vecs`` holds the vectorised witness of each
+    generator.
     """
 
-    def __init__(self, source: FpModule, target: FpModule,
-                 module: FpModule, gen_vecs: IntMatrix, trivial: IntMatrix):
+    def __init__(self, source: FpModule, target: FpModule, module: FpModule,
+                 gen_vecs: IntMatrix, wit_vecs: IntMatrix, trivial: IntMatrix):
         self.source = source
         self.target = target
         self.module = module
         self._gen_vecs = gen_vecs
+        self._wit_vecs = wit_vecs
         self._trivial = trivial
         self._coord_solver = None
 
     def element(self, coords: Sequence[int]) -> FpMorphism:
         ring = self.source.ring
         col = IntMatrix.from_rows(ring, [[c] for c in coords], cols=1)
-        v = self._gen_vecs * col
-        g = unvec(v, self.target.generators, self.source.generators)
-        return FpMorphism.from_generator_matrix(self.source, self.target, g)
+        g = unvec(self._gen_vecs * col, self.target.generators, self.source.generators)
+        w = unvec(self._wit_vecs * col, self.target.relations, self.source.relations)
+        return FpMorphism(self.source, self.target, g, w)
 
     def generator(self, i: int) -> FpMorphism:
         coords = [0] * self.module.generators
@@ -428,10 +431,11 @@ def hom_group(source: FpModule, target: FpModule) -> HomGroup:
         kron(IntMatrix.identity(ring, a_m), -target.presentation))
     sols = kernel_matrix(lhs)
     gen_vecs = sols.take_rows(range(b_n * b_m))
+    wit_vecs = sols.take_rows(range(b_n * b_m, sols.rows))
     # trivial morphisms: G = P_N * S
     triv = kron(IntMatrix.identity(ring, b_m), target.presentation)
     module, gens, _ = span_quotient(gen_vecs, triv)
-    return HomGroup(source, target, module, gen_vecs, triv)
+    return HomGroup(source, target, module, gen_vecs, wit_vecs, triv)
 
 
 # -- torsion pair over Z -----------------------------------------------------

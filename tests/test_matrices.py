@@ -12,6 +12,7 @@ from tiltbench import rings
 from tiltbench.matrices import (
     DimensionMismatchError,
     IntMatrix,
+    PreparedSolver,
     RingMismatchError,
     block_diag,
     block_matrix,
@@ -142,6 +143,32 @@ def test_snf_transforms_are_pinned():
         h.update(repr((smith_normal_form(m), solve_lift(m, b), kernel_matrix(m))).encode())
     assert h.hexdigest() == (
         "fd4b12ee897d22ab3555a42c5dc1fe57989a8f03cd3f8fd96de1fdbb6fb6d5c1")
+
+
+def test_prepared_solver_reuse_is_pinned():
+    # golden hash of one solver per matrix reused on several right sides of
+    # one to three columns, solvable (B = M*X) and random
+    rnd = random.Random(11)
+
+    def draw(ring, rows, cols):
+        return IntMatrix.from_rows(ring, [
+            [rnd.randint(-2, 2) if ring is Z else QPoly((rnd.randint(-2, 2), rnd.randint(-1, 1)))
+             for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+    h = hashlib.sha256()
+    solved = unsolved = 0
+    for m in pinned_matrices():
+        solver = PreparedSolver(m)
+        for _ in range(2):
+            k = rnd.randint(1, 3)
+            for b in (m * draw(m.ring, m.cols, k), draw(m.ring, m.rows, k)):
+                x = solver.solve(b)
+                assert x is None or m * x == b
+                solved, unsolved = solved + (x is not None), unsolved + (x is None)
+                h.update(repr(x).encode())
+    assert solved > 400 and unsolved > 50
+    assert h.hexdigest() == (
+        "35fb1e3b87541623931ad085191ab7460219afb89e31fda672a6fc31dedcad7a")
 
 
 def test_solve_lift_trivial_cases():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tiltbench.matrices import IntMatrix, kernel_matrix
+from tiltbench.matrices import IntMatrix, PreparedSolver, kernel_matrix
 from tiltbench.modules import (
     FpModule,
     FpMorphism,
@@ -370,3 +370,36 @@ def test_morphism_solves_are_pinned():
     assert solved > 50 and unsolved > 5
     assert h.hexdigest() == (
         "b7942d34740852481b23a7218873dbf64e1ef0497d92ba080964817a61453a1e")
+
+
+def test_morphism_solves_build_one_solver(monkeypatch):
+    # factor and cofactor take the witness from their own solution, and
+    # hom group elements take it from the kernel that found them
+    built = []
+    real_init = PreparedSolver.__init__
+
+    def counting_init(self, a):
+        built.append(a)
+        real_init(self, a)
+
+    monkeypatch.setattr(PreparedSolver, "__init__", counting_init)
+
+    def solvers_built(call, *args):
+        built.clear()
+        result = call(*args)
+        assert result is not None
+        return len(built)
+
+    bounds = SizeBounds(max_rank=2, max_entry=3)
+    for i in range(5):
+        rnd = rng_for(9, "solver-count", i)
+        m, n, t = (random_module(rnd, bounds) for _ in range(3))
+        f = random_morphism(rnd, m, n)
+        _, incl = kernel(f)
+        _, proj = cokernel(f)
+        g = compose(incl, random_morphism(rnd, t, incl.source))
+        assert solvers_built(factor, g, incl) == 1
+        g = compose(random_morphism(rnd, proj.target, t), proj)
+        assert solvers_built(cofactor, g, proj) == 1
+        hom = hom_group(m, n)
+        assert solvers_built(hom.element, [1] * hom.module.generators) == 0
