@@ -170,10 +170,6 @@ class ChainMap:
     def zero(cls, source: Complex, target: Complex) -> "ChainMap":
         return cls(source, target, {}, check=False)
 
-    def shift(self, k: int) -> "ChainMap":
-        comps = {n - k: self.components[n] for n in self.components}
-        return ChainMap(self.source.shift(k), self.target.shift(k), comps, check=False)
-
     def __repr__(self) -> str:
         return f"ChainMap({self.source!r} -> {self.target!r})"
 
@@ -334,8 +330,7 @@ def _require_relation_free(f: ChainMap):
         for n in c.degrees():
             if c.object_at(n).relations != 0:
                 raise UndecidableConfigurationError(
-                    "null-homotopy decision needs relation-free entries; "
-                    "reduce the complex first (strictify_free)")
+                    "null-homotopy decision needs relation-free entries")
 
 
 def is_nullhomotopic(f: ChainMap) -> Optional[Homotopy]:
@@ -451,31 +446,7 @@ def derived_hom(x: Complex, y: Complex, n: int) -> FpModule:
     return cohomology(hc, n)
 
 
-# -- strictification and free resolutions -----------------------------------------
-
-def strictify_free(c: Complex) -> tuple[Complex, ChainMap]:
-    """Replace every entry by its reduced presentation; entries must be free.
-
-    Returns the relation-free complex and the isomorphism from ``c`` onto it.
-    """
-    isos = {}
-    objs = []
-    for n in c.degrees():
-        canon, iso = modules.reduction_isomorphism(c.object_at(n))
-        if canon.invariant_factors():
-            raise UndecidableConfigurationError(f"entry in degree {n} is not free")
-        isos[n] = iso
-        objs.append(canon)
-    diffs = []
-    for n in range(c.lo, c.hi):
-        d = modules.compose(isos[n + 1],
-                            modules.compose(c.differential_at(n),
-                                            modules.inverse(isos[n])))
-        diffs.append(d)
-    strict = Complex(c.ring, BaseCategory.FREE_MODULES, c.lo, objs, diffs, check=False)
-    iso_map = ChainMap(c, strict, isos, check=False)
-    return strict, iso_map
-
+# -- free resolutions -------------------------------------------------------------
 
 def free_resolution(c: Complex) -> Complex:
     """A relation-free complex quasi-isomorphic to ``c``.

@@ -88,13 +88,6 @@ class ExactStructure:
     def config_string(self) -> str:
         return f"carrier={self.carrier.value},flavor={self.flavor.value}"
 
-    @classmethod
-    def from_config_string(cls, s: str) -> "ExactStructure":
-        fields = dict(part.split("=", 1) for part in s.split(","))
-        carrier = Carrier(fields["carrier"])
-        flavor = Flavor(fields["flavor"])
-        return cls(carrier, flavor)
-
     def __repr__(self) -> str:
         return f"ExactStructure({self.config_string()})"
 

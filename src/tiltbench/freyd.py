@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
-from . import modules
-from .exactness import Carrier, CarrierMismatchError, ExactStructure, is_deflation
+from . import modules, samplers, serialize
+from .exactness import Carrier, ExactStructure, is_deflation
 from .matrices import IntMatrix
 from .modules import FpModule, FpMorphism
+from .reports import run_samples
 from .rings import RingSpec
+from .samplers import SizeBounds
 
 Z = RingSpec.INTEGERS
 
@@ -131,12 +132,9 @@ def freyd_direct_sum(a: FreydObject, b: FreydObject):
 
 # -- effaceability ------------------------------------------------------------
 
-def is_effaceable(f: FreydObject, ex: Optional[ExactStructure] = None) -> bool:
+def is_effaceable(f: FreydObject) -> bool:
     """Whether the presenting map is a deflation (presentation independent)."""
-    ex = ex or f.ex
-    if ex.carrier is not f.ex.carrier:
-        raise CarrierMismatchError("functor lives over a different carrier")
-    return is_deflation(f.carrier, ex)
+    return is_deflation(f.carrier, f.ex)
 
 
 # -- kernels and cokernels of natural transformations ---------------------------
@@ -215,11 +213,6 @@ def freyd_pullback(f: FreydMorphism, g: FreydMorphism):
 def pointwise_epi(eta: FreydMorphism) -> bool:
     c, _ = freyd_cokernel(eta)
     return c.is_zero_functor()
-
-
-def pointwise_mono(eta: FreydMorphism) -> bool:
-    k, _ = freyd_kernel(eta)
-    return k.is_zero_functor()
 
 
 # -- evaluation at probe objects -------------------------------------------------
@@ -367,11 +360,6 @@ class Fraction:
     def from_morphism(cls, eta: FreydMorphism) -> "Fraction":
         return cls(eta.source, eta.target, [], eta.source, eta)
 
-    @classmethod
-    def zero(cls, source: FreydObject, target: FreydObject) -> "Fraction":
-        return cls(source, target, [], source,
-                   FreydMorphism.zero(source, target))
-
     def roof_composite(self) -> FreydMorphism:
         s = FreydMorphism.identity(self.source)
         for factor in self.chain:
@@ -432,16 +420,6 @@ def project_fraction(a: Fraction) -> FpMorphism:
     return modules.compose(project_morphism(a.map), inv)
 
 
-def quotient_equal(a: Fraction, b: Fraction) -> bool:
-    """Equality of parallel fractions, decided on the projections."""
-    if a.source.ex.carrier not in _PROJECTABLE:
-        raise UnsupportedCarrierError("no projection available for this carrier")
-    if not (same_freyd_object(a.source, b.source)
-            and same_freyd_object(a.target, b.target)):
-        raise ValueError("fractions are not parallel")
-    return modules.morphism_equal(project_fraction(a), project_fraction(b))
-
-
 # -- the Serre-subcategory battery ------------------------------------------------
 
 def extension_middle(ex: ExactStructure, rnd, t1: FreydObject, t2: FreydObject,
@@ -452,9 +430,6 @@ def extension_middle(ex: ExactStructure, rnd, t1: FreydObject, t2: FreydObject,
     of t1's, otherwise the block fails to be an extension; random
     candidates are retried and the split gluing is the fallback.
     """
-    from . import samplers
-    from .exactness import Carrier
-
     q1, q2 = t1.carrier, t2.carrier
     k2, kappa2 = modules.kernel(q2)
     delta = None
@@ -483,22 +458,14 @@ def extension_middle(ex: ExactStructure, rnd, t1: FreydObject, t2: FreydObject,
 
 
 def serre_closure_check(ex: ExactStructure, sample_budget: int, seed: int,
-                        bounds=None):
+                        bounds: SizeBounds = SizeBounds()):
     """Sampled closure of the effaceables under extensions, admissible
     subobjects and admissible quotients; counterexamples reported."""
-    from .reports import run_samples
-    from .samplers import SizeBounds
-
-    return run_samples(f"serre_closure[{ex.config_string()}]",
-                       "effaceables are closed under extensions, admissible "
-                       "subobjects and quotients",
-                       sample_budget, seed, ("serre", ex.config_string()),
-                       partial(_serre_sample, ex), bounds or SizeBounds())
+    return run_samples(sample_budget, seed, ("serre", ex.config_string()),
+                       partial(_serre_sample, ex), bounds)
 
 
 def _serre_sample(ex: ExactStructure, rnd, bounds):
-    from . import samplers, serialize
-
     t = FreydObject(ex, samplers.random_carrier_deflation(ex, rnd, bounds))
     payload = {"carrier": serialize.morphism_to_json(t.carrier)}
     extra_src = samplers.random_carrier_module(ex, rnd, bounds)
@@ -522,9 +489,6 @@ def _serre_sample(ex: ExactStructure, rnd, bounds):
 
 
 def _retarget(ex, rnd, bounds, src: FpModule, tgt: FpModule) -> FpMorphism:
-    from . import samplers
-    from .exactness import Carrier
-
     if ex.carrier is Carrier.FREE_Z:
         return FpMorphism.from_generator_matrix(
             src, tgt, samplers.random_matrix(rnd, tgt.generators, src.generators,

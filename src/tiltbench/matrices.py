@@ -101,9 +101,6 @@ class IntMatrix:
     def to_rows(self) -> list[list[Element]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def column(self, j: int) -> tuple:
-        return tuple(self.at(i, j) for i in range(self.rows))
-
     def is_zero(self) -> bool:
         return not any(self.entries)
 
@@ -458,11 +455,6 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         IntMatrix.from_rows(ring, w.apply_v(IntMatrix.identity(ring, m.cols).to_rows()),
                             cols=m.cols),
     )
-
-
-def snf_diagonal(m: IntMatrix) -> list[Element]:
-    _, d, _ = smith_normal_form(m)
-    return [d.at(i, i) for i in range(min(d.rows, d.cols))]
 
 
 class PreparedSolver:

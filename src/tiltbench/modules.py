@@ -20,6 +20,7 @@ from .matrices import (
     IntMatrix,
     DimensionMismatchError,
     PreparedSolver,
+    RingMismatchError,
     block_diag,
     block_matrix,
     kernel_matrix,
@@ -171,7 +172,6 @@ class FpMorphism:
 
 
 def rings_mismatch(a, b):
-    from .matrices import RingMismatchError
     return RingMismatchError(f"{a.ring} vs {b.ring}")
 
 
@@ -258,17 +258,6 @@ def cofactor(g: FpMorphism, through: FpMorphism) -> Optional[FpMorphism]:
     return _solve_morphism(through.target, g.target,
                            IntMatrix.identity(g.source.ring, g.gen.rows), through.gen,
                            g.gen, g.target)
-
-
-def lift_through_epi(p: FpMorphism, g: FpMorphism) -> FpMorphism:
-    """h with p o h = g, for p epi and g from a free source.
-
-    Free modules are projective, so the lift always exists in that case.
-    """
-    h = factor(g, p)
-    if h is None:
-        raise ValueError("lift through epimorphism failed")
-    return h
 
 
 # -- kernels, cokernels, images -------------------------------------------
@@ -472,11 +461,6 @@ def _unimodular_inverse(u: IntMatrix) -> IntMatrix:
     return inv
 
 
-def free_part_projection(m: FpModule) -> tuple[FpModule, FpMorphism]:
-    _, _, f_mod, proj = torsion_decompose(m)
-    return f_mod, proj
-
-
 def free_quotient(m: FpModule) -> tuple[FpModule, FpMorphism]:
     """The maximal free quotient, over any catalogued ring."""
     ring = m.ring
@@ -492,7 +476,7 @@ def embed_into_free(m: FpModule) -> Optional[FpMorphism]:
     """A monomorphism into a free module, when one exists (M torsion-free)."""
     if m.invariant_factors():
         return None
-    f_mod, proj = free_part_projection(m)
+    _, _, _, proj = torsion_decompose(m)
     return proj  # mono because the torsion part vanishes
 
 

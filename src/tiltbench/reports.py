@@ -60,16 +60,17 @@ class CheckReport:
 Sample = Callable[[random.Random, SizeBounds], Iterable[tuple[str, dict]]]
 
 
-def run_samples(name: str, law: str, budget: int, seed: int, labels: tuple,
-                sample: Sample, bounds: SizeBounds) -> CheckReport:
+def run_samples(budget: int, seed: int, labels: tuple, sample: Sample,
+                bounds: SizeBounds) -> CheckReport:
     """Run ``budget`` samples of one law and collect their failures.
 
     Sample ``i`` draws from ``rng_for(seed, *labels, i)``, so any sample can
     be replayed alone.  Each ``(check, payload)`` it yields is a failure of
     sample ``i``.  An exception ends only that sample, recorded as a
-    ``crash`` failure carrying the exception's type name.
+    ``crash`` failure carrying the exception's type name.  The report is
+    unnamed; the suite registry sets its name and law.
     """
-    report = CheckReport(name, law, seed)
+    report = CheckReport("", "", seed)
     for i in range(budget):
         try:
             for check, payload in sample(rng_for(seed, *labels, i), bounds):
@@ -96,8 +97,8 @@ class RunReport:
             "failure_count": self.failure_count,
         }
 
-    def to_json_string(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json(), indent=indent, sort_keys=True)
+    def to_json_string(self) -> str:
+        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
     def render_text(self) -> str:
         lines = ["suite results", "============="]

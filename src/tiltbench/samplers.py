@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from . import modules
 from .complexes import Complex, direct_sum_complexes, free_complex, fp_complex
+from .exactness import Carrier
 from .matrices import IntMatrix, kernel_matrix, solve_lift
 from .modules import FpModule, FpMorphism
 from .rings import RingSpec
@@ -127,7 +128,6 @@ def random_fp_complex(rnd: random.Random, bounds: SizeBounds,
 
 
 def random_carrier_module(ex, rnd: random.Random, bounds: SizeBounds) -> FpModule:
-    from .exactness import Carrier
     if ex.carrier is Carrier.TORSION_Z:
         return random_torsion_module(rnd, bounds)
     if ex.carrier is Carrier.FP_Z:
@@ -137,7 +137,6 @@ def random_carrier_module(ex, rnd: random.Random, bounds: SizeBounds) -> FpModul
 
 
 def random_carrier_morphism(ex, rnd: random.Random, bounds: SizeBounds) -> FpMorphism:
-    from .exactness import Carrier
     src = random_carrier_module(ex, rnd, bounds)
     tgt = random_carrier_module(ex, rnd, bounds)
     if ex.carrier is Carrier.FREE_Z:
@@ -154,10 +153,10 @@ def random_carrier_deflation(ex, rnd: random.Random, bounds: SizeBounds) -> FpMo
     return surj
 
 
-def random_unimodular(rnd: random.Random, n: int, steps: int = 4) -> IntMatrix:
-    """A random unimodular matrix: a product of shears and swaps."""
+def random_unimodular(rnd: random.Random, n: int) -> IntMatrix:
+    """A random unimodular matrix: a product of four shears and swaps."""
     m = IntMatrix.identity(Z, n).to_rows()
-    for _ in range(steps if n > 1 else 0):
+    for _ in range(4 if n > 1 else 0):
         i, j = rnd.randrange(n), rnd.randrange(n)
         if i == j:
             continue

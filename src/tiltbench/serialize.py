@@ -2,7 +2,7 @@
 
 Integers serialise as decimal strings (arbitrary precision survives),
 polynomials as lists of "p/q" coefficient strings, matrices with explicit
-row/column counts, modules and morphisms as tagged objects.  Round trips
+row/column counts, modules, morphisms and complexes as tagged objects.  Round trips
 are bit exact.
 """
 
@@ -11,10 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any
 
-from .complexes import BaseCategory, ChainMap, Complex
-from .exactness import ExactStructure
-from .freyd import FreydMorphism, FreydObject, WeakIsoFactor
-from .freyd import Fraction as RoofFraction
+from .complexes import BaseCategory, Complex
 from .matrices import IntMatrix
 from .modules import FpModule, FpMorphism
 from .rings import QPoly, RingSpec
@@ -103,81 +100,3 @@ def complex_from_json(data: dict) -> Complex:
                                 matrix_from_json(data["differentials"][i]),
                                 matrix_from_json(data["witnesses"][i])))
     return Complex(ring, base, data["lo"], objs, diffs, check=False)
-
-
-def chain_map_to_json(f: ChainMap) -> dict:
-    return {
-        "kind": "chain_map",
-        "source": complex_to_json(f.source),
-        "target": complex_to_json(f.target),
-        "components": {str(n): morphism_to_json(f.components[n])
-                       for n in sorted(f.components)},
-    }
-
-
-def chain_map_from_json(data: dict) -> ChainMap:
-    if data.get("kind") != "chain_map":
-        raise ValueError("not a serialized chain map")
-    src = complex_from_json(data["source"])
-    tgt = complex_from_json(data["target"])
-    comps = {int(n): morphism_from_json(m) for n, m in data["components"].items()}
-    return ChainMap(src, tgt, comps, check=False)
-
-
-def freyd_object_to_json(f: FreydObject) -> dict:
-    return {"kind": "freyd_object", "structure": f.ex.config_string(),
-            "carrier": morphism_to_json(f.carrier)}
-
-
-def freyd_object_from_json(data: dict) -> FreydObject:
-    if data.get("kind") != "freyd_object":
-        raise ValueError("not a serialized functor object")
-    return FreydObject(ExactStructure.from_config_string(data["structure"]),
-                       morphism_from_json(data["carrier"]))
-
-
-def freyd_morphism_to_json(f: FreydMorphism) -> dict:
-    return {
-        "kind": "freyd_morphism",
-        "source": freyd_object_to_json(f.source),
-        "target": freyd_object_to_json(f.target),
-        "gen": morphism_to_json(f.gen),
-        "wit": morphism_to_json(f.wit),
-    }
-
-
-def freyd_morphism_from_json(data: dict) -> FreydMorphism:
-    if data.get("kind") != "freyd_morphism":
-        raise ValueError("not a serialized natural transformation")
-    return FreydMorphism(freyd_object_from_json(data["source"]),
-                         freyd_object_from_json(data["target"]),
-                         morphism_from_json(data["gen"]),
-                         morphism_from_json(data["wit"]))
-
-
-def fraction_to_json(a: RoofFraction) -> dict:
-    return {
-        "kind": "fraction",
-        "source": freyd_object_to_json(a.source),
-        "target": freyd_object_to_json(a.target),
-        "top": freyd_object_to_json(a.top),
-        "map": freyd_morphism_to_json(a.map),
-        "chain": [{"factor_kind": w.kind,
-                   "map": freyd_morphism_to_json(w.map),
-                   "certificate": freyd_object_to_json(w.certificate)}
-                  for w in a.chain],
-    }
-
-
-def fraction_from_json(data: dict) -> RoofFraction:
-    if data.get("kind") != "fraction":
-        raise ValueError("not a serialized fraction")
-    chain = [WeakIsoFactor(w["factor_kind"],
-                           freyd_morphism_from_json(w["map"]),
-                           freyd_object_from_json(w["certificate"]))
-             for w in data["chain"]]
-    return RoofFraction(freyd_object_from_json(data["source"]),
-                    freyd_object_from_json(data["target"]),
-                    chain,
-                    freyd_object_from_json(data["top"]),
-                    freyd_morphism_from_json(data["map"]))

@@ -595,7 +595,7 @@ def _cogeneration_control(budget, seed, bounds):
 def _sampled(sample: Sample, *labels) -> Check:
     """A check running ``sample`` through the driver; ``_suite`` names it."""
     def check(budget, seed, bounds):
-        return run_samples("", "", budget, seed, labels, sample, bounds)
+        return run_samples(budget, seed, labels, sample, bounds)
 
     return check
 

@@ -38,11 +38,12 @@ from .complexes import (
     free_complex,
     free_resolution,
     is_homotopy_iso,
+    is_nullhomotopic,
     is_quasi_iso,
     stalk_complex,
     zero_complex,
 )
-from .exactness import Carrier, ExactStructure, Flavor, e_cokernel, e_kernel
+from .exactness import Carrier, ExactStructure, e_cokernel, e_kernel
 from .matrices import IntMatrix, block_matrix, solve_lift
 from .modules import FpModule, FpMorphism
 from .reports import CheckReport, run_samples
@@ -131,18 +132,6 @@ class TStructureSpec:
         if self.corrupt:
             parts.append("corrupt=1")
         return ",".join(parts)
-
-    @classmethod
-    def from_config_string(cls, s: str) -> "TStructureSpec":
-        fields = dict(part.split("=", 1) for part in s.split(","))
-        variant = TVariant(fields["variant"])
-        ex = None
-        if "carrier" in fields:
-            ex = ExactStructure(Carrier(fields["carrier"]), Flavor(fields["flavor"]))
-        star_class = ClassTag(fields["class"]) if "class" in fields else None
-        return cls(variant, ex=ex, star_class=star_class,
-                   star_n=int(fields.get("n", 1)),
-                   corrupt=fields.get("corrupt") == "1")
 
     def __repr__(self) -> str:
         return f"TStructureSpec({self.config_string()})"
@@ -393,8 +382,6 @@ def triangle_is_distinguished(counit: ChainMap, unit: ChainMap,
     the comparison map cone(A -> X) -> B, corrected by s on the shifted
     part, must then be invertible in the ambient category.
     """
-    from .complexes import is_nullhomotopic
-
     comp = compose_chain_maps(unit, counit)
     literally_zero = all(modules.is_zero_morphism(comp.component_at(n))
                          for n in comp.source.degrees())
@@ -608,28 +595,6 @@ def module_map_to_left_heart_map(psi: FpMorphism, hx: Complex, hy: Complex) -> C
     return ChainMap(hx, hy, comps, check=False)
 
 
-@dataclass
-class OppositeModule:
-    """A finitely presented module read in the opposite category."""
-    module: FpModule
-
-
-def right_heart_normal_form(spec: TStructureSpec, x: Complex) -> OppositeModule:
-    """The formally-opposite module presenting a right-heart object.
-
-    A right-heart object is a two-term complex of carrier objects in
-    degrees (0, 1) up to its cokernel cap; dualising the presenting map
-    identifies the heart with the opposite of the module category.
-    """
-    if spec.variant is not TVariant.RIGHT:
-        raise ValueError("right-heart normal forms need the right t-structure")
-    if not heart_membership(spec, x):
-        raise ValueError("complex is not a right-heart object")
-    r, _ = truncate_ge(spec, 0, x)
-    dual_pres = r.differential_at(0).gen.transpose()
-    return OppositeModule(modules.reduce_presentation(FpModule(dual_pres)))
-
-
 def intersection_normal_form(spec1: TStructureSpec, spec2: TStructureSpec,
                              x: Complex) -> Optional[FpModule]:
     """The free stalk a complex in both hearts is isomorphic to, or None."""
@@ -675,9 +640,7 @@ def check_tstructure_axioms(spec: TStructureSpec, sample_budget: int,
     the approximating triangle is distinguished with its parts in the
     correct classes.  Failures carry serialised counterexamples.
     """
-    return run_samples(f"tstructure_axioms[{spec.config_string()}]",
-                       "aisle shift-closure, orthogonality, approximating triangles",
-                       sample_budget, seed, ("axiom", spec.config_string()),
+    return run_samples(sample_budget, seed, ("axiom", spec.config_string()),
                        partial(_axiom_sample, spec), bounds)
 
 
@@ -741,9 +704,7 @@ def tilting_class_check(class_tag: ClassTag, n: int, sample_budget: int,
     the dual mode), and the n-step cokernel condition (kernel condition in
     the dual mode).
     """
-    return run_samples(f"tilting_class[{class_tag.value},n={n},{mode}]",
-                       "cogeneration, extension closure, kernels, n-step cokernel condition",
-                       sample_budget, seed, ("tilting", class_tag.value, n, mode),
+    return run_samples(sample_budget, seed, ("tilting", class_tag.value, n, mode),
                        partial(_tilting_sample, class_tag, n, mode), bounds)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from tiltbench.cli import (
     EXIT_PARSE,
     EXIT_UNSUPPORTED,
     Scenario,
+    load_scenario,
     main,
     run,
     run_scenario,
@@ -21,6 +23,10 @@ from tiltbench.suites import REGISTRY
 # sha256 of the default scenario's report at budget 3, seed 1, without wall
 # times, as json.dumps(sort_keys=True, indent=2)
 DEFAULT_BUDGET_3_DIGEST = "12899190a5f2c9c67ce50d727a259c97b9aade5eab48029073ecfc4295c22c96"
+# the same digest of scenarios/negative-control.json's report; unlike the
+# default scenario it carries failure payloads, witnesses included
+NEGATIVE_CONTROL_DIGEST = "1be2cab84c66013de47d559be4783fdaef97415e076fe75a7f3d332715447322"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def write_scenario(tmp_path, name="scenario.json", **fields):
@@ -193,11 +199,20 @@ def test_control_reports_a_crash_of_its_sub_check(monkeypatch):
         (0, "crash"), (0, "vacuous_checker"), (1, "crash")]
 
 
-def test_default_scenario_digest():
-    scenario = Scenario()
-    scenario.sample_budget = 3
+def report_digest(scenario: Scenario) -> str:
     data = json.loads(run_scenario(scenario).to_json_string())
     for suite in data["suites"]:
         suite.pop("wall_time")
     text = json.dumps(data, sort_keys=True, indent=2)
-    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_BUDGET_3_DIGEST
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_default_scenario_digest():
+    scenario = Scenario()
+    scenario.sample_budget = 3
+    assert report_digest(scenario) == DEFAULT_BUDGET_3_DIGEST
+
+
+def test_negative_control_scenario_digest():
+    scenario = load_scenario(str(SCENARIOS / "negative-control.json"))
+    assert report_digest(scenario) == NEGATIVE_CONTROL_DIGEST

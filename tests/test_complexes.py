@@ -21,7 +21,6 @@ from tiltbench.complexes import (
     is_nullhomotopic,
     is_quasi_iso,
     stalk_complex,
-    strictify_free,
     total_hom_complex,
 )
 from tiltbench.matrices import IntMatrix
@@ -174,15 +173,6 @@ def test_homotopy_iso_detects_quasi_iso_of_frees():
     s, (injs, projs) = direct_sum_complexes([acyclic, z])
     assert is_homotopy_iso(projs[1])
     assert is_quasi_iso(projs[1])
-
-
-def test_strictify_free():
-    # a free module presented with a redundant unit relation
-    big = FpModule(IntMatrix.from_rows(Z, [[1, 0], [0, 0]], cols=2))
-    c = stalk_complex(big, 0)
-    strict, iso = strictify_free(c)
-    assert strict.is_strict_free()
-    assert strict.object_at(0).generators == 1
 
 
 def test_free_resolution_formality():

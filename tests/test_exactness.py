@@ -53,9 +53,13 @@ def test_catalogue_rejects_unknown_combination():
         ExactStructure(Carrier.TORSION_Z, Flavor.MAXIMAL)
 
 
-def test_config_string_round_trip():
-    ex = ExactStructure(Carrier.FREE_Z, Flavor.SPLIT)
-    assert ExactStructure.from_config_string(ex.config_string()) == ex
+def test_config_strings_are_distinct():
+    # config strings label the rng streams of the suites on each structure
+    structures = [ExactStructure(c, f) for c, f in (
+        (Carrier.FREE_Z, Flavor.SPLIT), (Carrier.FREE_Z, Flavor.MAXIMAL),
+        (Carrier.FP_Z, Flavor.MAXIMAL), (Carrier.TORSION_Z, Flavor.INHERITED))]
+    strings = [ex.config_string() for ex in structures]
+    assert len(set(strings)) == len(strings)
 
 
 def test_times_two_not_deflation_fp_max():

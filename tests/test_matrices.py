@@ -21,7 +21,6 @@ from tiltbench.matrices import (
     kernel_matrix,
     kron,
     smith_normal_form,
-    snf_diagonal,
     solve_lift,
     unvec,
     vec,
@@ -43,6 +42,11 @@ def minors_gcd(m: IntMatrix, k: int) -> int:
         for ci in combinations(range(m.cols), k):
             g = gcd(g, int(determinant(m.submatrix(ri, ci))))
     return abs(g)
+
+
+def snf_diagonal(m: IntMatrix) -> list:
+    _, d, _ = smith_normal_form(m)
+    return [d.at(i, i) for i in range(min(d.rows, d.cols))]
 
 
 def test_snf_diagonal_reorder():

@@ -22,7 +22,6 @@ from tiltbench.modules import (
     is_mono,
     is_zero_morphism,
     kernel,
-    lift_through_epi,
     morphism_equal,
     projective_resolution,
     pullback,
@@ -248,7 +247,8 @@ def test_lift_through_epi():
     z6 = FpModule.cyclic(Z, 6)
     p = FpMorphism.from_generator_matrix(z, z6, zmat([[1]]))
     g = FpMorphism.from_generator_matrix(FpModule.free(Z, 1), z6, zmat([[4]]))
-    h = lift_through_epi(p, g)
+    h = factor(g, p)
+    assert h is not None
     assert morphism_equal(compose(p, h), g)
 
 
@@ -349,9 +349,11 @@ def test_subgroup_of_free_is_free():
 def test_morphism_solves_are_pinned():
     # golden hash of factor/cofactor solutions through kernel inclusions and
     # cokernel projections, solvable by construction and random; reordering
-    # the unknowns or changing any block of the vectorised system moves it
+    # the unknowns or changing any block of the vectorised system moves it.
+    # A second hash covers the witnesses of those solutions and of a few hom
+    # group elements.
     bounds = SizeBounds(max_rank=2, max_entry=3)
-    h = hashlib.sha256()
+    h, witnesses = hashlib.sha256(), hashlib.sha256()
     solved = unsolved = 0
     for i in range(25):
         rnd = rng_for(5, "pinned-solves", i)
@@ -367,9 +369,16 @@ def test_morphism_solves_are_pinned():
                     cofactor(random_morphism(rnd, n, t), proj)):
             solved, unsolved = solved + (sol is not None), unsolved + (sol is None)
             h.update(repr(None if sol is None else sol.gen).encode())
+            witnesses.update(repr(None if sol is None else sol.witness).encode())
+        if i < 5:
+            hom = hom_group(m, n)
+            coords = [rnd.randint(-2, 2) for _ in range(hom.module.generators)]
+            witnesses.update(repr(hom.element(coords).witness).encode())
     assert solved > 50 and unsolved > 5
     assert h.hexdigest() == (
         "b7942d34740852481b23a7218873dbf64e1ef0497d92ba080964817a61453a1e")
+    assert witnesses.hexdigest() == (
+        "33764e695668c40982cb665517b4f76566f52c920d47eaf910fb465e46b6704e")
 
 
 def test_morphism_solves_build_one_solver(monkeypatch):

@@ -1,12 +1,10 @@
 import json
 
-from tiltbench.complexes import ChainMap, free_complex, stalk_complex
+from tiltbench.complexes import free_complex
 from tiltbench.matrices import IntMatrix
 from tiltbench.modules import FpModule, FpMorphism
 from tiltbench.rings import QPoly, RingSpec
 from tiltbench.serialize import (
-    chain_map_from_json,
-    chain_map_to_json,
     complex_from_json,
     complex_to_json,
     matrix_from_json,
@@ -54,35 +52,3 @@ def test_complex_round_trip():
     for n in c.degrees():
         assert back.object_at(n).presentation == c.object_at(n).presentation
     assert back.differential_at(-1).gen == c.differential_at(-1).gen
-
-
-def test_chain_map_round_trip():
-    c = stalk_complex(FpModule.cyclic(Z, 4), 0)
-    f = ChainMap.identity(c)
-    back = chain_map_from_json(through_json(chain_map_to_json(f)))
-    assert back.component_at(0).gen == f.component_at(0).gen
-
-
-def test_freyd_round_trips():
-    from tiltbench.exactness import Carrier, ExactStructure, Flavor
-    from tiltbench.freyd import Fraction, FreydMorphism, FreydObject, refine_fraction
-    from tiltbench.serialize import (
-        fraction_from_json,
-        fraction_to_json,
-        freyd_object_from_json,
-        freyd_object_to_json,
-    )
-
-    ex = ExactStructure(Carrier.FREE_Z, Flavor.SPLIT)
-    obj = FreydObject.from_presentation_matrix(
-        ex, IntMatrix.from_rows(Z, [[2, 0], [0, 3]]))
-    back = freyd_object_from_json(through_json(freyd_object_to_json(obj)))
-    assert back.carrier.gen == obj.carrier.gen
-    assert back.ex.config_string() == ex.config_string()
-
-    eff = FreydObject.from_presentation_matrix(ex, IntMatrix.identity(Z, 1))
-    frac = refine_fraction(Fraction.from_morphism(FreydMorphism.identity(obj)), eff)
-    frac_back = fraction_from_json(through_json(fraction_to_json(frac)))
-    assert len(frac_back.chain) == 1
-    assert frac_back.chain[0].kind == "deflation"
-    assert frac_back.map.gen.gen == frac.map.gen.gen

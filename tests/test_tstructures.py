@@ -51,11 +51,11 @@ def fc(lo, mats, first_rank=None):
     return free_complex(Z, lo, [zmat(m) for m in mats], first_rank=first_rank)
 
 
-def test_config_string_round_trip():
-    for spec in (LEFT, RIGHT, NAT, HRS, TStructureSpec.star(ClassTag.ALL_FP, 2)):
-        s = spec.config_string()
-        back = TStructureSpec.from_config_string(s)
-        assert back.config_string() == s
+def test_config_strings_are_distinct():
+    # config strings label the rng streams of the axiom checks
+    specs = (LEFT, RIGHT, NAT, HRS, TStructureSpec.star(ClassTag.ALL_FP, 2))
+    strings = [spec.config_string() for spec in specs]
+    assert len(set(strings)) == len(strings)
 
 
 def test_left_truncation_monic_differential():
@@ -87,6 +87,8 @@ def test_left_heart_membership_of_z2_resolution():
     x = fc(-1, [[[2]]])  # degrees (-1, 0)
     assert heart_membership(LEFT, x)
     assert not heart_membership(RIGHT, x)
+    # in degrees (0, 1) its torsion cokernel makes it a right-heart object
+    assert heart_membership(RIGHT, fc(0, [[[2]]]))
 
 
 def test_stalk_in_every_heart_containing_it():
@@ -241,21 +243,6 @@ def test_cogeneration_witness_z2():
     assert cogeneration_witness(ClassTag.FREE, z2) is None
     assert hom_group(z2, FpModule.free(Z, 2)).module.is_zero_module()
     assert cogeneration_witness(ClassTag.ALL_FP, z2) is not None
-
-
-def test_right_heart_normal_form():
-    from tiltbench.tstructures import right_heart_normal_form
-    # a free stalk is its own opposite module
-    z2 = fc(0, [], first_rank=2)
-    op = right_heart_normal_form(RIGHT, z2)
-    assert op.module.invariant_data() == (2, ())
-    # [Z --2--> Z] in degrees (0, 1) has torsion cokernel: a right-heart object
-    c = fc(0, [[[2]]])
-    assert heart_membership(RIGHT, c)
-    op2 = right_heart_normal_form(RIGHT, c)
-    assert op2.module.invariant_data() == (0, (2,))
-    with pytest.raises(ValueError):
-        right_heart_normal_form(LEFT, z2)
 
 
 def test_gap_inclusion_right_le_minus_one_in_left_le_zero():
