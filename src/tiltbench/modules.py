@@ -82,21 +82,26 @@ class FpModule:
             self._snf = smith_normal_form(self.presentation)
         return self._snf
 
+    def smith_diagonal(self) -> tuple[list, list[int], list[int]]:
+        """The SNF diagonal padded with zeros to one entry per generator,
+        with the indices of its nonzero nonunit (torsion) and zero (free)
+        entries."""
+        ring = self.ring
+        _, d, _ = self.snf()
+        diag = [d.at(i, i) if i < d.cols else rings.zero(ring)
+                for i in range(self.generators)]
+        tor_idx = [i for i, e in enumerate(diag)
+                   if not rings.is_zero(ring, e) and not rings.is_unit(ring, e)]
+        free_idx = [i for i, e in enumerate(diag) if rings.is_zero(ring, e)]
+        return diag, tor_idx, free_idx
+
     def invariant_factors(self) -> list:
         """Nonunit nonzero diagonal entries of the reduced presentation."""
-        _, d, _ = self.snf()
-        out = []
-        for i in range(min(d.rows, d.cols)):
-            e = d.at(i, i)
-            if not rings.is_zero(self.ring, e) and not rings.is_unit(self.ring, e):
-                out.append(e)
-        return out
+        diag, tor_idx, _ = self.smith_diagonal()
+        return [diag[i] for i in tor_idx]
 
     def free_rank(self) -> int:
-        _, d, _ = self.snf()
-        nonzero = sum(1 for i in range(min(d.rows, d.cols))
-                      if not rings.is_zero(self.ring, d.at(i, i)))
-        return self.generators - nonzero
+        return len(self.smith_diagonal()[2])
 
     def invariant_data(self) -> tuple:
         return (self.free_rank(), tuple(self.invariant_factors()))
@@ -339,16 +344,17 @@ def direct_sum(ms: Sequence[FpModule]):
         raise ValueError("empty direct sum; use FpModule.zero")
     ring = ms[0].ring
     total = FpModule(block_diag(ring, [m.presentation for m in ms]))
+    gen_sizes = [m.generators for m in ms]
+    rel_sizes = [m.relations for m in ms]
     injections, projections = [], []
-    g_off = 0
-    for m in ms:
-        gi_rows = IntMatrix.zeros(ring, total.generators, m.generators).to_rows()
-        for i in range(m.generators):
-            gi_rows[g_off + i][i] = rings.one(ring)
-        inj_gen = IntMatrix.from_rows(ring, gi_rows, cols=m.generators)
-        injections.append(FpMorphism.from_generator_matrix(m, total, inj_gen))
-        projections.append(FpMorphism.from_generator_matrix(total, m, inj_gen.transpose()))
-        g_off += m.generators
+    for k, m in enumerate(ms):
+        # the block inclusions of generators and of relations
+        e_gen = block_matrix(ring, gen_sizes, [m.generators],
+                             {(k, 0): IntMatrix.identity(ring, m.generators)})
+        e_rel = block_matrix(ring, rel_sizes, [m.relations],
+                             {(k, 0): IntMatrix.identity(ring, m.relations)})
+        injections.append(FpMorphism(m, total, e_gen, e_rel))
+        projections.append(FpMorphism(total, m, e_gen.transpose(), e_rel.transpose()))
     return total, injections, projections
 
 
@@ -438,19 +444,13 @@ def torsion_decompose(m: FpModule):
     if m.ring is not RingSpec.INTEGERS:
         raise UnsupportedRingError("torsion decomposition needs ring = Z")
     ring = m.ring
-    u, d, _ = m.snf()
-    u_inv = _unimodular_inverse(u)
-    tor_idx, free_idx = [], []
-    for i in range(m.generators):
-        e = d.at(i, i) if i < min(d.rows, d.cols) else rings.zero(ring)
-        if rings.is_zero(ring, e):
-            free_idx.append(i)
-        elif not rings.is_unit(ring, e):
-            tor_idx.append(i)
-    t_mod = FpModule.from_invariants(ring, [d.at(i, i) for i in tor_idx], 0)
-    f_mod = FpModule.free(ring, len(free_idx))
-    incl = FpMorphism.from_generator_matrix(t_mod, m, u_inv.take_columns(tor_idx))
-    proj = FpMorphism.from_generator_matrix(m, f_mod, u.take_rows(free_idx))
+    u, _, v = m.snf()
+    diag, tor_idx, _ = m.smith_diagonal()
+    t_mod = FpModule.from_invariants(ring, [diag[i] for i in tor_idx], 0)
+    # U^-1 * D = P * V, so the columns of V at tor_idx witness the inclusion
+    incl = FpMorphism(t_mod, m, _unimodular_inverse(u).take_columns(tor_idx),
+                      v.take_columns(tor_idx))
+    f_mod, proj = free_quotient(m)
     return t_mod, incl, f_mod, proj
 
 
@@ -464,11 +464,11 @@ def _unimodular_inverse(u: IntMatrix) -> IntMatrix:
 def free_quotient(m: FpModule) -> tuple[FpModule, FpMorphism]:
     """The maximal free quotient, over any catalogued ring."""
     ring = m.ring
-    u, d, _ = m.snf()
-    free_idx = [i for i in range(m.generators)
-                if i >= min(d.rows, d.cols) or rings.is_zero(ring, d.at(i, i))]
+    u, _, _ = m.snf()
+    _, _, free_idx = m.smith_diagonal()
     f_mod = FpModule.free(ring, len(free_idx))
-    proj = FpMorphism.from_generator_matrix(m, f_mod, u.take_rows(free_idx))
+    # the rows of U at free_idx kill P, since those rows of D = U * P * V vanish
+    proj = FpMorphism(m, f_mod, u.take_rows(free_idx), IntMatrix.zeros(ring, 0, m.relations))
     return f_mod, proj
 
 
@@ -506,12 +506,10 @@ def projective_resolution(m: FpModule, max_len: int = 1) -> list[IntMatrix]:
 
 def _injective_column_basis(p: IntMatrix) -> IntMatrix:
     """A matrix with the same column span as p and trivial kernel."""
-    u, d, _ = smith_normal_form(p)
-    ring = p.ring
-    r = sum(1 for i in range(min(d.rows, d.cols))
-            if not rings.is_zero(ring, d.at(i, i)))
-    u_inv = _unimodular_inverse(u)
-    return u_inv * d.take_columns(range(r))
+    m = FpModule(p)
+    u, d, _ = m.snf()
+    rank = m.generators - len(m.smith_diagonal()[2])
+    return _unimodular_inverse(u) * d.take_columns(range(rank))
 
 
 def reduce_presentation(m: FpModule) -> FpModule:
@@ -522,21 +520,10 @@ def reduce_presentation(m: FpModule) -> FpModule:
 
 def reduction_isomorphism(m: FpModule) -> tuple[FpModule, FpMorphism]:
     """The canonical module together with an isomorphism from m onto it."""
-    ring = m.ring
-    u, d, _ = m.snf()
-    keep = []
-    for i in range(m.generators):
-        e = d.at(i, i) if i < min(d.rows, d.cols) else rings.zero(ring)
-        if rings.is_zero(ring, e) or not rings.is_unit(ring, e):
-            keep.append(i)
-    tor = [d.at(i, i) for i in keep
-           if i < min(d.rows, d.cols) and not rings.is_zero(ring, d.at(i, i))]
-    free_rank = len(keep) - len(tor)
+    u, _, _ = m.snf()
+    _, tor_idx, free_idx = m.smith_diagonal()
+    canon = reduce_presentation(m)
     # order: torsion generators first, as in from_invariants
-    tor_idx = [i for i in keep if i < min(d.rows, d.cols)
-               and not rings.is_zero(ring, d.at(i, i))]
-    free_idx = [i for i in keep if i not in tor_idx]
-    canon = FpModule.from_invariants(ring, tor, free_rank)
     iso = FpMorphism.from_generator_matrix(m, canon, u.take_rows(tor_idx + free_idx))
     return canon, iso
 

@@ -99,4 +99,4 @@ def complex_from_json(data: dict) -> Complex:
         diffs.append(FpMorphism(objs[i], objs[i + 1],
                                 matrix_from_json(data["differentials"][i]),
                                 matrix_from_json(data["witnesses"][i])))
-    return Complex(ring, base, data["lo"], objs, diffs, check=False)
+    return Complex(ring, base, data["lo"], objs, diffs)

@@ -47,7 +47,7 @@ from .exactness import Carrier, ExactStructure, e_cokernel, e_kernel
 from .matrices import IntMatrix, block_matrix, solve_lift
 from .modules import FpModule, FpMorphism
 from .reports import CheckReport, run_samples
-from .rings import RingSpec, one as _one
+from .rings import RingSpec
 from .samplers import SizeBounds
 
 Z = RingSpec.INTEGERS
@@ -193,10 +193,9 @@ def _cap_below_with(x: Complex, n: int, cap: FpModule, incl: FpMorphism
     return t, ChainMap(t, x, comps, check=False)
 
 
-def _quotient_above(x: Complex, n: int, sub_incl: FpMorphism
+def _quotient_above(x: Complex, n: int, q_mod: FpModule, proj: FpMorphism
                     ) -> tuple[Complex, ChainMap]:
-    """[X^n / sub -> X^{>n}] with the projection-induced map from X."""
-    q_mod, proj = modules.cokernel(sub_incl)
+    """[q_mod -> X^{>n}] with the map from X induced by proj : X^n -> q_mod."""
     objs = [q_mod] + [x.object_at(j) for j in range(n + 1, x.hi + 1)]
     diffs = []
     if n < x.hi:
@@ -304,26 +303,14 @@ def _truncate_ge_honest(spec, n, x):
             return _identity_truncation(x)
         if n > x.hi:
             return _zero_truncation_ge(x)
-        c, proj = e_cokernel(x.differential_at(n - 1), spec.ex)
-        objs = [c] + [x.object_at(j) for j in range(n + 1, x.hi + 1)]
-        diffs = []
-        if n < x.hi:
-            desc = modules.cofactor(x.differential_at(n), proj)
-            if desc is None:
-                raise AssertionError("differential does not descend from the cokernel cap")
-            diffs = [desc] + [x.differential_at(j) for j in range(n + 1, x.hi)]
-        t = Complex(x.ring, x.base, n, objs, diffs, check=False)
-        comps = {n: proj}
-        comps.update({j: FpMorphism.identity(x.object_at(j))
-                      for j in range(n + 1, x.hi + 1)})
-        return t, ChainMap(x, t, comps, check=False)
+        return _quotient_above(x, n, *e_cokernel(x.differential_at(n - 1), spec.ex))
     if v is TVariant.NATURAL or v is TVariant.STAR_AISLE:
         if n <= x.lo:
             return _identity_truncation(x)
         if n > x.hi:
             return _zero_truncation_ge(x)
         k, incl = modules.kernel(x.differential_at(n - 1))
-        return _quotient_above(x, n - 1, incl)
+        return _quotient_above(x, n - 1, *modules.cokernel(incl))
     if v is TVariant.HRS_TILT:
         if n <= x.lo:
             return _identity_truncation(x)
@@ -333,7 +320,7 @@ def _truncate_ge_honest(spec, n, x):
         if sub.is_zero_complex():
             return _identity_truncation(x)
         cap_incl = counit.component_at(n - 1)
-        return _quotient_above(x, n - 1, cap_incl)
+        return _quotient_above(x, n - 1, *modules.cokernel(cap_incl))
     raise ValueError(f"unsupported variant {v}")
 
 
@@ -396,25 +383,13 @@ def triangle_is_distinguished(counit: ChainMap, unit: ChainMap,
     a = counit.source
     x = counit.target
     b = unit.target
-    ring = x.ring
     comps = {}
     for n in cone_c.degrees():
         # cone^n = X^n (+) A^{n+1}: phi(x, alpha) = unit(x) + s(alpha)
-        total = cone_c.object_at(n)
-        xin = x.object_at(n)
         ain = a.object_at(n + 1)
-        proj_x_rows = IntMatrix.zeros(ring, xin.generators, total.generators).to_rows()
-        for i in range(xin.generators):
-            proj_x_rows[i][i] = _one(ring)
-        proj_x = FpMorphism.from_generator_matrix(
-            total, xin, IntMatrix.from_rows(ring, proj_x_rows, cols=total.generators))
+        _, _, (proj_x, proj_a) = modules.direct_sum([x.object_at(n), ain])
         piece = modules.compose(unit.component_at(n), proj_x)
         if homotopy is not None and ain.generators:
-            proj_a_rows = IntMatrix.zeros(ring, ain.generators, total.generators).to_rows()
-            for i in range(ain.generators):
-                proj_a_rows[i][xin.generators + i] = _one(ring)
-            proj_a = FpMorphism.from_generator_matrix(
-                total, ain, IntMatrix.from_rows(ring, proj_a_rows, cols=total.generators))
             piece = modules.add_morphisms(
                 piece, modules.compose(homotopy.component_at(n + 1), proj_a))
         comps[n] = piece
@@ -530,15 +505,7 @@ def _cokernel_form_window(b: Complex, m: int) -> Complex:
         return b
     if b.lo < m - 1:
         raise ValueError("window fold expects at most one entry below the cut")
-    c_mod, proj = modules.cokernel(b.differential_at(m - 1))
-    objs = [c_mod] + [b.object_at(j) for j in range(m + 1, b.hi + 1)]
-    diffs = []
-    if m < b.hi:
-        desc = modules.cofactor(b.differential_at(m), proj)
-        if desc is None:
-            raise AssertionError("differential does not descend to the window fold")
-        diffs = [desc] + [b.differential_at(j) for j in range(m + 1, b.hi)]
-    return Complex(b.ring, b.base, m, objs, diffs, check=False)
+    return _quotient_above(b, m, *modules.cokernel(b.differential_at(m - 1)))[0]
 
 
 # -- heart equivalence with the module category ------------------------------------

@@ -14,6 +14,7 @@ from tiltbench.modules import (
     direct_sum,
     embed_into_free,
     factor,
+    free_quotient,
     cofactor,
     hom_group,
     image,
@@ -381,9 +382,9 @@ def test_morphism_solves_are_pinned():
         "33764e695668c40982cb665517b4f76566f52c920d47eaf910fb465e46b6704e")
 
 
-def test_morphism_solves_build_one_solver(monkeypatch):
-    # factor and cofactor take the witness from their own solution, and
-    # hom group elements take it from the kernel that found them
+@pytest.fixture
+def solvers_built(monkeypatch):
+    """solvers_built(call, *args): the PreparedSolvers that call builds."""
     built = []
     real_init = PreparedSolver.__init__
 
@@ -393,12 +394,18 @@ def test_morphism_solves_build_one_solver(monkeypatch):
 
     monkeypatch.setattr(PreparedSolver, "__init__", counting_init)
 
-    def solvers_built(call, *args):
+    def count(call, *args):
         built.clear()
         result = call(*args)
         assert result is not None
         return len(built)
 
+    return count
+
+
+def test_morphism_solves_build_one_solver(solvers_built):
+    # factor and cofactor take the witness from their own solution, and
+    # hom group elements take it from the kernel that found them
     bounds = SizeBounds(max_rank=2, max_entry=3)
     for i in range(5):
         rnd = rng_for(9, "solver-count", i)
@@ -412,3 +419,45 @@ def test_morphism_solves_build_one_solver(monkeypatch):
         assert solvers_built(cofactor, g, proj) == 1
         hom = hom_group(m, n)
         assert solvers_built(hom.element, [1] * hom.module.generators) == 0
+
+
+def test_known_witnesses_build_no_solver(solvers_built):
+    # direct sums write down block inclusions, the free quotient needs no
+    # relations, and the torsion inclusion reads its witness off V; only
+    # the inverse of U is solved for
+    bounds = SizeBounds(max_rank=3, max_entry=6)
+    for i in range(5):
+        rnd = rng_for(9, "known-witness", i)
+        ms = [random_module(rnd, bounds) for _ in range(3)]
+        assert solvers_built(direct_sum, ms) == 0
+        assert solvers_built(free_quotient, ms[0]) == 0
+        assert solvers_built(torsion_decompose, ms[0]) == 1
+
+    a, b = FpModule(zmat([[2, 1], [0, 3]])), FpModule(zmat([[4]]))
+    _, (ia, ib), (pa, pb) = _unpack_sum(*direct_sum([a, b]))
+    assert ia.gen == zmat([[1, 0], [0, 1], [0, 0]])
+    assert ia.witness == zmat([[1, 0], [0, 1], [0, 0]])
+    assert ib.gen == zmat([[0], [0], [1]]) and ib.witness == zmat([[0], [0], [1]])
+    assert (pa.gen, pa.witness) == (ia.gen.transpose(), ia.witness.transpose())
+    assert (pb.gen, pb.witness) == (ib.gen.transpose(), ib.witness.transpose())
+
+
+@pytest.mark.parametrize("rows, tor, incl, quotient, iso", [
+    # more generators than relations, with a unit factor
+    ([[1, 0], [0, 6], [0, 0]], [[6]], ([[0], [1], [0]], [[0], [1]]),
+     [[0, 0, 1]], ([[0, 1, 0], [0, 0, 1]], [[6], [0]])),
+    # more relations than generators
+    ([[2, 4, 6]], [[2]], ([[1]], [[1], [0], [0]]), [], ([[1]], [[2]])),
+])
+def test_smith_diagonal_padding(rows, tor, incl, quotient, iso):
+    m = FpModule(zmat(rows))
+    t_mod, t_incl, f_mod, proj = torsion_decompose(m)
+    assert t_mod.presentation == zmat(tor)
+    assert (t_incl.gen, t_incl.witness) == (zmat(incl[0]), zmat(incl[1]))
+    q_mod, q_proj = free_quotient(m)
+    for f, p in ((f_mod, proj), (q_mod, q_proj)):
+        assert f.presentation == IntMatrix.zeros(Z, len(quotient), 0)
+        assert p.gen == zmat(quotient, cols=m.generators)
+        assert p.witness == IntMatrix.zeros(Z, 0, m.relations)
+    canon, red = reduction_isomorphism(m)
+    assert (red.gen, canon.presentation) == (zmat(iso[0]), zmat(iso[1]))

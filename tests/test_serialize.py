@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tiltbench.complexes import free_complex
 from tiltbench.matrices import IntMatrix
 from tiltbench.modules import FpModule, FpMorphism
@@ -52,3 +54,13 @@ def test_complex_round_trip():
     for n in c.degrees():
         assert back.object_at(n).presentation == c.object_at(n).presentation
     assert back.differential_at(-1).gen == c.differential_at(-1).gen
+
+
+def test_complex_from_json_rejects_a_non_complex():
+    # [1] then [1] are morphisms Z -> Z -> Z whose composite is not zero
+    zero = IntMatrix.from_rows(Z, [[0]])
+    c = free_complex(Z, 0, [zero, zero])
+    data = through_json(complex_to_json(c))
+    data["differentials"] = [matrix_to_json(IntMatrix.from_rows(Z, [[1]]))] * 2
+    with pytest.raises(ValueError, match="d o d"):
+        complex_from_json(data)
