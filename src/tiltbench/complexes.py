@@ -123,7 +123,8 @@ def free_complex(ring: RingSpec, lo: int, mats: Sequence[IntMatrix],
     for i, m in enumerate(mats):
         if m.cols != ranks[i] or m.rows != ranks[i + 1]:
             raise ValueError("differential shapes do not chain")
-        diffs.append(FpMorphism.from_generator_matrix(objs[i], objs[i + 1], m))
+        # free entries: the witness is the empty matrix
+        diffs.append(FpMorphism(objs[i], objs[i + 1], m, IntMatrix.zeros(ring, 0, 0)))
     return Complex(ring, BaseCategory.FREE_MODULES, lo, objs, diffs)
 
 
@@ -373,8 +374,7 @@ def is_nullhomotopic(f: ChainMap) -> Optional[Homotopy]:
     for n, size in zip(h_degrees, h_sizes):
         g = unvec(sol.take_rows(range(offset, offset + size)),
                   y.object_at(n - 1).generators, x.object_at(n).generators)
-        comps[n] = FpMorphism.from_generator_matrix(
-            x.object_at(n), y.object_at(n - 1), g)
+        comps[n] = FpMorphism(x.object_at(n), y.object_at(n - 1), g, IntMatrix.zeros(ring, 0, 0))
         offset += size
     h = Homotopy(x, y, comps)
     if not h.certifies(f):
@@ -435,7 +435,7 @@ def total_hom_complex(x: Complex, y: Complex) -> Complex:
         mats.append(block_matrix(ring, tsizes, sizes, blocks))
     ranks = [sum(layout(k)[1]) for k in range(lo, hi + 1)]
     objs = [FpModule.free(ring, r) for r in ranks]
-    diffs = [FpMorphism.from_generator_matrix(objs[i], objs[i + 1], m)
+    diffs = [FpMorphism(objs[i], objs[i + 1], m, IntMatrix.zeros(ring, 0, 0))
              for i, m in enumerate(mats)]
     return Complex(ring, BaseCategory.FREE_MODULES, lo, objs, diffs, check=False)
 

@@ -146,10 +146,8 @@ def _reduce_carrier(ex: ExactStructure, carrier: FpMorphism):
     hom-group systems downstream stay small.  Returns the reduced object
     and the forward/backward isomorphisms on both ends.
     """
-    _, src_iso = modules.reduction_isomorphism(carrier.source)
-    _, tgt_iso = modules.reduction_isomorphism(carrier.target)
-    src_inv = modules.inverse(src_iso)
-    tgt_inv = modules.inverse(tgt_iso)
+    _, src_iso, src_inv = carrier.source.reduction()
+    _, tgt_iso, tgt_inv = carrier.target.reduction()
     reduced = modules.compose(tgt_iso, modules.compose(carrier, src_inv))
     return FreydObject(ex, reduced), tgt_iso, tgt_inv, src_iso, src_inv
 

@@ -285,9 +285,12 @@ class _SNFWorker:
     operations as (i, j, c), "line i += c * line j", with (i, j, None) a
     swap and (i, None, c) a scaling.  U * B replays the row log forward on
     the rows of B; V * Y replays the column log backward on the rows of Y,
-    "col i += c * col j" acting as "row j += c * row i".  Column operations
-    at pivot t skip the rows above t: those rows are already zero outside
-    their own pivot, so zero in both columns (both >= t) that are combined.
+    "col i += c * col j" acting as "row j += c * row i".  The inverses undo
+    the same operations in the opposite order: U^-1 * B replays the row log
+    backward with each operation inverted, V^-1 * Y the column log forward
+    as "row j -= c * row i".  Column operations at pivot t skip the rows
+    above t: those rows are already zero outside their own pivot, so zero
+    in both columns (both >= t) that are combined.
     """
 
     def __init__(self, m: IntMatrix):
@@ -357,6 +360,32 @@ class _SNFWorker:
             else:
                 rows[j] = [x + c * y if y else x for x, y in zip(rows[j], rows[i])]
         return rows
+
+    def apply_u_inv(self, rows: list) -> list:
+        """U^-1 * B on the rows of B, in place."""
+        for i, j, c in reversed(self.row_log):
+            if c is None:
+                rows[i], rows[j] = rows[j], rows[i]
+            elif j is None:
+                c_inv = rings.exact_div(self.ring, rings.one(self.ring), c)
+                rows[i] = [c_inv * x for x in rows[i]]
+            else:
+                rows[i] = [x - c * y if y else x for x, y in zip(rows[i], rows[j])]
+        return rows
+
+    def apply_v_inv(self, rows: list) -> list:
+        """V^-1 * Y on the rows of Y, in place."""
+        for i, j, c in self.col_log:
+            if c is None:
+                rows[i], rows[j] = rows[j], rows[i]
+            else:
+                rows[j] = [x - c * y if y else x for x, y in zip(rows[j], rows[i])]
+        return rows
+
+    def replay_identity(self, apply, n: int) -> IntMatrix:
+        """The n x n transform that ``apply`` multiplies by."""
+        return IntMatrix.from_rows(self.ring, apply(IntMatrix.identity(self.ring, n).to_rows()),
+                                   cols=n)
 
     def _find_pivot(self, t):
         best = None
@@ -439,22 +468,36 @@ class _SNFWorker:
         return self
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+class SmithForm(tuple):
+    """The (U, D, V) of ``smith_normal_form``; it unpacks as a 3-tuple.
+
+    ``u_inv()`` and ``v_inv()`` replay the diagonalisation's logs inverted,
+    so the inverse transforms need no solve.
+    """
+
+    def __new__(cls, worker: _SNFWorker, u: IntMatrix, d: IntMatrix, v: IntMatrix):
+        form = super().__new__(cls, (u, d, v))
+        form._worker = worker
+        return form
+
+    def u_inv(self) -> IntMatrix:
+        return self._worker.replay_identity(self._worker.apply_u_inv, self[0].rows)
+
+    def v_inv(self) -> IntMatrix:
+        return self._worker.replay_identity(self._worker.apply_v_inv, self[2].rows)
+
+
+def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Return (U, D, V) with U*M*V = D diagonal and d1 | d2 | ...
 
     U and V are unimodular (unit determinant); diagonal entries are
     canonical associates (nonnegative integers / monic polynomials), with
     zeros trailing the chain.
     """
-    ring = m.ring
     w = _SNFWorker(m).run()
-    return (
-        IntMatrix.from_rows(ring, w.apply_u(IntMatrix.identity(ring, m.rows).to_rows()),
-                            cols=m.rows),
-        IntMatrix.from_rows(ring, w.a, cols=m.cols),
-        IntMatrix.from_rows(ring, w.apply_v(IntMatrix.identity(ring, m.cols).to_rows()),
-                            cols=m.cols),
-    )
+    return SmithForm(w, w.replay_identity(w.apply_u, m.rows),
+                     IntMatrix.from_rows(m.ring, w.a, cols=m.cols),
+                     w.replay_identity(w.apply_v, m.cols))
 
 
 class PreparedSolver:

@@ -44,6 +44,7 @@ class FpModule:
         self.ring = presentation.ring
         self.presentation = presentation
         self._snf = None
+        self._reduction = None
 
     # -- constructors ----------------------------------------------------
 
@@ -94,6 +95,32 @@ class FpModule:
                    if not rings.is_zero(ring, e) and not rings.is_unit(ring, e)]
         free_idx = [i for i, e in enumerate(diag) if rings.is_zero(ring, e)]
         return diag, tor_idx, free_idx
+
+    def reduction(self) -> tuple["FpModule", "FpMorphism", "FpMorphism"]:
+        """``reduce_presentation(self)`` with mutually inverse isomorphisms
+        a : self -> reduced and b : reduced -> self, read off the Smith form.
+
+        With U * P * V = D, U * P = D * V^-1 and P * V = U^-1 * D; for
+        idx = torsion then free indices, a = (U[idx, :], V^-1[torsion, :])
+        and b = (U^-1[:, idx], V[:, torsion]).
+        """
+        if self._reduction is not None:
+            return self._reduction
+        if not self.relations:  # a presentation without relations is already reduced
+            ident = FpMorphism.identity(self)
+            self._reduction = (self, ident, ident)
+            return self._reduction
+        snf = self.snf()
+        u, _, v = snf
+        diag, tor_idx, free_idx = self.smith_diagonal()
+        idx = tor_idx + free_idx
+        canon = FpModule.from_invariants(self.ring, [diag[i] for i in tor_idx], len(free_idx))
+        self._reduction = (
+            canon,
+            FpMorphism(self, canon, u.take_rows(idx), snf.v_inv().take_rows(tor_idx)),
+            FpMorphism(canon, self, snf.u_inv().take_columns(idx), v.take_columns(tor_idx)),
+        )
+        return self._reduction
 
     def invariant_factors(self) -> list:
         """Nonunit nonzero diagonal entries of the reduced presentation."""
@@ -194,7 +221,10 @@ def morphism_equal(f: FpMorphism, g: FpMorphism) -> bool:
     if f.source.presentation != g.source.presentation \
             or f.target.presentation != g.target.presentation:
         return False
-    return solve_lift(f.target.presentation, f.gen - g.gen) is not None
+    diff = f.gen - g.gen
+    if not f.target.relations:  # nothing to factor through
+        return diff.is_zero()
+    return solve_lift(f.target.presentation, diff) is not None
 
 
 def is_zero_morphism(f: FpMorphism) -> bool:
@@ -213,32 +243,42 @@ def sub_morphisms(f: FpMorphism, g: FpMorphism) -> FpMorphism:
     return add_morphisms(f, negate(g))
 
 
-def _solve_morphism(x: FpModule, y: FpModule, left: IntMatrix, right: IntMatrix,
-                    g: IntMatrix, modulo: FpModule) -> Optional[FpMorphism]:
-    """A morphism h : x -> y whose matrix H has left * H * right = g modulo
-    the relations of ``modulo``, or None.
+def _solve_morphism(source: FpModule, target: FpModule, left: IntMatrix, right: IntMatrix,
+                    g: FpMorphism) -> Optional[FpMorphism]:
+    """A morphism h : source -> target with left * H * right = g, or None,
+    for the generator matrices of left : target -> Z and right : S -> source.
 
-    One Kronecker-vectorised system in the unknowns vec H, vec T1, vec T2:
-    left * H * right + P_Z * T1 = g, and H * P_X = P_Y * T2 so that H
-    descends to the cokernels; T2 is the witness of the result.
+    The system is posed on the reduced presentations of the four modules,
+    with every matrix conjugated by the mutually inverse isomorphisms a and
+    b of ``FpModule.reduction``: a solution h' there gives h = b o h' o a,
+    and h' exists exactly when h does.  One Kronecker-vectorised system in
+    the unknowns vec H, vec T1, vec T2: L * H * R + P_Z * T1 = G, and
+    H * P_X = P_Y * T2 so that H descends to the cokernels.
     """
+    x, to_x, _ = source.reduction()
+    y, _, from_y = target.reduction()
+    z, to_z, _ = g.target.reduction()
+    _, _, from_s = g.source.reduction()
+    lhs = to_z.gen * left * from_y.gen
+    rhs = to_x.gen * right * from_s.gen
+    g_gen = to_z.gen * g.gen * from_s.gen
     ring = x.ring
-    p_x, p_y, p_z = x.presentation, y.presentation, modulo.presentation
     b_x, b_y, a_x = x.generators, y.generators, x.relations
-    row_sizes = [g.rows * g.cols, b_y * a_x]
-    col_sizes = [b_y * b_x, modulo.relations * g.cols, y.relations * a_x]
+    row_sizes = [g_gen.rows * g_gen.cols, b_y * a_x]
+    col_sizes = [b_y * b_x, z.relations * g_gen.cols, y.relations * a_x]
     system = block_matrix(ring, row_sizes, col_sizes, {
-        (0, 0): kron(right.transpose(), left),
-        (0, 1): kron(IntMatrix.identity(ring, g.cols), p_z),
-        (1, 0): kron(p_x.transpose(), IntMatrix.identity(ring, b_y)),
-        (1, 2): kron(IntMatrix.identity(ring, a_x), -p_y),
+        (0, 0): kron(rhs.transpose(), lhs),
+        (0, 1): kron(IntMatrix.identity(ring, g_gen.cols), z.presentation),
+        (1, 0): kron(x.presentation.transpose(), IntMatrix.identity(ring, b_y)),
+        (1, 2): kron(IntMatrix.identity(ring, a_x), -y.presentation),
     })
-    sol = solve_lift(system, block_matrix(ring, row_sizes, [1], {(0, 0): vec(g)}))
+    sol = solve_lift(system, block_matrix(ring, row_sizes, [1], {(0, 0): vec(g_gen)}))
     if sol is None:
         return None
     h = unvec(sol.take_rows(range(b_y * b_x)), b_y, b_x)
     t2 = unvec(sol.take_rows(range(sum(col_sizes[:2]), sol.rows)), y.relations, a_x)
-    return FpMorphism(x, y, h, t2)
+    return FpMorphism(source, target, from_y.gen * h * to_x.gen,
+                      from_y.witness * t2 * to_x.witness)
 
 
 def factor(g: FpMorphism, through: FpMorphism) -> Optional[FpMorphism]:
@@ -250,7 +290,7 @@ def factor(g: FpMorphism, through: FpMorphism) -> Optional[FpMorphism]:
     if g.target.presentation != through.target.presentation:
         raise ValueError("factor: targets differ")
     return _solve_morphism(g.source, through.source, through.gen,
-                           IntMatrix.identity(g.source.ring, g.gen.cols), g.gen, g.target)
+                           IntMatrix.identity(g.source.ring, g.gen.cols), g)
 
 
 def cofactor(g: FpMorphism, through: FpMorphism) -> Optional[FpMorphism]:
@@ -261,8 +301,7 @@ def cofactor(g: FpMorphism, through: FpMorphism) -> Optional[FpMorphism]:
     if g.source.presentation != through.source.presentation:
         raise ValueError("cofactor: sources differ")
     return _solve_morphism(through.target, g.target,
-                           IntMatrix.identity(g.source.ring, g.gen.rows), through.gen,
-                           g.gen, g.target)
+                           IntMatrix.identity(g.source.ring, g.gen.rows), through.gen, g)
 
 
 # -- kernels, cokernels, images -------------------------------------------
@@ -444,21 +483,13 @@ def torsion_decompose(m: FpModule):
     if m.ring is not RingSpec.INTEGERS:
         raise UnsupportedRingError("torsion decomposition needs ring = Z")
     ring = m.ring
-    u, _, v = m.snf()
+    _, _, v = m.snf()
     diag, tor_idx, _ = m.smith_diagonal()
     t_mod = FpModule.from_invariants(ring, [diag[i] for i in tor_idx], 0)
     # U^-1 * D = P * V, so the columns of V at tor_idx witness the inclusion
-    incl = FpMorphism(t_mod, m, _unimodular_inverse(u).take_columns(tor_idx),
-                      v.take_columns(tor_idx))
+    incl = FpMorphism(t_mod, m, m.snf().u_inv().take_columns(tor_idx), v.take_columns(tor_idx))
     f_mod, proj = free_quotient(m)
     return t_mod, incl, f_mod, proj
-
-
-def _unimodular_inverse(u: IntMatrix) -> IntMatrix:
-    inv = solve_lift(u, IntMatrix.identity(u.ring, u.rows))
-    if inv is None:
-        raise ValueError("matrix is not invertible over the ring")
-    return inv
 
 
 def free_quotient(m: FpModule) -> tuple[FpModule, FpMorphism]:
@@ -507,9 +538,9 @@ def projective_resolution(m: FpModule, max_len: int = 1) -> list[IntMatrix]:
 def _injective_column_basis(p: IntMatrix) -> IntMatrix:
     """A matrix with the same column span as p and trivial kernel."""
     m = FpModule(p)
-    u, d, _ = m.snf()
+    _, d, _ = m.snf()
     rank = m.generators - len(m.smith_diagonal()[2])
-    return _unimodular_inverse(u) * d.take_columns(range(rank))
+    return m.snf().u_inv() * d.take_columns(range(rank))
 
 
 def reduce_presentation(m: FpModule) -> FpModule:
@@ -520,11 +551,7 @@ def reduce_presentation(m: FpModule) -> FpModule:
 
 def reduction_isomorphism(m: FpModule) -> tuple[FpModule, FpMorphism]:
     """The canonical module together with an isomorphism from m onto it."""
-    u, _, _ = m.snf()
-    _, tor_idx, free_idx = m.smith_diagonal()
-    canon = reduce_presentation(m)
-    # order: torsion generators first, as in from_invariants
-    iso = FpMorphism.from_generator_matrix(m, canon, u.take_rows(tor_idx + free_idx))
+    canon, iso, _ = m.reduction()
     return canon, iso
 
 

@@ -302,3 +302,12 @@ def test_homotopy_solves_are_pinned():
         "4fc45a0b676b0790ffceaf7ab4b32b997eace3a4defbe44da7f6f12016fa907f")
     assert hom_diffs.hexdigest() == (
         "e3c34ff9e3036c6ce06be3b459954f8363a5a8f6e63051b7a48552b8bf403f7f")
+
+
+def test_relation_free_differentials_build_no_solver(solvers_built):
+    # the targets carry no relations, so every witness is the empty matrix
+    for i in range(5):
+        x = random_free_complex(rng_for(17, "free-witness", i), SizeBounds(max_rank=3))
+        mats = [x.differential_at(n).gen for n in range(x.lo, x.hi)]
+        assert solvers_built(free_complex, Z, x.lo, mats) == 0
+        assert solvers_built(total_hom_complex, x, x) == 0

@@ -149,6 +149,34 @@ def test_snf_transforms_are_pinned():
         "fd4b12ee897d22ab3555a42c5dc1fe57989a8f03cd3f8fd96de1fdbb6fb6d5c1")
 
 
+def inverse_transform_cases():
+    rnd = random.Random(2025)
+    for rows, cols in [(0, 0), (0, 3), (3, 0), (2, 2), (3, 5), (5, 3)]:
+        for _ in range(4):
+            yield IntMatrix.from_rows(Z, [[rnd.randint(-9, 9) for _ in range(cols)]
+                                          for _ in range(rows)], cols=cols)
+    for rows, cols in [(0, 2), (2, 0), (1, 1), (2, 3), (3, 2)]:
+        for _ in range(3):
+            yield IntMatrix.from_rows(QX, [[QPoly((rnd.randint(-3, 3), rnd.randint(-3, 3),
+                                                   rnd.randint(-2, 2))) for _ in range(cols)]
+                                           for _ in range(rows)], cols=cols)
+
+
+def test_snf_inverse_transforms():
+    # U^-1 and V^-1 replay the logs inverted, no solve; over Q[x] the
+    # canonical diagonal needs unit scalings other than +-1
+    for m in inverse_transform_cases():
+        form = smith_normal_form(m)
+        u, _, v = form
+        eye_rows, eye_cols = IntMatrix.identity(m.ring, m.rows), IntMatrix.identity(m.ring, m.cols)
+        assert form.u_inv() * u == eye_rows and u * form.u_inv() == eye_rows
+        assert v * form.v_inv() == eye_cols and form.v_inv() * v == eye_cols
+    # [3x + 6, 2x] reduces to the pivot -4, scaled to 1 by the unit -1/4
+    form = smith_normal_form(IntMatrix.from_rows(QX, [[QPoly((6, 3)), QPoly((0, 2))]]))
+    assert form[0] == IntMatrix.from_rows(QX, [[QPoly.const(Fraction(-1, 4))]])
+    assert form.u_inv() == IntMatrix.from_rows(QX, [[QPoly.const(-4)]])
+
+
 def test_prepared_solver_reuse_is_pinned():
     # golden hash of one solver per matrix reused on several right sides of
     # one to three columns, solvable (B = M*X) and random

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tiltbench.matrices import IntMatrix, PreparedSolver, kernel_matrix
+from tiltbench.matrices import IntMatrix, kernel_matrix
 from tiltbench.modules import (
     FpModule,
     FpMorphism,
@@ -285,6 +285,27 @@ def test_inverse_of_isomorphism():
     assert morphism_equal(compose(iso, inv), FpMorphism.identity(canon))
 
 
+def reduction_cases():
+    bounds = SizeBounds(max_rank=3, max_entry=6)
+    for i in range(20):
+        yield random_module(rng_for(13, "reduction", i), bounds)
+    yield from (FpModule.zero(Z), FpModule.free(Z, 2), FpModule(zmat([[1, 0], [0, 6], [0, 0]])))
+    qx, x = RingSpec.RATIONAL_POLYNOMIALS, QPoly.x()
+    yield FpModule(IntMatrix.from_rows(qx, [[QPoly((2, 2)), x * x], [QPoly.const(3), x],
+                                            [QPoly(), QPoly()]]))
+
+
+def test_reduction_isomorphisms_are_mutually_inverse(solvers_built):
+    for m in reduction_cases():
+        assert solvers_built(FpModule.reduction, m) == 0
+        canon, a, b = m.reduction()
+        assert canon == reduce_presentation(m)
+        assert a.source is m and b.target is m and a.target is canon and b.source is canon
+        assert morphism_equal(compose(a, b), FpMorphism.identity(canon))
+        assert morphism_equal(compose(b, a), FpMorphism.identity(m))
+        assert reduction_isomorphism(m) == (canon, a)
+
+
 def test_reduce_presentation_drops_units():
     m = FpModule(zmat([[1, 0], [0, 6]]))
     r = reduce_presentation(m)
@@ -377,30 +398,9 @@ def test_morphism_solves_are_pinned():
             witnesses.update(repr(hom.element(coords).witness).encode())
     assert solved > 50 and unsolved > 5
     assert h.hexdigest() == (
-        "b7942d34740852481b23a7218873dbf64e1ef0497d92ba080964817a61453a1e")
+        "bd1c2788d3e0db23272049d59a023a255ae6806a1062fb11dcbfb74a7f9d7b3d")
     assert witnesses.hexdigest() == (
-        "33764e695668c40982cb665517b4f76566f52c920d47eaf910fb465e46b6704e")
-
-
-@pytest.fixture
-def solvers_built(monkeypatch):
-    """solvers_built(call, *args): the PreparedSolvers that call builds."""
-    built = []
-    real_init = PreparedSolver.__init__
-
-    def counting_init(self, a):
-        built.append(a)
-        real_init(self, a)
-
-    monkeypatch.setattr(PreparedSolver, "__init__", counting_init)
-
-    def count(call, *args):
-        built.clear()
-        result = call(*args)
-        assert result is not None
-        return len(built)
-
-    return count
+        "eafbae37a6fee55c031b50c64e187509f5cabdf93d0125303c6440450beb146c")
 
 
 def test_morphism_solves_build_one_solver(solvers_built):
@@ -423,15 +423,14 @@ def test_morphism_solves_build_one_solver(solvers_built):
 
 def test_known_witnesses_build_no_solver(solvers_built):
     # direct sums write down block inclusions, the free quotient needs no
-    # relations, and the torsion inclusion reads its witness off V; only
-    # the inverse of U is solved for
+    # relations, and the torsion inclusion reads U^-1 and V off the Smith form
     bounds = SizeBounds(max_rank=3, max_entry=6)
     for i in range(5):
         rnd = rng_for(9, "known-witness", i)
         ms = [random_module(rnd, bounds) for _ in range(3)]
         assert solvers_built(direct_sum, ms) == 0
         assert solvers_built(free_quotient, ms[0]) == 0
-        assert solvers_built(torsion_decompose, ms[0]) == 1
+        assert solvers_built(torsion_decompose, ms[0]) == 0
 
     a, b = FpModule(zmat([[2, 1], [0, 3]])), FpModule(zmat([[4]]))
     _, (ia, ib), (pa, pb) = _unpack_sum(*direct_sum([a, b]))

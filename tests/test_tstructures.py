@@ -1,5 +1,6 @@
 import pytest
 
+from tiltbench import matrices, suites, tstructures
 from tiltbench.complexes import (
     cohomology,
     direct_sum_complexes,
@@ -254,3 +255,36 @@ def test_gap_inclusion_right_le_minus_one_in_left_le_zero():
         assert in_aisle(LEFT, 0, t)
         t2, _ = truncate_le(LEFT, 0, x)
         assert in_aisle(RIGHT, 0, t2)
+
+
+@pytest.fixture
+def snf_entry_bits(monkeypatch):
+    """Make every diagonalisation raise on an integer entry wider than 256
+    bits; returns a one-element list holding the widest entry seen."""
+    widest = [0]
+    real_init = matrices._SNFWorker.__init__
+
+    def guarded_init(self, m):
+        if m.ring is Z:
+            bits = max((abs(e).bit_length() for e in m.entries), default=0)
+            widest[0] = max(widest[0], bits)
+            if bits > 256:
+                raise OverflowError(f"SNF input entry of {bits} bits")
+        real_init(self, m)
+
+    monkeypatch.setattr(matrices._SNFWorker, "__init__", guarded_init)
+    return widest
+
+
+@pytest.mark.parametrize("replay", [
+    # entries used to compound across solve, kernel and solve to about
+    # 85,000 bits, stuck in SNF for minutes
+    lambda: suites._hrs_star_consistency(
+        rng_for(2618853688, "hrs-star", 1), SizeBounds()),
+    # SNF inputs used to reach 492,041 bits, 45 s for one sample
+    lambda: tstructures._axiom_sample(
+        NAT, rng_for(1536079867, "axiom", NAT.config_string(), 3), SizeBounds()),
+], ids=["hrs_star_consistency", "tstructure_axioms_natural"])
+def test_entry_growth_replays_stay_small(snf_entry_bits, replay):
+    assert list(replay()) == []
+    assert 0 < snf_entry_bits[0] <= 256
