@@ -223,23 +223,16 @@ def direct_sum_complexes(cs: Sequence[Complex]) -> tuple[Complex, list[list[Chai
     lo = min(c.lo for c in cs)
     hi = max(c.hi for c in cs)
     objs, inj_comps, proj_comps = [], [dict() for _ in cs], [dict() for _ in cs]
-    sums = {}
-    for n in range(lo, hi + 1):
-        parts = [c.object_at(n) for c in cs]
-        total, injs, projs = modules.direct_sum(parts)
-        sums[n] = (total, injs, projs)
+    parts = {n: [c.object_at(n) for c in cs] for n in range(lo, hi + 1)}
+    for n, ms in parts.items():
+        total, injs, projs = modules.direct_sum(ms)
         objs.append(total)
         for i in range(len(cs)):
             inj_comps[i][n] = injs[i]
             proj_comps[i][n] = projs[i]
-    diffs = []
-    for n in range(lo, hi):
-        total, injs, _ = sums[n + 1]
-        _, _, projs = sums[n]
-        d = modules.tuple_morphism(
-            injs, [modules.compose(c.differential_at(n), projs[i])
-                   for i, c in enumerate(cs)])
-        diffs.append(d)
+    diffs = [modules.block_morphism(
+        objs[n - lo], objs[n + 1 - lo], parts[n], parts[n + 1],
+        {(i, i): c.differential_at(n) for i, c in enumerate(cs)}) for n in range(lo, hi)]
     sum_complex = Complex(ring, base, lo, objs, diffs, check=False)
     injections = [ChainMap(c, sum_complex, inj_comps[i], check=False)
                   for i, c in enumerate(cs)]
@@ -257,23 +250,14 @@ def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
     ring, base = x.ring, x.base
     lo = min(y.lo, x.lo - 1)
     hi = max(y.hi, x.hi - 1)
-    sums = {}
-    objs = []
-    for n in range(lo, hi + 1):
-        total, injs, projs = modules.direct_sum([y.object_at(n), x.object_at(n + 1)])
-        sums[n] = (total, injs, projs)
-        objs.append(total)
-    diffs = []
-    for n in range(lo, hi):
-        _, injs, _ = sums[n + 1]
-        _, _, projs = sums[n]
-        into_y = modules.add_morphisms(
-            modules.compose(y.differential_at(n), projs[0]),
-            modules.compose(f.component_at(n + 1), projs[1]))
-        into_x = modules.negate(modules.compose(x.differential_at(n + 1), projs[1]))
-        d = modules.add_morphisms(modules.compose(injs[0], into_y),
-                                  modules.compose(injs[1], into_x))
-        diffs.append(d)
+    parts = {n: [y.object_at(n), x.object_at(n + 1)] for n in range(lo, hi + 1)}
+    sums = {n: modules.direct_sum(ms) for n, ms in parts.items()}
+    objs = [total for total, _, _ in sums.values()]
+    # d^n = [[d_Y, f], [0, -d_X]] : Y^n (+) X^{n+1} -> Y^{n+1} (+) X^{n+2}
+    diffs = [modules.block_morphism(
+        sums[n][0], sums[n + 1][0], parts[n], parts[n + 1],
+        {(0, 0): y.differential_at(n), (0, 1): f.component_at(n + 1),
+         (1, 1): modules.negate(x.differential_at(n + 1))}) for n in range(lo, hi)]
     cone_complex = Complex(ring, base, lo, objs, diffs, check=False)
     incl = ChainMap(y, cone_complex,
                     {n: sums[n][1][0] for n in range(lo, hi + 1)}, check=False)

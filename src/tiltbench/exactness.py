@@ -231,13 +231,7 @@ def d_cokernel(f: FpMorphism, ex: ExactStructure) -> tuple[FpModule, FpMorphism,
     return c_mod, proj, protocol
 
 
-# -- carrier-level pullbacks and pushouts ----------------------------------------
-
-def carrier_pullback(f: FpMorphism, g: FpMorphism, ex: ExactStructure):
-    """Pullback inside the carrier (all carriers are closed under submodules)."""
-    p, leg_f, leg_g = modules.pullback(f, g)
-    return p, leg_f, leg_g
-
+# -- carrier-level pushouts ------------------------------------------------------
 
 def carrier_pushout(f: FpMorphism, g: FpMorphism, ex: ExactStructure):
     """Pushout inside the carrier: free quotient of the ambient pushout."""

@@ -116,13 +116,12 @@ def freyd_equal(f: FreydMorphism, g: FreydMorphism) -> bool:
 
 def freyd_direct_sum(a: FreydObject, b: FreydObject):
     """Direct sum with the four structural transformations."""
-    ex = a.ex
-    src, src_inj, src_proj = modules.direct_sum([a.relations, b.relations])
-    tgt, tgt_inj, tgt_proj = modules.direct_sum([a.generators, b.generators])
-    carrier = modules.tuple_morphism(
-        tgt_inj, [modules.compose(a.carrier, src_proj[0]),
-                  modules.compose(b.carrier, src_proj[1])])
-    total = FreydObject(ex, carrier)
+    src_parts, tgt_parts = [a.relations, b.relations], [a.generators, b.generators]
+    src, src_inj, src_proj = modules.direct_sum(src_parts)
+    tgt, tgt_inj, tgt_proj = modules.direct_sum(tgt_parts)
+    carrier = modules.block_morphism(src, tgt, src_parts, tgt_parts,
+                                     {(0, 0): a.carrier, (1, 1): b.carrier})
+    total = FreydObject(a.ex, carrier)
     inj_a = FreydMorphism(a, total, tgt_inj[0], src_inj[0])
     inj_b = FreydMorphism(b, total, tgt_inj[1], src_inj[1])
     proj_a = FreydMorphism(total, a, tgt_proj[0], src_proj[0])
@@ -155,10 +154,10 @@ def _reduce_carrier(ex: ExactStructure, carrier: FpMorphism):
 def freyd_cokernel(eta: FreydMorphism) -> tuple[FreydObject, FreydMorphism]:
     """Cokernel: adjoin the image of eta to the target's relations."""
     g = eta.target
-    rel_sum, rel_inj, rel_proj = modules.direct_sum([g.relations, eta.source.generators])
-    carrier = modules.add_morphisms(
-        modules.compose(g.carrier, rel_proj[0]),
-        modules.compose(eta.gen, rel_proj[1]))
+    rel_parts = [g.relations, eta.source.generators]
+    rel_sum, rel_inj, _ = modules.direct_sum(rel_parts)
+    carrier = modules.block_morphism(rel_sum, g.generators, rel_parts, [g.generators],
+                                     {(0, 0): g.carrier, (0, 1): eta.gen})
     c, tgt_iso, _, src_iso, _ = _reduce_carrier(g.ex, carrier)
     proj = FreydMorphism(g, c, tgt_iso, modules.compose(src_iso, rel_inj[0]))
     return c, proj
@@ -197,10 +196,10 @@ def freyd_pullback(f: FreydMorphism, g: FreydMorphism):
     """Pullback of f along g inside the functor category, with its legs."""
     if not same_freyd_object(f.target, g.target):
         raise ValueError("pullback targets differ")
-    total, (inj_a, inj_b), (proj_a, proj_b) = freyd_direct_sum(f.source, g.source)
-    diff_gen = modules.sub_morphisms(
-        modules.compose(f.gen, proj_a.gen),
-        modules.compose(g.gen, proj_b.gen))
+    total, _, (proj_a, proj_b) = freyd_direct_sum(f.source, g.source)
+    diff_gen = modules.block_morphism(
+        total.generators, f.gen.target, [f.source.generators, g.source.generators],
+        [f.gen.target], {(0, 0): f.gen, (0, 1): modules.negate(g.gen)})
     diff = FreydMorphism.from_generator(total, f.target, diff_gen)
     p, incl = freyd_kernel(diff)
     leg_f = freyd_compose(proj_a, incl)
@@ -277,10 +276,12 @@ def right_filter_factor(f: FreydMorphism) -> tuple[FreydMorphism, FreydMorphism,
     # pullback of (gen: U2 -> A2) against the presenting deflation p: A1 -> A2
     z_mod, z_to_u2, z_to_a1 = modules.pullback(f.gen, a.carrier)
     # the relations of U map into the pullback
-    total, injs, projs = modules.direct_sum([u.generators, a.relations])
-    pair = modules.tuple_morphism(injs, [u.carrier, f.wit])
-    diff = modules.sub_morphisms(
-        modules.compose(f.gen, projs[0]), modules.compose(a.carrier, projs[1]))
+    parts = [u.generators, a.relations]
+    total, _, projs = modules.direct_sum(parts)
+    pair = modules.block_morphism(u.relations, total, [u.relations], parts,
+                                  {(0, 0): u.carrier, (1, 0): f.wit})
+    diff = modules.block_morphism(total, a.generators, parts, [a.generators],
+                                  {(0, 0): f.gen, (0, 1): modules.negate(a.carrier)})
     k_mod, k_incl = modules.kernel(diff)
     r = modules.factor(pair, k_incl)
     if r is None:
@@ -334,9 +335,8 @@ def factors_through_effaceable(eta: FreydMorphism) -> bool:
 
 @dataclass
 class WeakIsoFactor:
-    kind: str                      # "deflation" or "inflation"
-    map: FreydMorphism             # an elementary weak isomorphism
-    certificate: FreydObject       # its effaceable kernel / cokernel
+    map: FreydMorphism             # an elementary weak isomorphism, a deflation
+    certificate: FreydObject       # its effaceable kernel
 
 
 class Fraction:
@@ -370,7 +370,7 @@ def padding_deflation(f: FreydObject, eff: FreydObject) -> WeakIsoFactor:
     if not is_effaceable(eff):
         raise ValueError("padding summand must be effaceable")
     total, (inj_f, inj_t), (proj_f, proj_t) = freyd_direct_sum(f, eff)
-    return WeakIsoFactor("deflation", proj_f, eff)
+    return WeakIsoFactor(proj_f, eff)
 
 
 def refine_fraction(a: Fraction, eff: FreydObject) -> Fraction:
@@ -385,13 +385,10 @@ def _pull_elementary(factor: WeakIsoFactor, g: FreydMorphism
                      ) -> tuple[WeakIsoFactor, FreydMorphism]:
     """Pull an elementary weak iso back along g; Ore square completion."""
     p, leg_g, leg_w = freyd_pullback(g, factor.map)
-    if factor.kind == "deflation":
-        cert, _ = freyd_kernel(leg_g)
-    else:
-        cert, _ = freyd_cokernel(leg_g)
+    cert, _ = freyd_kernel(leg_g)
     if not is_effaceable(cert):
         raise AssertionError("pullback lost the effaceable certificate")
-    return WeakIsoFactor(factor.kind, leg_g, cert), leg_w
+    return WeakIsoFactor(leg_g, cert), leg_w
 
 
 def fraction_compose(b: Fraction, a: Fraction) -> Fraction:
@@ -445,13 +442,11 @@ def extension_middle(ex: ExactStructure, rnd, t1: FreydObject, t2: FreydObject,
     if delta is None:
         alpha = samplers.random_morphism(rnd, t2.relations, t1.relations, bound=1)
         delta = modules.compose(q1, alpha)
-    src_sum, _, src_proj = modules.direct_sum([t1.relations, t2.relations])
-    tgt_sum, tgt_inj, _ = modules.direct_sum([t1.generators, t2.generators])
-    into_a2 = modules.add_morphisms(
-        modules.compose(q1, src_proj[0]), modules.compose(delta, src_proj[1]))
-    into_b2 = modules.compose(q2, src_proj[1])
-    block = modules.add_morphisms(
-        modules.compose(tgt_inj[0], into_a2), modules.compose(tgt_inj[1], into_b2))
+    src_parts, tgt_parts = [t1.relations, t2.relations], [t1.generators, t2.generators]
+    src_sum, _, _ = modules.direct_sum(src_parts)
+    tgt_sum, _, _ = modules.direct_sum(tgt_parts)
+    block = modules.block_morphism(src_sum, tgt_sum, src_parts, tgt_parts,
+                                   {(0, 0): q1, (0, 1): delta, (1, 1): q2})
     return FreydObject(ex, block)
 
 
@@ -468,10 +463,10 @@ def _serre_sample(ex: ExactStructure, rnd, bounds):
     payload = {"carrier": serialize.morphism_to_json(t.carrier)}
     extra_src = samplers.random_carrier_module(ex, rnd, bounds)
     extra = _retarget(ex, rnd, bounds, extra_src, t.generators)
-    rel_sum, rel_inj, rel_proj = modules.direct_sum([t.relations, extra_src])
-    bigger = modules.add_morphisms(
-        modules.compose(t.carrier, rel_proj[0]),
-        modules.compose(extra, rel_proj[1]))
+    rel_parts = [t.relations, extra_src]
+    rel_sum, rel_inj, _ = modules.direct_sum(rel_parts)
+    bigger = modules.block_morphism(rel_sum, t.generators, rel_parts, [t.generators],
+                                    {(0, 0): t.carrier, (0, 1): extra})
     quotient = FreydObject(ex, bigger)
     if not is_effaceable(quotient):
         yield "quotient_closure", payload

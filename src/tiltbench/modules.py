@@ -397,13 +397,26 @@ def direct_sum(ms: Sequence[FpModule]):
     return total, injections, projections
 
 
-def tuple_morphism(injections, components: Sequence[FpMorphism]) -> FpMorphism:
-    """The morphism into a direct sum assembled from its components."""
-    total = None
-    for inj, comp in zip(injections, components):
-        piece = compose(inj, comp)
-        total = piece if total is None else add_morphisms(total, piece)
-    return total
+def block_morphism(source: FpModule, target: FpModule,
+                   source_parts: Sequence[FpModule], target_parts: Sequence[FpModule],
+                   blocks: dict[tuple[int, int], FpMorphism]) -> FpMorphism:
+    """The morphism from source = (+) source_parts to target = (+) target_parts
+    whose (i, j) block is blocks[i, j] : source_parts[j] -> target_parts[i],
+    zero where absent.  ``direct_sum`` presents a sum block-diagonally, so the
+    blocks' witnesses, placed like their generator matrices, witness the map.
+    """
+    ring = source.ring
+    gen = block_matrix(ring, [m.generators for m in target_parts],
+                       [m.generators for m in source_parts],
+                       {ij: b.gen for ij, b in blocks.items()})
+    witness = block_matrix(ring, [m.relations for m in target_parts],
+                           [m.relations for m in source_parts],
+                           {ij: b.witness for ij, b in blocks.items()})
+    for (i, j), b in blocks.items():
+        for end, part in ((b.source, source_parts[j]), (b.target, target_parts[i])):
+            if end is not part and end.presentation != part.presentation:
+                raise ValueError(f"block {(i, j)} does not sit between its parts")
+    return FpMorphism(source, target, gen, witness)
 
 
 # -- hom groups (integers only) ---------------------------------------------
@@ -549,18 +562,13 @@ def reduce_presentation(m: FpModule) -> FpModule:
     return FpModule.from_invariants(m.ring, list(tor), fr)
 
 
-def reduction_isomorphism(m: FpModule) -> tuple[FpModule, FpMorphism]:
-    """The canonical module together with an isomorphism from m onto it."""
-    canon, iso, _ = m.reduction()
-    return canon, iso
-
-
 def pullback(f: FpMorphism, g: FpMorphism):
     """Pullback of f : A -> C along g : B -> C, with its two legs."""
     if f.target.presentation != g.target.presentation:
         raise ValueError("pullback targets differ")
-    total, injections, projections = direct_sum([f.source, g.source])
-    diff = sub_morphisms(compose(f, projections[0]), compose(g, projections[1]))
+    parts = [f.source, g.source]
+    total, _, projections = direct_sum(parts)
+    diff = block_morphism(total, f.target, parts, [f.target], {(0, 0): f, (0, 1): negate(g)})
     p_mod, incl = kernel(diff)
     leg_a = compose(projections[0], incl)
     leg_b = compose(projections[1], incl)
@@ -571,8 +579,9 @@ def pushout(f: FpMorphism, g: FpMorphism):
     """Pushout of f : C -> A along g : C -> B, with its two legs."""
     if f.source.presentation != g.source.presentation:
         raise ValueError("pushout sources differ")
-    total, injections, _ = direct_sum([f.target, g.target])
-    diff = sub_morphisms(compose(injections[0], f), compose(injections[1], g))
+    parts = [f.target, g.target]
+    total, injections, _ = direct_sum(parts)
+    diff = block_morphism(f.source, total, [f.source], parts, {(0, 0): f, (1, 0): negate(g)})
     p_mod, proj = cokernel(diff)
     leg_a = compose(proj, injections[0])
     leg_b = compose(proj, injections[1])

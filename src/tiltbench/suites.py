@@ -34,7 +34,6 @@ from .exactness import (
     Carrier,
     ExactStructure,
     Flavor,
-    carrier_pullback,
     carrier_pushout,
     d_cokernel,
     d_kernel,
@@ -278,7 +277,8 @@ def _exact_structure_axioms(rnd, bounds):
         yield "composition_of_deflations", payload
     t = samplers.random_morphism(
         rnd, samplers.random_carrier_module(ex, rnd, bounds), f.target)
-    p, leg_f, leg_t = carrier_pullback(f, t, ex)
+    # every carrier is closed under submodules, so the module pullback is in it
+    p, leg_f, leg_t = modules.pullback(f, t)
     if not is_deflation(leg_t, ex):
         yield "pullback_deflation", payload
     k_mod, k_incl = modules.kernel(f)
@@ -437,10 +437,10 @@ def _freyd_pointwise_exactness(rnd, bounds):
     t = _random_effaceable(ex, rnd, bounds)
     extra_src = samplers.random_module(rnd, bounds)
     extra = samplers.random_morphism(rnd, extra_src, t.generators)
-    rel_sum, rel_inj, rel_proj = modules.direct_sum([t.relations, extra_src])
-    bigger = modules.add_morphisms(
-        modules.compose(t.carrier, rel_proj[0]),
-        modules.compose(extra, rel_proj[1]))
+    rel_parts = [t.relations, extra_src]
+    rel_sum, rel_inj, _ = modules.direct_sum(rel_parts)
+    bigger = modules.block_morphism(rel_sum, t.generators, rel_parts, [t.generators],
+                                    {(0, 0): t.carrier, (0, 1): extra})
     quotient = FreydObject(ex, bigger)
     pi = FreydMorphism(t, quotient, FpMorphism.identity(t.generators), rel_inj[0])
     sub, incl = freyd_kernel(pi)

@@ -385,14 +385,13 @@ def triangle_is_distinguished(counit: ChainMap, unit: ChainMap,
     b = unit.target
     comps = {}
     for n in cone_c.degrees():
-        # cone^n = X^n (+) A^{n+1}: phi(x, alpha) = unit(x) + s(alpha)
-        ain = a.object_at(n + 1)
-        _, _, (proj_x, proj_a) = modules.direct_sum([x.object_at(n), ain])
-        piece = modules.compose(unit.component_at(n), proj_x)
-        if homotopy is not None and ain.generators:
-            piece = modules.add_morphisms(
-                piece, modules.compose(homotopy.component_at(n + 1), proj_a))
-        comps[n] = piece
+        # cone^n = X^n (+) A^{n+1}: phi^n = [unit^n, s^{n+1}] : cone^n -> B^n
+        blocks = {(0, 0): unit.component_at(n)}
+        if homotopy is not None:
+            blocks[0, 1] = homotopy.component_at(n + 1)
+        comps[n] = modules.block_morphism(cone_c.object_at(n), b.object_at(n),
+                                          [x.object_at(n), a.object_at(n + 1)],
+                                          [b.object_at(n)], blocks)
     phi = ChainMap(cone_c, b, comps, check=False)
     if localization == "homotopy":
         return is_homotopy_iso(phi)

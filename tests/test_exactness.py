@@ -8,7 +8,6 @@ from tiltbench.exactness import (
     CarrierMismatchError,
     ExactStructure,
     Flavor,
-    carrier_pullback,
     carrier_pushout,
     d_cokernel,
     d_kernel,
@@ -26,6 +25,7 @@ from tiltbench.modules import (
     compose,
     is_zero_morphism,
     morphism_equal,
+    pullback,
 )
 from tiltbench.rings import RingSpec
 
@@ -155,7 +155,7 @@ def test_deflations_compose_and_pull_back():
             assert is_deflation(compose(g, f), FREE_SPLIT)
         # pull back f along an arbitrary map; the pulled-back leg deflates
         t = free_map([[rnd.randint(-3, 3)] for _ in range(r1)], 1, r1)
-        p, leg_f, leg_t = carrier_pullback(f, t, FREE_SPLIT)
+        p, leg_f, leg_t = pullback(f, t)
         assert p.is_free()
         assert is_deflation(leg_t, FREE_SPLIT)
 

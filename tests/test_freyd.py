@@ -175,7 +175,7 @@ def test_fraction_through_roof_refinement():
     eff = free_obj(FREE_SPLIT, zmat([[1, 0], [0, 1]]))
     base = Fraction.from_morphism(FreydMorphism.identity(obj))
     refined = refine_fraction(base, eff)
-    assert len(refined.chain) == 1 and refined.chain[0].kind == "deflation"
+    assert len(refined.chain) == 1 and refined.chain[0].certificate is eff
     assert morphism_equal(project_fraction(refined), project_fraction(base))
     comp = fraction_compose(base, refined)
     assert morphism_equal(project_fraction(comp), project_fraction(base))

@@ -3,11 +3,21 @@ import random
 
 import pytest
 
-from tiltbench.matrices import IntMatrix, kernel_matrix
+from tiltbench.complexes import ChainMap, cone, direct_sum_complexes
+from tiltbench.exactness import Carrier, ExactStructure, Flavor
+from tiltbench.freyd import (
+    FreydObject,
+    extension_middle,
+    freyd_cokernel,
+    freyd_direct_sum,
+    right_filter_factor,
+)
+from tiltbench.matrices import DimensionMismatchError, IntMatrix, kernel_matrix
 from tiltbench.modules import (
     FpModule,
     FpMorphism,
     UnsupportedRingError,
+    block_morphism,
     cokernel,
     compose,
     corestrict_to_image,
@@ -28,11 +38,17 @@ from tiltbench.modules import (
     pullback,
     pushout,
     reduce_presentation,
-    reduction_isomorphism,
     torsion_decompose,
 )
 from tiltbench.rings import QPoly, RingSpec
-from tiltbench.samplers import SizeBounds, random_module, random_morphism, rng_for
+from tiltbench.samplers import (
+    SizeBounds,
+    random_carrier_deflation,
+    random_fp_complex,
+    random_module,
+    random_morphism,
+    rng_for,
+)
 
 Z = RingSpec.INTEGERS
 
@@ -262,6 +278,29 @@ def test_direct_sum_and_projections():
     assert is_zero_morphism(compose(pa, ib))
 
 
+def test_block_morphism_places_blocks():
+    z, z2, z4 = FpModule.free(Z, 1), zmod(2), zmod(4)
+    src_parts, tgt_parts = [z4, z], [z2, z4]
+    src, tgt = direct_sum(src_parts)[0], direct_sum(tgt_parts)[0]
+    reduce_mod_2 = FpMorphism(z4, z2, zmat([[1]]), zmat([[2]]))
+    three = FpMorphism(z, z4, zmat([[3]]), IntMatrix.zeros(Z, 1, 0))
+    f = block_morphism(src, tgt, src_parts, tgt_parts, {
+        (0, 0): reduce_mod_2, (1, 0): FpMorphism.identity(z4), (1, 1): three})
+    # the absent block (0, 1) is zero
+    assert (f.source, f.target) == (src, tgt)
+    assert f.gen == zmat([[1, 0], [1, 3]])
+    assert f.witness == zmat([[2], [1]])
+    assert block_morphism(src, tgt, src_parts, tgt_parts, {}).gen.is_zero()
+    # a block of the wrong shape, and a block between other modules
+    with pytest.raises(DimensionMismatchError):
+        block_morphism(src, tgt, src_parts, tgt_parts, {(0, 1): reduce_mod_2})
+    z6 = zmod(6)
+    for bad in (FpMorphism(z6, z2, zmat([[1]]), zmat([[3]])),
+                FpMorphism(z4, z4, zmat([[2]]), zmat([[2]]))):
+        with pytest.raises(ValueError, match="between its parts"):
+            block_morphism(src, tgt, src_parts, tgt_parts, {(0, 0): bad})
+
+
 def _unpack_sum(total, injections, projections):
     return total, tuple(injections), tuple(projections)
 
@@ -278,7 +317,7 @@ def test_image_factorisation():
 
 def test_inverse_of_isomorphism():
     m = zmod(6)
-    canon, iso = reduction_isomorphism(FpModule(zmat([[2, 0], [0, 3]])))
+    canon, iso, _ = FpModule(zmat([[2, 0], [0, 3]])).reduction()
     assert canon.is_isomorphic(m)
     inv = inverse(iso)
     assert morphism_equal(compose(inv, iso), FpMorphism.identity(iso.source))
@@ -303,7 +342,6 @@ def test_reduction_isomorphisms_are_mutually_inverse(solvers_built):
         assert a.source is m and b.target is m and a.target is canon and b.source is canon
         assert morphism_equal(compose(a, b), FpMorphism.identity(canon))
         assert morphism_equal(compose(b, a), FpMorphism.identity(m))
-        assert reduction_isomorphism(m) == (canon, a)
 
 
 def test_reduce_presentation_drops_units():
@@ -458,5 +496,42 @@ def test_smith_diagonal_padding(rows, tor, incl, quotient, iso):
         assert f.presentation == IntMatrix.zeros(Z, len(quotient), 0)
         assert p.gen == zmat(quotient, cols=m.generators)
         assert p.witness == IntMatrix.zeros(Z, 0, m.relations)
-    canon, red = reduction_isomorphism(m)
+    canon, red, _ = m.reduction()
     assert (red.gen, canon.presentation) == (zmat(iso[0]), zmat(iso[1]))
+
+
+def test_maps_between_direct_sums_are_pinned():
+    # golden hash of the generator and witness matrices of every map built
+    # block by block between direct sums: cone and direct-sum differentials,
+    # pullbacks and pushouts with their legs, and the Freyd carriers of sums,
+    # cokernels, extensions and right-filtering factors
+    bounds = SizeBounds(max_rank=2, max_entry=3, max_width=3)
+    ex = ExactStructure(Carrier.FP_Z, Flavor.MAXIMAL)
+    h = hashlib.sha256()
+
+    def update(*fs):
+        for f in fs:
+            h.update(repr((f.source.presentation, f.target.presentation,
+                           f.gen, f.witness)).encode())
+
+    for i in range(8):
+        rnd = rng_for(5, "pinned-blocks", i)
+        x, y = random_fp_complex(rnd, bounds), random_fp_complex(rnd, bounds)
+        cx, incl, _ = cone(ChainMap.identity(x))
+        cc, _, _ = cone(incl)
+        s, _ = direct_sum_complexes([x, y])
+        for c in (cx, cc, s):
+            update(*c.differentials)
+        a, b, c = (random_module(rnd, bounds) for _ in range(3))
+        update(*pullback(random_morphism(rnd, a, c), random_morphism(rnd, b, c))[1:])
+        update(*pushout(random_morphism(rnd, c, a), random_morphism(rnd, c, b))[1:])
+        t1, t2 = (FreydObject(ex, random_carrier_deflation(ex, rnd, bounds))
+                  for _ in range(2))
+        total, (inj_1, _), (_, proj_2) = freyd_direct_sum(t1, t2)
+        quotient, q_proj = freyd_cokernel(inj_1)
+        pi, g, mid = right_filter_factor(proj_2)
+        update(total.carrier, quotient.carrier, q_proj.gen, q_proj.wit,
+               extension_middle(ex, rnd, t1, t2, bounds).carrier,
+               pi.wit, g.wit, mid.carrier)
+    assert h.hexdigest() == (
+        "1e70ee78e507815b87d75335d537402a7b814244124941975dfa6bf2fd6a716c")

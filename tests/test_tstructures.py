@@ -1,6 +1,6 @@
 import pytest
 
-from tiltbench import matrices, suites, tstructures
+from tiltbench import matrices, modules, suites, tstructures
 from tiltbench.complexes import (
     cohomology,
     direct_sum_complexes,
@@ -127,6 +127,24 @@ def test_approximating_triangle_splits_direct_sum():
     assert cohomology(tri.aisle_part, -1).invariant_data() == (0, (2,))
     assert all(cohomology(tri.coaisle_part, n).is_zero_module()
                for n in tri.coaisle_part.degrees())
+
+
+def test_triangle_check_builds_each_sum_once(monkeypatch):
+    # the comparison map cone(A -> X) -> B is built on the cone's own sums
+    za = stalk_complex(FpModule.free(Z, 1), 0)
+    zb = stalk_complex(FpModule.cyclic(Z, 2), -1)
+    s, _ = direct_sum_complexes([za, zb])
+    tri = approximating_triangle(NAT, s)
+    summands, real_sum = [], modules.direct_sum
+
+    def recording_sum(ms):
+        summands.append(list(ms))  # holding the modules keeps their ids unique
+        return real_sum(ms)
+
+    monkeypatch.setattr(modules, "direct_sum", recording_sum)
+    assert triangle_is_distinguished(tri.counit, tri.unit, "derived")
+    keys = [tuple(map(id, ms)) for ms in summands]
+    assert keys and len(set(keys)) == len(keys)
 
 
 def test_star_membership_torsion_examples():
