@@ -115,18 +115,16 @@ def freyd_equal(f: FreydMorphism, g: FreydMorphism) -> bool:
 
 
 def freyd_direct_sum(a: FreydObject, b: FreydObject):
-    """Direct sum with the four structural transformations."""
+    """Direct sum with its two projections."""
     src_parts, tgt_parts = [a.relations, b.relations], [a.generators, b.generators]
-    src, src_inj, src_proj = modules.direct_sum(src_parts)
-    tgt, tgt_inj, tgt_proj = modules.direct_sum(tgt_parts)
+    src, _, src_proj = modules.direct_sum(src_parts)
+    tgt, _, tgt_proj = modules.direct_sum(tgt_parts)
     carrier = modules.block_morphism(src, tgt, src_parts, tgt_parts,
                                      {(0, 0): a.carrier, (1, 1): b.carrier})
     total = FreydObject(a.ex, carrier)
-    inj_a = FreydMorphism(a, total, tgt_inj[0], src_inj[0])
-    inj_b = FreydMorphism(b, total, tgt_inj[1], src_inj[1])
     proj_a = FreydMorphism(total, a, tgt_proj[0], src_proj[0])
     proj_b = FreydMorphism(total, b, tgt_proj[1], src_proj[1])
-    return total, (inj_a, inj_b), (proj_a, proj_b)
+    return total, (proj_a, proj_b)
 
 
 # -- effaceability ------------------------------------------------------------
@@ -196,7 +194,7 @@ def freyd_pullback(f: FreydMorphism, g: FreydMorphism):
     """Pullback of f along g inside the functor category, with its legs."""
     if not same_freyd_object(f.target, g.target):
         raise ValueError("pullback targets differ")
-    total, _, (proj_a, proj_b) = freyd_direct_sum(f.source, g.source)
+    total, (proj_a, proj_b) = freyd_direct_sum(f.source, g.source)
     diff_gen = modules.block_morphism(
         total.generators, f.gen.target, [f.source.generators, g.source.generators],
         [f.gen.target], {(0, 0): f.gen, (0, 1): modules.negate(g.gen)})
@@ -273,9 +271,9 @@ def right_filter_factor(f: FreydMorphism) -> tuple[FreydMorphism, FreydMorphism,
     if not is_effaceable(a):
         raise ValueError("target is not effaceable")
     u = f.source
-    # pullback of (gen: U2 -> A2) against the presenting deflation p: A1 -> A2
-    z_mod, z_to_u2, z_to_a1 = modules.pullback(f.gen, a.carrier)
-    # the relations of U map into the pullback
+    # the pullback of (gen: U2 -> A2) against the presenting deflation
+    # p: A1 -> A2 is the kernel of [gen, -p] on U2 (+) A1; the relations of
+    # U map into it
     parts = [u.generators, a.relations]
     total, _, projs = modules.direct_sum(parts)
     pair = modules.block_morphism(u.relations, total, [u.relations], parts,
@@ -369,7 +367,7 @@ def padding_deflation(f: FreydObject, eff: FreydObject) -> WeakIsoFactor:
     """The projection F (+) T -> F, an elementary weak iso for effaceable T."""
     if not is_effaceable(eff):
         raise ValueError("padding summand must be effaceable")
-    total, (inj_f, inj_t), (proj_f, proj_t) = freyd_direct_sum(f, eff)
+    _, (proj_f, _) = freyd_direct_sum(f, eff)
     return WeakIsoFactor(proj_f, eff)
 
 

@@ -339,25 +339,24 @@ def _acyclicity_transfer(rnd, bounds):
 def _heart_identification(rnd, bounds):
     m = samplers.random_module(rnd, bounds)
     payload = {"module": serialize.module_to_json(m)}
-    h = module_to_left_heart(LEFT, m)
-    if not heart_membership(LEFT, h.representative):
+    h = module_to_left_heart(m)
+    if not heart_membership(LEFT, h):
         yield "representative_in_heart", payload
-    back = left_heart_to_module(LEFT, h.representative)
+    back = left_heart_to_module(LEFT, h)
     if not back.is_isomorphic(m):
         yield "round_trip_invariants", payload
     # morphism sets: group isomorphism plus full and faithful transport
     n = samplers.random_module(rnd, bounds)
-    hn = module_to_left_heart(LEFT, n)
+    hn = module_to_left_heart(n)
     mr = modules.reduce_presentation(m)
     nr = modules.reduce_presentation(n)
     hom = modules.hom_group(mr, nr)
-    chain_homs = derived_hom(h.representative, hn.representative, 0)
+    chain_homs = derived_hom(h, hn, 0)
     if not chain_homs.is_isomorphic(hom.module):
         yield "hom_group_isomorphism", payload
     for j in range(hom.module.generators):
         psi = hom.generator(j)
-        lifted = module_map_to_left_heart_map(psi, h.representative,
-                                              hn.representative)
+        lifted = module_map_to_left_heart_map(psi, h, hn)
         if not modules.morphism_equal(left_heart_map_to_module_map(lifted), psi):
             yield "fullness_round_trip", payload
             break
@@ -405,7 +404,7 @@ def _hrs_star_consistency(rnd, bounds):
         yield "tilted_pair_classes", payload
     a, counit = truncate_le(NATURAL, -1, h)
     b, unit = truncate_ge(NATURAL, 0, h)
-    if not triangle_is_distinguished(counit, unit, "derived"):
+    if not triangle_is_distinguished(NATURAL, counit, unit):
         yield "tilted_pair_sequence", payload
     if not derived_hom(free_resolution(a), free_resolution(b), 0).is_zero_module():
         yield "tilted_pair_orthogonality", payload
@@ -420,7 +419,7 @@ def _star_trivial_class(rnd, bounds):
         yield "membership_criterion", payload
     if dec is not None:
         for tri in dec.triangles:
-            if not triangle_is_distinguished(tri.sub_map, tri.quot_map, "derived"):
+            if not triangle_is_distinguished(NATURAL, tri.sub_map, tri.quot_map):
                 yield "peeling_triangles", payload
                 break
 

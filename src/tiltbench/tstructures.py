@@ -1,6 +1,6 @@
 """Executable t-structures on the implemented homotopy and derived categories.
 
-Five variants act on bounded complexes:
+Four variants act on bounded complexes:
 
 * the natural t-structure on complexes of finitely presented abelian
   groups (soft truncation through kernels and images),
@@ -9,8 +9,10 @@ Five variants act on bounded complexes:
   differential (left) or the carrier cokernel of the previous one (right),
 * the tilt of the natural t-structure along the torsion pair
   (finite groups, free groups): the aisle keeps complexes whose top
-  cohomology is torsion and nothing lives above degree zero,
-* star aisles built from a window of stalk factors over a chosen class.
+  cohomology is torsion and nothing lives above degree zero.
+
+Star aisles over a chosen class are decided by ``star_membership``, which
+peels a window of stalk factors off the natural truncation.
 
 Truncations return the truncated complex together with its canonical
 comparison map; memberships are decided by testing that comparison for
@@ -58,7 +60,6 @@ class TVariant(enum.Enum):
     LEFT = "Left"
     RIGHT = "Right"
     HRS_TILT = "HRSTilt"
-    STAR_AISLE = "StarAisle"
 
 
 class ClassTag(enum.Enum):
@@ -75,19 +76,13 @@ class TStructureSpec:
     """A tagged description of a t-structure with executable truncation."""
 
     def __init__(self, variant: TVariant, ex: Optional[ExactStructure] = None,
-                 star_class: Optional[ClassTag] = None, star_n: int = 1,
                  corrupt: bool = False):
         self.variant = variant
         self.ex = ex
-        self.star_class = star_class
-        self.star_n = star_n
         self.corrupt = corrupt
         if variant in (TVariant.LEFT, TVariant.RIGHT):
             if ex is None or ex.carrier not in (Carrier.FREE_Z, Carrier.FREE_POLY_Q):
                 raise ValueError("left/right t-structures need a free carrier")
-        if variant is TVariant.STAR_AISLE:
-            if star_class is None or star_n < 1:
-                raise ValueError("star aisle needs a class tag and n >= 1")
 
     @classmethod
     def natural(cls) -> "TStructureSpec":
@@ -105,42 +100,24 @@ class TStructureSpec:
     def hrs_tilt(cls) -> "TStructureSpec":
         return cls(TVariant.HRS_TILT)
 
-    @classmethod
-    def star(cls, class_tag: ClassTag, n: int) -> "TStructureSpec":
-        return cls(TVariant.STAR_AISLE, star_class=class_tag, star_n=n)
-
     @property
     def ambient_base(self) -> BaseCategory:
+        """Complexes of free modules up to homotopy (K(E)) for the left and
+        right t-structures; complexes of fp modules in D(fp-Z) otherwise."""
         if self.variant in (TVariant.LEFT, TVariant.RIGHT):
             return BaseCategory.FREE_MODULES
         return BaseCategory.FP_MODULES
-
-    @property
-    def localization(self) -> str:
-        """How comparison maps are inverted: in K(E) or in D(fp-Z)."""
-        if self.variant in (TVariant.LEFT, TVariant.RIGHT):
-            return "homotopy"
-        return "derived"
 
     def config_string(self) -> str:
         parts = [f"variant={self.variant.value}"]
         if self.ex is not None:
             parts.append(self.ex.config_string())
-        if self.star_class is not None:
-            parts.append(f"class={self.star_class.value}")
-            parts.append(f"n={self.star_n}")
         if self.corrupt:
             parts.append("corrupt=1")
         return ",".join(parts)
 
     def __repr__(self) -> str:
         return f"TStructureSpec({self.config_string()})"
-
-
-@dataclass
-class HeartObject:
-    spec: TStructureSpec
-    representative: Complex
 
 
 @dataclass
@@ -246,7 +223,7 @@ def _truncate_le_honest(spec, n, x):
             raise AssertionError("cokernel cap does not map back")
         comps[n + 2] = down
         return t, ChainMap(t, x, comps, check=False)
-    if v is TVariant.NATURAL or v is TVariant.STAR_AISLE:
+    if v is TVariant.NATURAL:
         if n >= x.hi:
             return _identity_truncation(x)
         if n < x.lo:
@@ -304,7 +281,7 @@ def _truncate_ge_honest(spec, n, x):
         if n > x.hi:
             return _zero_truncation_ge(x)
         return _quotient_above(x, n, *e_cokernel(x.differential_at(n - 1), spec.ex))
-    if v is TVariant.NATURAL or v is TVariant.STAR_AISLE:
+    if v is TVariant.NATURAL:
         if n <= x.lo:
             return _identity_truncation(x)
         if n > x.hi:
@@ -327,7 +304,7 @@ def _truncate_ge_honest(spec, n, x):
 # -- membership, hearts, triangles ------------------------------------------------
 
 def _localized_iso(spec: TStructureSpec, f: ChainMap) -> bool:
-    if spec.localization == "homotopy":
+    if spec.ambient_base is BaseCategory.FREE_MODULES:
         return is_homotopy_iso(f)
     return is_quasi_iso(f)
 
@@ -346,28 +323,19 @@ def heart_membership(spec: TStructureSpec, x: Complex) -> bool:
     return in_aisle(spec, 0, x) and in_coaisle(spec, 0, x)
 
 
-@dataclass
-class ApproximatingTriangle:
-    aisle_part: Complex
-    total: Complex
-    coaisle_part: Complex
-    counit: ChainMap
-    unit: ChainMap
-
-
-def approximating_triangle(spec: TStructureSpec, x: Complex) -> ApproximatingTriangle:
+def approximating_triangle(spec: TStructureSpec, x: Complex) -> TriangleData:
     a, counit = truncate_le(spec, 0, x)
     b, unit = truncate_ge(spec, 1, x)
-    return ApproximatingTriangle(a, x, b, counit, unit)
+    return TriangleData(a, x, b, counit, unit)
 
 
-def triangle_is_distinguished(counit: ChainMap, unit: ChainMap,
-                              localization: str) -> bool:
+def triangle_is_distinguished(spec: TStructureSpec, counit: ChainMap,
+                              unit: ChainMap) -> bool:
     """Whether (A -> X -> B) is a distinguished triangle.
 
     The composite must vanish, on the nose or up to a computed homotopy s;
     the comparison map cone(A -> X) -> B, corrected by s on the shifted
-    part, must then be invertible in the ambient category.
+    part, must then be invertible in the ambient category of spec.
     """
     comp = compose_chain_maps(unit, counit)
     literally_zero = all(modules.is_zero_morphism(comp.component_at(n))
@@ -393,9 +361,7 @@ def triangle_is_distinguished(counit: ChainMap, unit: ChainMap,
                                           [x.object_at(n), a.object_at(n + 1)],
                                           [b.object_at(n)], blocks)
     phi = ChainMap(cone_c, b, comps, check=False)
-    if localization == "homotopy":
-        return is_homotopy_iso(phi)
-    return is_quasi_iso(phi)
+    return _localized_iso(spec, phi)
 
 
 def t_cohomology(spec: TStructureSpec, n: int, x: Complex) -> Complex:
@@ -453,24 +419,21 @@ def star_membership(x: Complex, class_tag: ClassTag, n: int
     if class_tag is ClassTag.FREE:
         raise UnsupportedClassTagError(
             "the free class is not a star class here (cogeneration fails)")
+    # both star aisles hold only complexes with no cohomology above zero
+    for j in range(1, x.hi + 1):
+        if not cohomology(x, j).is_zero_module():
+            return None
+    spec = TStructureSpec.natural()
     if class_tag is ClassTag.TORSION:
-        for j in range(1, x.hi + 1):
-            if not cohomology(x, j).is_zero_module():
-                return None
         h0 = cohomology(x, 0)
         if not h0.is_torsion():
             return None
-        spec = TStructureSpec.natural()
         t, _ = truncate_le(spec, 0, x)
         a, counit = truncate_le(spec, -1, t)
         b, unit = truncate_ge(spec, 0, t)
         tri = TriangleData(a, t, b, counit, unit)
         return StarDecomposition([tri], a, [StarFactor(0, modules.reduce_presentation(h0))])
-    # trivial class: the aisle is every complex with no cohomology above zero
-    for j in range(1, x.hi + 1):
-        if not cohomology(x, j).is_zero_module():
-            return None
-    spec = TStructureSpec.natural()
+    # trivial class: that is the whole criterion
     t, _ = truncate_le(spec, 0, x)
     a, counit = truncate_le(spec, -n, t)
     b, unit = truncate_ge(spec, -n + 1, t)
@@ -521,24 +484,18 @@ def left_heart_to_module(spec: TStructureSpec, x: Complex) -> FpModule:
     return FpModule(r.differential_at(-1).gen)
 
 
-def module_to_left_heart(spec: TStructureSpec, m: FpModule) -> HeartObject:
-    """A two-term free presentation complex representing the heart object."""
+def module_to_left_heart(m: FpModule) -> Complex:
+    """A two-term free presentation complex representing m in the left heart."""
     reduced = modules.reduce_presentation(m)
     if reduced.relations == 0:
-        rep = free_complex(m.ring, 0, [], first_rank=reduced.generators)
-    else:
-        rep = free_complex(m.ring, -1, [reduced.presentation])
-    return HeartObject(spec, rep)
+        return free_complex(m.ring, 0, [], first_rank=reduced.generators)
+    return free_complex(m.ring, -1, [reduced.presentation])
 
 
 def left_heart_map_to_module_map(f: ChainMap) -> FpMorphism:
     """Transport a map of heart representatives to the module cokernels."""
-    mx = FpModule(f.source.differential_at(-1).gen if f.source.lo < 0
-                  else IntMatrix.zeros(f.source.ring,
-                                       f.source.object_at(0).generators, 0))
-    my = FpModule(f.target.differential_at(-1).gen if f.target.lo < 0
-                  else IntMatrix.zeros(f.target.ring,
-                                       f.target.object_at(0).generators, 0))
+    mx = FpModule(f.source.differential_at(-1).gen)
+    my = FpModule(f.target.differential_at(-1).gen)
     return FpMorphism.from_generator_matrix(mx, my, f.component_at(0).gen)
 
 
@@ -613,8 +570,9 @@ def check_tstructure_axioms(spec: TStructureSpec, sample_budget: int,
 def _axiom_sample(spec: TStructureSpec, rnd, bounds: SizeBounds):
     x = _sample_for(spec, rnd, bounds)
     x2 = _sample_for(spec, rnd, bounds)
-    a, counit = truncate_le(spec, 0, x)
-    b, unit = truncate_ge(spec, 1, x2)
+    tri = approximating_triangle(spec, x)
+    a = tri.sub
+    b, _ = truncate_ge(spec, 1, x2)
     payload = {"sample": serialize.complex_to_json(x),
                "second": serialize.complex_to_json(x2)}
     if not in_aisle(spec, 0, a):
@@ -624,10 +582,9 @@ def _axiom_sample(spec: TStructureSpec, rnd, bounds: SizeBounds):
     hom0 = derived_hom(_resolve(spec, a), _resolve(spec, b), 0)
     if not hom0.is_zero_module():
         yield "orthogonality", payload
-    tri = approximating_triangle(spec, x)
-    if not triangle_is_distinguished(tri.counit, tri.unit, spec.localization):
+    if not triangle_is_distinguished(spec, tri.sub_map, tri.quot_map):
         yield "approximating_triangle", payload
-    if not in_coaisle(spec, 1, tri.coaisle_part):
+    if not in_coaisle(spec, 1, tri.quotient):
         yield "coaisle_membership_of_truncation", payload
 
 

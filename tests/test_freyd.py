@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tiltbench import modules
 from tiltbench.exactness import Carrier, ExactStructure, Flavor
 from tiltbench.freyd import (
     Fraction,
@@ -19,6 +20,7 @@ from tiltbench.freyd import (
     freyd_kernel,
     freyd_pullback,
     is_effaceable,
+    padding_deflation,
     pointwise_epi,
     project_fraction,
     project_morphism,
@@ -126,6 +128,38 @@ def test_right_filter_factor():
     assert is_effaceable(mid)
     assert pointwise_epi(p)
     assert freyd_equal(freyd_compose(g, p), f)
+
+
+def test_right_filter_factor_builds_no_module_pullback(monkeypatch):
+    # the kernel of [gen, -p] already is the pullback of gen against p
+    z = FpModule.free(Z, 1)
+    z2 = FpModule.cyclic(Z, 2)
+    eff = FreydObject(FP_MAX, FpMorphism.from_generator_matrix(z, z2, zmat([[1]])))
+    calls, real_pullback = [], modules.pullback
+
+    def counting_pullback(f, g):
+        calls.append(f)
+        return real_pullback(f, g)
+
+    monkeypatch.setattr(modules, "pullback", counting_pullback)
+    right_filter_factor(FreydMorphism.identity(eff))
+    assert calls == []
+
+
+def test_padding_deflation_builds_two_transformations(monkeypatch):
+    # only the two projections of F (+) T are built, each checking its square
+    obj = free_obj(FREE_SPLIT, zmat([[2]]))
+    eff = free_obj(FREE_SPLIT, zmat([[1, 0], [0, 1]]))
+    built, real_init = [], FreydMorphism.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(FreydMorphism, "__init__", counting_init)
+    factor = padding_deflation(obj, eff)
+    assert len(built) == 2
+    assert factor.map.target is obj and factor.certificate is eff
 
 
 def test_right_filter_factor_trivial_cases():

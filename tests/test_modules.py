@@ -6,6 +6,7 @@ import pytest
 from tiltbench.complexes import ChainMap, cone, direct_sum_complexes
 from tiltbench.exactness import Carrier, ExactStructure, Flavor
 from tiltbench.freyd import (
+    FreydMorphism,
     FreydObject,
     extension_middle,
     freyd_cokernel,
@@ -527,7 +528,10 @@ def test_maps_between_direct_sums_are_pinned():
         update(*pushout(random_morphism(rnd, c, a), random_morphism(rnd, c, b))[1:])
         t1, t2 = (FreydObject(ex, random_carrier_deflation(ex, rnd, bounds))
                   for _ in range(2))
-        total, (inj_1, _), (_, proj_2) = freyd_direct_sum(t1, t2)
+        total, (_, proj_2) = freyd_direct_sum(t1, t2)
+        _, gen_inj, _ = direct_sum([t1.generators, t2.generators])
+        _, rel_inj, _ = direct_sum([t1.relations, t2.relations])
+        inj_1 = FreydMorphism(t1, total, gen_inj[0], rel_inj[0])
         quotient, q_proj = freyd_cokernel(inj_1)
         pi, g, mid = right_filter_factor(proj_2)
         update(total.carrier, quotient.carrier, q_proj.gen, q_proj.wit,

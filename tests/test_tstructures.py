@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from tiltbench import matrices, modules, suites, tstructures
@@ -12,7 +14,12 @@ from tiltbench.exactness import Carrier, ExactStructure, Flavor
 from tiltbench.matrices import IntMatrix
 from tiltbench.modules import FpModule, hom_group, morphism_equal
 from tiltbench.rings import RingSpec
-from tiltbench.samplers import SizeBounds, rng_for
+from tiltbench.samplers import (
+    SizeBounds,
+    random_fp_complex,
+    random_free_complex,
+    rng_for,
+)
 from tiltbench.tstructures import (
     ClassTag,
     TStructureSpec,
@@ -54,7 +61,7 @@ def fc(lo, mats, first_rank=None):
 
 def test_config_strings_are_distinct():
     # config strings label the rng streams of the axiom checks
-    specs = (LEFT, RIGHT, NAT, HRS, TStructureSpec.star(ClassTag.ALL_FP, 2))
+    specs = (LEFT, RIGHT, NAT, HRS, TStructureSpec(TVariant.NATURAL, corrupt=True))
     strings = [spec.config_string() for spec in specs]
     assert len(set(strings)) == len(strings)
 
@@ -108,13 +115,13 @@ def test_approximating_triangle_aisle_cases():
     # X in the aisle: coaisle part vanishes up to iso
     x = fc(-2, [[[3]]])  # degrees (-2, -1)
     tri = approximating_triangle(NAT, x)
-    assert all(cohomology(tri.coaisle_part, n).is_zero_module()
-               for n in tri.coaisle_part.degrees())
+    assert all(cohomology(tri.quotient, n).is_zero_module()
+               for n in tri.quotient.degrees())
     # X a shifted co-aisle object: aisle part vanishes
     y = stalk_complex(FpModule.cyclic(Z, 2), 2)
     tri2 = approximating_triangle(NAT, y)
-    assert all(cohomology(tri2.aisle_part, n).is_zero_module()
-               for n in tri2.aisle_part.degrees())
+    assert all(cohomology(tri2.sub, n).is_zero_module()
+               for n in tri2.sub.degrees())
 
 
 def test_approximating_triangle_splits_direct_sum():
@@ -122,11 +129,11 @@ def test_approximating_triangle_splits_direct_sum():
     zb = stalk_complex(FpModule.cyclic(Z, 2), -1)
     s, _ = direct_sum_complexes([za, zb])
     tri = approximating_triangle(NAT, s)
-    assert triangle_is_distinguished(tri.counit, tri.unit, "derived")
-    assert cohomology(tri.aisle_part, 0).invariant_data() == (1, ())
-    assert cohomology(tri.aisle_part, -1).invariant_data() == (0, (2,))
-    assert all(cohomology(tri.coaisle_part, n).is_zero_module()
-               for n in tri.coaisle_part.degrees())
+    assert triangle_is_distinguished(NAT, tri.sub_map, tri.quot_map)
+    assert cohomology(tri.sub, 0).invariant_data() == (1, ())
+    assert cohomology(tri.sub, -1).invariant_data() == (0, (2,))
+    assert all(cohomology(tri.quotient, n).is_zero_module()
+               for n in tri.quotient.degrees())
 
 
 def test_triangle_check_builds_each_sum_once(monkeypatch):
@@ -142,7 +149,7 @@ def test_triangle_check_builds_each_sum_once(monkeypatch):
         return real_sum(ms)
 
     monkeypatch.setattr(modules, "direct_sum", recording_sum)
-    assert triangle_is_distinguished(tri.counit, tri.unit, "derived")
+    assert triangle_is_distinguished(NAT, tri.sub_map, tri.quot_map)
     keys = [tuple(map(id, ms)) for ms in summands]
     assert keys and len(set(keys)) == len(keys)
 
@@ -165,7 +172,7 @@ def test_star_membership_trivial_class():
     assert dec is not None
     assert len(dec.factors) == 2
     for tri in dec.triangles:
-        assert triangle_is_distinguished(tri.sub_map, tri.quot_map, "derived")
+        assert triangle_is_distinguished(NAT, tri.sub_map, tri.quot_map)
     bad = stalk_complex(FpModule.cyclic(Z, 2), 1)
     assert star_membership(bad, ClassTag.ALL_FP, 2) is None
 
@@ -180,7 +187,6 @@ def test_star_membership_unsupported_class():
 
 def test_star_agrees_with_hrs_membership():
     rnd = rng_for(42, "star-vs-hrs")
-    from tiltbench.samplers import random_fp_complex
     for i in range(25):
         x = random_fp_complex(rnd, SizeBounds(2, 6, 3))
         star = star_membership(x, ClassTag.TORSION, 1) is not None
@@ -190,21 +196,21 @@ def test_star_agrees_with_hrs_membership():
 
 def test_heart_equivalence_round_trip():
     m = FpModule(zmat([[2, 0], [0, 3]]))
-    h = module_to_left_heart(LEFT, m)
-    assert heart_membership(LEFT, h.representative)
-    back = left_heart_to_module(LEFT, h.representative)
+    h = module_to_left_heart(m)
+    assert heart_membership(LEFT, h)
+    back = left_heart_to_module(LEFT, h)
     assert back.is_isomorphic(m)
     # free stalks map to themselves
     free = FpModule.free(Z, 2)
-    h2 = module_to_left_heart(LEFT, free)
-    assert left_heart_to_module(LEFT, h2.representative).is_isomorphic(free)
+    h2 = module_to_left_heart(free)
+    assert left_heart_to_module(LEFT, h2).is_isomorphic(free)
 
 
 def test_heart_equivalence_on_morphisms():
     mx = FpModule.cyclic(Z, 4)
     my = FpModule.cyclic(Z, 6)
-    hx = module_to_left_heart(LEFT, mx).representative
-    hy = module_to_left_heart(LEFT, my).representative
+    hx = module_to_left_heart(mx)
+    hy = module_to_left_heart(my)
     hom = hom_group(FpModule(hx.differential_at(-1).gen),
                     FpModule(hy.differential_at(-1).gen))
     for i in range(hom.module.generators):
@@ -226,7 +232,6 @@ def test_intersection_normal_form():
 
 
 def test_t_cohomology_matches_plain_cohomology_for_natural():
-    from tiltbench.samplers import random_fp_complex
     rnd = rng_for(9, "tcoh")
     for i in range(10):
         x = random_fp_complex(rnd, SizeBounds(2, 5, 3))
@@ -265,7 +270,6 @@ def test_cogeneration_witness_z2():
 
 
 def test_gap_inclusion_right_le_minus_one_in_left_le_zero():
-    from tiltbench.samplers import random_free_complex
     rnd = rng_for(17, "gap")
     for i in range(15):
         x = random_free_complex(rnd, SizeBounds(2, 5, 3))
@@ -306,3 +310,50 @@ def snf_entry_bits(monkeypatch):
 def test_entry_growth_replays_stay_small(snf_entry_bits, replay):
     assert list(replay()) == []
     assert 0 < snf_entry_bits[0] <= 256
+
+
+def test_truncations_are_pinned():
+    # golden hash of every truncated complex and comparison map of the four
+    # t-structures and the corrupted control at n in -2..2, and of the
+    # triangles and stalk factors of both computable star memberships
+    bounds = SizeBounds(max_rank=2, max_entry=4, max_width=3)
+    corrupted = TStructureSpec(TVariant.NATURAL, corrupt=True)
+    h = hashlib.sha256()
+
+    def update_complex(c):
+        h.update(repr((c.lo, [m.presentation for m in c.objects],
+                       [(d.gen, d.witness) for d in c.differentials])).encode())
+
+    def update_map(f):
+        h.update(repr([(n, g.gen, g.witness)
+                       for n, g in sorted(f.components.items())]).encode())
+
+    for spec in (NAT, LEFT, RIGHT, HRS, corrupted):
+        sample = (random_free_complex if spec.variant in (TVariant.LEFT, TVariant.RIGHT)
+                  else random_fp_complex)
+        for i in range(4):
+            x = sample(rng_for(11, "pinned-truncations", spec.config_string(), i), bounds)
+            for n in range(-2, 3):
+                for truncate in (truncate_le, truncate_ge):
+                    t, f = truncate(spec, n, x)
+                    update_complex(t)
+                    update_map(f)
+    for tag, n in ((ClassTag.TORSION, 1), (ClassTag.ALL_FP, 2)):
+        for i in range(6):
+            x = random_fp_complex(rng_for(11, "pinned-star", tag.value, i), bounds)
+            x = x.shift(x.hi)  # nothing above degree 0
+            for candidate in (x, truncate_le(HRS, 0, x)[0]):
+                dec = star_membership(candidate, tag, n)
+                if dec is None:
+                    h.update(b"none")
+                    continue
+                update_complex(dec.window_part)
+                for tri in dec.triangles:
+                    for c in (tri.sub, tri.total, tri.quotient):
+                        update_complex(c)
+                    update_map(tri.sub_map)
+                    update_map(tri.quot_map)
+                h.update(repr([(f.degree, f.module.presentation)
+                               for f in dec.factors]).encode())
+    assert h.hexdigest() == (
+        "1b4228cd7b03158621721f0e0ac98156580f24318974bfafa6fa8353e7df24b0")
