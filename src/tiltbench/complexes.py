@@ -8,6 +8,13 @@ Null-homotopy of a chain map between complexes with relation-free entries
 is decided by assembling all homotopy equations into one exact linear
 system; cohomology and derived hom groups come out of the same kernel /
 cokernel machinery that powers the module layer.
+
+Invertibility needs no homotopy and no cohomology module.  A chain map of
+relation-free complexes is a homotopy equivalence iff its cone is exact,
+which one diagonalisation per differential decides (``is_homotopy_iso``);
+a complex of finitely presented modules is exact iff, in every degree, the
+generators of the kernel lift through the previous differential
+(``is_exact``, behind ``is_quasi_iso``).
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from __future__ import annotations
 import enum
 from typing import Optional, Sequence
 
-from . import modules
-from .matrices import IntMatrix, block_matrix, kron, solve_lift, unvec, vec
+from . import modules, rings
+from .matrices import IntMatrix, block_matrix, kron, nonzero_diagonal, solve_lift, unvec, vec
 from .modules import FpModule, FpMorphism
 from .rings import RingSpec
 
@@ -300,7 +307,23 @@ def cohomology_map(f: ChainMap, n: int) -> FpMorphism:
 
 
 def is_exact(c: Complex) -> bool:
-    return all(cohomology(c, n).is_zero_module() for n in c.degrees())
+    """Whether c has zero cohomology in every degree, by one lift per degree.
+
+    c is exact at n iff ker d^n lies in im d^{n-1}, i.e. iff the free cover
+    F -> C^n on the kernel's generators lifts through d^{n-1}.  The cover is
+    lifted, not the kernel inclusion: a map out of the kernel must respect
+    the kernel's relations, and one need not exist even where c is exact.
+    """
+    for n in c.degrees():
+        gens = modules.kernel_generators(c.differential_at(n))
+        if not gens.cols:
+            continue
+        target = c.object_at(n)
+        cover = FpMorphism(FpModule.free(c.ring, gens.cols), target, gens,
+                           IntMatrix.zeros(c.ring, target.relations, 0))
+        if modules.factor(cover, c.differential_at(n - 1)) is None:
+            return False
+    return True
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
@@ -371,9 +394,26 @@ def is_contractible(c: Complex) -> Optional[Homotopy]:
 
 
 def is_homotopy_iso(f: ChainMap) -> bool:
-    """Whether f is invertible up to homotopy (cone contractible)."""
+    """Whether f is invertible up to homotopy, i.e. its cone is contractible.
+
+    Over a PID a bounded complex of finitely generated free modules is
+    contractible iff it is exact (Weibel, 1.4 and 10.4).  A free complex is
+    exact at n iff im d^{n-1} is a direct summand of C^n, which holds iff
+    the nonzero diagonal of d^{n-1} consists of units, and has the rank of
+    ker d^n: rank d^{n-1} + rank d^n = rank C^n.  One diagonalisation per
+    differential of the cone decides both.
+    """
+    _require_relation_free(f)
     cc, _, _ = cone(f)
-    return is_contractible(cc) is not None
+    ranks = [0]
+    for d in cc.differentials:
+        diag = nonzero_diagonal(d.gen)
+        if not all(rings.is_unit(cc.ring, e) for e in diag):
+            return False
+        ranks.append(len(diag))
+    ranks.append(0)
+    return all(ranks[i] + ranks[i + 1] == obj.generators
+               for i, obj in enumerate(cc.objects))
 
 
 def chain_maps_homotopic(f: ChainMap, g: ChainMap) -> Optional[Homotopy]:

@@ -1,7 +1,8 @@
 """Exact matrices over the catalogued Euclidean rings.
 
 Everything downstream (module presentations, chain complexes, functor
-presentations) reduces to three primitives implemented here:
+presentations) reduces to three primitives implemented here, plus
+``nonzero_diagonal`` for rank and unit questions:
 
 * ``smith_normal_form``   U * M * V = D with unimodular U, V and a
   divisibility chain d1 | d2 | ... on the diagonal,
@@ -498,6 +499,17 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     return SmithForm(w, w.replay_identity(w.apply_u, m.rows),
                      IntMatrix.from_rows(m.ring, w.a, cols=m.cols),
                      w.replay_identity(w.apply_v, m.cols))
+
+
+def nonzero_diagonal(m: IntMatrix) -> list:
+    """The nonzero entries of a diagonal form U * M * V of m.
+
+    One diagonalisation, without the divisibility chain and without U or V.
+    Their count is the rank of m, and they are all units exactly when the
+    invariant factors of m are: both products agree up to a unit.
+    """
+    a = _SNFWorker(m).run(enforce_chain=False).a
+    return [a[i][i] for i in range(min(m.rows, m.cols)) if a[i][i]]
 
 
 class PreparedSolver:

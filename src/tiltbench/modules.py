@@ -318,13 +318,16 @@ def span_quotient(gens: IntMatrix, rels: IntMatrix) -> tuple[FpModule, IntMatrix
     return FpModule(pres), gens, wit
 
 
+def kernel_generators(f: FpMorphism) -> IntMatrix:
+    """Columns, in the source's generators, that generate ker f."""
+    pair = kernel_matrix(f.gen.hstack(-f.target.presentation))
+    return pair.take_rows(range(f.source.generators))
+
+
 def kernel(f: FpMorphism) -> tuple[FpModule, FpMorphism]:
     """Kernel with its monic inclusion."""
-    p_n = f.target.presentation
-    p_m = f.source.presentation
-    pair = kernel_matrix(f.gen.hstack(-p_n))
-    u = pair.take_rows(range(f.source.generators))
-    k_mod, _, wit = span_quotient(u, p_m)
+    u = kernel_generators(f)
+    k_mod, _, wit = span_quotient(u, f.source.presentation)
     incl = FpMorphism(k_mod, f.source, u, wit)
     return k_mod, incl
 

@@ -16,9 +16,12 @@ peels a window of stalk factors off the natural truncation.
 
 Truncations return the truncated complex together with its canonical
 comparison map; memberships are decided by testing that comparison for
-invertibility in the ambient category (contractible cone in the homotopy
-category over free carriers, acyclic cone in the derived category of
-finitely presented modules).
+invertibility in the ambient category, which holds iff its cone is exact:
+in the homotopy category over free carriers, exactness is read off one
+diagonalisation per differential (``is_homotopy_iso``); in the derived
+category of finitely presented modules, it is decided by lifting the
+kernel generators of each differential through the previous one
+(``is_quasi_iso``).
 """
 
 from __future__ import annotations

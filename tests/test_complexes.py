@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from tiltbench import rings
 from tiltbench.complexes import (
     BaseCategory,
     ChainMap,
@@ -24,16 +25,18 @@ from tiltbench.complexes import (
     total_hom_complex,
 )
 from tiltbench.matrices import IntMatrix
-from tiltbench.modules import FpModule, FpMorphism, compose
-from tiltbench.rings import RingSpec
+from tiltbench.modules import FpModule, FpMorphism, compose, factor, kernel
+from tiltbench.rings import QPoly, RingSpec
 from tiltbench.samplers import (
     SizeBounds,
     random_exact_free_complex,
+    random_fp_complex,
     random_free_complex,
     rng_for,
 )
 
 Z = RingSpec.INTEGERS
+QX = RingSpec.RATIONAL_POLYNOMIALS
 
 
 def zmat(rows, cols=None):
@@ -311,3 +314,82 @@ def test_relation_free_differentials_build_no_solver(solvers_built):
         mats = [x.differential_at(n).gen for n in range(x.lo, x.hi)]
         assert solvers_built(free_complex, Z, x.lo, mats) == 0
         assert solvers_built(total_hom_complex, x, x) == 0
+
+
+def homotopy_iso_by_contraction(f):
+    return is_contractible(cone(f)[0]) is not None
+
+
+def exact_by_cohomology(c):
+    return all(cohomology(c, n).is_zero_module() for n in c.degrees())
+
+
+def scalar_map(c, k):
+    """k times the identity of c."""
+    ring = c.ring
+    scalar = rings.from_int(ring, k)
+    return ChainMap(c, c, {n: FpMorphism(
+        c.object_at(n), c.object_at(n),
+        IntMatrix.identity(ring, c.object_at(n).generators).scale(scalar),
+        IntMatrix.identity(ring, c.object_at(n).relations).scale(scalar))
+        for n in c.degrees()}, check=False)
+
+
+def test_invertibility_criteria_agree_with_contraction_and_cohomology():
+    # identity, 2 * identity and zero of seeded complexes: the diagonal
+    # criterion of is_homotopy_iso and the lifting criterion of is_exact
+    # against a contracting homotopy and a cohomology module per degree
+    bounds = SizeBounds(max_rank=2, max_entry=4, max_width=3)
+    free = []
+    for i in range(15):
+        free.append(random_free_complex(rng_for(3, "criteria-free", i), bounds))
+        free.append(random_exact_free_complex(rng_for(3, "criteria-exact", i), bounds))
+    for i in range(8):
+        rnd = rng_for(3, "criteria-qx", i)
+        free.append(free_complex(QX, 0, [IntMatrix.from_rows(QX, [
+            [QPoly((rnd.randint(-2, 2), rnd.randint(-1, 1))) for _ in range(2)]
+            for _ in range(2)])]))
+    fp = [random_fp_complex(rng_for(3, "criteria-fp", i), bounds) for i in range(15)]
+    isos, exact = [], []
+    for c in free:
+        for f in (ChainMap.identity(c), scalar_map(c, 2), ChainMap.zero(c, c)):
+            isos.append(is_homotopy_iso(f))
+            assert isos[-1] == homotopy_iso_by_contraction(f)
+    for c in free + fp:
+        for cc in (c, cone(scalar_map(c, 2))[0], cone(ChainMap.identity(c))[0]):
+            exact.append(is_exact(cc))
+            assert exact[-1] == exact_by_cohomology(cc)
+    assert 0 < isos.count(False) < len(isos)
+    assert 0 < exact.count(False) < len(exact)
+
+
+def test_unit_diagonal_depends_on_the_ring():
+    x = QPoly.x()
+    for ring, entry, expected in ((QX, x, False), (QX, QPoly.const(2), True), (Z, 2, False)):
+        c = free_complex(ring, 0, [IntMatrix.from_rows(ring, [[entry]])])
+        assert is_exact(c) is exact_by_cohomology(c) is expected
+        f = ChainMap.zero(c, c)
+        assert is_homotopy_iso(f) is homotopy_iso_by_contraction(f) is expected
+
+
+def test_exactness_lifts_the_kernel_cover_not_the_inclusion():
+    # Z/4 --2--> Z/4 --2--> Z/4 is exact in the middle, yet the inclusion
+    # of ker = Z/2 does not lift through the first 2: a lift h needs
+    # 2 * h(1) = 2, so h(1) odd, and h(2 * 1) = 0, so h(1) even
+    z2, z4 = FpModule.cyclic(Z, 2), FpModule.cyclic(Z, 4)
+    two = FpMorphism.from_generator_matrix(z4, z4, zmat([[2]]))
+    c = Complex(Z, BaseCategory.FP_MODULES, 0, [z4, z4, z4], [two, two])
+    assert cohomology(c, 1).is_zero_module()
+    assert factor(kernel(two)[1], two) is None
+    assert not is_exact(c)
+    # 0 -> Z/2 -> Z/4 --2--> Z/4 -> Z/2 -> 0 is exact in every degree
+    into = FpMorphism.from_generator_matrix(z2, z4, zmat([[2]]))
+    onto = FpMorphism.from_generator_matrix(z4, z2, zmat([[1]]))
+    e = Complex(Z, BaseCategory.FP_MODULES, 0, [z2, z4, z4, z2], [into, two, onto])
+    assert is_exact(e) and exact_by_cohomology(e)
+
+
+def test_homotopy_iso_requires_relation_free():
+    c = stalk_complex(FpModule.cyclic(Z, 4), 0)
+    with pytest.raises(UndecidableConfigurationError):
+        is_homotopy_iso(ChainMap.identity(c))

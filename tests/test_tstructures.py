@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from tiltbench import matrices, modules, suites, tstructures
+from tiltbench import complexes, matrices, modules, suites, tstructures
 from tiltbench.complexes import (
     cohomology,
     direct_sum_complexes,
@@ -357,3 +357,20 @@ def test_truncations_are_pinned():
                                for f in dec.factors]).encode())
     assert h.hexdigest() == (
         "1b4228cd7b03158621721f0e0ac98156580f24318974bfafa6fa8353e7df24b0")
+
+
+def test_free_heart_membership_builds_no_homotopy(monkeypatch):
+    # over a free carrier invertibility is read off the diagonals of the cone
+    calls, real_nullhomotopic = [], complexes.is_nullhomotopic
+
+    def counting_nullhomotopic(f):
+        calls.append(f)
+        return real_nullhomotopic(f)
+
+    monkeypatch.setattr(complexes, "is_nullhomotopic", counting_nullhomotopic)
+    monkeypatch.setattr(tstructures, "is_nullhomotopic", counting_nullhomotopic)
+    for i in range(5):
+        x = random_free_complex(rng_for(7, "heart-counting", i), SizeBounds())
+        heart_membership(LEFT, x)
+        heart_membership(RIGHT, x)
+    assert calls == []
