@@ -224,53 +224,40 @@ class Homotopy:
 
 # -- direct sums and cones ---------------------------------------------------
 
-def direct_sum_complexes(cs: Sequence[Complex]) -> tuple[Complex, list[list[ChainMap]]]:
-    """Degreewise direct sum; returns the sum and [injections, projections]."""
+def direct_sum_complexes(cs: Sequence[Complex]) -> Complex:
+    """The degreewise direct sum: each entry is the ``modules.direct_sum`` of
+    the summands' entries in the order of cs, so ``modules.injection`` and
+    ``modules.projection`` on them give the components of its structure maps.
+    """
     ring, base = cs[0].ring, cs[0].base
     lo = min(c.lo for c in cs)
     hi = max(c.hi for c in cs)
-    objs, inj_comps, proj_comps = [], [dict() for _ in cs], [dict() for _ in cs]
     parts = {n: [c.object_at(n) for c in cs] for n in range(lo, hi + 1)}
-    for n, ms in parts.items():
-        total, injs, projs = modules.direct_sum(ms)
-        objs.append(total)
-        for i in range(len(cs)):
-            inj_comps[i][n] = injs[i]
-            proj_comps[i][n] = projs[i]
+    objs = [modules.direct_sum(ms) for ms in parts.values()]
     diffs = [modules.block_morphism(
         objs[n - lo], objs[n + 1 - lo], parts[n], parts[n + 1],
         {(i, i): c.differential_at(n) for i, c in enumerate(cs)}) for n in range(lo, hi)]
-    sum_complex = Complex(ring, base, lo, objs, diffs, check=False)
-    injections = [ChainMap(c, sum_complex, inj_comps[i], check=False)
-                  for i, c in enumerate(cs)]
-    projections = [ChainMap(sum_complex, c, proj_comps[i], check=False)
-                   for i, c in enumerate(cs)]
-    return sum_complex, [injections, projections]
+    return Complex(ring, base, lo, objs, diffs, check=False)
 
 
-def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
-    """The mapping cone with its distinguished-triangle maps.
+def cone(f: ChainMap) -> Complex:
+    """The mapping cone of f : X -> Y.
 
-    cone^n = Y^n (+) X^{n+1}; returns (cone, Y -> cone, cone -> X[1]).
+    cone^n = Y^n (+) X^{n+1}, the ``modules.direct_sum`` of
+    [Y^n, X^{n+1}], with d^n = [[d_Y, f], [0, -d_X]].  The triangle maps
+    Y -> cone and cone -> X[1] are, degree by degree, ``modules.injection``
+    of summand 0 and ``modules.projection`` onto summand 1.
     """
     x, y = f.source, f.target
-    ring, base = x.ring, x.base
     lo = min(y.lo, x.lo - 1)
     hi = max(y.hi, x.hi - 1)
     parts = {n: [y.object_at(n), x.object_at(n + 1)] for n in range(lo, hi + 1)}
-    sums = {n: modules.direct_sum(ms) for n, ms in parts.items()}
-    objs = [total for total, _, _ in sums.values()]
-    # d^n = [[d_Y, f], [0, -d_X]] : Y^n (+) X^{n+1} -> Y^{n+1} (+) X^{n+2}
+    objs = {n: modules.direct_sum(ms) for n, ms in parts.items()}
     diffs = [modules.block_morphism(
-        sums[n][0], sums[n + 1][0], parts[n], parts[n + 1],
+        objs[n], objs[n + 1], parts[n], parts[n + 1],
         {(0, 0): y.differential_at(n), (0, 1): f.component_at(n + 1),
          (1, 1): modules.negate(x.differential_at(n + 1))}) for n in range(lo, hi)]
-    cone_complex = Complex(ring, base, lo, objs, diffs, check=False)
-    incl = ChainMap(y, cone_complex,
-                    {n: sums[n][1][0] for n in range(lo, hi + 1)}, check=False)
-    proj = ChainMap(cone_complex, x.shift(1),
-                    {n: sums[n][2][1] for n in range(lo, hi + 1)}, check=False)
-    return cone_complex, incl, proj
+    return Complex(x.ring, x.base, lo, list(objs.values()), diffs, check=False)
 
 
 # -- cohomology ----------------------------------------------------------------
@@ -327,8 +314,7 @@ def is_exact(c: Complex) -> bool:
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
-    cc, _, _ = cone(f)
-    return is_exact(cc)
+    return is_exact(cone(f))
 
 
 # -- homotopy decisions ---------------------------------------------------------
@@ -404,7 +390,7 @@ def is_homotopy_iso(f: ChainMap) -> bool:
     differential of the cone decides both.
     """
     _require_relation_free(f)
-    cc, _, _ = cone(f)
+    cc = cone(f)
     ranks = [0]
     for d in cc.differentials:
         diag = nonzero_diagonal(d.gen)
@@ -495,6 +481,6 @@ def free_resolution(c: Complex) -> Complex:
         return zero_complex(c.ring, BaseCategory.FREE_MODULES)
     if len(pieces) == 1:
         return pieces[0]
-    total, _ = direct_sum_complexes(pieces)
+    total = direct_sum_complexes(pieces)
     return Complex(c.ring, BaseCategory.FREE_MODULES, total.lo,
                    total.objects, total.differentials, check=False)

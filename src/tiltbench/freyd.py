@@ -117,13 +117,14 @@ def freyd_equal(f: FreydMorphism, g: FreydMorphism) -> bool:
 def freyd_direct_sum(a: FreydObject, b: FreydObject):
     """Direct sum with its two projections."""
     src_parts, tgt_parts = [a.relations, b.relations], [a.generators, b.generators]
-    src, _, src_proj = modules.direct_sum(src_parts)
-    tgt, _, tgt_proj = modules.direct_sum(tgt_parts)
+    src, tgt = modules.direct_sum(src_parts), modules.direct_sum(tgt_parts)
     carrier = modules.block_morphism(src, tgt, src_parts, tgt_parts,
                                      {(0, 0): a.carrier, (1, 1): b.carrier})
     total = FreydObject(a.ex, carrier)
-    proj_a = FreydMorphism(total, a, tgt_proj[0], src_proj[0])
-    proj_b = FreydMorphism(total, b, tgt_proj[1], src_proj[1])
+    proj_a = FreydMorphism(total, a, modules.projection(tgt, tgt_parts, 0),
+                           modules.projection(src, src_parts, 0))
+    proj_b = FreydMorphism(total, b, modules.projection(tgt, tgt_parts, 1),
+                           modules.projection(src, src_parts, 1))
     return total, (proj_a, proj_b)
 
 
@@ -149,15 +150,23 @@ def _reduce_carrier(ex: ExactStructure, carrier: FpMorphism):
     return FreydObject(ex, reduced), tgt_iso, tgt_inv, src_iso, src_inv
 
 
+def adjoin_relations(f: FreydObject, extra: FpMorphism) -> tuple[FpMorphism, FpMorphism]:
+    """The carrier [f.carrier | extra] : f.relations (+) extra.source ->
+    f.generators of a quotient of f, with the injection of f.relations into
+    its source, the witness of the quotient map."""
+    parts = [f.relations, extra.source]
+    rel_sum = modules.direct_sum(parts)
+    carrier = modules.block_morphism(rel_sum, f.generators, parts, [f.generators],
+                                     {(0, 0): f.carrier, (0, 1): extra})
+    return carrier, modules.injection(parts, rel_sum, 0)
+
+
 def freyd_cokernel(eta: FreydMorphism) -> tuple[FreydObject, FreydMorphism]:
     """Cokernel: adjoin the image of eta to the target's relations."""
     g = eta.target
-    rel_parts = [g.relations, eta.source.generators]
-    rel_sum, rel_inj, _ = modules.direct_sum(rel_parts)
-    carrier = modules.block_morphism(rel_sum, g.generators, rel_parts, [g.generators],
-                                     {(0, 0): g.carrier, (0, 1): eta.gen})
+    carrier, rel_inj = adjoin_relations(g, eta.gen)
     c, tgt_iso, _, src_iso, _ = _reduce_carrier(g.ex, carrier)
-    proj = FreydMorphism(g, c, tgt_iso, modules.compose(src_iso, rel_inj[0]))
+    proj = FreydMorphism(g, c, tgt_iso, modules.compose(src_iso, rel_inj))
     return c, proj
 
 
@@ -212,22 +221,27 @@ def pointwise_epi(eta: FreydMorphism) -> bool:
 
 # -- evaluation at probe objects -------------------------------------------------
 
-def evaluate(f: FreydObject, probe: FpModule) -> tuple[FpModule, "modules.HomGroup", FpMorphism]:
-    """F(probe) as an abelian group, with the covering hom-group data."""
-    h2 = modules.hom_group(probe, f.generators)
-    h1 = modules.hom_group(probe, f.relations)
+def _pushforward(f: FpMorphism, src: "modules.HomGroup",
+                 tgt: "modules.HomGroup") -> FpMorphism:
+    """The map src.module -> tgt.module sending each generator g of the hom
+    group src to the coordinates of f o g in tgt."""
     cols = []
-    for i in range(h1.module.generators):
-        pushed = modules.compose(f.carrier, h1.generator(i))
-        coords = h2.coordinates(pushed)
+    for i in range(src.module.generators):
+        coords = tgt.coordinates(modules.compose(f, src.generator(i)))
         if coords is None:
             raise AssertionError("pushforward left the hom group")
         cols.append([coords.at(j, 0) for j in range(coords.rows)])
     gen_mat = IntMatrix.from_rows(
-        Z, [[cols[i][j] for i in range(len(cols))] for j in range(h2.module.generators)],
+        Z, [[cols[i][j] for i in range(len(cols))] for j in range(tgt.module.generators)],
         cols=len(cols))
-    push = FpMorphism.from_generator_matrix(h1.module, h2.module, gen_mat)
-    value, proj = modules.cokernel(push)
+    return FpMorphism.from_generator_matrix(src.module, tgt.module, gen_mat)
+
+
+def evaluate(f: FreydObject, probe: FpModule) -> tuple[FpModule, "modules.HomGroup", FpMorphism]:
+    """F(probe) as an abelian group, with the covering hom-group data."""
+    h2 = modules.hom_group(probe, f.generators)
+    h1 = modules.hom_group(probe, f.relations)
+    value, proj = modules.cokernel(_pushforward(f.carrier, h1, h2))
     return value, h2, proj
 
 
@@ -238,20 +252,9 @@ def evaluate_map(eta: FreydMorphism, probe: FpModule,
         src_eval = evaluate(eta.source, probe)
     if tgt_eval is None:
         tgt_eval = evaluate(eta.target, probe)
-    src_value, src_h2, src_proj = src_eval
-    tgt_value, tgt_h2, tgt_proj = tgt_eval
-    cols = []
-    for i in range(src_h2.module.generators):
-        pushed = modules.compose(eta.gen, src_h2.generator(i))
-        coords = tgt_h2.coordinates(pushed)
-        if coords is None:
-            raise AssertionError("transformation left the hom group")
-        cols.append([coords.at(j, 0) for j in range(coords.rows)])
-    gen_mat = IntMatrix.from_rows(
-        Z, [[cols[i][j] for i in range(len(cols))]
-            for j in range(tgt_h2.module.generators)],
-        cols=len(cols))
-    lifted = FpMorphism.from_generator_matrix(src_h2.module, tgt_h2.module, gen_mat)
+    _, src_h2, src_proj = src_eval
+    _, tgt_h2, tgt_proj = tgt_eval
+    lifted = _pushforward(eta.gen, src_h2, tgt_h2)
     induced = modules.cofactor(modules.compose(tgt_proj, lifted), src_proj)
     if induced is None:
         raise AssertionError("evaluation did not descend to the quotient")
@@ -275,7 +278,7 @@ def right_filter_factor(f: FreydMorphism) -> tuple[FreydMorphism, FreydMorphism,
     # p: A1 -> A2 is the kernel of [gen, -p] on U2 (+) A1; the relations of
     # U map into it
     parts = [u.generators, a.relations]
-    total, _, projs = modules.direct_sum(parts)
+    total = modules.direct_sum(parts)
     pair = modules.block_morphism(u.relations, total, [u.relations], parts,
                                   {(0, 0): u.carrier, (1, 0): f.wit})
     diff = modules.block_morphism(total, a.generators, parts, [a.generators],
@@ -284,9 +287,9 @@ def right_filter_factor(f: FreydMorphism) -> tuple[FreydMorphism, FreydMorphism,
     r = modules.factor(pair, k_incl)
     if r is None:
         raise AssertionError("relations do not reach the pullback")
-    mid = FreydObject(u.ex, modules.compose(projs[0], k_incl))
+    mid = FreydObject(u.ex, modules.compose(modules.projection(total, parts, 0), k_incl))
     pi = FreydMorphism(u, mid, FpMorphism.identity(u.generators), r)
-    g = FreydMorphism(mid, a, f.gen, modules.compose(projs[1], k_incl))
+    g = FreydMorphism(mid, a, f.gen, modules.compose(modules.projection(total, parts, 1), k_incl))
     return pi, g, mid
 
 
@@ -441,9 +444,8 @@ def extension_middle(ex: ExactStructure, rnd, t1: FreydObject, t2: FreydObject,
         alpha = samplers.random_morphism(rnd, t2.relations, t1.relations, bound=1)
         delta = modules.compose(q1, alpha)
     src_parts, tgt_parts = [t1.relations, t2.relations], [t1.generators, t2.generators]
-    src_sum, _, _ = modules.direct_sum(src_parts)
-    tgt_sum, _, _ = modules.direct_sum(tgt_parts)
-    block = modules.block_morphism(src_sum, tgt_sum, src_parts, tgt_parts,
+    block = modules.block_morphism(modules.direct_sum(src_parts), modules.direct_sum(tgt_parts),
+                                   src_parts, tgt_parts,
                                    {(0, 0): q1, (0, 1): delta, (1, 1): q2})
     return FreydObject(ex, block)
 
@@ -461,14 +463,11 @@ def _serre_sample(ex: ExactStructure, rnd, bounds):
     payload = {"carrier": serialize.morphism_to_json(t.carrier)}
     extra_src = samplers.random_carrier_module(ex, rnd, bounds)
     extra = _retarget(ex, rnd, bounds, extra_src, t.generators)
-    rel_parts = [t.relations, extra_src]
-    rel_sum, rel_inj, _ = modules.direct_sum(rel_parts)
-    bigger = modules.block_morphism(rel_sum, t.generators, rel_parts, [t.generators],
-                                    {(0, 0): t.carrier, (0, 1): extra})
+    bigger, rel_inj = adjoin_relations(t, extra)
     quotient = FreydObject(ex, bigger)
     if not is_effaceable(quotient):
         yield "quotient_closure", payload
-    pi = FreydMorphism(t, quotient, FpMorphism.identity(t.generators), rel_inj[0])
+    pi = FreydMorphism(t, quotient, FpMorphism.identity(t.generators), rel_inj)
     sub, _ = freyd_kernel(pi)
     if not is_effaceable(sub):
         yield "subobject_closure", payload

@@ -306,16 +306,16 @@ def cofactor(g: FpMorphism, through: FpMorphism) -> Optional[FpMorphism]:
 
 # -- kernels, cokernels, images -------------------------------------------
 
-def span_quotient(gens: IntMatrix, rels: IntMatrix) -> tuple[FpModule, IntMatrix, IntMatrix]:
+def span_quotient(gens: IntMatrix, rels: IntMatrix) -> tuple[FpModule, IntMatrix]:
     """The module spanned by the columns of ``gens`` modulo ``rels``.
 
-    Returns (module, gens, witness) where the module has one generator per
-    column of ``gens`` and witness solves gens * presentation = rels * witness.
+    Returns (module, witness) where the module has one generator per column
+    of ``gens`` and witness solves gens * presentation = rels * witness.
     """
     pair = kernel_matrix(gens.hstack(-rels))
     pres = pair.take_rows(range(gens.cols))
     wit = pair.take_rows(range(gens.cols, gens.cols + rels.cols))
-    return FpModule(pres), gens, wit
+    return FpModule(pres), wit
 
 
 def kernel_generators(f: FpMorphism) -> IntMatrix:
@@ -327,7 +327,7 @@ def kernel_generators(f: FpMorphism) -> IntMatrix:
 def kernel(f: FpMorphism) -> tuple[FpModule, FpMorphism]:
     """Kernel with its monic inclusion."""
     u = kernel_generators(f)
-    k_mod, _, wit = span_quotient(u, f.source.presentation)
+    k_mod, wit = span_quotient(u, f.source.presentation)
     incl = FpMorphism(k_mod, f.source, u, wit)
     return k_mod, incl
 
@@ -344,8 +344,8 @@ def cokernel(f: FpMorphism) -> tuple[FpModule, FpMorphism]:
 
 def image(f: FpMorphism) -> tuple[FpModule, FpMorphism]:
     """Image submodule of the target, with its inclusion."""
-    im_mod, gens, wit = span_quotient(f.gen, f.target.presentation)
-    incl = FpMorphism(im_mod, f.target, gens, wit)
+    im_mod, wit = span_quotient(f.gen, f.target.presentation)
+    incl = FpMorphism(im_mod, f.target, f.gen, wit)
     return im_mod, incl
 
 
@@ -380,24 +380,35 @@ def inverse(f: FpMorphism) -> FpMorphism:
     return inv
 
 
-def direct_sum(ms: Sequence[FpModule]):
-    """Direct sum with injections and projections."""
+def direct_sum(ms: Sequence[FpModule]) -> FpModule:
+    """The direct sum, presented block-diagonally: its generators and its
+    relations are those of the summands, in order.  ``injection`` and
+    ``projection`` build a summand's structure maps where one is read."""
     if not ms:
         raise ValueError("empty direct sum; use FpModule.zero")
-    ring = ms[0].ring
-    total = FpModule(block_diag(ring, [m.presentation for m in ms]))
-    gen_sizes = [m.generators for m in ms]
-    rel_sizes = [m.relations for m in ms]
-    injections, projections = [], []
-    for k, m in enumerate(ms):
-        # the block inclusions of generators and of relations
-        e_gen = block_matrix(ring, gen_sizes, [m.generators],
-                             {(k, 0): IntMatrix.identity(ring, m.generators)})
-        e_rel = block_matrix(ring, rel_sizes, [m.relations],
-                             {(k, 0): IntMatrix.identity(ring, m.relations)})
-        injections.append(FpMorphism(m, total, e_gen, e_rel))
-        projections.append(FpMorphism(total, m, e_gen.transpose(), e_rel.transpose()))
-    return total, injections, projections
+    return FpModule(block_diag(ms[0].ring, [m.presentation for m in ms]))
+
+
+def injection(ms: Sequence[FpModule], total: FpModule, k: int) -> FpMorphism:
+    """ms[k] -> total = direct_sum(ms): the block inclusions of generators
+    and of relations."""
+    ring, m = total.ring, ms[k]
+    e_gen = block_matrix(ring, [p.generators for p in ms], [m.generators],
+                         {(k, 0): IntMatrix.identity(ring, m.generators)})
+    e_rel = block_matrix(ring, [p.relations for p in ms], [m.relations],
+                         {(k, 0): IntMatrix.identity(ring, m.relations)})
+    return FpMorphism(m, total, e_gen, e_rel)
+
+
+def projection(total: FpModule, ms: Sequence[FpModule], k: int) -> FpMorphism:
+    """total = direct_sum(ms) -> ms[k]: the transposes of the block
+    inclusions of ``injection``."""
+    ring, m = total.ring, ms[k]
+    e_gen = block_matrix(ring, [m.generators], [p.generators for p in ms],
+                         {(0, k): IntMatrix.identity(ring, m.generators)})
+    e_rel = block_matrix(ring, [m.relations], [p.relations for p in ms],
+                         {(0, k): IntMatrix.identity(ring, m.relations)})
+    return FpMorphism(total, m, e_gen, e_rel)
 
 
 def block_morphism(source: FpModule, target: FpModule,
@@ -405,8 +416,9 @@ def block_morphism(source: FpModule, target: FpModule,
                    blocks: dict[tuple[int, int], FpMorphism]) -> FpMorphism:
     """The morphism from source = (+) source_parts to target = (+) target_parts
     whose (i, j) block is blocks[i, j] : source_parts[j] -> target_parts[i],
-    zero where absent.  ``direct_sum`` presents a sum block-diagonally, so the
-    blocks' witnesses, placed like their generator matrices, witness the map.
+    zero where absent.  source and target are the ``direct_sum``s of their
+    parts, presented block-diagonally, so the blocks' witnesses, placed like
+    their generator matrices, witness the map.
     """
     ring = source.ring
     gen = block_matrix(ring, [m.generators for m in target_parts],
@@ -484,7 +496,7 @@ def hom_group(source: FpModule, target: FpModule) -> HomGroup:
     wit_vecs = sols.take_rows(range(b_n * b_m, sols.rows))
     # trivial morphisms: G = P_N * S
     triv = kron(IntMatrix.identity(ring, b_m), target.presentation)
-    module, gens, _ = span_quotient(gen_vecs, triv)
+    module, _ = span_quotient(gen_vecs, triv)
     return HomGroup(source, target, module, gen_vecs, wit_vecs, triv)
 
 
@@ -570,11 +582,11 @@ def pullback(f: FpMorphism, g: FpMorphism):
     if f.target.presentation != g.target.presentation:
         raise ValueError("pullback targets differ")
     parts = [f.source, g.source]
-    total, _, projections = direct_sum(parts)
+    total = direct_sum(parts)
     diff = block_morphism(total, f.target, parts, [f.target], {(0, 0): f, (0, 1): negate(g)})
     p_mod, incl = kernel(diff)
-    leg_a = compose(projections[0], incl)
-    leg_b = compose(projections[1], incl)
+    leg_a = compose(projection(total, parts, 0), incl)
+    leg_b = compose(projection(total, parts, 1), incl)
     return p_mod, leg_a, leg_b
 
 
@@ -583,9 +595,9 @@ def pushout(f: FpMorphism, g: FpMorphism):
     if f.source.presentation != g.source.presentation:
         raise ValueError("pushout sources differ")
     parts = [f.target, g.target]
-    total, injections, _ = direct_sum(parts)
+    total = direct_sum(parts)
     diff = block_morphism(f.source, total, [f.source], parts, {(0, 0): f, (1, 0): negate(g)})
     p_mod, proj = cokernel(diff)
-    leg_a = compose(proj, injections[0])
-    leg_b = compose(proj, injections[1])
+    leg_a = compose(proj, injection(parts, total, 0))
+    leg_b = compose(proj, injection(parts, total, 1))
     return p_mod, leg_a, leg_b

@@ -210,7 +210,7 @@ def random_disguised_free_stalk(rnd: random.Random, bounds: SizeBounds,
     stalk = free_complex(Z, degree, [], first_rank=rank)
     if rnd.random() < 0.7:
         pad = random_exact_free_complex(rnd, SizeBounds(2, 1, min(bounds.max_width, 3)))
-        total, _ = direct_sum_complexes([stalk, pad])
+        total = direct_sum_complexes([stalk, pad])
         rebuilt = free_complex(Z, total.lo,
                                [total.differential_at(n).gen
                                 for n in range(total.lo, total.hi)])

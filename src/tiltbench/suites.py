@@ -45,6 +45,7 @@ from .freyd import (
     Fraction,
     FreydMorphism,
     FreydObject,
+    adjoin_relations,
     auslander_project,
     evaluate,
     evaluate_map,
@@ -436,12 +437,9 @@ def _freyd_pointwise_exactness(rnd, bounds):
     t = _random_effaceable(ex, rnd, bounds)
     extra_src = samplers.random_module(rnd, bounds)
     extra = samplers.random_morphism(rnd, extra_src, t.generators)
-    rel_parts = [t.relations, extra_src]
-    rel_sum, rel_inj, _ = modules.direct_sum(rel_parts)
-    bigger = modules.block_morphism(rel_sum, t.generators, rel_parts, [t.generators],
-                                    {(0, 0): t.carrier, (0, 1): extra})
+    bigger, rel_inj = adjoin_relations(t, extra)
     quotient = FreydObject(ex, bigger)
-    pi = FreydMorphism(t, quotient, FpMorphism.identity(t.generators), rel_inj[0])
+    pi = FreydMorphism(t, quotient, FpMorphism.identity(t.generators), rel_inj)
     sub, incl = freyd_kernel(pi)
     payload = {"carrier": serialize.morphism_to_json(t.carrier)}
     for probe in probes:

@@ -350,7 +350,7 @@ def triangle_is_distinguished(spec: TStructureSpec, counit: ChainMap,
         homotopy = is_nullhomotopic(comp)
         if homotopy is None:
             return False
-    cone_c, _, _ = cone(counit)
+    cone_c = cone(counit)
     a = counit.source
     x = counit.target
     b = unit.target

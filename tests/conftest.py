@@ -1,19 +1,19 @@
 import pytest
 
 from tiltbench.matrices import PreparedSolver
+from tiltbench.modules import FpMorphism
 
 
-@pytest.fixture
-def solvers_built(monkeypatch):
-    """solvers_built(call, *args): the PreparedSolvers that call builds."""
+def constructions(monkeypatch, cls):
+    """count(call, *args): the instances of cls that call constructs."""
     built = []
-    real_init = PreparedSolver.__init__
+    real_init = cls.__init__
 
-    def counting_init(self, a):
-        built.append(a)
-        real_init(self, a)
+    def counting_init(self, *args):
+        built.append(args)
+        real_init(self, *args)
 
-    monkeypatch.setattr(PreparedSolver, "__init__", counting_init)
+    monkeypatch.setattr(cls, "__init__", counting_init)
 
     def count(call, *args):
         built.clear()
@@ -22,3 +22,16 @@ def solvers_built(monkeypatch):
         return len(built)
 
     return count
+
+
+@pytest.fixture
+def solvers_built(monkeypatch):
+    """solvers_built(call, *args): the PreparedSolvers that call builds."""
+    return constructions(monkeypatch, PreparedSolver)
+
+
+@pytest.fixture
+def morphisms_built(monkeypatch):
+    """morphisms_built(call, *args): the FpMorphisms that call constructs,
+    each with its witness check."""
+    return constructions(monkeypatch, FpMorphism)

@@ -38,6 +38,7 @@ from tiltbench.modules import (
     morphism_equal,
 )
 from tiltbench.rings import RingSpec
+from tiltbench.samplers import random_matrix, random_unimodular
 
 Z = RingSpec.INTEGERS
 FREE_SPLIT = ExactStructure(Carrier.FREE_Z, Flavor.SPLIT)
@@ -74,7 +75,6 @@ def test_effaceable_iff_presenting_deflation():
 
 def test_effaceability_presentation_independence():
     rnd = random.Random(8)
-    from tiltbench.samplers import random_unimodular
     for _ in range(20):
         r = rnd.randint(1, 3)
         base = IntMatrix.from_rows(
@@ -244,7 +244,6 @@ def test_fractions_differing_maps_unequal():
 
 def test_factors_through_effaceable_matches_projection():
     rnd = random.Random(15)
-    from tiltbench.samplers import random_matrix
     for _ in range(25):
         a = free_obj(FREE_SPLIT, random_matrix(rnd, 2, rnd.randint(0, 2), 4))
         b = free_obj(FREE_SPLIT, random_matrix(rnd, 2, rnd.randint(0, 2), 4))

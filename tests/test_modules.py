@@ -29,12 +29,14 @@ from tiltbench.modules import (
     cofactor,
     hom_group,
     image,
+    injection,
     inverse,
     is_epi,
     is_mono,
     is_zero_morphism,
     kernel,
     morphism_equal,
+    projection,
     projective_resolution,
     pullback,
     pushout,
@@ -272,7 +274,8 @@ def test_lift_through_epi():
 
 def test_direct_sum_and_projections():
     a, b = zmod(2), zmod(0)
-    s, (ia, ib), (pa, pb) = _unpack_sum(*direct_sum([a, b]))
+    s = direct_sum([a, b])
+    (ia, ib), (pa, pb) = summand_maps([a, b], s)
     assert s.invariant_data() == (1, (2,))
     assert morphism_equal(compose(pa, ia), FpMorphism.identity(a))
     assert morphism_equal(compose(pb, ib), FpMorphism.identity(b))
@@ -282,7 +285,7 @@ def test_direct_sum_and_projections():
 def test_block_morphism_places_blocks():
     z, z2, z4 = FpModule.free(Z, 1), zmod(2), zmod(4)
     src_parts, tgt_parts = [z4, z], [z2, z4]
-    src, tgt = direct_sum(src_parts)[0], direct_sum(tgt_parts)[0]
+    src, tgt = direct_sum(src_parts), direct_sum(tgt_parts)
     reduce_mod_2 = FpMorphism(z4, z2, zmat([[1]]), zmat([[2]]))
     three = FpMorphism(z, z4, zmat([[3]]), IntMatrix.zeros(Z, 1, 0))
     f = block_morphism(src, tgt, src_parts, tgt_parts, {
@@ -302,8 +305,10 @@ def test_block_morphism_places_blocks():
             block_morphism(src, tgt, src_parts, tgt_parts, {(0, 0): bad})
 
 
-def _unpack_sum(total, injections, projections):
-    return total, tuple(injections), tuple(projections)
+def summand_maps(ms, total):
+    """The injections and the projections of the summands of total."""
+    return ([injection(ms, total, k) for k in range(len(ms))],
+            [projection(total, ms, k) for k in range(len(ms))])
 
 
 def test_image_factorisation():
@@ -468,11 +473,12 @@ def test_known_witnesses_build_no_solver(solvers_built):
         rnd = rng_for(9, "known-witness", i)
         ms = [random_module(rnd, bounds) for _ in range(3)]
         assert solvers_built(direct_sum, ms) == 0
+        assert solvers_built(summand_maps, ms, direct_sum(ms)) == 0
         assert solvers_built(free_quotient, ms[0]) == 0
         assert solvers_built(torsion_decompose, ms[0]) == 0
 
     a, b = FpModule(zmat([[2, 1], [0, 3]])), FpModule(zmat([[4]]))
-    _, (ia, ib), (pa, pb) = _unpack_sum(*direct_sum([a, b]))
+    (ia, ib), (pa, pb) = summand_maps([a, b], direct_sum([a, b]))
     assert ia.gen == zmat([[1, 0], [0, 1], [0, 0]])
     assert ia.witness == zmat([[1, 0], [0, 1], [0, 0]])
     assert ib.gen == zmat([[0], [0], [1]]) and ib.witness == zmat([[0], [0], [1]])
@@ -518,9 +524,11 @@ def test_maps_between_direct_sums_are_pinned():
     for i in range(8):
         rnd = rng_for(5, "pinned-blocks", i)
         x, y = random_fp_complex(rnd, bounds), random_fp_complex(rnd, bounds)
-        cx, incl, _ = cone(ChainMap.identity(x))
-        cc, _, _ = cone(incl)
-        s, _ = direct_sum_complexes([x, y])
+        cx = cone(ChainMap.identity(x))
+        incl = ChainMap(x, cx, {n: injection([x.object_at(n), x.object_at(n + 1)],
+                                             cx.object_at(n), 0) for n in cx.degrees()})
+        cc = cone(incl)
+        s = direct_sum_complexes([x, y])
         for c in (cx, cc, s):
             update(*c.differentials)
         a, b, c = (random_module(rnd, bounds) for _ in range(3))
@@ -529,9 +537,9 @@ def test_maps_between_direct_sums_are_pinned():
         t1, t2 = (FreydObject(ex, random_carrier_deflation(ex, rnd, bounds))
                   for _ in range(2))
         total, (_, proj_2) = freyd_direct_sum(t1, t2)
-        _, gen_inj, _ = direct_sum([t1.generators, t2.generators])
-        _, rel_inj, _ = direct_sum([t1.relations, t2.relations])
-        inj_1 = FreydMorphism(t1, total, gen_inj[0], rel_inj[0])
+        gen_parts, rel_parts = [t1.generators, t2.generators], [t1.relations, t2.relations]
+        inj_1 = FreydMorphism(t1, total, injection(gen_parts, total.generators, 0),
+                              injection(rel_parts, total.relations, 0))
         quotient, q_proj = freyd_cokernel(inj_1)
         pi, g, mid = right_filter_factor(proj_2)
         update(total.carrier, quotient.carrier, q_proj.gen, q_proj.wit,
