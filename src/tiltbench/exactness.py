@@ -113,7 +113,7 @@ def is_deflation(f: FpMorphism, ex: ExactStructure) -> bool:
     if not modules.is_epi(f):
         return False
     k, _ = modules.kernel(f)
-    return ex.contains(modules.reduce_presentation(k))
+    return ex.contains(k)
 
 
 def is_inflation(f: FpMorphism, ex: ExactStructure) -> bool:
@@ -131,7 +131,7 @@ def is_inflation(f: FpMorphism, ex: ExactStructure) -> bool:
     if not modules.is_mono(f):
         return False
     c, _ = modules.cokernel(f)
-    return ex.contains(modules.reduce_presentation(c))
+    return ex.contains(c)
 
 
 def _is_cokernel_of_its_kernel(f: FpMorphism, ex: ExactStructure) -> bool:
@@ -261,7 +261,7 @@ def is_acyclic_wrt(c: Complex, ex: ExactStructure) -> AcyclicityReport:
     Returns the factor objects D^n as witnesses when acyclic.
     """
     for n in c.degrees():
-        if not ex.contains(modules.reduce_presentation(c.object_at(n))):
+        if not ex.contains(c.object_at(n)):
             raise CarrierMismatchError(f"complex entry in degree {n} leaves the carrier")
     factors = {}
     embeddings = {}
@@ -280,7 +280,7 @@ def is_acyclic_wrt(c: Complex, ex: ExactStructure) -> AcyclicityReport:
     for n in c.degrees():
         m = embeddings[n - 1]
         e = surjections[n]
-        if not ex.contains(modules.reduce_presentation(factors[n])):
+        if not ex.contains(factors[n]):
             return AcyclicityReport(False, reason=f"factor object at {n} leaves the carrier")
         if not is_conflation(m, e, ex):
             return AcyclicityReport(

@@ -17,15 +17,12 @@ projections).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
-from . import modules, samplers, serialize
+from . import modules
 from .exactness import Carrier, ExactStructure, is_deflation
 from .matrices import IntMatrix
 from .modules import FpModule, FpMorphism
-from .reports import run_samples
 from .rings import RingSpec
-from .samplers import SizeBounds
 
 Z = RingSpec.INTEGERS
 
@@ -415,72 +412,3 @@ def project_fraction(a: Fraction) -> FpMorphism:
     inv = modules.inverse(l_roof)
     return modules.compose(project_morphism(a.map), inv)
 
-
-# -- the Serre-subcategory battery ------------------------------------------------
-
-def extension_middle(ex: ExactStructure, rnd, t1: FreydObject, t2: FreydObject,
-                     bounds) -> FreydObject:
-    """An honest extension of t2 by t1: a block carrier with a gluing map.
-
-    The gluing must send the kernel of t2's presenting map into the image
-    of t1's, otherwise the block fails to be an extension; random
-    candidates are retried and the split gluing is the fallback.
-    """
-    q1, q2 = t1.carrier, t2.carrier
-    k2, kappa2 = modules.kernel(q2)
-    delta = None
-    for _ in range(4):
-        if ex.carrier is Carrier.FREE_Z:
-            cand = FpMorphism.from_generator_matrix(
-                t2.relations, t1.generators,
-                samplers.random_matrix(rnd, t1.generators.generators,
-                                       t2.relations.generators, 2))
-        else:
-            cand = samplers.random_morphism(rnd, t2.relations, t1.generators)
-        if modules.factor(modules.compose(cand, kappa2), q1) is not None:
-            delta = cand
-            break
-    if delta is None:
-        alpha = samplers.random_morphism(rnd, t2.relations, t1.relations, bound=1)
-        delta = modules.compose(q1, alpha)
-    src_parts, tgt_parts = [t1.relations, t2.relations], [t1.generators, t2.generators]
-    block = modules.block_morphism(modules.direct_sum(src_parts), modules.direct_sum(tgt_parts),
-                                   src_parts, tgt_parts,
-                                   {(0, 0): q1, (0, 1): delta, (1, 1): q2})
-    return FreydObject(ex, block)
-
-
-def serre_closure_check(ex: ExactStructure, sample_budget: int, seed: int,
-                        bounds: SizeBounds = SizeBounds()):
-    """Sampled closure of the effaceables under extensions, admissible
-    subobjects and admissible quotients; counterexamples reported."""
-    return run_samples(sample_budget, seed, ("serre", ex.config_string()),
-                       partial(_serre_sample, ex), bounds)
-
-
-def _serre_sample(ex: ExactStructure, rnd, bounds):
-    t = FreydObject(ex, samplers.random_carrier_deflation(ex, rnd, bounds))
-    payload = {"carrier": serialize.morphism_to_json(t.carrier)}
-    extra_src = samplers.random_carrier_module(ex, rnd, bounds)
-    extra = _retarget(ex, rnd, bounds, extra_src, t.generators)
-    bigger, rel_inj = adjoin_relations(t, extra)
-    quotient = FreydObject(ex, bigger)
-    if not is_effaceable(quotient):
-        yield "quotient_closure", payload
-    pi = FreydMorphism(t, quotient, FpMorphism.identity(t.generators), rel_inj)
-    sub, _ = freyd_kernel(pi)
-    if not is_effaceable(sub):
-        yield "subobject_closure", payload
-    t1 = FreydObject(ex, samplers.random_carrier_deflation(ex, rnd, bounds))
-    t2 = FreydObject(ex, samplers.random_carrier_deflation(ex, rnd, bounds))
-    middle = extension_middle(ex, rnd, t1, t2, bounds)
-    if not is_effaceable(middle):
-        yield "extension_closure", payload
-
-
-def _retarget(ex, rnd, bounds, src: FpModule, tgt: FpModule) -> FpMorphism:
-    if ex.carrier is Carrier.FREE_Z:
-        return FpMorphism.from_generator_matrix(
-            src, tgt, samplers.random_matrix(rnd, tgt.generators, src.generators,
-                                             bounds.max_entry))
-    return samplers.random_morphism(rnd, src, tgt)

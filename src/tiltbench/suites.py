@@ -1,16 +1,18 @@
 """Named property suites over all modules, with a one-to-one law registry.
 
-Most suites are one sample function run by ``reports.run_samples``: it gets
-the sample's generator, derived from (seed, suite label, index), and yields
-a (check, payload) pair with a serialised counterexample for each failed
-check.  A run is thus reproducible regardless of scheduling.  The registry
-holds the one statement of the law a suite checks; the verifier prints it
-in the report header.
+Every sampled suite is a sample function in this module, run by
+``reports.run_samples``: it gets the sample's generator, derived from
+(seed, suite label, index), and yields a (check, payload) pair with a
+serialised counterexample for each failed check.  A run is thus
+reproducible regardless of scheduling; the algebra modules import no
+sampler, serialiser or report.  The registry holds the one statement of
+the law a suite checks; the verifier prints it in the report header.
 
 Two suites are negative controls: one is designed to fail (a deliberately
 corrupted truncation) and one asserts that the cogeneration check on the
-free class correctly rejects torsion witnesses.  A clean pass on the raw
-corrupted suite would indicate a vacuous checker.
+free class correctly rejects torsion witnesses.  Each control also checks a
+fixed instance known to expose its defect, so a clean pass of both its
+sampled and its fixed part indicates a vacuous checker.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable
 
-from . import modules, samplers, serialize
+from . import matrices, modules, samplers, serialize
 from .complexes import (
+    BaseCategory,
+    Complex,
     cohomology,
     derived_hom,
     free_complex,
@@ -29,6 +33,7 @@ from .complexes import (
     is_contractible,
     is_exact,
     is_nullhomotopic,
+    stalk_complex,
 )
 from .exactness import (
     Carrier,
@@ -60,7 +65,6 @@ from .freyd import (
     project_morphism,
     refine_fraction,
     right_filter_factor,
-    serre_closure_check,
 )
 from .matrices import IntMatrix, is_unimodular, kernel_matrix, smith_normal_form, solve_lift
 from .modules import FpModule, FpMorphism
@@ -71,10 +75,11 @@ from .tstructures import (
     ClassTag,
     TStructureSpec,
     TVariant,
-    check_tstructure_axioms,
+    approximating_triangle,
     cogeneration_witness,
     heart_membership,
     in_aisle,
+    in_coaisle,
     intersection_normal_form,
     left_heart_map_to_module_map,
     left_heart_to_module,
@@ -82,7 +87,6 @@ from .tstructures import (
     module_to_left_heart,
     star_membership,
     t_cohomology,
-    tilting_class_check,
     triangle_is_distinguished,
     truncate_ge,
     truncate_le,
@@ -425,6 +429,115 @@ def _star_trivial_class(rnd, bounds):
                 break
 
 
+def _sample_for(spec: TStructureSpec, rnd, bounds: SizeBounds) -> Complex:
+    if spec.ambient_base is BaseCategory.FREE_MODULES:
+        return samplers.random_free_complex(rnd, bounds)
+    return samplers.random_fp_complex(rnd, bounds)
+
+
+def _resolve(c: Complex) -> Complex:
+    return c if c.is_strict_free() else free_resolution(c)
+
+
+def _axiom_sample(spec: TStructureSpec, rnd, bounds: SizeBounds):
+    x = _sample_for(spec, rnd, bounds)
+    x2 = _sample_for(spec, rnd, bounds)
+    yield from _aisle_axioms(spec, x, x2)
+
+
+def _aisle_axioms(spec: TStructureSpec, x: Complex, x2: Complex):
+    """The aisle axioms on x and x2: shift closure, orthogonal truncation
+    pieces (their hom group in the localized category vanishes), and a
+    distinguished approximating triangle with parts in the right classes."""
+    tri = approximating_triangle(spec, x)
+    a = tri.sub
+    b, _ = truncate_ge(spec, 1, x2)
+    payload = {"sample": serialize.complex_to_json(x),
+               "second": serialize.complex_to_json(x2)}
+    if not in_aisle(spec, 0, a):
+        yield "aisle_membership_of_truncation", payload
+    if not in_aisle(spec, 0, a.shift(1)):
+        yield "aisle_shift_closure", payload
+    hom0 = derived_hom(_resolve(a), _resolve(b), 0)
+    if not hom0.is_zero_module():
+        yield "orthogonality", payload
+    if not triangle_is_distinguished(spec, tri.sub_map, tri.quot_map):
+        yield "approximating_triangle", payload
+    if not in_coaisle(spec, 1, tri.quotient):
+        yield "coaisle_membership_of_truncation", payload
+
+
+# -- tilting classes -----------------------------------------------------------------
+
+def _class_contains(tag: ClassTag, m: FpModule) -> bool:
+    if tag is ClassTag.ALL_FP:
+        return True
+    if tag is ClassTag.TORSION:
+        return m.is_torsion()
+    return m.is_free()
+
+
+def _sample_class_module(tag: ClassTag, rnd, bounds: SizeBounds) -> FpModule:
+    if tag is ClassTag.ALL_FP:
+        return samplers.random_module(rnd, bounds)
+    if tag is ClassTag.TORSION:
+        return samplers.random_torsion_module(rnd, bounds)
+    return samplers.random_free_module(rnd, bounds)
+
+
+def _tilting_sample(class_tag: ClassTag, mode: str, rnd, bounds: SizeBounds):
+    """The 1-tilting class conditions: cogeneration, extension closure,
+    kernels and the cokernel condition; in the cotilting-dual mode,
+    generation, extension closure and closure under subobjects."""
+    sample = samplers.random_module(rnd, bounds)
+    payload = {"module": serialize.module_to_json(sample)}
+    if mode == "tilting":
+        if cogeneration_witness(class_tag, sample) is None:
+            yield "cogeneration", payload
+    else:
+        # generation: the canonical cover from the generators must be an
+        # epimorphism from a class object
+        cover = FpModule.free(Z, sample.generators)
+        epi = FpMorphism.from_generator_matrix(
+            cover, sample, IntMatrix.identity(Z, sample.generators))
+        if not modules.is_epi(epi) or not _class_contains(class_tag, cover):
+            yield "generation", payload
+    # extension closure: reduced presentations make every block honest
+    s_mod = _sample_class_module(class_tag, rnd, bounds)
+    q_mod = _sample_class_module(class_tag, rnd, bounds)
+    s_red = modules.reduce_presentation(s_mod)
+    q_red = modules.reduce_presentation(q_mod)
+    delta = samplers.random_matrix(rnd, s_red.generators, q_red.relations,
+                                   bounds.max_entry)
+    middle = FpModule(matrices.block_matrix(
+        Z, [s_red.generators, q_red.generators], [s_red.relations, q_red.relations],
+        {(0, 0): s_red.presentation, (0, 1): delta, (1, 1): q_red.presentation}))
+    if not _class_contains(class_tag, middle):
+        yield "extension_closure", {"middle": serialize.module_to_json(middle)}
+    if mode == "tilting":
+        # kernels inside the class
+        src = _sample_class_module(class_tag, rnd, bounds)
+        tgt = _sample_class_module(class_tag, rnd, bounds)
+        f = samplers.random_morphism(rnd, src, tgt)
+        k, _ = modules.kernel(f)
+        if not _class_contains(class_tag, k):
+            yield "kernel_closure", {"kernel": serialize.module_to_json(k)}
+        # cokernel condition
+        host = _sample_class_module(class_tag, rnd, bounds)
+        g = samplers.random_morphism(rnd, samplers.random_module(rnd, bounds), host)
+        sub, incl = modules.image(g)
+        c, _ = modules.cokernel(incl)
+        if not _class_contains(class_tag, c):
+            yield "cokernel_condition", {"quotient": serialize.module_to_json(c)}
+    else:
+        # dual: closure under subobjects
+        host = _sample_class_module(class_tag, rnd, bounds)
+        g = samplers.random_morphism(rnd, samplers.random_module(rnd, bounds), host)
+        sub, _ = modules.image(g)
+        if not _class_contains(class_tag, sub):
+            yield "subobject_closure", {"subobject": serialize.module_to_json(sub)}
+
+
 # -- effaceable functors -----------------------------------------------------------
 
 def _random_effaceable(ex, rnd, bounds) -> FreydObject:
@@ -549,45 +662,69 @@ def _right_filtering(rnd, bounds):
         yield "factor_pointwise_epi", payload
 
 
-# -- compositions of checker reports ----------------------------------------------------
+def extension_middle(ex: ExactStructure, rnd, t1: FreydObject, t2: FreydObject,
+                     bounds) -> FreydObject:
+    """An honest extension of t2 by t1: a block carrier with a gluing map.
 
-def _tilting_class_laws(budget, seed, bounds):
-    report = tilting_class_check(ClassTag.ALL_FP, 1, budget, seed, bounds)
-    dual = tilting_class_check(ClassTag.FREE, 1, budget, seed, bounds,
-                               mode="cotilting")
-    report.failures += dual.failures
-    report.samples += dual.samples
-    return report
-
-
-def _expect_failure(sub: CheckReport, expected: str | None = None) -> CheckReport:
-    """A control's report from its sub-check's: ``vacuous_checker`` unless the
-    sub-check failed ``expected`` (any check when None).  The sub-check's
-    crashes are kept and never count as the expected failure."""
-    crashes = [f for f in sub.failures if f.check == "crash"]
-    if not any(f.check != "crash" and expected in (None, f.check)
-               for f in sub.failures):
-        crashes.append(CheckFailure(0, "vacuous_checker"))
-    sub.failures = crashes
-    return sub
-
-
-def _corrupted_detected(budget, seed, bounds):
-    return _expect_failure(check_tstructure_axioms(CORRUPTED, budget, seed, bounds))
-
-
-def _cogeneration_control(budget, seed, bounds):
-    sub = tilting_class_check(ClassTag.FREE, 1, budget, seed, bounds)
-    report = _expect_failure(sub, "cogeneration")
-    z2 = FpModule.cyclic(Z, 2)
-    if cogeneration_witness(ClassTag.FREE, z2) is not None:
-        report.record(0, "witness_embedded_into_free")
-    if not modules.hom_group(z2, FpModule.free(Z, 2)).module.is_zero_module():
-        report.record(0, "witness_hom_group_nonzero")
-    return report
+    The gluing must send the kernel of t2's presenting map into the image
+    of t1's, otherwise the block fails to be an extension; random
+    candidates are retried and the split gluing is the fallback.
+    """
+    q1, q2 = t1.carrier, t2.carrier
+    k2, kappa2 = modules.kernel(q2)
+    delta = None
+    for _ in range(4):
+        if ex.carrier is Carrier.FREE_Z:
+            cand = FpMorphism.from_generator_matrix(
+                t2.relations, t1.generators,
+                samplers.random_matrix(rnd, t1.generators.generators,
+                                       t2.relations.generators, 2))
+        else:
+            cand = samplers.random_morphism(rnd, t2.relations, t1.generators)
+        if modules.factor(modules.compose(cand, kappa2), q1) is not None:
+            delta = cand
+            break
+    if delta is None:
+        alpha = samplers.random_morphism(rnd, t2.relations, t1.relations, bound=1)
+        delta = modules.compose(q1, alpha)
+    src_parts, tgt_parts = [t1.relations, t2.relations], [t1.generators, t2.generators]
+    block = modules.block_morphism(modules.direct_sum(src_parts), modules.direct_sum(tgt_parts),
+                                   src_parts, tgt_parts,
+                                   {(0, 0): q1, (0, 1): delta, (1, 1): q2})
+    return FreydObject(ex, block)
 
 
-# -- registry ---------------------------------------------------------------------------
+def _retarget(ex, rnd, bounds, src: FpModule, tgt: FpModule) -> FpMorphism:
+    if ex.carrier is Carrier.FREE_Z:
+        return FpMorphism.from_generator_matrix(
+            src, tgt, samplers.random_matrix(rnd, tgt.generators, src.generators,
+                                             bounds.max_entry))
+    return samplers.random_morphism(rnd, src, tgt)
+
+
+def _serre_sample(ex: ExactStructure, rnd, bounds):
+    """Closure of the effaceables under admissible quotients, admissible
+    subobjects and extensions."""
+    t = _random_effaceable(ex, rnd, bounds)
+    payload = {"carrier": serialize.morphism_to_json(t.carrier)}
+    extra_src = samplers.random_carrier_module(ex, rnd, bounds)
+    extra = _retarget(ex, rnd, bounds, extra_src, t.generators)
+    bigger, rel_inj = adjoin_relations(t, extra)
+    quotient = FreydObject(ex, bigger)
+    if not is_effaceable(quotient):
+        yield "quotient_closure", payload
+    pi = FreydMorphism(t, quotient, FpMorphism.identity(t.generators), rel_inj)
+    sub, _ = freyd_kernel(pi)
+    if not is_effaceable(sub):
+        yield "subobject_closure", payload
+    t1 = _random_effaceable(ex, rnd, bounds)
+    t2 = _random_effaceable(ex, rnd, bounds)
+    middle = extension_middle(ex, rnd, t1, t2, bounds)
+    if not is_effaceable(middle):
+        yield "extension_closure", payload
+
+
+# -- checks: sample functions through the driver, and their compositions ---------------
 
 def _sampled(sample: Sample, *labels) -> Check:
     """A check running ``sample`` through the driver; ``_suite`` names it."""
@@ -596,6 +733,76 @@ def _sampled(sample: Sample, *labels) -> Check:
 
     return check
 
+
+def _axioms(spec: TStructureSpec) -> Check:
+    return _sampled(partial(_axiom_sample, spec), "axiom", spec.config_string())
+
+
+def _tilting(tag: ClassTag, mode: str) -> Check:
+    # the 1 is the tilting index; it stays in the labels, which seed the samples
+    return _sampled(partial(_tilting_sample, tag, mode), "tilting", tag.value, 1, mode)
+
+
+def _serre(ex: ExactStructure) -> Check:
+    return _sampled(partial(_serre_sample, ex), "serre", ex.config_string())
+
+
+def _tilting_class_laws(budget, seed, bounds):
+    report = _tilting(ClassTag.ALL_FP, "tilting")(budget, seed, bounds)
+    dual = _tilting(ClassTag.FREE, "cotilting")(budget, seed, bounds)
+    report.failures += dual.failures
+    report.samples += dual.samples
+    return report
+
+
+def _expect_failure(sub: CheckReport, fixed: Iterable[tuple[str, dict]],
+                    expected: str | None = None) -> CheckReport:
+    """A control's report from its sampled sub-check and from ``fixed``, the
+    failures of an instance known to expose the defect.  Detection is a
+    failure ``expected`` (any but a crash when None) in either; without one
+    the report records ``vacuous_checker``.  It keeps every crash, the fixed
+    instance's as sample 0, and the fixed instance's other failures."""
+    detected = any(f.check != "crash" and expected in (None, f.check)
+                   for f in sub.failures)
+    kept = [f for f in sub.failures if f.check == "crash"]
+    try:
+        for check, payload in fixed:
+            if expected in (None, check):
+                detected = True
+            else:
+                kept.append(CheckFailure(0, check, payload))
+    except Exception as e:  # like a crashing sample, never a detection
+        kept.append(CheckFailure(0, "crash", {"exception": type(e).__name__}))
+    if not detected:
+        kept.append(CheckFailure(0, "vacuous_checker"))
+    sub.failures = kept
+    return sub
+
+
+def _corrupted_detected(budget, seed, bounds):
+    # the off-by-one cap puts this whole stalk in both truncations
+    stalk = stalk_complex(FpModule.free(Z, 1), 1)
+    return _expect_failure(_axioms(CORRUPTED)(budget, seed, bounds),
+                           _aisle_axioms(CORRUPTED, stalk, stalk))
+
+
+def _z2_cogeneration():
+    """Z/2 has no embedding into a free group, and no nonzero map to one."""
+    z2 = FpModule.cyclic(Z, 2)
+    if cogeneration_witness(ClassTag.FREE, z2) is None:
+        yield "cogeneration", {}
+    else:
+        yield "witness_embedded_into_free", {}
+    if not modules.hom_group(z2, FpModule.free(Z, 2)).module.is_zero_module():
+        yield "witness_hom_group_nonzero", {}
+
+
+def _cogeneration_control(budget, seed, bounds):
+    return _expect_failure(_tilting(ClassTag.FREE, "tilting")(budget, seed, bounds),
+                           _z2_cogeneration(), "cogeneration")
+
+
+# -- registry ---------------------------------------------------------------------------
 
 def _suite(name: str, law: str, check: Check, negative_control: bool = False) -> SuiteDef:
     """The registry entry: the report carries the registry key, the law, and
@@ -674,22 +881,15 @@ def build_registry() -> dict[str, SuiteDef]:
                _corrupted_detected),
         _suite("negative_corrupted_tstructure",
                "designed-to-fail corrupted truncation",
-               partial(check_tstructure_axioms, CORRUPTED),
+               _axioms(CORRUPTED),
                negative_control=True),
-        _suite("tstructure_axioms_natural", tstructure_law,
-               partial(check_tstructure_axioms, NATURAL)),
-        _suite("tstructure_axioms_left", tstructure_law,
-               partial(check_tstructure_axioms, LEFT)),
-        _suite("tstructure_axioms_right", tstructure_law,
-               partial(check_tstructure_axioms, RIGHT)),
-        _suite("tstructure_axioms_hrs", tstructure_law,
-               partial(check_tstructure_axioms, HRS)),
-        _suite("serre_effaceable_freez", serre_law,
-               partial(serre_closure_check, FREE_SPLIT)),
-        _suite("serre_effaceable_fpz", serre_law,
-               partial(serre_closure_check, FP_MAX)),
-        _suite("serre_effaceable_torsion", serre_law,
-               partial(serre_closure_check, TOR_INH)),
+        _suite("tstructure_axioms_natural", tstructure_law, _axioms(NATURAL)),
+        _suite("tstructure_axioms_left", tstructure_law, _axioms(LEFT)),
+        _suite("tstructure_axioms_right", tstructure_law, _axioms(RIGHT)),
+        _suite("tstructure_axioms_hrs", tstructure_law, _axioms(HRS)),
+        _suite("serre_effaceable_freez", serre_law, _serre(FREE_SPLIT)),
+        _suite("serre_effaceable_fpz", serre_law, _serre(FP_MAX)),
+        _suite("serre_effaceable_torsion", serre_law, _serre(TOR_INH)),
     ]
     return {d.name: d for d in defs}
 

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
-from . import modules, samplers, serialize
+from . import modules
 from .complexes import (
     BaseCategory,
     ChainMap,
@@ -39,9 +38,7 @@ from .complexes import (
     cohomology,
     compose_chain_maps,
     cone,
-    derived_hom,
     free_complex,
-    free_resolution,
     is_homotopy_iso,
     is_nullhomotopic,
     is_quasi_iso,
@@ -49,11 +46,9 @@ from .complexes import (
     zero_complex,
 )
 from .exactness import Carrier, ExactStructure, e_cokernel, e_kernel
-from .matrices import IntMatrix, block_matrix, solve_lift
+from .matrices import solve_lift
 from .modules import FpModule, FpMorphism
-from .reports import CheckReport, run_samples
 from .rings import RingSpec
-from .samplers import SizeBounds
 
 Z = RingSpec.INTEGERS
 
@@ -542,72 +537,7 @@ def intersection_normal_form(spec1: TStructureSpec, spec2: TStructureSpec,
     return modules.reduce_presentation(c_mod)
 
 
-# -- axiom checking -----------------------------------------------------------------
-
-def _sample_for(spec: TStructureSpec, rnd, bounds: SizeBounds) -> Complex:
-    if spec.ambient_base is BaseCategory.FREE_MODULES:
-        return samplers.random_free_complex(rnd, bounds)
-    return samplers.random_fp_complex(rnd, bounds)
-
-
-def _resolve(spec: TStructureSpec, c: Complex) -> Complex:
-    if c.is_strict_free():
-        return c
-    return free_resolution(c)
-
-
-def check_tstructure_axioms(spec: TStructureSpec, sample_budget: int,
-                            seed: int, bounds: SizeBounds = SizeBounds()
-                            ) -> CheckReport:
-    """Sampled verification of the aisle axioms.
-
-    Per sample: the aisle is closed under shift, the truncation pieces are
-    orthogonal (their hom group in the localized category vanishes), and
-    the approximating triangle is distinguished with its parts in the
-    correct classes.  Failures carry serialised counterexamples.
-    """
-    return run_samples(sample_budget, seed, ("axiom", spec.config_string()),
-                       partial(_axiom_sample, spec), bounds)
-
-
-def _axiom_sample(spec: TStructureSpec, rnd, bounds: SizeBounds):
-    x = _sample_for(spec, rnd, bounds)
-    x2 = _sample_for(spec, rnd, bounds)
-    tri = approximating_triangle(spec, x)
-    a = tri.sub
-    b, _ = truncate_ge(spec, 1, x2)
-    payload = {"sample": serialize.complex_to_json(x),
-               "second": serialize.complex_to_json(x2)}
-    if not in_aisle(spec, 0, a):
-        yield "aisle_membership_of_truncation", payload
-    if not in_aisle(spec, 0, a.shift(1)):
-        yield "aisle_shift_closure", payload
-    hom0 = derived_hom(_resolve(spec, a), _resolve(spec, b), 0)
-    if not hom0.is_zero_module():
-        yield "orthogonality", payload
-    if not triangle_is_distinguished(spec, tri.sub_map, tri.quot_map):
-        yield "approximating_triangle", payload
-    if not in_coaisle(spec, 1, tri.quotient):
-        yield "coaisle_membership_of_truncation", payload
-
-
-# -- tilting class checks --------------------------------------------------------------
-
-def _class_contains(tag: ClassTag, m: FpModule) -> bool:
-    if tag is ClassTag.ALL_FP:
-        return True
-    if tag is ClassTag.TORSION:
-        return m.is_torsion()
-    return m.is_free()
-
-
-def _sample_class_module(tag: ClassTag, rnd, bounds: SizeBounds) -> FpModule:
-    if tag is ClassTag.ALL_FP:
-        return samplers.random_module(rnd, bounds)
-    if tag is ClassTag.TORSION:
-        return samplers.random_torsion_module(rnd, bounds)
-    return samplers.random_free_module(rnd, bounds)
-
+# -- tilting classes ---------------------------------------------------------------
 
 def cogeneration_witness(tag: ClassTag, m: FpModule) -> Optional[FpMorphism]:
     """An embedding of m into a class object, produced from normal-form data."""
@@ -618,73 +548,3 @@ def cogeneration_witness(tag: ClassTag, m: FpModule) -> Optional[FpMorphism]:
             return FpMorphism.identity(m)
         return None
     return modules.embed_into_free(m)
-
-
-def tilting_class_check(class_tag: ClassTag, n: int, sample_budget: int,
-                        seed: int, bounds: SizeBounds = SizeBounds(),
-                        mode: str = "tilting") -> CheckReport:
-    """Sampled verification of the tilting-class conditions for a class.
-
-    Checks cogeneration (or generation, in the cotilting-dual mode),
-    extension closure, existence of kernels (closure under subobjects in
-    the dual mode), and the n-step cokernel condition (kernel condition in
-    the dual mode).
-    """
-    return run_samples(sample_budget, seed, ("tilting", class_tag.value, n, mode),
-                       partial(_tilting_sample, class_tag, n, mode), bounds)
-
-
-def _tilting_sample(class_tag: ClassTag, n: int, mode: str, rnd, bounds: SizeBounds):
-    sample = samplers.random_module(rnd, bounds)
-    payload = {"module": serialize.module_to_json(sample)}
-    if mode == "tilting":
-        if cogeneration_witness(class_tag, sample) is None:
-            yield "cogeneration", payload
-    else:
-        # generation: the canonical cover from the generators must be an
-        # epimorphism from a class object
-        cover = FpModule.free(Z, sample.generators)
-        epi = FpMorphism.from_generator_matrix(
-            cover, sample, IntMatrix.identity(Z, sample.generators))
-        if not modules.is_epi(epi) or not _class_contains(class_tag, cover):
-            yield "generation", payload
-    # extension closure: reduced presentations make every block honest
-    s_mod = _sample_class_module(class_tag, rnd, bounds)
-    q_mod = _sample_class_module(class_tag, rnd, bounds)
-    s_red = modules.reduce_presentation(s_mod)
-    q_red = modules.reduce_presentation(q_mod)
-    delta = samplers.random_matrix(rnd, s_red.generators, q_red.relations,
-                                   bounds.max_entry)
-    middle = FpModule(block_matrix(
-        Z, [s_red.generators, q_red.generators], [s_red.relations, q_red.relations],
-        {(0, 0): s_red.presentation, (0, 1): delta, (1, 1): q_red.presentation}))
-    if not _class_contains(class_tag, modules.reduce_presentation(middle)):
-        yield "extension_closure", {"middle": serialize.module_to_json(middle)}
-    if mode == "tilting":
-        # kernels inside the class
-        src = _sample_class_module(class_tag, rnd, bounds)
-        tgt = _sample_class_module(class_tag, rnd, bounds)
-        f = samplers.random_morphism(rnd, src, tgt)
-        k, _ = modules.kernel(f)
-        if not _class_contains(class_tag, modules.reduce_presentation(k)):
-            yield "kernel_closure", {"kernel": serialize.module_to_json(k)}
-        # n-step cokernel condition
-        if n == 1:
-            host = _sample_class_module(class_tag, rnd, bounds)
-            g = samplers.random_morphism(rnd, samplers.random_module(rnd, bounds), host)
-            sub, incl = modules.image(g)
-            c, _ = modules.cokernel(incl)
-        else:
-            x2 = _sample_class_module(class_tag, rnd, bounds)
-            x1 = _sample_class_module(class_tag, rnd, bounds)
-            f2 = samplers.random_morphism(rnd, x2, x1)
-            c, _ = modules.cokernel(f2)
-        if not _class_contains(class_tag, modules.reduce_presentation(c)):
-            yield "cokernel_condition", {"quotient": serialize.module_to_json(c)}
-    else:
-        # dual: closure under subobjects
-        host = _sample_class_module(class_tag, rnd, bounds)
-        g = samplers.random_morphism(rnd, samplers.random_module(rnd, bounds), host)
-        sub, _ = modules.image(g)
-        if not _class_contains(class_tag, modules.reduce_presentation(sub)):
-            yield "subobject_closure", {"subobject": serialize.module_to_json(sub)}

@@ -195,8 +195,20 @@ def test_control_reports_a_crash_of_its_sub_check(monkeypatch):
     monkeypatch.setattr(tstructures, "truncate_le", broken_truncation)
     report = REGISTRY["corrupted_tstructure_detected"].run(2, 1, SizeBounds())
     assert report.samples == 2
+    # both samples crash, and so does the fixed instance, recorded as sample 0
     assert sorted((f.sample_index, f.check) for f in report.failures) == [
-        (0, "crash"), (0, "vacuous_checker"), (1, "crash")]
+        (0, "crash"), (0, "crash"), (0, "vacuous_checker"), (1, "crash")]
+
+
+@pytest.mark.parametrize("name", ["cogeneration_negative_control",
+                                  "corrupted_tstructure_detected"])
+def test_negative_controls_never_come_up_empty(name):
+    # a small budget may sample nothing that exposes the defect; the fixed
+    # instance does, at budget 0 too
+    for budget in range(4):
+        for seed in range(1, 11):
+            report = REGISTRY[name].run(budget, seed, SizeBounds())
+            assert report.passed, (budget, seed, [f.check for f in report.failures])
 
 
 def report_digest(scenario: Scenario) -> str:

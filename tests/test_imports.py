@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tiltbench"
 
 
@@ -20,3 +22,35 @@ def test_no_relative_import_inside_a_function():
     found = [hit for path in sorted(PACKAGE.glob("*.py"))
              for hit in relative_imports_in_functions(path)]
     assert found == []
+
+
+# the algebra layer, and the modules above it that it must not reach
+ALGEBRA = ("rings", "matrices", "modules", "complexes", "exactness",
+           "tstructures", "freyd")
+ABOVE_ALGEBRA = {"samplers", "serialize", "reports", "suites", "cli"}
+
+
+def package_imports(path: Path) -> set[str]:
+    """The names of the package modules that the module at path imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level > 0 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level > 0:
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("tiltbench."):
+                found.add(node.module.split(".")[1])
+            elif node.module == "tiltbench":
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("tiltbench."))
+    return found
+
+
+@pytest.mark.parametrize("name", ALGEBRA)
+def test_algebra_modules_import_no_sampling_or_reporting(name):
+    # samples, their serialised payloads and reports belong to the suite
+    # layer; the algebra it checks knows nothing of them
+    assert package_imports(PACKAGE / f"{name}.py") & ABOVE_ALGEBRA == set()

@@ -8,7 +8,6 @@ from tiltbench.exactness import Carrier, ExactStructure, Flavor
 from tiltbench.freyd import (
     FreydMorphism,
     FreydObject,
-    extension_middle,
     freyd_cokernel,
     freyd_direct_sum,
     right_filter_factor,
@@ -52,6 +51,7 @@ from tiltbench.samplers import (
     random_morphism,
     rng_for,
 )
+from tiltbench.suites import extension_middle
 
 Z = RingSpec.INTEGERS
 

@@ -26,7 +26,6 @@ from tiltbench.tstructures import (
     TVariant,
     UnsupportedClassTagError,
     approximating_triangle,
-    check_tstructure_axioms,
     cogeneration_witness,
     heart_membership,
     in_aisle,
@@ -37,7 +36,6 @@ from tiltbench.tstructures import (
     module_to_left_heart,
     star_membership,
     t_cohomology,
-    tilting_class_check,
     triangle_is_distinguished,
     truncate_ge,
     truncate_le,
@@ -242,23 +240,23 @@ def test_t_cohomology_matches_plain_cohomology_for_natural():
 
 def test_axiom_checker_passes_small_budget():
     for spec in (NAT, LEFT, RIGHT, HRS):
-        rep = check_tstructure_axioms(spec, 6, seed=3, bounds=SizeBounds(2, 5, 3))
+        rep = suites._axioms(spec)(6, 3, SizeBounds(2, 5, 3))
         assert rep.passed, (spec.config_string(), [f.check for f in rep.failures])
 
 
 def test_corrupted_spec_fails_axioms():
     bad = TStructureSpec(TVariant.NATURAL, corrupt=True)
-    rep = check_tstructure_axioms(bad, 12, seed=3, bounds=SizeBounds(2, 5, 3))
+    rep = suites._axioms(bad)(12, 3, SizeBounds(2, 5, 3))
     assert not rep.passed
 
 
 def test_tilting_class_checks():
-    ok = tilting_class_check(ClassTag.ALL_FP, 1, 15, seed=5)
+    ok = suites._tilting(ClassTag.ALL_FP, "tilting")(15, 5, SizeBounds())
     assert ok.passed
-    bad = tilting_class_check(ClassTag.FREE, 1, 15, seed=5)
+    bad = suites._tilting(ClassTag.FREE, "tilting")(15, 5, SizeBounds())
     assert not bad.passed
     assert any(f.check == "cogeneration" for f in bad.failures)
-    dual = tilting_class_check(ClassTag.FREE, 1, 15, seed=5, mode="cotilting")
+    dual = suites._tilting(ClassTag.FREE, "cotilting")(15, 5, SizeBounds())
     assert dual.passed
 
 
@@ -304,7 +302,7 @@ def snf_entry_bits(monkeypatch):
     lambda: suites._hrs_star_consistency(
         rng_for(2618853688, "hrs-star", 1), SizeBounds()),
     # SNF inputs used to reach 492,041 bits, 45 s for one sample
-    lambda: tstructures._axiom_sample(
+    lambda: suites._axiom_sample(
         NAT, rng_for(1536079867, "axiom", NAT.config_string(), 3), SizeBounds()),
 ], ids=["hrs_star_consistency", "tstructure_axioms_natural"])
 def test_entry_growth_replays_stay_small(snf_entry_bits, replay):
