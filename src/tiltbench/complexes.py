@@ -253,10 +253,16 @@ def cone(f: ChainMap) -> Complex:
     hi = max(y.hi, x.hi - 1)
     parts = {n: [y.object_at(n), x.object_at(n + 1)] for n in range(lo, hi + 1)}
     objs = {n: modules.direct_sum(ms) for n, ms in parts.items()}
-    diffs = [modules.block_morphism(
-        objs[n], objs[n + 1], parts[n], parts[n + 1],
-        {(0, 0): y.differential_at(n), (0, 1): f.component_at(n + 1),
-         (1, 1): modules.negate(x.differential_at(n + 1))}) for n in range(lo, hi)]
+    diffs = []
+    for n in range(lo, hi):  # blocks outside the supports are zero, so left out
+        blocks = {}
+        if y.lo <= n < y.hi:
+            blocks[0, 0] = y.differential_at(n)
+        if n + 1 in f.components:
+            blocks[0, 1] = f.components[n + 1]
+        if x.lo <= n + 1 < x.hi:
+            blocks[1, 1] = modules.negate(x.differential_at(n + 1))
+        diffs.append(modules.block_morphism(objs[n], objs[n + 1], parts[n], parts[n + 1], blocks))
     return Complex(x.ring, x.base, lo, list(objs.values()), diffs, check=False)
 
 

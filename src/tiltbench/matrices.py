@@ -10,13 +10,14 @@ presentations) reduces to three primitives implemented here, plus
   that none exists,
 * ``kernel_matrix``       a basis of the full solution lattice of A * x = 0.
 
-Matrices are immutable values; zero-row and zero-column matrices are
-legal and encode zero objects and zero maps.
+Matrices are immutable values by convention: no code assigns to an
+attribute of an ``IntMatrix`` after construction, and ``entries`` is a
+tuple.  Zero-row and zero-column matrices are legal and encode zero
+objects and zero maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import rings
@@ -31,22 +32,29 @@ class DimensionMismatchError(ValueError):
     """Raised when matrix shapes are incompatible for an operation."""
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """A rows x cols matrix with entries in a fixed ring, stored row major."""
 
-    ring: RingSpec
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ("ring", "rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, ring: RingSpec, rows: int, cols: int, entries: tuple):
+        if rows < 0 or cols < 0:
             raise DimensionMismatchError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatchError(
-                f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
-            )
+        if len(entries) != rows * cols:
+            raise DimensionMismatchError(f"entry count {len(entries)} != {rows}x{cols}")
+        self.ring = ring
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not IntMatrix:
+            return NotImplemented
+        return (self.ring is other.ring and self.rows == other.rows
+                and self.cols == other.cols and self.entries == other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.rows, self.cols, self.entries))
 
     # -- construction -------------------------------------------------
 

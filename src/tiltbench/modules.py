@@ -166,13 +166,15 @@ class FpMorphism:
 
     def __init__(self, source: FpModule, target: FpModule,
                  gen: IntMatrix, witness: IntMatrix):
-        if source.ring is not target.ring or gen.ring is not source.ring:
+        if source.ring is not target.ring or gen.ring is not source.ring \
+                or witness.ring is not source.ring:
             raise rings_mismatch(source, target)
         if gen.rows != target.generators or gen.cols != source.generators:
             raise DimensionMismatchError("generator matrix shape mismatch")
         if witness.rows != target.relations or witness.cols != source.relations:
             raise DimensionMismatchError("witness shape mismatch")
-        if gen * source.presentation != target.presentation * witness:
+        # without source relations both sides are b_tgt x 0, so equal
+        if source.relations and gen * source.presentation != target.presentation * witness:
             raise ValueError("witness equation violated")
         self.source = source
         self.target = target

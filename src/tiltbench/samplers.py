@@ -136,14 +136,21 @@ def random_carrier_module(ex, rnd: random.Random, bounds: SizeBounds) -> FpModul
     return m if m.generators else FpModule.free(Z, 1)
 
 
-def random_carrier_morphism(ex, rnd: random.Random, bounds: SizeBounds) -> FpMorphism:
-    src = random_carrier_module(ex, rnd, bounds)
-    tgt = random_carrier_module(ex, rnd, bounds)
+def random_carrier_map(ex, rnd: random.Random, bounds: SizeBounds,
+                       src: FpModule, tgt: FpModule) -> FpMorphism:
+    """A random map src -> tgt in the carrier: a random matrix between free
+    modules on ``FREE_Z``, a random hom-group element otherwise."""
     if ex.carrier is Carrier.FREE_Z:
         return FpMorphism.from_generator_matrix(
             src, tgt, random_matrix(rnd, tgt.generators, src.generators,
                                     bounds.max_entry))
     return random_morphism(rnd, src, tgt)
+
+
+def random_carrier_morphism(ex, rnd: random.Random, bounds: SizeBounds) -> FpMorphism:
+    src = random_carrier_module(ex, rnd, bounds)
+    tgt = random_carrier_module(ex, rnd, bounds)
+    return random_carrier_map(ex, rnd, bounds, src, tgt)
 
 
 def random_carrier_deflation(ex, rnd: random.Random, bounds: SizeBounds) -> FpMorphism:

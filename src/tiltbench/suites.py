@@ -694,21 +694,13 @@ def extension_middle(ex: ExactStructure, rnd, t1: FreydObject, t2: FreydObject,
     return FreydObject(ex, block)
 
 
-def _retarget(ex, rnd, bounds, src: FpModule, tgt: FpModule) -> FpMorphism:
-    if ex.carrier is Carrier.FREE_Z:
-        return FpMorphism.from_generator_matrix(
-            src, tgt, samplers.random_matrix(rnd, tgt.generators, src.generators,
-                                             bounds.max_entry))
-    return samplers.random_morphism(rnd, src, tgt)
-
-
 def _serre_sample(ex: ExactStructure, rnd, bounds):
     """Closure of the effaceables under admissible quotients, admissible
     subobjects and extensions."""
     t = _random_effaceable(ex, rnd, bounds)
     payload = {"carrier": serialize.morphism_to_json(t.carrier)}
     extra_src = samplers.random_carrier_module(ex, rnd, bounds)
-    extra = _retarget(ex, rnd, bounds, extra_src, t.generators)
+    extra = samplers.random_carrier_map(ex, rnd, bounds, extra_src, t.generators)
     bigger, rel_inj = adjoin_relations(t, extra)
     quotient = FreydObject(ex, bigger)
     if not is_effaceable(quotient):

@@ -294,6 +294,23 @@ def test_block_matrix_shape_and_ring_errors():
         block_matrix(Z, [1], [1], {(0, 1): zmat([[1]])})
     with pytest.raises(RingMismatchError):
         block_matrix(Z, [1], [1], {(0, 0): IntMatrix.from_rows(QX, [[QPoly.const(1)]])})
+    # the constructor's own shape checks, which every matrix passes through
+    with pytest.raises(DimensionMismatchError, match="entry count 3 != 2x2"):
+        IntMatrix(Z, 2, 2, (1, 2, 3))
+    with pytest.raises(DimensionMismatchError, match="negative matrix dimensions"):
+        IntMatrix(Z, -1, 0, ())
+
+
+def test_matrices_are_values():
+    m = IntMatrix(Z, 2, 2, (1, 0, 0, 1))
+    for same in (zmat([[1, 0], [0, 1]]), IntMatrix.identity(Z, 2),
+                 IntMatrix.zeros(Z, 2, 2) + IntMatrix.identity(Z, 2)):
+        assert same == m and hash(same) == hash(m)
+    assert zmat([]) == IntMatrix.zeros(Z, 0, 0) != IntMatrix.zeros(Z, 0, 2)
+    assert hash(IntMatrix.zeros(Z, 2, 0)) == hash(IntMatrix(Z, 2, 0, ()))
+    assert IntMatrix(QX, 2, 2, m.entries) != m
+    assert zmat([[1]]) != (Z, 1, 1, (1,))
+    assert not hasattr(m, "__dict__")
 
 
 def test_block_diag_with_an_empty_block():

@@ -12,7 +12,7 @@ from tiltbench.freyd import (
     freyd_direct_sum,
     right_filter_factor,
 )
-from tiltbench.matrices import DimensionMismatchError, IntMatrix, kernel_matrix
+from tiltbench.matrices import DimensionMismatchError, IntMatrix, RingMismatchError, kernel_matrix
 from tiltbench.modules import (
     FpModule,
     FpMorphism,
@@ -303,6 +303,21 @@ def test_block_morphism_places_blocks():
                 FpMorphism(z4, z4, zmat([[2]]), zmat([[2]]))):
         with pytest.raises(ValueError, match="between its parts"):
             block_morphism(src, tgt, src_parts, tgt_parts, {(0, 0): bad})
+
+
+def test_witness_check():
+    z, z2, z4 = FpModule.free(Z, 1), zmod(2), zmod(4)
+    # 1 * 4 = 2 * w has the solution w = 2, never w = 1
+    with pytest.raises(ValueError, match="witness equation violated"):
+        FpMorphism(z4, z2, zmat([[1]]), zmat([[1]]))
+    # a source without relations needs a b_tgt x 0 witness
+    with pytest.raises(DimensionMismatchError, match="witness shape"):
+        FpMorphism(z, z2, zmat([[1]]), zmat([[0]]))
+    # and over the ring of its modules, though no product reads it
+    with pytest.raises(RingMismatchError):
+        FpMorphism(z, z2, zmat([[1]]), IntMatrix.zeros(RingSpec.RATIONAL_POLYNOMIALS, 1, 0))
+    f = FpMorphism(z, z2, zmat([[1]]), IntMatrix.zeros(Z, 1, 0))
+    assert f.gen == zmat([[1]])
 
 
 def summand_maps(ms, total):
