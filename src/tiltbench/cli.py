@@ -92,6 +92,9 @@ class Scenario:
         for name in self.suites:
             if name not in REGISTRY:
                 raise ScenarioError(f"unknown suite name: {name}")
+        repeated = sorted({name for name in self.suites if self.suites.count(name) > 1})
+        if repeated:
+            raise ScenarioError(f"duplicate suite names: {repeated}")
         try:
             ring = RingSpec(self.ring)
         except ValueError:

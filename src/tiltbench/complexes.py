@@ -288,15 +288,14 @@ def cohomology_map(f: ChainMap, n: int) -> FpMorphism:
     ky, incl_y = modules.kernel(y.differential_at(n))
     lifted_x = modules.factor(x.differential_at(n - 1), incl_x)
     lifted_y = modules.factor(y.differential_at(n - 1), incl_y)
-    hx, proj_x = modules.cokernel(lifted_x)
-    hy, proj_y = modules.cokernel(lifted_y)
+    hx, _ = modules.cokernel(lifted_x)
+    hy, _ = modules.cokernel(lifted_y)
     on_kernels = modules.factor(modules.compose(f.component_at(n), incl_x), incl_y)
     if on_kernels is None:
         raise ArithmeticError("chain map does not respect kernels")
-    induced = modules.cofactor(modules.compose(proj_y, on_kernels), proj_x)
-    if induced is None:
-        raise ArithmeticError("chain map does not descend to cohomology")
-    return induced
+    # each cohomology keeps its kernel's generators, so the map on kernels
+    # is the induced map; from_generator_matrix checks that it descends
+    return FpMorphism.from_generator_matrix(hx, hy, on_kernels.gen)
 
 
 def is_exact(c: Complex) -> bool:

@@ -17,7 +17,7 @@ in the contract stays executable.
 from __future__ import annotations
 
 import enum
-from typing import Callable
+from typing import Callable, Optional
 
 from . import modules
 from .complexes import Complex
@@ -244,22 +244,10 @@ def carrier_pushout(f: FpMorphism, g: FpMorphism, ex: ExactStructure):
 
 # -- acyclicity with witness ------------------------------------------------------
 
-class AcyclicityReport:
-    def __init__(self, acyclic: bool, factors=None, reason: str = ""):
-        self.acyclic = acyclic
-        self.factors = factors or {}
-        self.reason = reason
-
-    def __bool__(self) -> bool:
-        return self.acyclic
-
-
-def is_acyclic_wrt(c: Complex, ex: ExactStructure) -> AcyclicityReport:
-    """Whether every differential deflates onto a factor object that
-    inflates into the next degree, with consecutive conflations.
-
-    Returns the factor objects D^n as witnesses when acyclic.
-    """
+def is_acyclic_wrt(c: Complex, ex: ExactStructure) -> Optional[dict[int, FpModule]]:
+    """The factor objects D^n, by degree, iff every differential deflates
+    onto a factor object that inflates into the next degree, with
+    consecutive conflations; None otherwise."""
     for n in c.degrees():
         if not ex.contains(c.object_at(n)):
             raise CarrierMismatchError(f"complex entry in degree {n} leaves the carrier")
@@ -280,9 +268,6 @@ def is_acyclic_wrt(c: Complex, ex: ExactStructure) -> AcyclicityReport:
     for n in c.degrees():
         m = embeddings[n - 1]
         e = surjections[n]
-        if not ex.contains(factors[n]):
-            return AcyclicityReport(False, reason=f"factor object at {n} leaves the carrier")
-        if not is_conflation(m, e, ex):
-            return AcyclicityReport(
-                False, reason=f"no conflation D^{n-1} -> X^{n} -> D^{n}")
-    return AcyclicityReport(True, factors={n: factors[n] for n in range(c.lo - 1, c.hi + 1)})
+        if not ex.contains(factors[n]) or not is_conflation(m, e, ex):
+            return None
+    return {n: factors[n] for n in range(c.lo - 1, c.hi + 1)}

@@ -22,9 +22,6 @@ from . import modules
 from .exactness import Carrier, ExactStructure, is_deflation
 from .matrices import IntMatrix
 from .modules import FpModule, FpMorphism
-from .rings import RingSpec
-
-Z = RingSpec.INTEGERS
 
 
 class UnsupportedCarrierError(ValueError):
@@ -218,44 +215,30 @@ def pointwise_epi(eta: FreydMorphism) -> bool:
 
 # -- evaluation at probe objects -------------------------------------------------
 
-def _pushforward(f: FpMorphism, src: "modules.HomGroup",
-                 tgt: "modules.HomGroup") -> FpMorphism:
-    """The map src.module -> tgt.module sending each generator g of the hom
-    group src to the coordinates of f o g in tgt."""
-    cols = []
-    for i in range(src.module.generators):
-        coords = tgt.coordinates(modules.compose(f, src.generator(i)))
-        if coords is None:
-            raise AssertionError("pushforward left the hom group")
-        cols.append([coords.at(j, 0) for j in range(coords.rows)])
-    gen_mat = IntMatrix.from_rows(
-        Z, [[cols[i][j] for i in range(len(cols))] for j in range(tgt.module.generators)],
-        cols=len(cols))
-    return FpMorphism.from_generator_matrix(src.module, tgt.module, gen_mat)
-
-
-def evaluate(f: FreydObject, probe: FpModule) -> tuple[FpModule, "modules.HomGroup", FpMorphism]:
-    """F(probe) as an abelian group, with the covering hom-group data."""
+def evaluate(f: FreydObject, probe: FpModule) -> tuple[FpModule, "modules.HomGroup"]:
+    """F(probe) = coker(Hom(probe, F1) -> Hom(probe, F0)) as an abelian
+    group, with the hom group Hom(probe, F0) whose generators it keeps."""
     h2 = modules.hom_group(probe, f.generators)
     h1 = modules.hom_group(probe, f.relations)
-    value, proj = modules.cokernel(_pushforward(f.carrier, h1, h2))
-    return value, h2, proj
+    value = FpModule(h2.module.presentation.hstack(h1.pushforward(f.carrier, h2)))
+    return value, h2
 
 
 def evaluate_map(eta: FreydMorphism, probe: FpModule,
                  src_eval=None, tgt_eval=None) -> FpMorphism:
-    """The induced map F(probe) -> G(probe)."""
+    """The induced map F(probe) -> G(probe).
+
+    Both values are presented on the generators of their hom groups, so the
+    map eta o - between those groups is already the induced map on the
+    quotients; ``from_generator_matrix`` checks that it descends.
+    """
     if src_eval is None:
         src_eval = evaluate(eta.source, probe)
     if tgt_eval is None:
         tgt_eval = evaluate(eta.target, probe)
-    _, src_h2, src_proj = src_eval
-    _, tgt_h2, tgt_proj = tgt_eval
-    lifted = _pushforward(eta.gen, src_h2, tgt_h2)
-    induced = modules.cofactor(modules.compose(tgt_proj, lifted), src_proj)
-    if induced is None:
-        raise AssertionError("evaluation did not descend to the quotient")
-    return induced
+    src, src_h2 = src_eval
+    tgt, tgt_h2 = tgt_eval
+    return FpMorphism.from_generator_matrix(src, tgt, src_h2.pushforward(eta.gen, tgt_h2))
 
 
 # -- right filtering ---------------------------------------------------------------
@@ -310,15 +293,14 @@ def auslander_project(f: FreydObject) -> FpModule:
 
 
 def project_morphism(eta: FreydMorphism) -> FpMorphism:
-    """The induced map between the projected modules."""
-    if eta.source.ex.carrier not in _PROJECTABLE:
-        raise UnsupportedCarrierError("no localisation target for this carrier")
-    src, src_proj = modules.cokernel(eta.source.carrier)
-    tgt, tgt_proj = modules.cokernel(eta.target.carrier)
-    induced = modules.cofactor(modules.compose(tgt_proj, eta.gen), src_proj)
-    if induced is None:
-        raise AssertionError("projection did not descend")
-    return induced
+    """The induced map between the projected modules.
+
+    Each projection is presented on its carrier's target generators, so the
+    generator map of eta is already the induced map; ``from_generator_matrix``
+    checks that it descends.
+    """
+    return FpMorphism.from_generator_matrix(
+        auslander_project(eta.source), auslander_project(eta.target), eta.gen.gen)
 
 
 def factors_through_effaceable(eta: FreydMorphism) -> bool:

@@ -442,7 +442,8 @@ class HomGroup:
     """Hom(M, N) as a finitely presented abelian group.
 
     ``module`` presents the group; ``element(coords)`` converts a
-    coordinate column (one entry per generator) into an actual morphism.
+    coordinate column (one entry per generator) into an actual morphism,
+    and ``pushforward`` takes coordinates the other way, for composites.
     ``trivial`` spans the vectorised generator matrices P_N * S of the
     zero morphisms; ``wit_vecs`` holds the vectorised witness of each
     generator.
@@ -475,12 +476,19 @@ class HomGroup:
             self._coord_solver = PreparedSolver(self._gen_vecs.hstack(self._trivial))
         return self._coord_solver
 
-    def coordinates(self, f: FpMorphism) -> Optional[IntMatrix]:
-        """Coordinates of a morphism in terms of the group generators."""
-        sol = self._solver().solve(vec(f.gen))
+    def pushforward(self, f: FpMorphism, tgt: "HomGroup") -> IntMatrix:
+        """The generator matrix of f o - : self.module -> tgt.module.
+
+        Column i holds the coordinates in tgt of f composed with generator i.
+        All compositions are formed at once, since vec(f.gen * G) =
+        (I kron f.gen) * vec(G), and solved as one system on tgt's solver.
+        """
+        images = kron(IntMatrix.identity(self.source.ring, self.source.generators),
+                      f.gen) * self._gen_vecs
+        sol = tgt._solver().solve(images)
         if sol is None:
-            return None
-        return sol.take_rows(range(self.module.generators))
+            raise AssertionError("pushforward left the hom group")
+        return sol.take_rows(range(tgt.module.generators))
 
 
 def hom_group(source: FpModule, target: FpModule) -> HomGroup:

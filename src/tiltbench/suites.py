@@ -334,7 +334,7 @@ def _acyclicity_transfer(rnd, bounds):
     payload = {"complex": serialize.complex_to_json(c)}
     exact = is_exact(c)
     contractible = is_contractible(c) is not None
-    split_acyclic = bool(is_acyclic_wrt(c, FREE_SPLIT))
+    split_acyclic = is_acyclic_wrt(c, FREE_SPLIT) is not None
     if not (exact == contractible == split_acyclic):
         yield "three_procedures_agree", payload
 
@@ -662,8 +662,13 @@ def _right_filtering(rnd, bounds):
         yield "factor_pointwise_epi", payload
 
 
-def extension_middle(ex: ExactStructure, rnd, t1: FreydObject, t2: FreydObject,
-                     bounds) -> FreydObject:
+# gluing candidates draw their entries from [-2, 2] whatever the suite's
+# entry bound: on FREE_Z that is the coordinate range of the hom-group
+# element drawn on the other carriers
+GLUING_BOUNDS = SizeBounds(max_entry=2)
+
+
+def extension_middle(ex: ExactStructure, rnd, t1: FreydObject, t2: FreydObject) -> FreydObject:
     """An honest extension of t2 by t1: a block carrier with a gluing map.
 
     The gluing must send the kernel of t2's presenting map into the image
@@ -674,13 +679,7 @@ def extension_middle(ex: ExactStructure, rnd, t1: FreydObject, t2: FreydObject,
     k2, kappa2 = modules.kernel(q2)
     delta = None
     for _ in range(4):
-        if ex.carrier is Carrier.FREE_Z:
-            cand = FpMorphism.from_generator_matrix(
-                t2.relations, t1.generators,
-                samplers.random_matrix(rnd, t1.generators.generators,
-                                       t2.relations.generators, 2))
-        else:
-            cand = samplers.random_morphism(rnd, t2.relations, t1.generators)
+        cand = samplers.random_carrier_map(ex, rnd, GLUING_BOUNDS, t2.relations, t1.generators)
         if modules.factor(modules.compose(cand, kappa2), q1) is not None:
             delta = cand
             break
@@ -711,7 +710,7 @@ def _serre_sample(ex: ExactStructure, rnd, bounds):
         yield "subobject_closure", payload
     t1 = _random_effaceable(ex, rnd, bounds)
     t2 = _random_effaceable(ex, rnd, bounds)
-    middle = extension_middle(ex, rnd, t1, t2, bounds)
+    middle = extension_middle(ex, rnd, t1, t2)
     if not is_effaceable(middle):
         yield "extension_closure", payload
 

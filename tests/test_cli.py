@@ -71,6 +71,7 @@ def test_carrier_field_exits_2(tmp_path):
     {"ring": "Reals"},
     {"suites": [["a"]]},
     {"suites": "some"},
+    {"suites": ["snf_identities", "snf_identities"]},
     {"bounds": []},
     {"bounds": {"max_rnk": 3}},
     {"bounds": {"max_rank": 0}},
@@ -143,6 +144,14 @@ def test_overrides_take_effect(tmp_path):
     assert report["scenario"]["seed"] == 9
     assert report["scenario"]["sample_budget"] == 2
     assert report["suites"][0]["samples"] == 2
+
+
+def test_repeated_suite_override_exits_2(capsys):
+    code = main(["--suite", "snf_identities", "--suite", "snf_identities",
+                 "--budget", "1"])
+    assert code == EXIT_PARSE
+    assert capsys.readouterr().out == (
+        "scenario error: duplicate suite names: ['snf_identities']\n")
 
 
 def test_list_suites_flag(capsys):

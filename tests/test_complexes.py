@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tiltbench import rings
+from tiltbench import modules, rings
 from tiltbench.complexes import (
     BaseCategory,
     ChainMap,
@@ -29,12 +29,15 @@ from tiltbench.matrices import IntMatrix
 from tiltbench.modules import (
     FpModule,
     FpMorphism,
+    cofactor,
+    cokernel,
     compose,
     factor,
     image,
     injection,
     is_zero_morphism,
     kernel,
+    morphism_equal,
     projection,
 )
 from tiltbench.rings import QPoly, RingSpec
@@ -253,6 +256,48 @@ def test_cone_long_exact_cohomology_sequence():
             im_mod, im_incl = image(hf)
             assert factor(k_incl, im_incl) is not None
             assert factor(im_incl, k_incl) is not None
+
+
+def cofactor_cohomology_map(f, n):
+    """The induced map on H^n by cofactor through the source's cokernel
+    projection, the construction cohomology_map replaced."""
+    x, y = f.source, f.target
+    _, incl_x = kernel(x.differential_at(n))
+    _, incl_y = kernel(y.differential_at(n))
+    _, proj_x = cokernel(factor(x.differential_at(n - 1), incl_x))
+    _, proj_y = cokernel(factor(y.differential_at(n - 1), incl_y))
+    on_kernels = factor(compose(f.component_at(n), incl_x), incl_y)
+    induced = cofactor(compose(proj_y, on_kernels), proj_x)
+    assert induced is not None
+    return induced
+
+
+def test_cohomology_map_matches_the_cofactor_construction(monkeypatch):
+    # each cohomology keeps its kernel's generators, so the map on kernels
+    # is the induced map, with no cofactor system
+    rnd = random.Random(31)
+    cases = []
+    for _ in range(8):
+        rk = rnd.randint(1, 2)
+        a = zmat([[rnd.randint(-4, 4) for _ in range(rk)] for _ in range(rk)])
+        x = free_complex(Z, 0, [a])
+        # c0 + c1 * a commutes with a, so it is a chain self-map of x
+        mat = IntMatrix.identity(Z, rk).scale(rnd.randint(-3, 3)) + a.scale(rnd.randint(-2, 2))
+        f = chain_map_of_matrices(x, x, {0: mat, 1: mat})
+        cases += [f, cone_inclusion(f, cone(f))]
+    expected = {(i, n): cofactor_cohomology_map(f, n)
+                for i, f in enumerate(cases) for n in (0, 1)}
+    calls, real_cofactor = [], modules.cofactor
+
+    def counting_cofactor(g, through):
+        calls.append(g)
+        return real_cofactor(g, through)
+
+    monkeypatch.setattr(modules, "cofactor", counting_cofactor)
+    for (i, n), oracle in expected.items():
+        assert morphism_equal(cohomology_map(cases[i], n), oracle)
+    assert calls == []
+    assert any(not is_zero_morphism(h) for h in expected.values())
 
 
 def test_derived_hom_matches_enumeration_oracle():

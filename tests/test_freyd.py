@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -9,6 +10,7 @@ from tiltbench.freyd import (
     FreydMorphism,
     FreydObject,
     UnsupportedCarrierError,
+    adjoin_relations,
     auslander_project,
     evaluate,
     evaluate_map,
@@ -27,18 +29,30 @@ from tiltbench.freyd import (
     refine_fraction,
     right_filter_factor,
 )
-from tiltbench.matrices import IntMatrix
+from tiltbench.matrices import IntMatrix, kron, solve_lift, vec
 from tiltbench.modules import (
     FpModule,
     FpMorphism,
+    cofactor,
+    cokernel,
     compose,
+    hom_group,
     is_epi,
     is_mono,
     is_zero_morphism,
     morphism_equal,
 )
 from tiltbench.rings import RingSpec
-from tiltbench.samplers import random_matrix, random_unimodular
+from tiltbench.samplers import (
+    SizeBounds,
+    random_carrier_deflation,
+    random_carrier_morphism,
+    random_matrix,
+    random_module,
+    random_morphism,
+    random_unimodular,
+    rng_for,
+)
 
 Z = RingSpec.INTEGERS
 FREE_SPLIT = ExactStructure(Carrier.FREE_Z, Flavor.SPLIT)
@@ -267,3 +281,95 @@ def test_pullback_of_pointwise_epi_stays_epi():
     other = FreydMorphism.from_generator(two, two, FpMorphism.identity(z))
     p, leg_other, leg_eta = freyd_pullback(other, eta)
     assert pointwise_epi(leg_other)
+
+
+# -- induced maps against the cofactor construction they replaced -----------------
+
+PROBES = (FpModule.free(Z, 1), FpModule.free(Z, 2), FpModule.cyclic(Z, 4))
+
+
+def pointwise_exactness_maps(rnd, bounds, carrier=random_carrier_deflation):
+    """The pi and incl of the freyd_pointwise_exactness construction: the
+    quotient of a functor by extra relations, and its kernel.  The suite
+    quotients effaceable functors, which vanish on free probes (and, at
+    the seeds below, on Z/4 too); a random carrier morphism gives nonzero
+    values."""
+    t = FreydObject(FP_MAX, carrier(FP_MAX, rnd, bounds))
+    extra = random_morphism(rnd, random_module(rnd, bounds), t.generators)
+    bigger, rel_inj = adjoin_relations(t, extra)
+    pi = FreydMorphism(t, FreydObject(FP_MAX, bigger), FpMorphism.identity(t.generators),
+                       rel_inj)
+    _, incl = freyd_kernel(pi)
+    return pi, incl
+
+
+def pushforward_by_generator(f, src, tgt):
+    """f o - : src.module -> tgt.module, one hom-group generator at a time:
+    the coordinates of each composite solve [vec G_j | I kron P] * x = vec."""
+    b = tgt.source.generators
+    system = reduce(IntMatrix.hstack,
+                    [vec(tgt.generator(j).gen) for j in range(tgt.module.generators)],
+                    IntMatrix.zeros(Z, b * tgt.target.generators, 0)
+                    ).hstack(kron(IntMatrix.identity(Z, b), tgt.target.presentation))
+    columns = IntMatrix.zeros(Z, tgt.module.generators, 0)
+    for i in range(src.module.generators):
+        sol = solve_lift(system, vec(compose(f, src.generator(i)).gen))
+        assert sol is not None
+        columns = columns.hstack(sol.take_rows(range(tgt.module.generators)))
+    return FpMorphism.from_generator_matrix(src.module, tgt.module, columns)
+
+
+def cofactor_evaluate_map(eta, probe):
+    """Each value as a cokernel of hom groups, and the induced map by
+    cofactor through the source's cokernel projection."""
+    ends = []
+    for obj in (eta.source, eta.target):
+        h2, h1 = hom_group(probe, obj.generators), hom_group(probe, obj.relations)
+        _, proj = cokernel(pushforward_by_generator(obj.carrier, h1, h2))
+        ends.append((h2, proj))
+    (src_h2, src_proj), (tgt_h2, tgt_proj) = ends
+    lifted = pushforward_by_generator(eta.gen, src_h2, tgt_h2)
+    induced = cofactor(compose(tgt_proj, lifted), src_proj)
+    assert induced is not None
+    return induced
+
+
+def cofactor_project_morphism(eta):
+    _, src_proj = cokernel(eta.source.carrier)
+    _, tgt_proj = cokernel(eta.target.carrier)
+    induced = cofactor(compose(tgt_proj, eta.gen), src_proj)
+    assert induced is not None
+    return induced
+
+
+@pytest.mark.parametrize("max_rank", [1, 2])
+def test_induced_maps_match_the_cofactor_construction(max_rank):
+    bounds = SizeBounds(max_rank=max_rank, max_entry=3)
+    for i in range(3):
+        rnd = rng_for(11, "induced-maps", max_rank, i)
+        maps = [*pointwise_exactness_maps(rnd, bounds),
+                *pointwise_exactness_maps(rnd, bounds, random_carrier_morphism)]
+        for eta in maps:
+            assert morphism_equal(project_morphism(eta), cofactor_project_morphism(eta))
+            for probe in PROBES:
+                assert morphism_equal(evaluate_map(eta, probe),
+                                      cofactor_evaluate_map(eta, probe))
+
+
+def test_induced_maps_solve_no_cofactor_system(monkeypatch):
+    # a value at a probe and a projected module keep the generators they
+    # were presented on, so the generator matrix is already the induced map
+    pi, incl = pointwise_exactness_maps(rng_for(11, "no-cofactor"), SizeBounds(max_rank=2),
+                                        random_carrier_morphism)
+    calls, real_cofactor = [], modules.cofactor
+
+    def counting_cofactor(g, through):
+        calls.append(g)
+        return real_cofactor(g, through)
+
+    monkeypatch.setattr(modules, "cofactor", counting_cofactor)
+    for eta in (pi, incl):
+        project_morphism(eta)
+        for probe in PROBES:
+            evaluate_map(eta, probe)
+    assert calls == []

@@ -54,3 +54,32 @@ def test_algebra_modules_import_no_sampling_or_reporting(name):
     # samples, their serialised payloads and reports belong to the suite
     # layer; the algebra it checks knows nothing of them
     assert package_imports(PACKAGE / f"{name}.py") & ABOVE_ALGEBRA == set()
+
+
+def unused_module_names(path: Path) -> list[str]:
+    """The top-level imports and UPPER_CASE constants that the module at
+    path never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    bound[target.id] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+
+
+def test_no_unused_module_names():
+    # an import or constant that its module never reads is left over from
+    # code that has gone
+    found = [hit for path in sorted(PACKAGE.glob("*.py"))
+             for hit in unused_module_names(path)]
+    assert found == []

@@ -203,12 +203,14 @@ def test_hom_group_elements_are_morphisms():
     for i in range(h.module.generators):
         f = h.generator(i)
         assert f.source is src and f.target is tgt
-    # coordinates invert element construction up to morphism equality
-    coords = [1] * h.module.generators
-    f = h.element(coords)
-    c = h.coordinates(f)
-    assert c is not None
-    assert morphism_equal(h.element([int(c.at(i, 0)) for i in range(c.rows)]), f)
+    # pushforward coordinates invert element construction up to morphism
+    # equality: along the identity, column i holds the coordinates of
+    # generator i
+    coords = h.pushforward(FpMorphism.identity(tgt), h)
+    assert (coords.rows, coords.cols) == (h.module.generators, h.module.generators)
+    for i in range(coords.cols):
+        column = [int(coords.at(j, i)) for j in range(coords.rows)]
+        assert morphism_equal(h.element(column), h.generator(i))
 
 
 def test_torsion_decompose_examples():
@@ -558,7 +560,7 @@ def test_maps_between_direct_sums_are_pinned():
         quotient, q_proj = freyd_cokernel(inj_1)
         pi, g, mid = right_filter_factor(proj_2)
         update(total.carrier, quotient.carrier, q_proj.gen, q_proj.wit,
-               extension_middle(ex, rnd, t1, t2, bounds).carrier,
+               extension_middle(ex, rnd, t1, t2).carrier,
                pi.wit, g.wit, mid.carrier)
     assert h.hexdigest() == (
         "1e70ee78e507815b87d75335d537402a7b814244124941975dfa6bf2fd6a716c")
