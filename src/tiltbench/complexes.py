@@ -6,15 +6,16 @@ objects down one degree and negates differentials.
 
 Null-homotopy of a chain map between complexes with relation-free entries
 is decided by assembling all homotopy equations into one exact linear
-system; cohomology and derived hom groups come out of the same kernel /
-cokernel machinery that powers the module layer.
+system.  Cohomology is a ``modules.span_quotient``: the generators of
+ker d^n modulo the relations of C^n and im d^{n-1}; derived hom groups
+are the cohomology of the total Hom complex.
 
 Invertibility needs no homotopy and no cohomology module.  A chain map of
 relation-free complexes is a homotopy equivalence iff its cone is exact,
 which one diagonalisation per differential decides (``is_homotopy_iso``);
 a complex of finitely presented modules is exact iff, in every degree, the
-generators of the kernel lift through the previous differential
-(``is_exact``, behind ``is_quasi_iso``).
+generators of the kernel lie in the image of the previous differential,
+one solve per degree (``is_exact``, behind ``is_quasi_iso``).
 """
 
 from __future__ import annotations
@@ -269,51 +270,46 @@ def cone(f: ChainMap) -> Complex:
 # -- cohomology ----------------------------------------------------------------
 
 def cohomology(c: Complex, n: int) -> FpModule:
-    """ker(d^n) / im(d^{n-1}) as a finitely presented module."""
+    """ker(d^n) / im(d^{n-1}) as a finitely presented module: the span of
+    the kernel's generators modulo the relations of C^n and im d^{n-1}."""
     if n < c.lo or n > c.hi:
         return FpModule.zero(c.ring)
-    k_mod, incl = modules.kernel(c.differential_at(n))
-    dprev = c.differential_at(n - 1)
-    lifted = modules.factor(dprev, incl)
-    if lifted is None:
-        raise ArithmeticError("differential does not factor through the kernel")
-    h, _ = modules.cokernel(lifted)
-    return h
+    rels = c.object_at(n).presentation.hstack(c.differential_at(n - 1).gen)
+    return modules.span_quotient(modules.kernel_generators(c.differential_at(n)), rels)[0]
 
 
 def cohomology_map(f: ChainMap, n: int) -> FpMorphism:
-    """The induced map on n-th cohomology."""
+    """The induced map on n-th cohomology.
+
+    Each cohomology keeps its kernel's generators, so the map sends kernel
+    generator i of X to the coordinates of f^n of it in the kernel
+    generators of Y, modulo P_Y^n: one solve.  ``from_generator_matrix``
+    checks that it descends.
+    """
     x, y = f.source, f.target
-    kx, incl_x = modules.kernel(x.differential_at(n))
-    ky, incl_y = modules.kernel(y.differential_at(n))
-    lifted_x = modules.factor(x.differential_at(n - 1), incl_x)
-    lifted_y = modules.factor(y.differential_at(n - 1), incl_y)
-    hx, _ = modules.cokernel(lifted_x)
-    hy, _ = modules.cokernel(lifted_y)
-    on_kernels = modules.factor(modules.compose(f.component_at(n), incl_x), incl_y)
-    if on_kernels is None:
+    hx, hy = cohomology(x, n), cohomology(y, n)
+    if not (hx.generators and hy.generators):  # also every n outside a support
+        return FpMorphism.zero(hx, hy)
+    kx = modules.kernel_generators(x.differential_at(n))
+    ky = modules.kernel_generators(y.differential_at(n))
+    sol = solve_lift(ky.hstack(y.object_at(n).presentation), f.component_at(n).gen * kx)
+    if sol is None:
         raise ArithmeticError("chain map does not respect kernels")
-    # each cohomology keeps its kernel's generators, so the map on kernels
-    # is the induced map; from_generator_matrix checks that it descends
-    return FpMorphism.from_generator_matrix(hx, hy, on_kernels.gen)
+    return FpMorphism.from_generator_matrix(hx, hy, sol.take_rows(range(ky.cols)))
 
 
 def is_exact(c: Complex) -> bool:
-    """Whether c has zero cohomology in every degree, by one lift per degree.
+    """Whether c has zero cohomology in every degree, by one solve per degree.
 
-    c is exact at n iff ker d^n lies in im d^{n-1}, i.e. iff the free cover
-    F -> C^n on the kernel's generators lifts through d^{n-1}.  The cover is
-    lifted, not the kernel inclusion: a map out of the kernel must respect
-    the kernel's relations, and one need not exist even where c is exact.
+    c is exact at n iff ker d^n lies in im d^{n-1}, i.e. iff the kernel's
+    generators lie in im d^{n-1} + im P, P the presentation of C^n
+    (``modules.in_image``).  Elements are tested, not the kernel inclusion:
+    a map out of the kernel must respect the kernel's relations, and one
+    need not lift even where c is exact.
     """
     for n in c.degrees():
         gens = modules.kernel_generators(c.differential_at(n))
-        if not gens.cols:
-            continue
-        target = c.object_at(n)
-        cover = FpMorphism(FpModule.free(c.ring, gens.cols), target, gens,
-                           IntMatrix.zeros(c.ring, target.relations, 0))
-        if modules.factor(cover, c.differential_at(n - 1)) is None:
+        if gens.cols and not modules.in_image(c.differential_at(n - 1), gens):
             return False
     return True
 

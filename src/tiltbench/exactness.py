@@ -120,18 +120,8 @@ def is_inflation(f: FpMorphism, ex: ExactStructure) -> bool:
     ex.check_morphism(f)
     if ex.flavor is Flavor.SPLIT:
         return modules.cofactor(FpMorphism.identity(f.source), f) is not None
-    if ex.flavor is Flavor.MAXIMAL:
-        if ex.carrier is Carrier.FP_Z:
-            return modules.is_mono(f)
-        # mono that is the kernel of its cokernel: the quotient stays free
-        if not modules.is_mono(f):
-            return False
-        c, _ = modules.cokernel(f)
-        return c.is_free()
-    if not modules.is_mono(f):
-        return False
-    c, _ = modules.cokernel(f)
-    return ex.contains(c)
+    # maximal and inherited: a mono whose cokernel stays in the carrier
+    return modules.is_mono(f) and ex.contains(modules.cokernel(f)[0])
 
 
 def _is_cokernel_of_its_kernel(f: FpMorphism, ex: ExactStructure) -> bool:
@@ -158,9 +148,8 @@ def is_conflation(incl: FpMorphism, defl: FpMorphism, ex: ExactStructure) -> boo
         return False
     if not (is_inflation(incl, ex) and is_deflation(defl, ex)):
         return False
-    k, kincl = modules.kernel(defl)
-    return (modules.factor(kincl, incl) is not None
-            and modules.factor(incl, kincl) is not None)
+    # incl is mono with defl o incl = 0, so exact iff ker defl lies in im incl
+    return modules.in_image(incl, modules.kernel_generators(defl))
 
 
 # -- kernels and cokernels inside the carrier ----------------------------------

@@ -360,14 +360,19 @@ def corestrict_to_image(f: FpMorphism) -> tuple[FpModule, FpMorphism, FpMorphism
     return im_mod, surj, incl
 
 
+def in_image(f: FpMorphism, elements: IntMatrix) -> bool:
+    """Whether the columns of ``elements``, in the target's generators, lie
+    in im f: one solve of [f.gen | P_tgt] against them."""
+    return solve_lift(f.gen.hstack(f.target.presentation), elements) is not None
+
+
 def is_epi(f: FpMorphism) -> bool:
-    c, _ = cokernel(f)
-    return c.is_zero_module()
+    return in_image(f, IntMatrix.identity(f.source.ring, f.target.generators))
 
 
 def is_mono(f: FpMorphism) -> bool:
-    k, _ = kernel(f)
-    return k.is_zero_module()
+    # ker f is zero iff its generators already lie in the source's relations
+    return solve_lift(f.source.presentation, kernel_generators(f)) is not None
 
 
 def is_iso(f: FpMorphism) -> bool:

@@ -235,8 +235,8 @@ def _torsion_pair(rnd, bounds):
         yield "orthogonality", payload
     if not modules.is_mono(incl) or not modules.is_epi(proj):
         yield "sequence_ends", payload
-    k_mod, k_incl = modules.kernel(proj)
-    if modules.factor(k_incl, incl) is None or modules.factor(incl, k_incl) is None:
+    if not modules.is_zero_morphism(modules.compose(proj, incl)) \
+            or not modules.in_image(incl, modules.kernel_generators(proj)):
         yield "exactness", payload
     t2, _, _, _ = modules.torsion_decompose(t_mod)
     if not t2.is_isomorphic(t_mod):
@@ -570,9 +570,7 @@ def _freyd_pointwise_exactness(rnd, bounds):
         if not modules.is_zero_morphism(modules.compose(pi_map, incl_map)):
             yield "pointwise_composite", payload
             return
-        k_mod, k_incl = modules.kernel(pi_map)
-        if modules.factor(k_incl, incl_map) is None \
-                or modules.factor(incl_map, k_incl) is None:
+        if not modules.in_image(incl_map, modules.kernel_generators(pi_map)):
             yield "pointwise_exactness", payload
             return
 

@@ -1,5 +1,6 @@
 import pytest
 
+from tiltbench import modules
 from tiltbench.matrices import PreparedSolver
 from tiltbench.modules import FpMorphism
 
@@ -35,3 +36,23 @@ def morphisms_built(monkeypatch):
     """morphisms_built(call, *args): the FpMorphisms that call constructs,
     each with its witness check."""
     return constructions(monkeypatch, FpMorphism)
+
+
+@pytest.fixture
+def module_constructions(monkeypatch):
+    """module_constructions(call, *args): the names, in call order, of the
+    modules.factor, kernel and cokernel calls that call makes."""
+    names = []
+    for name in ("factor", "kernel", "cokernel"):
+        def counting(*args, _name=name, _real=getattr(modules, name)):
+            names.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(modules, name, counting)
+
+    def called(call, *args):
+        names.clear()
+        call(*args)
+        return list(names)
+
+    return called

@@ -295,9 +295,22 @@ def test_cohomology_map_matches_the_cofactor_construction(monkeypatch):
 
     monkeypatch.setattr(modules, "cofactor", counting_cofactor)
     for (i, n), oracle in expected.items():
-        assert morphism_equal(cohomology_map(cases[i], n), oracle)
+        induced = cohomology_map(cases[i], n)
+        assert morphism_equal(induced, oracle)
+        assert induced.source.presentation == cohomology(cases[i].source, n).presentation
     assert calls == []
     assert any(not is_zero_morphism(h) for h in expected.values())
+
+
+def test_cohomology_map_outside_the_support_is_zero():
+    # Z/2 presented with a redundant relation: ker d^{-1} has a generator
+    # in no degree of the support, and H^{-1} has none
+    c = stalk_complex(FpModule(zmat([[2, 4]])), 0)
+    ident = ChainMap.identity(c)
+    assert not is_zero_morphism(cohomology_map(ident, 0))
+    for n in (-1, 1):
+        induced = cohomology_map(ident, n)
+        assert induced.source.generators == 0 and is_zero_morphism(induced)
 
 
 def test_derived_hom_matches_enumeration_oracle():
@@ -465,6 +478,21 @@ def test_exactness_lifts_the_kernel_cover_not_the_inclusion():
     onto = FpMorphism.from_generator_matrix(z4, z2, zmat([[1]]))
     e = Complex(Z, BaseCategory.FP_MODULES, 0, [z2, z4, z4, z2], [into, two, onto])
     assert is_exact(e) and exact_by_cohomology(e)
+
+
+def test_exactness_and_cohomology_build_no_kernel_module(module_constructions):
+    # is_exact is one image-membership solve per degree and cohomology one
+    # span_quotient: no kernel with its inclusion, no lift, no cokernel
+    bounds = SizeBounds(max_rank=2, max_entry=4, max_width=3)
+    exact = []
+    for i in range(10):
+        c = random_fp_complex(rng_for(7, "exact-no-factor", i), bounds)
+        for cc in (c, cone(ChainMap.identity(c))):
+            exact.append(is_exact(cc))
+            assert module_constructions(is_exact, cc) == []
+            for n in range(cc.lo - 1, cc.hi + 2):
+                assert module_constructions(cohomology, cc, n) == []
+    assert 0 < exact.count(False) < len(exact)
 
 
 def test_homotopy_iso_requires_relation_free():

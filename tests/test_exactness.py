@@ -23,11 +23,15 @@ from tiltbench.modules import (
     FpModule,
     FpMorphism,
     compose,
+    factor,
     is_zero_morphism,
+    kernel,
     morphism_equal,
     pullback,
+    torsion_decompose,
 )
 from tiltbench.rings import RingSpec
+from tiltbench.samplers import SizeBounds, random_module, rng_for
 
 Z = RingSpec.INTEGERS
 
@@ -205,3 +209,25 @@ def test_pushout_in_free_carrier():
     p, la, lb = carrier_pushout(f, g, FREE_MAX)
     assert p.is_free()
     assert morphism_equal(compose(la, f), compose(lb, g))
+
+
+def test_conflation_middle_is_one_membership_solve(module_constructions):
+    # exact in the middle iff ker defl lies in im incl, with no kernel
+    # module and no factor system; the old construction is the oracle.
+    # Z --4--> Z --> Z/2 composes to zero between a mono and an epi, yet
+    # ker = 2Z is not im = 4Z
+    z, z2 = FpModule.free(Z, 1), FpModule.cyclic(Z, 2)
+    pairs = [(free_map([[4]], 1, 1), FpMorphism.from_generator_matrix(z, z2, zmat([[1]])))]
+    for i in range(8):
+        _, incl, _, proj = torsion_decompose(
+            random_module(rng_for(3, "conflation", i), SizeBounds(max_rank=3, max_entry=6)))
+        pairs.append((incl, proj))
+    outcomes = []
+    for incl, defl in pairs:
+        kincl = kernel(defl)[1]
+        expected = factor(kincl, incl) is not None and factor(incl, kincl) is not None
+        outcomes.append(is_conflation(incl, defl, FP_MAX))
+        assert outcomes[-1] == expected
+        assert {"factor", "kernel"}.isdisjoint(
+            module_constructions(is_conflation, incl, defl, FP_MAX))
+    assert outcomes[0] is False and all(outcomes[1:])

@@ -28,6 +28,7 @@ from tiltbench.modules import (
     cofactor,
     hom_group,
     image,
+    in_image,
     injection,
     inverse,
     is_epi,
@@ -427,6 +428,54 @@ def test_subgroup_of_free_is_free():
             zmat([[rnd.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]))
         k, _ = kernel(f)
         assert reduce_presentation(k).relations == 0
+
+
+def membership_maps():
+    """Seeded fp maps over Z, a map over Q[x], the mono Z --2--> Z that does
+    not split, Z/2 --2--> Z/4 out of a module with relations, and maps into
+    and out of the zero module."""
+    bounds = SizeBounds(max_rank=3, max_entry=6)
+    maps = []
+    for i in range(12):
+        rnd = rng_for(11, "image-membership", i)
+        maps.append(random_morphism(rnd, random_module(rnd, bounds), random_module(rnd, bounds)))
+    qx, x = RingSpec.RATIONAL_POLYNOMIALS, QPoly.x()
+    maps.append(FpMorphism.from_generator_matrix(
+        FpModule.free(qx, 1), FpModule(IntMatrix.from_rows(qx, [[x * x], [QPoly()]])),
+        IntMatrix.from_rows(qx, [[x], [QPoly.const(1)]])))
+    z, zero = FpModule.free(Z, 1), FpModule.zero(Z)
+    maps.append(FpMorphism.from_generator_matrix(z, z, zmat([[2]])))
+    maps.append(FpMorphism.from_generator_matrix(zmod(2), zmod(4), zmat([[2]])))
+    maps += [FpMorphism.zero(zero, zmod(3)), FpMorphism.zero(zmod(0, 5), zero),
+             FpMorphism.zero(zero, zero)]
+    return maps
+
+
+def test_image_membership_agrees_with_the_old_constructions():
+    # is_epi against the cokernel, is_mono against the kernel, and in_image
+    # against lifting the free cover on the elements through f
+    epis, monos, members = [], [], []
+    for f in membership_maps():
+        ring, tgt = f.source.ring, f.target
+        epis.append(is_epi(f))
+        assert epis[-1] == cokernel(f)[0].is_zero_module()
+        monos.append(is_mono(f))
+        assert monos[-1] == kernel(f)[0].is_zero_module()
+        ident = IntMatrix.identity(ring, tgt.generators)
+        for elements in [ident, f.gen] + [ident.take_columns([i]) for i in range(ident.cols)]:
+            cover = FpMorphism(FpModule.free(ring, elements.cols), tgt, elements,
+                               IntMatrix.zeros(ring, tgt.relations, 0))
+            members.append(in_image(f, elements))
+            assert members[-1] == (factor(cover, f) is not None)
+    for outcomes in (epis, monos, members):
+        assert 0 < outcomes.count(False) < len(outcomes)
+
+
+def test_epi_and_mono_build_no_morphism(morphisms_built):
+    # one solve each: no cokernel projection and no kernel inclusion
+    for f in membership_maps():
+        assert morphisms_built(is_epi, f) == 0
+        assert morphisms_built(is_mono, f) == 0
 
 
 def test_morphism_solves_are_pinned():
