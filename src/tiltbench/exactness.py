@@ -121,7 +121,7 @@ def is_inflation(f: FpMorphism, ex: ExactStructure) -> bool:
     if ex.flavor is Flavor.SPLIT:
         return modules.cofactor(FpMorphism.identity(f.source), f) is not None
     # maximal and inherited: a mono whose cokernel stays in the carrier
-    return modules.is_mono(f) and ex.contains(modules.cokernel(f)[0])
+    return modules.is_mono(f) and ex.contains(modules.cokernel(f))
 
 
 def _is_cokernel_of_its_kernel(f: FpMorphism, ex: ExactStructure) -> bool:
@@ -175,11 +175,10 @@ def e_cokernel(f: FpMorphism, ex: ExactStructure) -> tuple[FpModule, FpMorphism]
 
 
 def _carrier_cokernel(f: FpMorphism, ex: ExactStructure) -> tuple[FpModule, FpMorphism]:
-    c, proj = modules.cokernel(f)
-    if ex.carrier in _FREE_CARRIERS:
-        fq, fproj = modules.free_quotient(c)
-        return fq, modules.compose(fproj, proj)
-    return c, proj
+    proj = modules.cokernel_projection(f)
+    if ex.carrier in _FREE_CARRIERS:  # onto the free quotient of the cokernel
+        proj = modules.compose(modules.free_quotient(proj.target)[1], proj)
+    return proj.target, proj
 
 
 DeflationCover = Callable[[FpMorphism], tuple[FpMorphism, FpMorphism]]

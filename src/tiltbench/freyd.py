@@ -288,8 +288,7 @@ def auslander_project(f: FreydObject) -> FpModule:
     if f.ex.carrier not in _PROJECTABLE:
         raise UnsupportedCarrierError(
             f"no localisation target for carrier {f.ex.carrier.value}")
-    c, _ = modules.cokernel(f.carrier)
-    return c
+    return modules.cokernel(f.carrier)
 
 
 def project_morphism(eta: FreydMorphism) -> FpMorphism:

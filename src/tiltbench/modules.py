@@ -8,11 +8,13 @@ so it works for infinite modules without element enumeration.
 
 Kernels, cokernels, images, hom groups, torsion decomposition and
 projective resolutions are all computed through the Smith normal form of
-integer (or exact polynomial) matrices.
+integer (or exact polynomial) matrices; ``factor`` and ``cofactor`` are
+plain solves on one reduced presentation.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Optional, Sequence
 
 from . import rings
@@ -28,7 +30,6 @@ from .matrices import (
     smith_normal_form,
     solve_lift,
     unvec,
-    vec,
 )
 from .rings import RingSpec
 
@@ -245,65 +246,68 @@ def sub_morphisms(f: FpMorphism, g: FpMorphism) -> FpMorphism:
     return add_morphisms(f, negate(g))
 
 
-def _solve_morphism(source: FpModule, target: FpModule, left: IntMatrix, right: IntMatrix,
-                    g: FpMorphism) -> Optional[FpMorphism]:
-    """A morphism h : source -> target with left * H * right = g, or None,
-    for the generator matrices of left : target -> Z and right : S -> source.
-
-    The system is posed on the reduced presentations of the four modules,
-    with every matrix conjugated by the mutually inverse isomorphisms a and
-    b of ``FpModule.reduction``: a solution h' there gives h = b o h' o a,
-    and h' exists exactly when h does.  One Kronecker-vectorised system in
-    the unknowns vec H, vec T1, vec T2: L * H * R + P_Z * T1 = G, and
-    H * P_X = P_Y * T2 so that H descends to the cokernels.
-    """
-    x, to_x, _ = source.reduction()
-    y, _, from_y = target.reduction()
-    z, to_z, _ = g.target.reduction()
-    _, _, from_s = g.source.reduction()
-    lhs = to_z.gen * left * from_y.gen
-    rhs = to_x.gen * right * from_s.gen
-    g_gen = to_z.gen * g.gen * from_s.gen
-    ring = x.ring
-    b_x, b_y, a_x = x.generators, y.generators, x.relations
-    row_sizes = [g_gen.rows * g_gen.cols, b_y * a_x]
-    col_sizes = [b_y * b_x, z.relations * g_gen.cols, y.relations * a_x]
-    system = block_matrix(ring, row_sizes, col_sizes, {
-        (0, 0): kron(rhs.transpose(), lhs),
-        (0, 1): kron(IntMatrix.identity(ring, g_gen.cols), z.presentation),
-        (1, 0): kron(x.presentation.transpose(), IntMatrix.identity(ring, b_y)),
-        (1, 2): kron(IntMatrix.identity(ring, a_x), -y.presentation),
-    })
-    sol = solve_lift(system, block_matrix(ring, row_sizes, [1], {(0, 0): vec(g_gen)}))
-    if sol is None:
-        return None
-    h = unvec(sol.take_rows(range(b_y * b_x)), b_y, b_x)
-    t2 = unvec(sol.take_rows(range(sum(col_sizes[:2]), sol.rows)), y.relations, a_x)
-    return FpMorphism(source, target, from_y.gen * h * to_x.gen,
-                      from_y.witness * t2 * to_x.witness)
+def _solve_by_runs(m: FpModule, y: FpModule, rhs: IntMatrix,
+                   system) -> Optional[tuple[IntMatrix, IntMatrix]]:
+    """One solve of system(d) * X = [B; 0] per run of equal entries d of m's
+    reduced presentation [diag(d); 0], B the columns of ``rhs`` at the run.
+    Returns the solutions' top rows, one per generator of y, side by side,
+    and their bottom rows, one per relation of y, for d != 0; or None."""
+    ring, p = m.ring, m.presentation
+    diag = [p.at(i, i) if i < p.cols else rings.zero(ring) for i in range(p.rows)]
+    heads, tails = IntMatrix.zeros(ring, y.generators, 0), IntMatrix.zeros(ring, y.relations, 0)
+    for d, run in groupby(range(p.rows), key=diag.__getitem__):
+        a, b = system(d), rhs.take_columns(run)
+        sol = solve_lift(a, b.vstack(IntMatrix.zeros(ring, a.rows - b.rows, b.cols)))
+        if sol is None:
+            return None
+        heads = heads.hstack(sol.take_rows(range(y.generators)))
+        if not rings.is_zero(ring, d):
+            tails = tails.hstack(sol.take_rows(range(sol.rows - y.relations, sol.rows)))
+    return heads, tails
 
 
 def factor(g: FpMorphism, through: FpMorphism) -> Optional[FpMorphism]:
-    """A morphism h with through o h = g, or None.
+    """A morphism h with through o h = g, or None: a lift or a factorisation.
 
-    This single exact solve realises both lifting through an epimorphism
-    and factoring through a monomorphism (e.g. a kernel inclusion).
-    """
+    Plain solves on the reduced presentation a : X -> x, P_x = [diag(d); 0],
+    of g's source: H : x -> Y descends iff each d_i * H_i is in im P_Y, so
+    column i of H solves [[T, P_Z, 0], [d_i I, 0, -P_Y]] (T = through.gen)
+    against [G_i; 0], the bottom block its witness column; h = H o a."""
     if g.target.presentation != through.target.presentation:
         raise ValueError("factor: targets differ")
-    return _solve_morphism(g.source, through.source, through.gen,
-                           IntMatrix.identity(g.source.ring, g.gen.cols), g)
+    x, to_x, from_x = g.source.reduction()
+    y, ring = through.source, x.ring
+    top = through.gen.hstack(g.target.presentation)
+
+    def system(d):  # a free generator has no descent condition
+        return top if rings.is_zero(ring, d) else block_matrix(
+            ring, [top.rows, y.generators], [top.cols, y.relations],
+            {(0, 0): top, (1, 0): IntMatrix.diagonal(ring, [d] * y.generators, cols=top.cols),
+             (1, 1): -y.presentation})
+
+    sol = _solve_by_runs(x, y, g.gen * from_x.gen, system)
+    return None if sol is None else compose(FpMorphism(x, y, *sol), to_x)
 
 
 def cofactor(g: FpMorphism, through: FpMorphism) -> Optional[FpMorphism]:
-    """A morphism h with h o through = g, or None.
+    """A morphism h with h o through = g, or None, as for cokernel projections.
 
-    Realises the couniversal property of cokernel projections.
-    """
+    The mirror image of ``factor``, on the reduced presentation b : z -> Z of
+    g's target, P_z = [diag(e); 0]: row j of H : Y -> z solves
+    [[T^T, e_j I, 0], [P_Y^T, 0, -e_j I]] against [G_j^T; 0]; h = b o H."""
     if g.source.presentation != through.source.presentation:
         raise ValueError("cofactor: sources differ")
-    return _solve_morphism(through.target, g.target,
-                           IntMatrix.identity(g.source.ring, g.gen.rows), through.gen, g)
+    z, to_z, from_z = g.target.reduction()
+    y, ring = through.target, z.ring
+    left = through.gen.transpose().vstack(y.presentation.transpose())
+
+    def system(e):  # a free generator has no descent condition
+        return left if rings.is_zero(ring, e) else left.hstack(IntMatrix.diagonal(
+            ring, [e] * through.gen.cols + [-e] * y.relations))
+
+    sol = _solve_by_runs(z, y, (to_z.gen * g.gen).transpose(), system)
+    return None if sol is None else compose(
+        from_z, FpMorphism(y, z, sol[0].transpose(), sol[1].transpose()))
 
 
 # -- kernels, cokernels, images -------------------------------------------
@@ -334,14 +338,16 @@ def kernel(f: FpMorphism) -> tuple[FpModule, FpMorphism]:
     return k_mod, incl
 
 
-def cokernel(f: FpMorphism) -> tuple[FpModule, FpMorphism]:
-    """Cokernel with its epi projection, presented by [P_tgt | gen]."""
-    ring = f.source.ring
-    c = FpModule(f.target.presentation.hstack(f.gen))
-    w = IntMatrix.identity(ring, f.target.relations).vstack(
-        IntMatrix.zeros(ring, f.source.generators, f.target.relations))
-    proj = FpMorphism(f.target, c, IntMatrix.identity(ring, f.target.generators), w)
-    return c, proj
+def cokernel(f: FpMorphism) -> FpModule:
+    """The cokernel, presented by [P_tgt | gen] on the target's generators."""
+    return FpModule(f.target.presentation.hstack(f.gen))
+
+
+def cokernel_projection(f: FpMorphism) -> FpMorphism:
+    """The epi f.target -> cokernel(f), the identity on generators."""
+    ring, a = f.source.ring, f.target.relations
+    w = IntMatrix.diagonal(ring, [rings.one(ring)] * a, rows=a + f.source.generators)
+    return FpMorphism(f.target, cokernel(f), IntMatrix.identity(ring, f.target.generators), w)
 
 
 def image(f: FpMorphism) -> tuple[FpModule, FpMorphism]:
@@ -612,7 +618,7 @@ def pushout(f: FpMorphism, g: FpMorphism):
     parts = [f.target, g.target]
     total = direct_sum(parts)
     diff = block_morphism(f.source, total, [f.source], parts, {(0, 0): f, (1, 0): negate(g)})
-    p_mod, proj = cokernel(diff)
+    proj = cokernel_projection(diff)
     leg_a = compose(proj, injection(parts, total, 0))
     leg_b = compose(proj, injection(parts, total, 1))
-    return p_mod, leg_a, leg_b
+    return proj.target, leg_a, leg_b

@@ -120,9 +120,8 @@ def random_fp_complex(rnd: random.Random, bounds: SizeBounds,
         if not diffs:
             diffs.append(random_morphism(rnd, objs[-1], nxt))
         else:
-            c, proj = modules.cokernel(diffs[-1])
-            g = random_morphism(rnd, c, nxt)
-            diffs.append(modules.compose(g, proj))
+            proj = modules.cokernel_projection(diffs[-1])
+            diffs.append(modules.compose(random_morphism(rnd, proj.target, nxt), proj))
         objs.append(nxt)
     return fp_complex(Z, lo, objs, diffs)
 

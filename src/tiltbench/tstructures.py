@@ -168,10 +168,9 @@ def _cap_below_with(x: Complex, n: int, cap: FpModule, incl: FpMorphism
     return t, ChainMap(t, x, comps, check=False)
 
 
-def _quotient_above(x: Complex, n: int, q_mod: FpModule, proj: FpMorphism
-                    ) -> tuple[Complex, ChainMap]:
-    """[q_mod -> X^{>n}] with the map from X induced by proj : X^n -> q_mod."""
-    objs = [q_mod] + [x.object_at(j) for j in range(n + 1, x.hi + 1)]
+def _quotient_above(x: Complex, n: int, proj: FpMorphism) -> tuple[Complex, ChainMap]:
+    """[Q -> X^{>n}] with the map from X induced by proj : X^n -> Q."""
+    objs = [proj.target] + [x.object_at(j) for j in range(n + 1, x.hi + 1)]
     diffs = []
     if n < x.hi:
         desc = modules.cofactor(x.differential_at(n), proj)
@@ -235,9 +234,8 @@ def _truncate_le_honest(spec, n, x):
             return _zero_truncation_le(x)
         k, incl = modules.kernel(x.differential_at(n))
         lifted = modules.factor(x.differential_at(n - 1), incl)
-        h_mod, h_proj = modules.cokernel(lifted)
-        f_mod, f_proj = modules.free_quotient(h_mod)
-        to_free = modules.compose(f_proj, h_proj)
+        h_proj = modules.cokernel_projection(lifted)
+        to_free = modules.compose(modules.free_quotient(h_proj.target)[1], h_proj)
         k_tors, k_incl = modules.kernel(to_free)
         cap_incl = modules.compose(incl, k_incl)
         return _cap_below_with(x, n, k_tors, cap_incl)
@@ -278,14 +276,14 @@ def _truncate_ge_honest(spec, n, x):
             return _identity_truncation(x)
         if n > x.hi:
             return _zero_truncation_ge(x)
-        return _quotient_above(x, n, *e_cokernel(x.differential_at(n - 1), spec.ex))
+        return _quotient_above(x, n, e_cokernel(x.differential_at(n - 1), spec.ex)[1])
     if v is TVariant.NATURAL:
         if n <= x.lo:
             return _identity_truncation(x)
         if n > x.hi:
             return _zero_truncation_ge(x)
         k, incl = modules.kernel(x.differential_at(n - 1))
-        return _quotient_above(x, n - 1, *modules.cokernel(incl))
+        return _quotient_above(x, n - 1, modules.cokernel_projection(incl))
     if v is TVariant.HRS_TILT:
         if n <= x.lo:
             return _identity_truncation(x)
@@ -294,8 +292,7 @@ def _truncate_ge_honest(spec, n, x):
         sub, counit = _truncate_le_honest(spec, n - 1, x)
         if sub.is_zero_complex():
             return _identity_truncation(x)
-        cap_incl = counit.component_at(n - 1)
-        return _quotient_above(x, n - 1, *modules.cokernel(cap_incl))
+        return _quotient_above(x, n - 1, modules.cokernel_projection(counit.component_at(n - 1)))
     raise ValueError(f"unsupported variant {v}")
 
 
@@ -465,7 +462,7 @@ def _cokernel_form_window(b: Complex, m: int) -> Complex:
         return b
     if b.lo < m - 1:
         raise ValueError("window fold expects at most one entry below the cut")
-    return _quotient_above(b, m, *modules.cokernel(b.differential_at(m - 1)))[0]
+    return _quotient_above(b, m, modules.cokernel_projection(b.differential_at(m - 1)))[0]
 
 
 # -- heart equivalence with the module category ------------------------------------

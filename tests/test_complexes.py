@@ -30,7 +30,7 @@ from tiltbench.modules import (
     FpModule,
     FpMorphism,
     cofactor,
-    cokernel,
+    cokernel_projection,
     compose,
     factor,
     image,
@@ -264,8 +264,8 @@ def cofactor_cohomology_map(f, n):
     x, y = f.source, f.target
     _, incl_x = kernel(x.differential_at(n))
     _, incl_y = kernel(y.differential_at(n))
-    _, proj_x = cokernel(factor(x.differential_at(n - 1), incl_x))
-    _, proj_y = cokernel(factor(y.differential_at(n - 1), incl_y))
+    proj_x = cokernel_projection(factor(x.differential_at(n - 1), incl_x))
+    proj_y = cokernel_projection(factor(y.differential_at(n - 1), incl_y))
     on_kernels = factor(compose(f.component_at(n), incl_x), incl_y)
     induced = cofactor(compose(proj_y, on_kernels), proj_x)
     assert induced is not None

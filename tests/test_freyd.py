@@ -34,7 +34,7 @@ from tiltbench.modules import (
     FpModule,
     FpMorphism,
     cofactor,
-    cokernel,
+    cokernel_projection,
     compose,
     hom_group,
     is_epi,
@@ -110,6 +110,15 @@ def test_auslander_project_examples():
     assert auslander_project(eff).is_zero_module()
     h0 = free_obj(FREE_SPLIT, IntMatrix.zeros(Z, 1, 0))
     assert auslander_project(h0).invariant_data() == (1, ())
+
+
+def test_auslander_project_builds_no_morphism(morphisms_built):
+    # the projected module is the cokernel alone; no projection is built
+    for i in range(5):
+        rnd = rng_for(9, "auslander-project", i)
+        for ex in (FREE_SPLIT, FP_MAX):
+            f = FreydObject(ex, random_carrier_deflation(ex, rnd, SizeBounds()))
+            assert morphisms_built(auslander_project, f) == 0
 
 
 def test_projection_kernel_is_effaceables():
@@ -325,7 +334,7 @@ def cofactor_evaluate_map(eta, probe):
     ends = []
     for obj in (eta.source, eta.target):
         h2, h1 = hom_group(probe, obj.generators), hom_group(probe, obj.relations)
-        _, proj = cokernel(pushforward_by_generator(obj.carrier, h1, h2))
+        proj = cokernel_projection(pushforward_by_generator(obj.carrier, h1, h2))
         ends.append((h2, proj))
     (src_h2, src_proj), (tgt_h2, tgt_proj) = ends
     lifted = pushforward_by_generator(eta.gen, src_h2, tgt_h2)
@@ -335,8 +344,8 @@ def cofactor_evaluate_map(eta, probe):
 
 
 def cofactor_project_morphism(eta):
-    _, src_proj = cokernel(eta.source.carrier)
-    _, tgt_proj = cokernel(eta.target.carrier)
+    src_proj = cokernel_projection(eta.source.carrier)
+    tgt_proj = cokernel_projection(eta.target.carrier)
     induced = cofactor(compose(tgt_proj, eta.gen), src_proj)
     assert induced is not None
     return induced

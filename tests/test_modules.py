@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import oracles
 from tiltbench.complexes import ChainMap, cone, direct_sum_complexes
 from tiltbench.exactness import Carrier, ExactStructure, Flavor
 from tiltbench.freyd import (
@@ -19,6 +20,7 @@ from tiltbench.modules import (
     UnsupportedRingError,
     block_morphism,
     cokernel,
+    cokernel_projection,
     compose,
     corestrict_to_image,
     direct_sum,
@@ -124,13 +126,14 @@ def test_kernel_of_times_two_on_z4_brute_force():
 def test_cokernel_examples():
     z2mod = FpModule.free(Z, 2)
     f = FpMorphism.from_generator_matrix(z2mod, z2mod, zmat([[2, 0], [0, 3]]))
-    c, proj = cokernel(f)
+    c = cokernel(f)
     assert c.invariant_data() == (0, (6,))
+    assert cokernel_projection(f).target == c
     ident = FpMorphism.identity(z2mod)
-    c2, _ = cokernel(ident)
+    c2 = cokernel(ident)
     assert c2.is_zero_module()
     z = FpModule.free(Z, 1)
-    c3, _ = cokernel(FpMorphism.zero(z, z))
+    c3 = cokernel(FpMorphism.zero(z, z))
     assert c3.invariant_data() == (1, ())
 
 
@@ -170,7 +173,7 @@ def test_cokernel_universal_property_random():
         if hom.module.generators == 0:
             continue
         f = hom.element([rnd.randint(-2, 2) for _ in range(hom.module.generators)])
-        c, proj = cokernel(f)
+        proj = cokernel_projection(f)
         assert is_epi(proj)
         assert is_zero_morphism(compose(proj, f))
         t = zmod(rnd.choice([0, 2, 4, 6]))
@@ -458,7 +461,7 @@ def test_image_membership_agrees_with_the_old_constructions():
     for f in membership_maps():
         ring, tgt = f.source.ring, f.target
         epis.append(is_epi(f))
-        assert epis[-1] == cokernel(f)[0].is_zero_module()
+        assert epis[-1] == cokernel(f).is_zero_module()
         monos.append(is_mono(f))
         assert monos[-1] == kernel(f)[0].is_zero_module()
         ident = IntMatrix.identity(ring, tgt.generators)
@@ -481,7 +484,8 @@ def test_epi_and_mono_build_no_morphism(morphisms_built):
 def test_morphism_solves_are_pinned():
     # golden hash of factor/cofactor solutions through kernel inclusions and
     # cokernel projections, solvable by construction and random; reordering
-    # the unknowns or changing any block of the vectorised system moves it.
+    # the unknowns or the runs, or changing any block of a run's system,
+    # moves it.
     # A second hash covers the witnesses of those solutions and of a few hom
     # group elements.
     bounds = SizeBounds(max_rank=2, max_entry=3)
@@ -492,7 +496,8 @@ def test_morphism_solves_are_pinned():
         m, n, t = (random_module(rnd, bounds) for _ in range(3))
         f = random_morphism(rnd, m, n)
         k, incl = kernel(f)
-        c, proj = cokernel(f)
+        proj = cokernel_projection(f)
+        c = proj.target
         through_kernel = factor(compose(incl, random_morphism(rnd, t, k)), incl)
         through_cokernel = cofactor(compose(random_morphism(rnd, c, t), proj), proj)
         assert through_kernel is not None and through_cokernel is not None
@@ -508,27 +513,99 @@ def test_morphism_solves_are_pinned():
             witnesses.update(repr(hom.element(coords).witness).encode())
     assert solved > 50 and unsolved > 5
     assert h.hexdigest() == (
-        "bd1c2788d3e0db23272049d59a023a255ae6806a1062fb11dcbfb74a7f9d7b3d")
+        "8a75b2ededd8218ad95337159797205b952046f4597fac1904c9376c2c5c62f9")
     assert witnesses.hexdigest() == (
-        "eafbae37a6fee55c031b50c64e187509f5cabdf93d0125303c6440450beb146c")
+        "6de6808a84973af40699dfafd261e8019d0f0e7bb77f900cbee2b1eb16a5b388")
+
+
+def oracle_cases():
+    """(solve, g, through, unique): factor or cofactor problems through
+    kernel inclusions, cokernel projections, identities and random maps over
+    400 seeded triples, a map over Q[x], and maps into and out of the zero
+    module.  ``unique`` marks a mono to factor through or an epi to descend
+    through, where any two solutions agree."""
+    bounds = SizeBounds(max_rank=3, max_entry=4)
+    for i in range(400):
+        rnd = rng_for(17, "oracle-agreement", i)
+        m, n, t = (random_module(rnd, bounds) for _ in range(3))
+        f = random_morphism(rnd, m, n)
+        _, incl = kernel(f)
+        proj = cokernel_projection(f)
+        yield factor, compose(incl, random_morphism(rnd, t, incl.source)), incl, True
+        yield factor, random_morphism(rnd, t, m), incl, True
+        yield cofactor, compose(random_morphism(rnd, proj.target, t), proj), proj, True
+        yield cofactor, random_morphism(rnd, n, t), proj, True
+        yield factor, random_morphism(rnd, t, n), FpMorphism.identity(n), True
+        yield cofactor, random_morphism(rnd, m, t), FpMorphism.identity(m), True
+        yield factor, random_morphism(rnd, t, n), f, False
+        yield cofactor, random_morphism(rnd, m, t), f, False
+    qx, x = RingSpec.RATIONAL_POLYNOMIALS, QPoly.x()
+    f = FpMorphism.from_generator_matrix(
+        FpModule.free(qx, 1), FpModule(IntMatrix.from_rows(qx, [[x * x], [QPoly()]])),
+        IntMatrix.from_rows(qx, [[x], [QPoly.const(1)]]))
+    proj = cokernel_projection(f)
+    yield factor, f, f, False
+    yield factor, FpMorphism.identity(f.target), f, False
+    yield cofactor, proj, proj, True
+    yield cofactor, FpMorphism.identity(f.target), proj, True
+    zero, m, n = FpModule.zero(Z), zmod(3, 0), zmod(0, 5)
+    yield factor, FpMorphism.zero(zero, n), FpMorphism.identity(n), True
+    yield factor, FpMorphism.zero(m, zero), FpMorphism.zero(n, zero), False
+    yield factor, FpMorphism.identity(n), FpMorphism.zero(zero, n), True
+    yield cofactor, FpMorphism.zero(m, zero), FpMorphism.identity(m), True
+    yield cofactor, FpMorphism.zero(zero, n), FpMorphism.zero(zero, m), False
+    yield cofactor, FpMorphism.identity(m), FpMorphism.zero(m, zero), True
+
+
+def test_factor_and_cofactor_agree_with_the_kronecker_oracle():
+    # the old vectorised solver decides the same existence question; a new
+    # solution satisfies its equation, and equals the old one where unique
+    outcomes = {factor: [], cofactor: []}
+    for solve, g, through, unique in oracle_cases():
+        h = solve(g, through)
+        expected = (oracles.factor if solve is factor else oracles.cofactor)(g, through)
+        assert (h is None) == (expected is None)
+        outcomes[solve].append(h is not None)
+        if h is None:
+            continue
+        assert morphism_equal(compose(through, h) if solve is factor else compose(h, through), g)
+        if unique:
+            assert morphism_equal(h, expected)
+    for found in outcomes.values():
+        assert 0 < found.count(False) < len(found)
 
 
 def test_morphism_solves_build_one_solver(solvers_built):
-    # factor and cofactor take the witness from their own solution, and
-    # hom group elements take it from the kernel that found them
+    # factor and cofactor reduce one module, g's source or target, and build
+    # one solver per run of equal entries on its reduced diagonal plus one for
+    # its free generators, taking each witness from their own solution; hom
+    # group elements take it from the kernel that found them
+    def runs(m):
+        free_rank, torsion = m.invariant_data()
+        return len(set(torsion)) + (free_rank > 0)
+
     bounds = SizeBounds(max_rank=2, max_entry=3)
+    counts = []
     for i in range(5):
         rnd = rng_for(9, "solver-count", i)
         m, n, t = (random_module(rnd, bounds) for _ in range(3))
         f = random_morphism(rnd, m, n)
         _, incl = kernel(f)
-        _, proj = cokernel(f)
+        proj = cokernel_projection(f)
         g = compose(incl, random_morphism(rnd, t, incl.source))
-        assert solvers_built(factor, g, incl) == 1
+        counts.append(solvers_built(factor, g, incl))
+        assert counts[-1] == runs(t)
         g = compose(random_morphism(rnd, proj.target, t), proj)
-        assert solvers_built(cofactor, g, proj) == 1
+        counts.append(solvers_built(cofactor, g, proj))
+        assert counts[-1] == runs(t)
         hom = hom_group(m, n)
         assert solvers_built(hom.element, [1] * hom.module.generators) == 0
+    # two runs and free generators; a unit factor that reduction drops
+    for t in (zmod(2, 2, 4, 0), zmod(3, 0, 0), FpModule(zmat([[2, 1], [0, 3]]))):
+        ident = FpMorphism.identity(t)
+        counts += [solvers_built(factor, ident, ident), solvers_built(cofactor, ident, ident)]
+        assert counts[-2:] == [runs(t)] * 2
+    assert sorted(set(counts)) == [0, 1, 2, 3]
 
 
 def test_known_witnesses_build_no_solver(solvers_built):
@@ -612,4 +689,4 @@ def test_maps_between_direct_sums_are_pinned():
                extension_middle(ex, rnd, t1, t2).carrier,
                pi.wit, g.wit, mid.carrier)
     assert h.hexdigest() == (
-        "1e70ee78e507815b87d75335d537402a7b814244124941975dfa6bf2fd6a716c")
+        "e9f3aa6fbc3d976d4ef80a62b7c1fb94aaa4548850657544e96bcf6d7eaaf142")

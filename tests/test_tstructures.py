@@ -296,17 +296,23 @@ def snf_entry_bits(monkeypatch):
     return widest
 
 
-@pytest.mark.parametrize("replay", [
+@pytest.mark.parametrize("replay, checks", [
     # entries used to compound across solve, kernel and solve to about
     # 85,000 bits, stuck in SNF for minutes
-    lambda: suites._hrs_star_consistency(
-        rng_for(2618853688, "hrs-star", 1), SizeBounds()),
+    (lambda: suites._hrs_star_consistency(
+        rng_for(2618853688, "hrs-star", 1), SizeBounds()), []),
     # SNF inputs used to reach 492,041 bits, 45 s for one sample
-    lambda: suites._axiom_sample(
-        NAT, rng_for(1536079867, "axiom", NAT.config_string(), 3), SizeBounds()),
-], ids=["hrs_star_consistency", "tstructure_axioms_natural"])
-def test_entry_growth_replays_stay_small(snf_entry_bits, replay):
-    assert list(replay()) == []
+    (lambda: suites._axiom_sample(
+        NAT, rng_for(1536079867, "axiom", NAT.config_string(), 3), SizeBounds()), []),
+    # the widest SNF input, 78 bits, of every default suite over seeds 7-16
+    # at budget 100: seed 7, sample 43 of the corrupted control, which is
+    # detected there
+    (lambda: suites._axiom_sample(
+        suites.CORRUPTED, rng_for(7, "axiom", suites.CORRUPTED.config_string(), 43),
+        SizeBounds()), ["approximating_triangle"]),
+], ids=["hrs_star_consistency", "tstructure_axioms_natural", "corrupted_tstructure_detected"])
+def test_entry_growth_replays_stay_small(snf_entry_bits, replay, checks):
+    assert [check for check, _ in replay()] == checks
     assert 0 < snf_entry_bits[0] <= 256
 
 
@@ -354,7 +360,7 @@ def test_truncations_are_pinned():
                 h.update(repr([(f.degree, f.module.presentation)
                                for f in dec.factors]).encode())
     assert h.hexdigest() == (
-        "1b4228cd7b03158621721f0e0ac98156580f24318974bfafa6fa8353e7df24b0")
+        "5bb05f0903a739046db049513c1a09a1d9aa7a94808b1af2d8d3395de637c8cd")
 
 
 def test_free_heart_membership_builds_no_homotopy(monkeypatch):
