@@ -285,8 +285,12 @@ def factor(g: FpMorphism, through: FpMorphism) -> Optional[FpMorphism]:
             {(0, 0): top, (1, 0): IntMatrix.diagonal(ring, [d] * y.generators, cols=top.cols),
              (1, 1): -y.presentation})
 
-    sol = _solve_by_runs(x, y, g.gen * from_x.gen, system)
-    return None if sol is None else compose(FpMorphism(x, y, *sol), to_x)
+    reduced = x is not g.source  # else the reduction is the identity
+    sol = _solve_by_runs(x, y, g.gen * from_x.gen if reduced else g.gen, system)
+    if sol is None:
+        return None
+    h = FpMorphism(x, y, *sol)
+    return compose(h, to_x) if reduced else h
 
 
 def cofactor(g: FpMorphism, through: FpMorphism) -> Optional[FpMorphism]:
@@ -305,9 +309,12 @@ def cofactor(g: FpMorphism, through: FpMorphism) -> Optional[FpMorphism]:
         return left if rings.is_zero(ring, e) else left.hstack(IntMatrix.diagonal(
             ring, [e] * through.gen.cols + [-e] * y.relations))
 
-    sol = _solve_by_runs(z, y, (to_z.gen * g.gen).transpose(), system)
-    return None if sol is None else compose(
-        from_z, FpMorphism(y, z, sol[0].transpose(), sol[1].transpose()))
+    reduced = z is not g.target  # else the reduction is the identity
+    sol = _solve_by_runs(z, y, (to_z.gen * g.gen if reduced else g.gen).transpose(), system)
+    if sol is None:
+        return None
+    h = FpMorphism(y, z, sol[0].transpose(), sol[1].transpose())
+    return compose(from_z, h) if reduced else h
 
 
 # -- kernels, cokernels, images -------------------------------------------

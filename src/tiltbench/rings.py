@@ -2,15 +2,18 @@
 
 Two rings are supported: the integers and the univariate polynomial ring
 over the rationals.  Integer elements are plain Python ``int`` (arbitrary
-precision); polynomial elements are :class:`QPoly` values with exact
-``Fraction`` coefficients.  Every matrix carries exactly one ring tag and
-mixed-ring arithmetic is rejected at the call site.
+precision); polynomial elements are :class:`QPoly` values, one integer
+numerator polynomial over one positive integer denominator, so their
+arithmetic builds no ``Fraction``.  Every matrix carries exactly one ring
+tag and mixed-ring arithmetic is rejected at the call site.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Union
 
 
@@ -25,90 +28,117 @@ class RingSpec(enum.Enum):
 class QPoly:
     """A univariate polynomial with exact rational coefficients.
 
-    Stored dense by degree, low degree first, with trailing zeros stripped
-    so that equal polynomials compare equal.  The zero polynomial has an
-    empty coefficient tuple.
+    Stored as ``sum(num[i] * x**i) / den``: a tuple of integer numerators,
+    low degree first, over one integer denominator.  The form is canonical,
+    so equal polynomials have equal fields: ``den > 0``, no trailing zero in
+    ``num``, ``gcd(den, *num) == 1``, and zero is ``((), 1)``.  Arithmetic
+    stays on integers; division is pseudo-division of the numerators
+    (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).  ``coeffs`` gives the
+    coefficients as ``Fraction`` values.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = lcm(*(c.denominator for c in cs))
+        p = _canonical([c.numerator * (den // c.denominator) for c in cs], den)
+        self.num, self.den = p.num, p.den
 
     @classmethod
     def const(cls, c) -> "QPoly":
-        return cls((Fraction(c),))
+        return cls((c,))
 
     @classmethod
     def x(cls) -> "QPoly":
-        return cls((Fraction(0), Fraction(1)))
+        return _canonical([0, 1], 1)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as ``Fraction`` values, low degree first."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     @property
     def degree(self) -> int:
         """Degree, with the convention deg(0) = -1."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def lead(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             raise ZeroDivisionError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
+
+    def _combine(self, other: "QPoly", sign: int) -> "QPoly":
+        """self + sign * other over the least common denominator."""
+        den = lcm(self.den, other.den)
+        ma, mb = den // self.den, sign * (den // other.den)
+        return _canonical([a * ma + b * mb for a, b in
+                           zip_longest(self.num, other.num, fillvalue=0)], den)
 
     def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
-
-    def __neg__(self) -> "QPoly":
-        return QPoly(tuple(-c for c in self.coeffs))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "QPoly":
+        return _canonical([-c for c in self.num], self.den)
 
     def __mul__(self, other: "QPoly") -> "QPoly":
-        if self.is_zero() or other.is_zero():
-            return QPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return QPoly(out)
+        a, b = self.num, other.num
+        if not a or not b:
+            return _canonical([], 1)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                for j, e in enumerate(b):
+                    out[i + j] += c * e
+        return _canonical(out, self.den * other.den)
 
     def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
-        """Euclidean division; remainder has degree < deg(other)."""
-        if other.is_zero():
+        """Euclidean division; remainder has degree < deg(other).
+
+        Pseudo-division of the numerators gives lc**e * a = q * b + r, with
+        lc the leading numerator of b and e the number of nonzero steps;
+        then self = (q * other.den / (lc**e * self.den)) * other
+        + r / (lc**e * self.den).
+        """
+        b = other.num
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.degree
-        lead = other.lead()
-        for k in range(len(rem) - 1, d - 1, -1):
-            if rem[k] == 0:
+        r = list(self.num)
+        d = len(b) - 1
+        if len(r) <= d:
+            return _canonical([], 1), self
+        lc, low = b[-1], b[:-1]
+        q = [0] * (len(r) - d)
+        e = 0
+        for k in range(len(q) - 1, -1, -1):
+            c = r.pop()
+            if not c:
                 continue
-            c = rem[k] / lead
-            q[k - d] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k - d + i] -= c * b
-        return QPoly(q), QPoly(rem)
+            e += 1
+            if lc != 1:
+                r = [lc * t for t in r]
+                q = [lc * t for t in q]
+            q[k] = c
+            for i, t in enumerate(low):
+                r[k + i] -= c * t
+        scale = lc ** e * self.den
+        return (_canonical([t * other.den for t in q], scale), _canonical(r, scale))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
+        return isinstance(other, QPoly) and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -126,15 +156,33 @@ class QPoly:
         return "QPoly(" + " + ".join(terms) + ")"
 
 
+def _canonical(num: list, den: int) -> QPoly:
+    """The canonical QPoly equal to sum(num[i] * x**i) / den, for den != 0."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        den = 1
+    elif den != 1:
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    p = object.__new__(QPoly)
+    p.num, p.den = tuple(num), den
+    return p
+
+
 Element = Union[int, QPoly]
 
 
 def zero(ring: RingSpec) -> Element:
-    return 0 if ring is RingSpec.INTEGERS else QPoly()
+    return 0 if ring is RingSpec.INTEGERS else _canonical([], 1)
 
 
 def one(ring: RingSpec) -> Element:
-    return 1 if ring is RingSpec.INTEGERS else QPoly.const(1)
+    return 1 if ring is RingSpec.INTEGERS else _canonical([1], 1)
 
 
 def is_zero(ring: RingSpec, a: Element) -> bool:
@@ -194,9 +242,9 @@ def canonical_unit(ring: RingSpec, a: Element) -> Element:
     if ring is RingSpec.INTEGERS:
         return -1 if a < 0 else 1
     if a.is_zero():
-        return QPoly.const(1)
-    return QPoly.const(Fraction(1) / a.lead())
+        return _canonical([1], 1)
+    return _canonical([a.den], a.num[-1])
 
 
 def from_int(ring: RingSpec, n: int) -> Element:
-    return n if ring is RingSpec.INTEGERS else QPoly.const(n)
+    return n if ring is RingSpec.INTEGERS else _canonical([n], 1)

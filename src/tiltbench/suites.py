@@ -533,7 +533,7 @@ def _tilting_sample(class_tag: ClassTag, mode: str, rnd, bounds: SizeBounds):
         # dual: closure under subobjects
         host = _sample_class_module(class_tag, rnd, bounds)
         g = samplers.random_morphism(rnd, samplers.random_module(rnd, bounds), host)
-        sub, _ = modules.image(g)
+        sub = modules.span_quotient(g.gen, g.target.presentation)[0]  # im g
         if not _class_contains(class_tag, sub):
             yield "subobject_closure", {"subobject": serialize.module_to_json(sub)}
 

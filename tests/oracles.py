@@ -5,10 +5,17 @@ the reduced presentations of all four modules involved.  ``modules.factor``
 and ``modules.cofactor`` pose the descent condition per generator instead;
 the tests check that both agree on whether a solution exists, and on the
 solution where it is unique.
+
+``FractionPoly`` is the element type of ``Q[x]`` before ``rings.QPoly``
+stored one integer numerator polynomial over one denominator: a tuple of
+separately normalised ``Fraction`` coefficients, divided by the schoolbook
+long division.  Its ``repr`` prints the ``QPoly(...)`` text so that the two
+can be compared directly.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
 from tiltbench.matrices import IntMatrix, block_matrix, kron, solve_lift, unvec, vec
@@ -74,3 +81,107 @@ def cofactor(g: FpMorphism, through: FpMorphism) -> Optional[FpMorphism]:
         raise ValueError("cofactor: sources differ")
     return _solve_morphism(through.target, g.target,
                            IntMatrix.identity(g.source.ring, g.gen.rows), through.gen, g)
+
+
+class FractionPoly:
+    """A univariate polynomial with exact rational coefficients.
+
+    Stored dense by degree, low degree first, with trailing zeros stripped
+    so that equal polynomials compare equal.  The zero polynomial has an
+    empty coefficient tuple.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def const(cls, c) -> "FractionPoly":
+        return cls((Fraction(c),))
+
+    @classmethod
+    def x(cls) -> "FractionPoly":
+        return cls((Fraction(0), Fraction(1)))
+
+    @property
+    def degree(self) -> int:
+        """Degree, with the convention deg(0) = -1."""
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def lead(self) -> Fraction:
+        if not self.coeffs:
+            raise ZeroDivisionError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def __add__(self, other: "FractionPoly") -> "FractionPoly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionPoly(out)
+
+    def __neg__(self) -> "FractionPoly":
+        return FractionPoly(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other: "FractionPoly") -> "FractionPoly":
+        return self + (-other)
+
+    def __mul__(self, other: "FractionPoly") -> "FractionPoly":
+        if self.is_zero() or other.is_zero():
+            return FractionPoly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return FractionPoly(out)
+
+    def divmod(self, other: "FractionPoly") -> tuple["FractionPoly", "FractionPoly"]:
+        """Euclidean division; remainder has degree < deg(other)."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
+        d = other.degree
+        lead = other.lead()
+        for k in range(len(rem) - 1, d - 1, -1):
+            if rem[k] == 0:
+                continue
+            c = rem[k] / lead
+            q[k - d] = c
+            for i, b in enumerate(other.coeffs):
+                rem[k - d + i] -= c * b
+        return FractionPoly(q), FractionPoly(rem)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FractionPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        if self.is_zero():
+            return "QPoly(0)"
+        terms = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if i == 0:
+                terms.append(str(c))
+            elif i == 1:
+                terms.append(f"{c}*x")
+            else:
+                terms.append(f"{c}*x^{i}")
+        return "QPoly(" + " + ".join(terms) + ")"

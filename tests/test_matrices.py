@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -26,6 +27,7 @@ from tiltbench.matrices import (
     vec,
 )
 from tiltbench.rings import QPoly, RingSpec
+from tiltbench.serialize import matrix_to_json
 
 Z = RingSpec.INTEGERS
 QX = RingSpec.RATIONAL_POLYNOMIALS
@@ -175,6 +177,38 @@ def test_snf_inverse_transforms():
     form = smith_normal_form(IntMatrix.from_rows(QX, [[QPoly((6, 3)), QPoly((0, 2))]]))
     assert form[0] == IntMatrix.from_rows(QX, [[QPoly.const(Fraction(-1, 4))]])
     assert form.u_inv() == IntMatrix.from_rows(QX, [[QPoly.const(-4)]])
+
+
+def polynomial_pin_matrices():
+    # seeded Q[x] matrices up to 4 x 4 whose coefficients are often not
+    # integers, so the normal forms meet non-monic pivots and denominators
+    rnd = random.Random(1818)
+
+    def coeff():
+        return Fraction(rnd.randint(-3, 3), rnd.choice((1, 1, 2, 3)))
+
+    for _ in range(40):
+        rows, cols = rnd.randint(1, 4), rnd.randint(1, 4)
+        yield IntMatrix.from_rows(QX, [[QPoly([coeff() for _ in range(rnd.randint(0, 3))])
+                                        for _ in range(cols)] for _ in range(rows)])
+
+
+def test_polynomial_normal_forms_are_pinned():
+    # golden hash of the serialised transforms, inverse transforms, kernel
+    # bases and solutions over Q[x]; the element arithmetic must not move it
+    rnd = random.Random(18)
+    h = hashlib.sha256()
+    for m in polynomial_pin_matrices():
+        form = smith_normal_form(m)
+        x = IntMatrix.from_rows(QX, [[QPoly((rnd.randint(-2, 2), Fraction(rnd.randint(-2, 2), 3)))]
+                                     for _ in range(m.cols)])
+        b = IntMatrix.from_rows(QX, [[QPoly.const(Fraction(rnd.randint(-3, 3), 2))]
+                                     for _ in range(m.rows)])
+        outputs = (*form, form.u_inv(), form.v_inv(), kernel_matrix(m),
+                   solve_lift(m, m * x), solve_lift(m, b))
+        h.update(json.dumps([None if o is None else matrix_to_json(o) for o in outputs]).encode())
+    assert h.hexdigest() == (
+        "0587ed1e5c103f0e612c3b027dfe2b12870d3b3858fc193934da4671ff39b966")
 
 
 def test_prepared_solver_reuse_is_pinned():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import oracles
+from tiltbench import modules
 from tiltbench.complexes import ChainMap, cone, direct_sum_complexes
 from tiltbench.exactness import Carrier, ExactStructure, Flavor
 from tiltbench.freyd import (
@@ -606,6 +607,26 @@ def test_morphism_solves_build_one_solver(solvers_built):
         counts += [solvers_built(factor, ident, ident), solvers_built(cofactor, ident, ident)]
         assert counts[-2:] == [runs(t)] * 2
     assert sorted(set(counts)) == [0, 1, 2, 3]
+
+
+def test_relation_free_solves_compose_nothing(morphisms_built, monkeypatch):
+    # a module without relations is its own reduction: factor from a free
+    # source and cofactor into a free target build the solved morphism alone
+    composed = []
+    monkeypatch.setattr(modules, "compose", lambda g, f: composed.append((g, f)) or compose(g, f))
+    bounds = SizeBounds(max_rank=2, max_entry=3)
+    for i in range(5):
+        rnd = rng_for(9, "relation-free", i)
+        m, n = random_module(rnd, bounds), random_module(rnd, bounds)
+        free = FpModule.free(Z, rnd.randint(1, 3))
+        free.reduction()  # its identities are built once per module
+        _, incl = kernel(random_morphism(rnd, m, n))
+        g = compose(incl, random_morphism(rnd, free, incl.source))
+        assert morphisms_built(factor, g, incl) == 1
+        proj = cokernel_projection(random_morphism(rnd, m, n))
+        g = compose(random_morphism(rnd, proj.target, free), proj)
+        assert morphisms_built(cofactor, g, proj) == 1
+    assert composed == []
 
 
 def test_known_witnesses_build_no_solver(solvers_built):

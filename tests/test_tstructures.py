@@ -260,6 +260,15 @@ def test_tilting_class_checks():
     assert dual.passed
 
 
+def test_subobject_closure_builds_no_image_inclusion(monkeypatch):
+    # the cotilting subobject check reads the image module alone
+    images = []
+    real_image = modules.image
+    monkeypatch.setattr(modules, "image", lambda f: images.append(f) or real_image(f))
+    dual = suites._tilting(ClassTag.FREE, "cotilting")(15, 5, SizeBounds())
+    assert dual.passed and dual.samples == 15 and images == []
+
+
 def test_cogeneration_witness_z2():
     z2 = FpModule.cyclic(Z, 2)
     assert cogeneration_witness(ClassTag.FREE, z2) is None
