@@ -154,10 +154,6 @@ class IntMatrix:
             out.extend(acc)
         return IntMatrix(self.ring, self.rows, m, tuple(out))
 
-    def scale(self, c: Element) -> "IntMatrix":
-        return IntMatrix(self.ring, self.rows, self.cols,
-                         tuple(c * e for e in self.entries))
-
     def transpose(self) -> "IntMatrix":
         ent = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
         return IntMatrix(self.ring, self.cols, self.rows, ent)
@@ -173,7 +169,13 @@ class IntMatrix:
         return self.submatrix(range(self.rows), col_idx)
 
     def take_rows(self, row_idx: Iterable[int]) -> "IntMatrix":
-        return self.submatrix(row_idx, range(self.cols))
+        ent, n, rows = [], self.cols, 0
+        for i in row_idx:
+            if not 0 <= i < self.rows:
+                raise IndexError(f"row {i} of a {self.rows}-row matrix")
+            ent.extend(self.entries[i * n:(i + 1) * n])
+            rows += 1
+        return IntMatrix(self.ring, rows, n, tuple(ent))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         self._check_ring(other)
@@ -548,9 +550,10 @@ class PreparedSolver:
                     if rhs:
                         return None
                 else:
-                    if not rings.divides(ring, di, rhs):
+                    q, rem = rings.euc_divmod(ring, rhs, di)
+                    if rem:
                         return None
-                    y[i][j] = rings.exact_div(ring, rhs, di)
+                    y[i][j] = q
         return IntMatrix.from_rows(ring, self._snf.apply_v(y), cols=b.cols)
 
 

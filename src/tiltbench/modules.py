@@ -459,23 +459,33 @@ def block_morphism(source: FpModule, target: FpModule,
 class HomGroup:
     """Hom(M, N) as a finitely presented abelian group.
 
-    ``module`` presents the group; ``element(coords)`` converts a
-    coordinate column (one entry per generator) into an actual morphism,
-    and ``pushforward`` takes coordinates the other way, for composites.
-    ``trivial`` spans the vectorised generator matrices P_N * S of the
-    zero morphisms; ``wit_vecs`` holds the vectorised witness of each
+    ``module`` presents the group, built when first read; ``element(coords)``
+    converts a coordinate column (one entry per generator) into an actual
+    morphism, and ``pushforward`` takes coordinates the other way, for
+    composites.  ``trivial`` spans the vectorised generator matrices P_N * S
+    of the zero morphisms; ``wit_vecs`` holds the vectorised witness of each
     generator.
     """
 
-    def __init__(self, source: FpModule, target: FpModule, module: FpModule,
+    def __init__(self, source: FpModule, target: FpModule,
                  gen_vecs: IntMatrix, wit_vecs: IntMatrix, trivial: IntMatrix):
         self.source = source
         self.target = target
-        self.module = module
         self._gen_vecs = gen_vecs
         self._wit_vecs = wit_vecs
         self._trivial = trivial
+        self._module = None
         self._coord_solver = None
+
+    @property
+    def generators(self) -> int:
+        return self._gen_vecs.cols
+
+    @property
+    def module(self) -> FpModule:
+        if self._module is None:
+            self._module, _ = span_quotient(self._gen_vecs, self._trivial)
+        return self._module
 
     def element(self, coords: Sequence[int]) -> FpMorphism:
         ring = self.source.ring
@@ -485,7 +495,7 @@ class HomGroup:
         return FpMorphism(self.source, self.target, g, w)
 
     def generator(self, i: int) -> FpMorphism:
-        coords = [0] * self.module.generators
+        coords = [0] * self.generators
         coords[i] = 1
         return self.element(coords)
 
@@ -506,7 +516,7 @@ class HomGroup:
         sol = tgt._solver().solve(images)
         if sol is None:
             raise AssertionError("pushforward left the hom group")
-        return sol.take_rows(range(tgt.module.generators))
+        return sol.take_rows(range(tgt.generators))
 
 
 def hom_group(source: FpModule, target: FpModule) -> HomGroup:
@@ -524,8 +534,7 @@ def hom_group(source: FpModule, target: FpModule) -> HomGroup:
     wit_vecs = sols.take_rows(range(b_n * b_m, sols.rows))
     # trivial morphisms: G = P_N * S
     triv = kron(IntMatrix.identity(ring, b_m), target.presentation)
-    module, _ = span_quotient(gen_vecs, triv)
-    return HomGroup(source, target, module, gen_vecs, wit_vecs, triv)
+    return HomGroup(source, target, gen_vecs, wit_vecs, triv)
 
 
 # -- torsion pair over Z -----------------------------------------------------
@@ -613,8 +622,13 @@ def pullback(f: FpMorphism, g: FpMorphism):
     total = direct_sum(parts)
     diff = block_morphism(total, f.target, parts, [f.target], {(0, 0): f, (0, 1): negate(g)})
     p_mod, incl = kernel(diff)
-    leg_a = compose(projection(total, parts, 0), incl)
-    leg_b = compose(projection(total, parts, 1), incl)
+    # a leg is its summand's row block of the inclusion, on generators and on
+    # relations alike, since the sum is presented block-diagonally
+    a_gens, a_rels = f.source.generators, f.source.relations
+    leg_a = FpMorphism(p_mod, f.source, incl.gen.take_rows(range(a_gens)),
+                       incl.witness.take_rows(range(a_rels)))
+    leg_b = FpMorphism(p_mod, g.source, incl.gen.take_rows(range(a_gens, total.generators)),
+                       incl.witness.take_rows(range(a_rels, total.relations)))
     return p_mod, leg_a, leg_b
 
 

@@ -68,9 +68,9 @@ def random_morphism(rnd: random.Random, src: FpModule, tgt: FpModule,
                     bound: int = 2) -> FpMorphism:
     """A random element of Hom(src, tgt), through the hom-group generators."""
     h = modules.hom_group(src, tgt)
-    if h.module.generators == 0:
+    if h.generators == 0:
         return FpMorphism.zero(src, tgt)
-    coords = [rnd.randint(-bound, bound) for _ in range(h.module.generators)]
+    coords = [rnd.randint(-bound, bound) for _ in range(h.generators)]
     return h.element(coords)
 
 

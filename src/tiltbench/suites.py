@@ -146,13 +146,14 @@ def _snf_polynomials(rnd, bounds):
     m = IntMatrix.from_rows(QX, [[rand_poly() for _ in range(cols)]
                                  for _ in range(rows)], cols=cols)
     u, d, v = smith_normal_form(m)
+    # the payload is serialised only on failure, so passing samples pay nothing
     if u * m * v != d:
-        yield "transform_identity", {}
+        yield "transform_identity", {"matrix": serialize.matrix_to_json(m)}
     if not (is_unimodular(u) and is_unimodular(v)):
-        yield "unimodular_transforms", {}
+        yield "unimodular_transforms", {"matrix": serialize.matrix_to_json(m)}
     diag = [d.at(j, j) for j in range(min(rows, cols))]
     if any(not divides(QX, a, b) for a, b in zip(diag, diag[1:])):
-        yield "divisibility_chain", {}
+        yield "divisibility_chain", {"matrix": serialize.matrix_to_json(m)}
 
 
 def _solve_kernel_duality(rnd, bounds):
@@ -360,7 +361,7 @@ def _heart_identification(rnd, bounds):
     chain_homs = derived_hom(h, hn, 0)
     if not chain_homs.is_isomorphic(hom.module):
         yield "hom_group_isomorphism", payload
-    for j in range(hom.module.generators):
+    for j in range(hom.generators):
         psi = hom.generator(j)
         lifted = module_map_to_left_heart_map(psi, h, hn)
         if not modules.morphism_equal(left_heart_map_to_module_map(lifted), psi):
@@ -610,9 +611,9 @@ def _auslander_formula(rnd, bounds):
         FREE_SPLIT, modules.reduce_presentation(n).presentation)
     hom = modules.hom_group(modules.reduce_presentation(m),
                             modules.reduce_presentation(n))
-    if hom.module.generators:
+    if hom.generators:
         psi = hom.element([rnd.randint(-2, 2)
-                           for _ in range(hom.module.generators)])
+                           for _ in range(hom.generators)])
     else:
         psi = FpMorphism.zero(modules.reduce_presentation(m),
                               modules.reduce_presentation(n))

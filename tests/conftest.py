@@ -41,9 +41,10 @@ def morphisms_built(monkeypatch):
 @pytest.fixture
 def module_constructions(monkeypatch):
     """module_constructions(call, *args): the names, in call order, of the
-    modules.factor, kernel and cokernel calls that call makes."""
+    modules.factor, kernel, cokernel and span_quotient calls that call
+    makes; a kernel is one span_quotient besides."""
     names = []
-    for name in ("factor", "kernel", "cokernel"):
+    for name in ("factor", "kernel", "cokernel", "span_quotient"):
         def counting(*args, _name=name, _real=getattr(modules, name)):
             names.append(_name)
             return _real(*args)

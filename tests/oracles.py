@@ -6,6 +6,11 @@ and ``modules.cofactor`` pose the descent condition per generator instead;
 the tests check that both agree on whether a solution exists, and on the
 solution where it is unique.
 
+``pullback_legs`` builds the legs of ``modules.pullback`` as they were
+built before a leg became a row block of the kernel inclusion: the
+summand's projection composed with that inclusion.  ``scale`` multiplies a
+matrix by a scalar; only the tests need it.
+
 ``FractionPoly`` is the element type of ``Q[x]`` before ``rings.QPoly``
 stored one integer numerator polynomial over one denominator: a tuple of
 separately normalised ``Fraction`` coefficients, divided by the schoolbook
@@ -19,7 +24,16 @@ from fractions import Fraction
 from typing import Optional
 
 from tiltbench.matrices import IntMatrix, block_matrix, kron, solve_lift, unvec, vec
-from tiltbench.modules import FpModule, FpMorphism
+from tiltbench.modules import (
+    FpModule,
+    FpMorphism,
+    block_morphism,
+    compose,
+    direct_sum,
+    kernel,
+    negate,
+    projection,
+)
 
 
 def _solve_morphism(source: FpModule, target: FpModule, left: IntMatrix, right: IntMatrix,
@@ -81,6 +95,22 @@ def cofactor(g: FpMorphism, through: FpMorphism) -> Optional[FpMorphism]:
         raise ValueError("cofactor: sources differ")
     return _solve_morphism(through.target, g.target,
                            IntMatrix.identity(g.source.ring, g.gen.rows), through.gen, g)
+
+
+def pullback_legs(f: FpMorphism, g: FpMorphism) -> tuple[FpMorphism, FpMorphism]:
+    """The legs of the pullback of f along g, each the projection of the
+    direct sum of the sources onto its summand after the kernel inclusion."""
+    parts = [f.source, g.source]
+    total = direct_sum(parts)
+    diff = block_morphism(total, f.target, parts, [f.target], {(0, 0): f, (0, 1): negate(g)})
+    _, incl = kernel(diff)
+    return (compose(projection(total, parts, 0), incl),
+            compose(projection(total, parts, 1), incl))
+
+
+def scale(m: IntMatrix, c) -> IntMatrix:
+    """c * m, entrywise."""
+    return IntMatrix(m.ring, m.rows, m.cols, tuple(c * e for e in m.entries))
 
 
 class FractionPoly:

@@ -17,7 +17,10 @@ from tiltbench.cli import (
     run,
     run_scenario,
 )
+from tiltbench.matrices import IntMatrix
+from tiltbench.rings import QPoly
 from tiltbench.samplers import SizeBounds
+from tiltbench.serialize import matrix_from_json
 from tiltbench.suites import REGISTRY
 
 # sha256 of the default scenario's report at budget 3, seed 1, without wall
@@ -195,6 +198,29 @@ def test_crashing_sample_is_reported_and_the_run_goes_on(tmp_path, monkeypatch):
         {"sample_index": 1, "check": "crash",
          "payload": {"exception": "ZeroDivisionError"}}]
     assert by_name["solve_kernel_duality"]["passed"]
+
+
+def test_polynomial_failures_carry_their_matrix(monkeypatch):
+    # a corrupted normal form fails every check; each payload decodes to the
+    # sampled matrix
+    real, sampled = suites.smith_normal_form, []
+    x = QPoly.x()
+
+    def corrupted(m):
+        sampled.append(m)
+        u, _, v = real(m)
+        ring, k = m.ring, min(m.rows, m.cols)
+        u = IntMatrix.diagonal(ring, [x] + [QPoly.const(1)] * (m.rows - 1)) * u
+        d = IntMatrix.diagonal(ring, [x + QPoly.const(j) for j in range(k)],
+                               rows=m.rows, cols=m.cols)
+        return u, d, v
+
+    monkeypatch.setattr(suites, "smith_normal_form", corrupted)
+    report = REGISTRY["snf_polynomials"].run(6, 1, SizeBounds())
+    assert {f.check for f in report.failures} == {
+        "transform_identity", "unimodular_transforms", "divisibility_chain"}
+    for f in report.failures:
+        assert matrix_from_json(f.payload["matrix"]) == sampled[f.sample_index]
 
 
 def test_control_reports_a_crash_of_its_sub_check(monkeypatch):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import scale
 from tiltbench import modules, rings
 from tiltbench.complexes import (
     BaseCategory,
@@ -282,7 +283,7 @@ def test_cohomology_map_matches_the_cofactor_construction(monkeypatch):
         a = zmat([[rnd.randint(-4, 4) for _ in range(rk)] for _ in range(rk)])
         x = free_complex(Z, 0, [a])
         # c0 + c1 * a commutes with a, so it is a chain self-map of x
-        mat = IntMatrix.identity(Z, rk).scale(rnd.randint(-3, 3)) + a.scale(rnd.randint(-2, 2))
+        mat = scale(IntMatrix.identity(Z, rk), rnd.randint(-3, 3)) + scale(a, rnd.randint(-2, 2))
         f = chain_map_of_matrices(x, x, {0: mat, 1: mat})
         cases += [f, cone_inclusion(f, cone(f))]
     expected = {(i, n): cofactor_cohomology_map(f, n)
@@ -421,8 +422,8 @@ def scalar_map(c, k):
     scalar = rings.from_int(ring, k)
     return ChainMap(c, c, {n: FpMorphism(
         c.object_at(n), c.object_at(n),
-        IntMatrix.identity(ring, c.object_at(n).generators).scale(scalar),
-        IntMatrix.identity(ring, c.object_at(n).relations).scale(scalar))
+        scale(IntMatrix.identity(ring, c.object_at(n).generators), scalar),
+        scale(IntMatrix.identity(ring, c.object_at(n).relations), scalar))
         for n in c.degrees()}, check=False)
 
 
@@ -491,7 +492,8 @@ def test_exactness_and_cohomology_build_no_kernel_module(module_constructions):
             exact.append(is_exact(cc))
             assert module_constructions(is_exact, cc) == []
             for n in range(cc.lo - 1, cc.hi + 2):
-                assert module_constructions(cohomology, cc, n) == []
+                inside = cc.lo <= n <= cc.hi
+                assert module_constructions(cohomology, cc, n) == ["span_quotient"] * inside
     assert 0 < exact.count(False) < len(exact)
 
 

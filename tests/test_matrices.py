@@ -353,6 +353,18 @@ def test_block_diag_with_an_empty_block():
     assert block_diag(Z, []) == IntMatrix.zeros(Z, 0, 0)
 
 
+def test_take_rows_matches_submatrix():
+    m = zmat([[1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 12]])
+    wide = IntMatrix.zeros(Z, 3, 0)
+    for a in (m, wide, m.transpose()):
+        for idx in ([], range(1, 3), range(a.rows), [0, a.rows - 1], [2, 0, 1], [1, 1]):
+            assert a.take_rows(idx) == a.submatrix(idx, range(a.cols))
+    assert IntMatrix.zeros(Z, 0, 2).take_rows([]) == IntMatrix.zeros(Z, 0, 2)
+    for a, bad in ((m, [4]), (m, [0, -1]), (wide, [3]), (IntMatrix.zeros(Z, 0, 2), [0])):
+        with pytest.raises(IndexError):
+            a.take_rows(bad)
+
+
 def test_polynomial_solve():
     x = QPoly.x()
     a = IntMatrix.from_rows(QX, [[x]])

@@ -384,6 +384,45 @@ def test_embed_into_free():
     assert e is not None and is_mono(e)
 
 
+def test_hom_group_builds_its_quotient_when_read(module_constructions):
+    # elements, generators and pushforwards read only the generator count;
+    # the quotient module is one span_quotient, built on the first read
+    rnd = rng_for(11, "lazy-hom")
+    bounds = SizeBounds(max_rank=2, max_entry=6)
+    for _ in range(12):
+        src, tgt = random_module(rnd, bounds), random_module(rnd, bounds)
+        h = hom_group(src, tgt)
+        assert module_constructions(hom_group, src, tgt) == []
+        assert module_constructions(random_morphism, rnd, src, tgt) == []
+        coords = [rnd.randint(-2, 2) for _ in range(h.generators)]
+        assert module_constructions(h.element, coords) == []
+        for i in range(h.generators):
+            assert module_constructions(h.generator, i) == []
+        assert module_constructions(h.pushforward, FpMorphism.identity(tgt), h) == []
+        assert module_constructions(lambda: (h.module, h.module)) == ["span_quotient"]
+        assert h.module.generators == h.generators
+
+
+def test_pullback_legs_are_row_blocks_of_the_inclusion():
+    # the legs equal the summand projections after the kernel inclusion,
+    # matrix for matrix, zero modules included
+    rnd = rng_for(12, "pullback-legs")
+    bounds = SizeBounds(max_rank=2, max_entry=6)
+    zero = FpModule.zero(Z)
+    for i in range(30):
+        a, b, c = (random_module(rnd, bounds) for _ in range(3))
+        if i % 5 == 0:
+            a, b, c = [(zero, b, c), (a, zero, c), (a, b, zero), (zero, zero, zero),
+                       (zero, b, zero)][i // 5 % 5]
+        f, g = random_morphism(rnd, a, c), random_morphism(rnd, b, c)
+        p, leg_a, leg_b = pullback(f, g)
+        for leg, old in zip((leg_a, leg_b), oracles.pullback_legs(f, g)):
+            assert leg.source is p and old.source.presentation == p.presentation
+            assert leg.target.presentation == old.target.presentation
+            assert (leg.gen, leg.witness) == (old.gen, old.witness)
+        assert morphism_equal(compose(f, leg_a), compose(g, leg_b))
+
+
 def test_pullback_square():
     z = FpModule.free(Z, 1)
     z4 = FpModule.cyclic(Z, 4)

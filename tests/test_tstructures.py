@@ -2,7 +2,8 @@ import hashlib
 
 import pytest
 
-from tiltbench import complexes, matrices, modules, suites, tstructures
+from entry_guard import guard_snf_entries
+from tiltbench import complexes, modules, suites, tstructures
 from tiltbench.complexes import (
     cohomology,
     direct_sum_complexes,
@@ -290,19 +291,7 @@ def test_gap_inclusion_right_le_minus_one_in_left_le_zero():
 def snf_entry_bits(monkeypatch):
     """Make every diagonalisation raise on an integer entry wider than 256
     bits; returns a one-element list holding the widest entry seen."""
-    widest = [0]
-    real_init = matrices._SNFWorker.__init__
-
-    def guarded_init(self, m):
-        if m.ring is Z:
-            bits = max((abs(e).bit_length() for e in m.entries), default=0)
-            widest[0] = max(widest[0], bits)
-            if bits > 256:
-                raise OverflowError(f"SNF input entry of {bits} bits")
-        real_init(self, m)
-
-    monkeypatch.setattr(matrices._SNFWorker, "__init__", guarded_init)
-    return widest
+    return guard_snf_entries(monkeypatch.setattr)
 
 
 @pytest.mark.parametrize("replay, checks", [
