@@ -4,11 +4,13 @@ Complexes carry finitely presented modules in a bounded window of degrees;
 differentials raise degree and compose to zero.  The shift [1] moves
 objects down one degree and negates differentials.
 
-Null-homotopy of a chain map between complexes with relation-free entries
-is decided by assembling all homotopy equations into one exact linear
-system.  Cohomology is a ``modules.span_quotient``: the generators of
-ker d^n modulo the relations of C^n and im d^{n-1}; derived hom groups
-are the cohomology of the total Hom complex.
+Cohomology is a ``modules.span_quotient``: the generators of ker d^n
+modulo the relations of C^n and im d^{n-1}.  For complexes with
+relation-free entries the total Hom complex is posed in one place,
+differential by differential (``hom_differential``).  A chain map is
+null-homotopic iff its components are D^{-1} of a homotopy, one exact
+solve (``is_nullhomotopic``); the derived hom group H^n is ker D^n modulo
+im D^{n-1}, which reads two differentials (``derived_hom``).
 
 Invertibility needs no homotopy and no cohomology module.  A chain map of
 relation-free complexes is a homotopy equivalence iff its cone is exact,
@@ -24,7 +26,8 @@ import enum
 from typing import Optional, Sequence
 
 from . import modules, rings
-from .matrices import IntMatrix, block_matrix, kron, nonzero_diagonal, solve_lift, unvec, vec
+from .matrices import (IntMatrix, block_matrix, kernel_matrix, kron, nonzero_diagonal,
+                       solve_lift, unvec, vec)
 from .modules import FpModule, FpMorphism
 from .rings import RingSpec
 
@@ -190,13 +193,6 @@ def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
     return ChainMap(f.source, g.target, comps, check=False)
 
 
-def sub_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
-    comps = {}
-    for n in set(f.components) | set(g.components):
-        comps[n] = modules.sub_morphisms(f.component_at(n), g.component_at(n))
-    return ChainMap(f.source, f.target, comps, check=False)
-
-
 class Homotopy:
     """Degree -1 components certifying that a chain map is null-homotopic."""
 
@@ -278,26 +274,6 @@ def cohomology(c: Complex, n: int) -> FpModule:
     return modules.span_quotient(modules.kernel_generators(c.differential_at(n)), rels)[0]
 
 
-def cohomology_map(f: ChainMap, n: int) -> FpMorphism:
-    """The induced map on n-th cohomology.
-
-    Each cohomology keeps its kernel's generators, so the map sends kernel
-    generator i of X to the coordinates of f^n of it in the kernel
-    generators of Y, modulo P_Y^n: one solve.  ``from_generator_matrix``
-    checks that it descends.
-    """
-    x, y = f.source, f.target
-    hx, hy = cohomology(x, n), cohomology(y, n)
-    if not (hx.generators and hy.generators):  # also every n outside a support
-        return FpMorphism.zero(hx, hy)
-    kx = modules.kernel_generators(x.differential_at(n))
-    ky = modules.kernel_generators(y.differential_at(n))
-    sol = solve_lift(ky.hstack(y.object_at(n).presentation), f.component_at(n).gen * kx)
-    if sol is None:
-        raise ArithmeticError("chain map does not respect kernels")
-    return FpMorphism.from_generator_matrix(hx, hy, sol.take_rows(range(ky.cols)))
-
-
 def is_exact(c: Complex) -> bool:
     """Whether c has zero cohomology in every degree, by one solve per degree.
 
@@ -320,52 +296,34 @@ def is_quasi_iso(f: ChainMap) -> bool:
 
 # -- homotopy decisions ---------------------------------------------------------
 
-def _require_relation_free(f: ChainMap):
-    for c in (f.source, f.target):
-        for n in c.degrees():
-            if c.object_at(n).relations != 0:
-                raise UndecidableConfigurationError(
-                    "null-homotopy decision needs relation-free entries")
+def _require_relation_free(*cs: Complex):
+    if not all(c.is_strict_free() for c in cs):
+        raise UndecidableConfigurationError(
+            "homotopy decisions and derived hom need relation-free entries")
 
 
 def is_nullhomotopic(f: ChainMap) -> Optional[Homotopy]:
     """A certifying homotopy iff f is null-homotopic.
 
-    All homotopy equations f^n = d_Y h^n + h^{n+1} d_X are assembled into a
-    single exact linear system over the ring; only complexes whose entries
-    carry no relations are accepted.
+    The components of f form a degree-0 element of the total Hom complex,
+    and f = d_Y h + h d_X says that it is D^{-1} of the element h: one exact
+    solve against ``hom_differential(x, y, -1)``.  Only complexes whose
+    entries carry no relations are accepted.
     """
-    _require_relation_free(f)
     x, y = f.source, f.target
+    _require_relation_free(x, y)
     ring = x.ring
-    h_degrees = [n for n in range(max(x.lo, y.lo + 1), min(x.hi, y.hi + 1) + 1)
-                 if x.object_at(n).generators and y.object_at(n - 1).generators]
-    eq_degrees = [n for n in range(max(x.lo, y.lo), min(x.hi, y.hi) + 1)
-                  if x.object_at(n).generators and y.object_at(n).generators]
+    eq_degrees, eq_sizes = _hom_layout(x, y, 0)
     if not eq_degrees:
         return Homotopy(x, y, {})
-    h_sizes = [y.object_at(n - 1).generators * x.object_at(n).generators
-               for n in h_degrees]
-    eq_sizes = [y.object_at(n).generators * x.object_at(n).generators
-                for n in eq_degrees]
-    blocks = {}
-    for i, n in enumerate(eq_degrees):
-        if n in h_degrees:
-            blocks[i, h_degrees.index(n)] = kron(
-                IntMatrix.identity(ring, x.object_at(n).generators),
-                y.differential_at(n - 1).gen)
-        if n + 1 in h_degrees:
-            blocks[i, h_degrees.index(n + 1)] = kron(
-                x.differential_at(n).gen.transpose(),
-                IntMatrix.identity(ring, y.object_at(n).generators))
     rhs = block_matrix(ring, eq_sizes, [1], {
         (i, 0): vec(f.component_at(n).gen) for i, n in enumerate(eq_degrees)})
-    sol = solve_lift(block_matrix(ring, eq_sizes, h_sizes, blocks), rhs)
+    sol = solve_lift(hom_differential(x, y, -1), rhs)
     if sol is None:
         return None
     comps = {}
     offset = 0
-    for n, size in zip(h_degrees, h_sizes):
+    for n, size in zip(*_hom_layout(x, y, -1)):
         g = unvec(sol.take_rows(range(offset, offset + size)),
                   y.object_at(n - 1).generators, x.object_at(n).generators)
         comps[n] = FpMorphism(x.object_at(n), y.object_at(n - 1), g, IntMatrix.zeros(ring, 0, 0))
@@ -390,7 +348,7 @@ def is_homotopy_iso(f: ChainMap) -> bool:
     ker d^n: rank d^{n-1} + rank d^n = rank C^n.  One diagonalisation per
     differential of the cone decides both.
     """
-    _require_relation_free(f)
+    _require_relation_free(f.source, f.target)
     cc = cone(f)
     ranks = [0]
     for d in cc.differentials:
@@ -403,58 +361,46 @@ def is_homotopy_iso(f: ChainMap) -> bool:
                for i, obj in enumerate(cc.objects))
 
 
-def chain_maps_homotopic(f: ChainMap, g: ChainMap) -> Optional[Homotopy]:
-    return is_nullhomotopic(sub_chain_maps(f, g))
-
-
 # -- hom complexes and derived hom ----------------------------------------------
 
-def total_hom_complex(x: Complex, y: Complex) -> Complex:
-    """The total Hom complex of two relation-free complexes.
+def _hom_layout(x: Complex, y: Complex, k: int) -> tuple[list[int], list[int]]:
+    """The degrees p with Hom(X^p, Y^{p+k}) nonzero, in order, and the sizes
+    of those summands of the degree-k entry of the total Hom complex."""
+    ps = [p for p in range(max(x.lo, y.lo - k), min(x.hi, y.hi - k) + 1)
+          if x.object_at(p).generators and y.object_at(p + k).generators]
+    return ps, [x.object_at(p).generators * y.object_at(p + k).generators for p in ps]
 
-    Degree-k entry: (+)_p Hom(X^p, Y^{p+k}); differential
+
+def hom_differential(x: Complex, y: Complex, k: int) -> IntMatrix:
+    """D^k of the total Hom complex of two relation-free complexes.
+
+    Degree-k entry: (+)_p Hom(X^p, Y^{p+k}), each summand a column-major
+    vectorised matrix, laid out by ``_hom_layout``; differential
     D(phi) = d_Y o phi - (-1)^k phi o d_X, so degree-0 cycles are chain maps
     and degree-(-1) images are the homotopies.
     """
-    for c in (x, y):
-        if not c.is_strict_free():
-            raise UndecidableConfigurationError("hom complex needs relation-free entries")
     ring = x.ring
-    lo = y.lo - x.hi
-    hi = y.hi - x.lo
-
-    def layout(k):
-        ps = [p for p in range(max(x.lo, y.lo - k), min(x.hi, y.hi - k) + 1)
-              if x.object_at(p).generators and y.object_at(p + k).generators]
-        sizes = [x.object_at(p).generators * y.object_at(p + k).generators for p in ps]
-        return ps, sizes
-
-    mats = []
-    for k in range(lo, hi):
-        ps, sizes = layout(k)
-        qs, tsizes = layout(k + 1)
-        blocks = {}
-        for j, p in enumerate(ps):
-            if p in qs:
-                blocks[qs.index(p), j] = kron(
-                    IntMatrix.identity(ring, x.object_at(p).generators),
-                    y.differential_at(p + k).gen)
-            if p - 1 in qs:
-                m = kron(x.differential_at(p - 1).gen.transpose(),
-                         IntMatrix.identity(ring, y.object_at(p + k).generators))
-                blocks[qs.index(p - 1), j] = -m if k % 2 == 0 else m
-        mats.append(block_matrix(ring, tsizes, sizes, blocks))
-    ranks = [sum(layout(k)[1]) for k in range(lo, hi + 1)]
-    objs = [FpModule.free(ring, r) for r in ranks]
-    diffs = [FpMorphism(objs[i], objs[i + 1], m, IntMatrix.zeros(ring, 0, 0))
-             for i, m in enumerate(mats)]
-    return Complex(ring, BaseCategory.FREE_MODULES, lo, objs, diffs, check=False)
+    ps, sizes = _hom_layout(x, y, k)
+    qs, tsizes = _hom_layout(x, y, k + 1)
+    blocks = {}
+    for j, p in enumerate(ps):
+        if p in qs:
+            blocks[qs.index(p), j] = kron(
+                IntMatrix.identity(ring, x.object_at(p).generators),
+                y.differential_at(p + k).gen)
+        if p - 1 in qs:
+            m = kron(x.differential_at(p - 1).gen.transpose(),
+                     IntMatrix.identity(ring, y.object_at(p + k).generators))
+            blocks[qs.index(p - 1), j] = -m if k % 2 == 0 else m
+    return block_matrix(ring, tsizes, sizes, blocks)
 
 
 def derived_hom(x: Complex, y: Complex, n: int) -> FpModule:
-    """H^n of the total Hom complex: chain maps X -> Y[n] modulo homotopy."""
-    hc = total_hom_complex(x, y)
-    return cohomology(hc, n)
+    """H^n of the total Hom complex: chain maps X -> Y[n] modulo homotopy,
+    the span of ker D^n modulo im D^{n-1}."""
+    _require_relation_free(x, y)
+    return modules.span_quotient(kernel_matrix(hom_differential(x, y, n)),
+                                 hom_differential(x, y, n - 1))[0]
 
 
 # -- free resolutions -------------------------------------------------------------

@@ -162,6 +162,9 @@ class IntMatrix:
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "IntMatrix":
         ri, ci = list(row_idx), list(col_idx)
+        for idx, bound, kind in ((ri, self.rows, "row"), (ci, self.cols, "column")):
+            if idx and not 0 <= min(idx) <= max(idx) < bound:
+                raise IndexError(f"{kind}s {min(idx)}..{max(idx)} of a matrix with {bound}")
         ent = tuple(self.at(i, j) for i in ri for j in ci)
         return IntMatrix(self.ring, len(ri), len(ci), ent)
 

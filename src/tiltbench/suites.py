@@ -56,11 +56,11 @@ from .freyd import (
     evaluate_map,
     factors_through_effaceable,
     fraction_compose,
-    freyd_cokernel,
     freyd_compose,
     freyd_equal,
     freyd_kernel,
     is_effaceable,
+    pointwise_epi,
     project_fraction,
     project_morphism,
     refine_fraction,
@@ -656,8 +656,7 @@ def _right_filtering(rnd, bounds):
         yield "intermediate_effaceable", payload
     if not freyd_equal(freyd_compose(g, pi), eta):
         yield "factorisation_identity", payload
-    c, _ = freyd_cokernel(pi)
-    if not c.is_zero_functor():
+    if not pointwise_epi(pi):
         yield "factor_pointwise_epi", payload
 
 

@@ -6,6 +6,12 @@ and ``modules.cofactor`` pose the descent condition per generator instead;
 the tests check that both agree on whether a solution exists, and on the
 solution where it is unique.
 
+``total_hom_complex`` builds every differential of the total Hom complex
+of two relation-free complexes at once, as one ``Complex``;
+``complexes.hom_differential`` builds one of them, the one a caller reads.
+``cohomology_map`` is the map induced on cohomology, and
+``chain_maps_homotopic`` decides whether two chain maps are homotopic.
+
 ``pullback_legs`` builds the legs of ``modules.pullback`` as they were
 built before a leg became a row block of the kernel inclusion: the
 summand's projection composed with that inclusion.  ``scale`` multiplies a
@@ -23,6 +29,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
+from tiltbench.complexes import (
+    BaseCategory,
+    ChainMap,
+    Complex,
+    Homotopy,
+    UndecidableConfigurationError,
+    cohomology,
+    is_nullhomotopic,
+)
 from tiltbench.matrices import IntMatrix, block_matrix, kron, solve_lift, unvec, vec
 from tiltbench.modules import (
     FpModule,
@@ -31,8 +46,10 @@ from tiltbench.modules import (
     compose,
     direct_sum,
     kernel,
+    kernel_generators,
     negate,
     projection,
+    sub_morphisms,
 )
 
 
@@ -111,6 +128,79 @@ def pullback_legs(f: FpMorphism, g: FpMorphism) -> tuple[FpMorphism, FpMorphism]
 def scale(m: IntMatrix, c) -> IntMatrix:
     """c * m, entrywise."""
     return IntMatrix(m.ring, m.rows, m.cols, tuple(c * e for e in m.entries))
+
+
+def total_hom_complex(x: Complex, y: Complex) -> Complex:
+    """The total Hom complex of two relation-free complexes.
+
+    Degree-k entry: (+)_p Hom(X^p, Y^{p+k}); differential
+    D(phi) = d_Y o phi - (-1)^k phi o d_X, so degree-0 cycles are chain maps
+    and degree-(-1) images are the homotopies.
+    """
+    for c in (x, y):
+        if not c.is_strict_free():
+            raise UndecidableConfigurationError("hom complex needs relation-free entries")
+    ring = x.ring
+    lo = y.lo - x.hi
+    hi = y.hi - x.lo
+
+    def layout(k):
+        ps = [p for p in range(max(x.lo, y.lo - k), min(x.hi, y.hi - k) + 1)
+              if x.object_at(p).generators and y.object_at(p + k).generators]
+        sizes = [x.object_at(p).generators * y.object_at(p + k).generators for p in ps]
+        return ps, sizes
+
+    mats = []
+    for k in range(lo, hi):
+        ps, sizes = layout(k)
+        qs, tsizes = layout(k + 1)
+        blocks = {}
+        for j, p in enumerate(ps):
+            if p in qs:
+                blocks[qs.index(p), j] = kron(
+                    IntMatrix.identity(ring, x.object_at(p).generators),
+                    y.differential_at(p + k).gen)
+            if p - 1 in qs:
+                m = kron(x.differential_at(p - 1).gen.transpose(),
+                         IntMatrix.identity(ring, y.object_at(p + k).generators))
+                blocks[qs.index(p - 1), j] = -m if k % 2 == 0 else m
+        mats.append(block_matrix(ring, tsizes, sizes, blocks))
+    ranks = [sum(layout(k)[1]) for k in range(lo, hi + 1)]
+    objs = [FpModule.free(ring, r) for r in ranks]
+    diffs = [FpMorphism(objs[i], objs[i + 1], m, IntMatrix.zeros(ring, 0, 0))
+             for i, m in enumerate(mats)]
+    return Complex(ring, BaseCategory.FREE_MODULES, lo, objs, diffs, check=False)
+
+
+def cohomology_map(f: ChainMap, n: int) -> FpMorphism:
+    """The induced map on n-th cohomology.
+
+    Each cohomology keeps its kernel's generators, so the map sends kernel
+    generator i of X to the coordinates of f^n of it in the kernel
+    generators of Y, modulo P_Y^n: one solve.  ``from_generator_matrix``
+    checks that it descends.
+    """
+    x, y = f.source, f.target
+    hx, hy = cohomology(x, n), cohomology(y, n)
+    if not (hx.generators and hy.generators):  # also every n outside a support
+        return FpMorphism.zero(hx, hy)
+    kx = kernel_generators(x.differential_at(n))
+    ky = kernel_generators(y.differential_at(n))
+    sol = solve_lift(ky.hstack(y.object_at(n).presentation), f.component_at(n).gen * kx)
+    if sol is None:
+        raise ArithmeticError("chain map does not respect kernels")
+    return FpMorphism.from_generator_matrix(hx, hy, sol.take_rows(range(ky.cols)))
+
+
+def sub_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
+    comps = {}
+    for n in set(f.components) | set(g.components):
+        comps[n] = sub_morphisms(f.component_at(n), g.component_at(n))
+    return ChainMap(f.source, f.target, comps, check=False)
+
+
+def chain_maps_homotopic(f: ChainMap, g: ChainMap) -> Optional[Homotopy]:
+    return is_nullhomotopic(sub_chain_maps(f, g))
 
 
 class FractionPoly:

@@ -3,28 +3,26 @@ import random
 
 import pytest
 
-from oracles import scale
-from tiltbench import modules, rings
+from oracles import chain_maps_homotopic, cohomology_map, scale, total_hom_complex
+from tiltbench import complexes, modules, rings
 from tiltbench.complexes import (
     BaseCategory,
     ChainMap,
     Complex,
     UndecidableConfigurationError,
-    chain_maps_homotopic,
     cohomology,
-    cohomology_map,
     cone,
     derived_hom,
     direct_sum_complexes,
     free_complex,
     free_resolution,
+    hom_differential,
     is_contractible,
     is_exact,
     is_homotopy_iso,
     is_nullhomotopic,
     is_quasi_iso,
     stalk_complex,
-    total_hom_complex,
 )
 from tiltbench.matrices import IntMatrix
 from tiltbench.modules import (
@@ -145,6 +143,10 @@ def test_nullhomotopy_requires_relation_free():
     c = stalk_complex(m, 0)
     with pytest.raises(UndecidableConfigurationError):
         is_nullhomotopic(ChainMap.identity(c))
+    # the supports do not overlap, so there is no equation; it still raises
+    far = free_complex(Z, 5, [], first_rank=1)
+    with pytest.raises(UndecidableConfigurationError):
+        is_nullhomotopic(ChainMap.zero(c, far))
 
 
 def test_cohomology_of_times_two():
@@ -375,13 +377,57 @@ def test_homotopy_solves_are_pinned():
             witnesses.update(repr(None if w is None else sorted(
                 (n, c.gen) for n, c in w.components.items())).encode())
         for a, b in ((x, y), (e, x), (cc, y)):
-            hc = total_hom_complex(a, b)
-            hom_diffs.update(repr((hc.lo, [d.gen for d in hc.differentials])).encode())
+            lo, hi = b.lo - a.hi, b.hi - a.lo
+            hom_diffs.update(repr((lo, [hom_differential(a, b, k)
+                                        for k in range(lo, hi)])).encode())
     assert found > 30 and missing > 10
     assert witnesses.hexdigest() == (
         "4fc45a0b676b0790ffceaf7ab4b32b997eace3a4defbe44da7f6f12016fa907f")
     assert hom_diffs.hexdigest() == (
         "e3c34ff9e3036c6ce06be3b459954f8363a5a8f6e63051b7a48552b8bf403f7f")
+
+
+def test_derived_hom_matches_the_cohomology_of_the_total_hom_complex():
+    # the two differentials derived_hom reads against the whole complex of
+    # the oracle: the same presentation inside its support, and the zero
+    # group one degree beyond each end
+    bounds = SizeBounds(max_rank=2, max_entry=3, max_width=3)
+    pairs = []
+    for i in range(12):
+        rnd = rng_for(19, "derived-hom", i)
+        x = random_free_complex(rnd, bounds)
+        y = random_free_complex(rnd, bounds)
+        e = random_exact_free_complex(rnd, bounds)
+        far = random_free_complex(rnd, bounds, lo=6)
+        pairs += [(x, y), (e, x), (y, e), (x, far), (far, y)]
+    nonzero = 0
+    for x, y in pairs:
+        hc = total_hom_complex(x, y)
+        for n in range(hc.lo - 1, hc.hi + 2):
+            group, oracle = derived_hom(x, y, n), cohomology(hc, n)
+            assert group.invariant_data() == oracle.invariant_data()
+            if hc.lo <= n <= hc.hi:
+                assert group.presentation == oracle.presentation
+            nonzero += not group.is_zero_module()
+    assert len(pairs) >= 30 and nonzero > 20
+
+
+def test_derived_hom_builds_two_differentials(monkeypatch):
+    # D^n and D^{n-1}, however many degrees the total Hom complex spans:
+    # here it spans -3..1, four differentials
+    x = free_complex(Z, 0, [zmat([[1]]), zmat([[0]]), zmat([[2]])])
+    y = two_term([[2]], lo=0)
+    built, real_block_matrix = [], complexes.block_matrix
+
+    def counting_block_matrix(*args):
+        built.append(args)
+        return real_block_matrix(*args)
+
+    monkeypatch.setattr(complexes, "block_matrix", counting_block_matrix)
+    for n in range(-4, 3):
+        built.clear()
+        derived_hom(x, y, n)
+        assert len(built) == 2
 
 
 def test_relation_free_differentials_build_no_solver(solvers_built):
@@ -390,7 +436,8 @@ def test_relation_free_differentials_build_no_solver(solvers_built):
         x = random_free_complex(rng_for(17, "free-witness", i), SizeBounds(max_rank=3))
         mats = [x.differential_at(n).gen for n in range(x.lo, x.hi)]
         assert solvers_built(free_complex, Z, x.lo, mats) == 0
-        assert solvers_built(total_hom_complex, x, x) == 0
+        for k in range(x.lo - x.hi - 1, x.hi - x.lo + 1):
+            assert solvers_built(hom_differential, x, x, k) == 0
 
 
 def test_cones_build_no_summand_maps(morphisms_built):

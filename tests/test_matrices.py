@@ -365,6 +365,25 @@ def test_take_rows_matches_submatrix():
             a.take_rows(bad)
 
 
+def test_submatrix_and_take_columns_check_their_bounds():
+    # a negative index no longer wraps around, and a past-the-end one no
+    # longer reads into the next row
+    m = zmat([[1, 2], [3, 4]])
+    narrow = IntMatrix.zeros(Z, 2, 0)
+    for a in (m, narrow):
+        for bad in (-1, a.cols, a.rows):
+            with pytest.raises(IndexError):
+                a.take_columns([bad])
+        for rows, cols in (([-1], []), ([a.rows], []), ([], [-1]), ([], [a.cols])):
+            with pytest.raises(IndexError):
+                a.submatrix(rows, cols)
+    with pytest.raises(IndexError):
+        m.submatrix([0], [2])
+    assert m.take_columns([1, 0]) == zmat([[2, 1], [4, 3]])
+    assert m.submatrix([1], [0, 1]) == zmat([[3, 4]])
+    assert narrow.take_columns([]) == narrow
+
+
 def test_polynomial_solve():
     x = QPoly.x()
     a = IntMatrix.from_rows(QX, [[x]])
