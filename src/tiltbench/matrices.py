@@ -61,18 +61,15 @@ class IntMatrix:
     @classmethod
     def from_rows(cls, ring: RingSpec, rows: Sequence[Sequence[Element]],
                   cols: Optional[int] = None) -> "IntMatrix":
-        nrows = len(rows)
-        if nrows == 0:
-            if cols is None:
-                cols = 0
-            return cls(ring, 0, cols, ())
-        ncols = len(rows[0])
+        ncols = len(rows[0]) if rows else cols or 0
+        if cols is not None and cols != ncols:
+            raise DimensionMismatchError(f"rows of length {ncols}, not {cols}")
         flat = []
         for r in rows:
             if len(r) != ncols:
                 raise DimensionMismatchError("ragged rows")
             flat.extend(r)
-        return cls(ring, nrows, ncols, tuple(flat))
+        return cls(ring, len(rows), ncols, tuple(flat))
 
     @classmethod
     def zeros(cls, ring: RingSpec, rows: int, cols: int) -> "IntMatrix":
@@ -559,6 +556,10 @@ class PreparedSolver:
                     y[i][j] = q
         return IntMatrix.from_rows(ring, self._snf.apply_v(y), cols=b.cols)
 
+    def kernel(self) -> IntMatrix:
+        """``kernel_matrix(a)``, read from this diagonalisation."""
+        return _kernel_columns(self._snf)
+
 
 def solve_lift(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     """An exact solution X of A*X = B over the ring, or None.
@@ -576,14 +577,21 @@ def kernel_matrix(a: IntMatrix) -> IntMatrix:
 
     Over the catalogued domains the kernel is free; the returned matrix has
     full column rank (or zero columns when the kernel is trivial).  They are
-    the columns of V at the zero diagonal positions and past the rank.
+    the columns of V at the zero diagonal positions and past the rank; a
+    matrix without rows or columns needs no elimination.
     """
-    w = _SNFWorker(a).run(enforce_chain=False)
-    r = min(a.rows, a.cols)
-    free = [j for j in range(a.cols) if j >= r or not w.a[j][j]]
-    zero, one = rings.zero(a.ring), rings.one(a.ring)
-    units = [[one if j == f else zero for f in free] for j in range(a.cols)]
-    return IntMatrix.from_rows(a.ring, w.apply_v(units), cols=len(free))
+    if not a.rows or not a.cols:
+        return IntMatrix.identity(a.ring, a.cols)
+    return _kernel_columns(_SNFWorker(a).run(enforce_chain=False))
+
+
+def _kernel_columns(w: _SNFWorker) -> IntMatrix:
+    """The columns of V at a diagonalised worker's zero pivots and past its rank."""
+    r = min(w.nr, w.nc)
+    free = [j for j in range(w.nc) if j >= r or not w.a[j][j]]
+    zero, one = rings.zero(w.ring), rings.one(w.ring)
+    units = [[one if j == f else zero for f in free] for j in range(w.nc)]
+    return IntMatrix.from_rows(w.ring, w.apply_v(units), cols=len(free))
 
 
 def is_unimodular(m: IntMatrix) -> bool:

@@ -26,7 +26,6 @@ from .matrices import (
     block_diag,
     block_matrix,
     kernel_matrix,
-    kron,
     smith_normal_form,
     solve_lift,
     unvec,
@@ -459,21 +458,19 @@ def block_morphism(source: FpModule, target: FpModule,
 class HomGroup:
     """Hom(M, N) as a finitely presented abelian group.
 
-    ``module`` presents the group, built when first read; ``element(coords)``
-    converts a coordinate column (one entry per generator) into an actual
-    morphism, and ``pushforward`` takes coordinates the other way, for
-    composites.  ``trivial`` spans the vectorised generator matrices P_N * S
-    of the zero morphisms; ``wit_vecs`` holds the vectorised witness of each
-    generator.
+    Generator i is the morphism whose vectorised generator matrix and witness
+    are column i of ``gen_vecs`` and ``wit_vecs``; ``element(coords)`` adds
+    them up.  The zero morphisms span T = I kron P_N.  ``module``, the
+    quotient, and ``pushforward``, the coordinates of composites, read one
+    diagonalisation of [gen_vecs | -T], built when first read.
     """
 
     def __init__(self, source: FpModule, target: FpModule,
-                 gen_vecs: IntMatrix, wit_vecs: IntMatrix, trivial: IntMatrix):
+                 gen_vecs: IntMatrix, wit_vecs: IntMatrix):
         self.source = source
         self.target = target
         self._gen_vecs = gen_vecs
         self._wit_vecs = wit_vecs
-        self._trivial = trivial
         self._module = None
         self._coord_solver = None
 
@@ -484,7 +481,7 @@ class HomGroup:
     @property
     def module(self) -> FpModule:
         if self._module is None:
-            self._module, _ = span_quotient(self._gen_vecs, self._trivial)
+            self._module = FpModule(self._solver().kernel().take_rows(range(self.generators)))
         return self._module
 
     def element(self, coords: Sequence[int]) -> FpMorphism:
@@ -501,7 +498,8 @@ class HomGroup:
 
     def _solver(self) -> PreparedSolver:
         if self._coord_solver is None:
-            self._coord_solver = PreparedSolver(self._gen_vecs.hstack(self._trivial))
+            self._coord_solver = PreparedSolver(_beside_negated_blocks(
+                self._gen_vecs, self.target.presentation, self.source.generators))
         return self._coord_solver
 
     def pushforward(self, f: FpMorphism, tgt: "HomGroup") -> IntMatrix:
@@ -509,10 +507,14 @@ class HomGroup:
 
         Column i holds the coordinates in tgt of f composed with generator i.
         All compositions are formed at once, since vec(f.gen * G) =
-        (I kron f.gen) * vec(G), and solved as one system on tgt's solver.
+        (I kron f.gen) * vec(G): f.gen times the b_n-row blocks of the
+        columns of gen_vecs laid side by side, solved on tgt's solver.
         """
-        images = kron(IntMatrix.identity(self.source.ring, self.source.generators),
-                      f.gen) * self._gen_vecs
+        gens, b_n, b_m = self._gen_vecs, self.target.generators, self.source.generators
+        side = [[e for l in range(b_m) for e in gens.row(l * b_n + i)] for i in range(b_n)]
+        prod, n = f.gen * IntMatrix.from_rows(gens.ring, side, cols=b_m * gens.cols), gens.cols
+        images = IntMatrix.from_rows(gens.ring, [
+            prod.row(i)[l * n:(l + 1) * n] for l in range(b_m) for i in range(prod.rows)], cols=n)
         sol = tgt._solver().solve(images)
         if sol is None:
             raise AssertionError("pushforward left the hom group")
@@ -524,17 +526,24 @@ def hom_group(source: FpModule, target: FpModule) -> HomGroup:
     ring = source.ring
     if ring is not RingSpec.INTEGERS:
         raise UnsupportedRingError("hom groups are computed over the integers")
-    b_m, a_m = source.generators, source.relations
-    b_n, a_n = target.generators, target.relations
-    # solutions (vec G, vec W) of G * P_M - P_N * W = 0
-    lhs = kron(source.presentation.transpose(), IntMatrix.identity(ring, b_n)).hstack(
-        kron(IntMatrix.identity(ring, a_m), -target.presentation))
-    sols = kernel_matrix(lhs)
-    gen_vecs = sols.take_rows(range(b_n * b_m))
-    wit_vecs = sols.take_rows(range(b_n * b_m, sols.rows))
-    # trivial morphisms: G = P_N * S
-    triv = kron(IntMatrix.identity(ring, b_m), target.presentation)
-    return HomGroup(source, target, gen_vecs, wit_vecs, triv)
+    p_mt, zero, b_n = source.presentation.transpose(), rings.zero(ring), target.generators
+    # solutions (vec G, vec W) of G * P_M - P_N * W = 0: row (j, i) holds
+    # P_M[l][j] at column l * b_n + i and -P_N[i] in witness block j
+    rows = [[e if k == i else zero for e in p_mt.row(j) for k in range(b_n)]
+            for j in range(p_mt.rows) for i in range(b_n)]
+    left = IntMatrix.from_rows(ring, rows, cols=p_mt.cols * b_n)
+    sols = kernel_matrix(_beside_negated_blocks(left, target.presentation, p_mt.rows))
+    return HomGroup(source, target, sols.take_rows(range(left.cols)),
+                    sols.take_rows(range(left.cols, sols.rows)))
+
+
+def _beside_negated_blocks(left: IntMatrix, p: IntMatrix, count: int) -> IntMatrix:
+    """[left | I kron -p], I of size count, placed without products: row
+    k * p.rows + i of left goes on with -p[i] in block k."""
+    neg, zeros = -p, [rings.zero(p.ring)] * p.cols
+    rows = [[*left.row(k * p.rows + i), *zeros * k, *neg.row(i), *zeros * (count - k - 1)]
+            for k in range(count) for i in range(p.rows)]
+    return IntMatrix.from_rows(p.ring, rows, cols=left.cols + count * p.cols)
 
 
 # -- torsion pair over Z -----------------------------------------------------

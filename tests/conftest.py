@@ -1,8 +1,8 @@
 import pytest
 
-from tiltbench import modules
+from tiltbench import matrices, modules
 from tiltbench.matrices import PreparedSolver
-from tiltbench.modules import FpMorphism
+from tiltbench.modules import FpModule, FpMorphism
 
 
 def constructions(monkeypatch, cls):
@@ -36,6 +36,19 @@ def morphisms_built(monkeypatch):
     """morphisms_built(call, *args): the FpMorphisms that call constructs,
     each with its witness check."""
     return constructions(monkeypatch, FpMorphism)
+
+
+@pytest.fixture
+def modules_built(monkeypatch):
+    """modules_built(call, *args): the FpModules that call constructs."""
+    return constructions(monkeypatch, FpModule)
+
+
+@pytest.fixture
+def snf_runs(monkeypatch):
+    """snf_runs(call, *args): the diagonalisations that call runs, one per
+    ``_SNFWorker``, which is built to run once."""
+    return constructions(monkeypatch, matrices._SNFWorker)
 
 
 @pytest.fixture

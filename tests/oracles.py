@@ -12,6 +12,12 @@ of two relation-free complexes at once, as one ``Complex``;
 ``cohomology_map`` is the map induced on cohomology, and
 ``chain_maps_homotopic`` decides whether two chain maps are homotopic.
 
+``hom_group_system`` poses the system of ``modules.hom_group`` as it was
+posed before its blocks were placed directly: Kronecker products with
+identity matrices, for the kernel (vec G, vec W) of G * P_M - P_N * W = 0
+and for the span T of the zero morphisms.  ``pushforward_images`` forms the
+composites f o G as (I kron f.gen) * vec(G).
+
 ``pullback_legs`` builds the legs of ``modules.pullback`` as they were
 built before a leg became a row block of the kernel inclusion: the
 summand's projection composed with that inclusion.  ``scale`` multiplies a
@@ -38,7 +44,8 @@ from tiltbench.complexes import (
     cohomology,
     is_nullhomotopic,
 )
-from tiltbench.matrices import IntMatrix, block_matrix, kron, solve_lift, unvec, vec
+from tiltbench.matrices import (IntMatrix, block_matrix, kernel_matrix, kron, solve_lift,
+                                unvec, vec)
 from tiltbench.modules import (
     FpModule,
     FpMorphism,
@@ -112,6 +119,23 @@ def cofactor(g: FpMorphism, through: FpMorphism) -> Optional[FpMorphism]:
         raise ValueError("cofactor: sources differ")
     return _solve_morphism(through.target, g.target,
                            IntMatrix.identity(g.source.ring, g.gen.rows), through.gen, g)
+
+
+def hom_group_system(source: FpModule, target: FpModule) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """(gen_vecs, wit_vecs, T) of Hom(source, target): the kernel of
+    [P_M^T kron I | I kron -P_N] cut into its G and W rows, and I kron P_N."""
+    ring = source.ring
+    b_m, a_m, b_n = source.generators, source.relations, target.generators
+    lhs = kron(source.presentation.transpose(), IntMatrix.identity(ring, b_n)).hstack(
+        kron(IntMatrix.identity(ring, a_m), -target.presentation))
+    sols = kernel_matrix(lhs)
+    return (sols.take_rows(range(b_n * b_m)), sols.take_rows(range(b_n * b_m, sols.rows)),
+            kron(IntMatrix.identity(ring, b_m), target.presentation))
+
+
+def pushforward_images(f: FpMorphism, gen_vecs: IntMatrix, b_m: int) -> IntMatrix:
+    """vec(f.gen * G) for each column vec(G) of gen_vecs, G with b_m columns."""
+    return kron(IntMatrix.identity(f.gen.ring, b_m), f.gen) * gen_vecs
 
 
 def pullback_legs(f: FpMorphism, g: FpMorphism) -> tuple[FpMorphism, FpMorphism]:

@@ -275,6 +275,38 @@ def test_kernel_trivial_cases():
     assert k.cols == 2 and is_unimodular(k)
 
 
+def test_kernel_of_an_empty_shape_needs_no_elimination(snf_runs):
+    # without rows every vector solves, without columns the kernel is 0 x 0;
+    # both equal what the elimination finds, which a solver's kernel reads
+    for ring, rows, cols in [(Z, 0, 3), (Z, 3, 0), (Z, 0, 0), (QX, 0, 2), (QX, 2, 0)]:
+        m = IntMatrix.zeros(ring, rows, cols)
+        assert snf_runs(kernel_matrix, m) == 0
+        assert kernel_matrix(m) == IntMatrix.identity(ring, cols) == PreparedSolver(m).kernel()
+    assert snf_runs(kernel_matrix, IntMatrix.zeros(Z, 1, 2)) == 1
+
+
+def test_solver_kernel_is_the_kernel_matrix():
+    rnd = random.Random(21)
+    for rows, cols in [(1, 3), (2, 2), (3, 2), (3, 4), (4, 4)]:
+        for bound in (2, 9):
+            m = IntMatrix.from_rows(Z, [[rnd.randint(-bound, bound) for _ in range(cols)]
+                                        for _ in range(rows)])
+            assert PreparedSolver(m).kernel() == kernel_matrix(m)
+    x = QPoly.x()
+    m = IntMatrix.from_rows(QX, [[x, x * x, QPoly.const(1)], [QPoly(), x, x]])
+    assert PreparedSolver(m).kernel() == kernel_matrix(m)
+
+
+def test_from_rows_checks_a_given_column_count():
+    with pytest.raises(DimensionMismatchError):
+        IntMatrix.from_rows(Z, [[1, 2]], cols=3)
+    with pytest.raises(DimensionMismatchError):
+        IntMatrix.from_rows(Z, [[], []], cols=2)
+    assert IntMatrix.from_rows(Z, [[1, 2]], cols=2) == zmat([[1, 2]])
+    assert IntMatrix.from_rows(Z, [[], []], cols=0) == IntMatrix.zeros(Z, 2, 0)
+    assert IntMatrix.from_rows(Z, [], cols=2) == IntMatrix.zeros(Z, 0, 2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=4),
                 min_size=2, max_size=4).filter(lambda r: len({len(x) for x in r}) == 1),

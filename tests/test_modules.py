@@ -14,7 +14,8 @@ from tiltbench.freyd import (
     freyd_direct_sum,
     right_filter_factor,
 )
-from tiltbench.matrices import DimensionMismatchError, IntMatrix, RingMismatchError, kernel_matrix
+from tiltbench.matrices import (DimensionMismatchError, IntMatrix, RingMismatchError,
+                                kernel_matrix, solve_lift)
 from tiltbench.modules import (
     FpModule,
     FpMorphism,
@@ -44,6 +45,7 @@ from tiltbench.modules import (
     pullback,
     pushout,
     reduce_presentation,
+    span_quotient,
     torsion_decompose,
 )
 from tiltbench.rings import QPoly, RingSpec
@@ -384,23 +386,63 @@ def test_embed_into_free():
     assert e is not None and is_mono(e)
 
 
-def test_hom_group_builds_its_quotient_when_read(module_constructions):
+def test_hom_group_builds_its_quotient_when_read(modules_built, snf_runs):
     # elements, generators and pushforwards read only the generator count;
-    # the quotient module is one span_quotient, built on the first read
+    # the quotient module is built on the first read, once, from the one
+    # diagonalisation that pushforwards into the group solve on
     rnd = rng_for(11, "lazy-hom")
     bounds = SizeBounds(max_rank=2, max_entry=6)
     for _ in range(12):
         src, tgt = random_module(rnd, bounds), random_module(rnd, bounds)
         h = hom_group(src, tgt)
-        assert module_constructions(hom_group, src, tgt) == []
-        assert module_constructions(random_morphism, rnd, src, tgt) == []
+        assert modules_built(hom_group, src, tgt) == 0
+        assert modules_built(random_morphism, rnd, src, tgt) == 0
         coords = [rnd.randint(-2, 2) for _ in range(h.generators)]
-        assert module_constructions(h.element, coords) == []
+        assert modules_built(h.element, coords) == 0
         for i in range(h.generators):
-            assert module_constructions(h.generator, i) == []
-        assert module_constructions(h.pushforward, FpMorphism.identity(tgt), h) == []
-        assert module_constructions(lambda: (h.module, h.module)) == ["span_quotient"]
+            assert modules_built(h.generator, i) == 0
+        assert modules_built(h.pushforward, FpMorphism.identity(tgt), h) == 0
+        assert modules_built(lambda: (h.module, h.module)) == 1
         assert h.module.generators == h.generators
+        fresh, ident = hom_group(src, tgt), FpMorphism.identity(tgt)
+        assert snf_runs(lambda: (fresh.module, h.pushforward(ident, fresh), fresh.module)) == 1
+
+
+def hom_oracle_cases():
+    """(source, target, f : target -> t) over 60 seeded triples, and over
+    every pair of a zero, a relation-free and two presented modules."""
+    bounds = SizeBounds(max_rank=2, max_entry=6)
+    for i in range(60):
+        rnd = rng_for(23, "hom-oracle", i)
+        m, n, t = (random_module(rnd, bounds) for _ in range(3))
+        yield m, n, random_morphism(rnd, n, t)
+    rnd = rng_for(23, "hom-oracle-fixed")
+    fixed = [FpModule.zero(Z), FpModule.free(Z, 2), zmod(4, 0), FpModule(zmat([[2, 1], [0, 3]]))]
+    for m in fixed:
+        for n in fixed:
+            yield m, n, random_morphism(rnd, n, zmod(6, 0))
+
+
+def test_hom_group_agrees_with_the_kronecker_oracle():
+    # the placed system has the oracle's kernel entry for entry, so the same
+    # generators, witnesses and quotient; a pushforward's coordinates solve
+    # the oracle's system for the composites
+    kinds = set()
+    for m, n, f in hom_oracle_cases():
+        h, h_f = hom_group(m, n), hom_group(m, f.target)
+        gen_vecs, wit_vecs, triv = oracles.hom_group_system(m, n)
+        assert (h._gen_vecs, h._wit_vecs) == (gen_vecs, wit_vecs)
+        assert h.module.presentation == span_quotient(gen_vecs, triv)[0].presentation
+        f_gen_vecs, _, f_triv = oracles.hom_group_system(m, f.target)
+        coords = h.pushforward(f, h_f)
+        rest = oracles.pushforward_images(f, gen_vecs, m.generators) - f_gen_vecs * coords
+        assert solve_lift(f_triv, rest) is not None
+        kinds.update(kind for kind, holds in [
+            ("zero", m.generators == 0 or n.generators == 0),
+            ("relation-free source", m.generators > 0 and m.relations == 0),
+            ("relation-free target", n.generators > 0 and n.relations == 0),
+            ("nonzero composite", not coords.is_zero())] if holds)
+    assert len(kinds) == 4
 
 
 def test_pullback_legs_are_row_blocks_of_the_inclusion():
