@@ -151,17 +151,21 @@ def run(scenario_path: Optional[str], output_path: Optional[str],
         if overrides.get("suites"):
             scenario.suites = list(overrides["suites"])
         scenario.validate()
+        # opened before any suite runs, so a bad path costs no run
+        out = open(output_path, "w", encoding="utf-8") if output_path else None
     except UnsupportedScenarioError as e:
         print(f"unsupported combination: {e}", file=stream)
         return EXIT_UNSUPPORTED
     except ScenarioError as e:
         print(f"scenario error: {e}", file=stream)
         return EXIT_PARSE
+    except OSError as e:
+        print(f"scenario error: cannot write report: {e}", file=stream)
+        return EXIT_PARSE
     report = run_scenario(scenario)
-    if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json_string())
-            fh.write("\n")
+    if out:
+        with out:
+            print(report.to_json_string(), file=out)
     print(report.render_text(), file=stream)
     return EXIT_OK if report.failure_count == 0 else EXIT_FAILURES
 

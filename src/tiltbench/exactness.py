@@ -1,10 +1,10 @@
 """Catalogued Quillen exact structures and their decision procedures.
 
-The carriers are closed catalogue entries, not user predicates: free
-abelian groups, all finitely presented abelian groups, finite groups, and
-free modules over Q[x]; the flavours are the split structure, the maximal
-structure, and the structure inherited from the ambient module category by
-a torsion or torsion-free class.
+The catalogue holds the four structures that the suites build: the split
+and the maximal structure on free abelian groups, the maximal structure on
+all finitely presented abelian groups, and the structure that the class of
+finite groups inherits from the ambient module category.  Carriers are
+closed catalogue entries, not user predicates.
 
 Each structure decides deflations and inflations, computes kernels and
 cokernels inside its carrier, and exposes the relativised kernel whose
@@ -29,8 +29,6 @@ class Carrier(enum.Enum):
     FREE_Z = "FreeZ"
     FP_Z = "FpZ"
     TORSION_Z = "TorsionClassZ"
-    TORSION_FREE_Z = "TorsionFreeClassZ"
-    FREE_POLY_Q = "FreePolyQ"
 
 
 class Flavor(enum.Enum):
@@ -40,14 +38,11 @@ class Flavor(enum.Enum):
 
 
 _VALID = {
-    Carrier.FREE_Z: {Flavor.SPLIT, Flavor.MAXIMAL},
-    Carrier.FP_Z: {Flavor.SPLIT, Flavor.MAXIMAL},
-    Carrier.TORSION_Z: {Flavor.INHERITED, Flavor.SPLIT},
-    Carrier.TORSION_FREE_Z: {Flavor.INHERITED, Flavor.SPLIT},
-    Carrier.FREE_POLY_Q: {Flavor.SPLIT, Flavor.MAXIMAL},
+    (Carrier.FREE_Z, Flavor.SPLIT),
+    (Carrier.FREE_Z, Flavor.MAXIMAL),
+    (Carrier.FP_Z, Flavor.MAXIMAL),
+    (Carrier.TORSION_Z, Flavor.INHERITED),
 }
-
-_FREE_CARRIERS = {Carrier.FREE_Z, Carrier.TORSION_FREE_Z, Carrier.FREE_POLY_Q}
 
 
 class CarrierMismatchError(ValueError):
@@ -56,21 +51,15 @@ class CarrierMismatchError(ValueError):
 
 class ExactStructure:
     def __init__(self, carrier: Carrier, flavor: Flavor):
-        if flavor not in _VALID[carrier]:
+        if (carrier, flavor) not in _VALID:
             raise ValueError(f"flavor {flavor.value} not catalogued on {carrier.value}")
         self.carrier = carrier
         self.flavor = flavor
 
-    @property
-    def ring(self) -> RingSpec:
-        if self.carrier is Carrier.FREE_POLY_Q:
-            return RingSpec.RATIONAL_POLYNOMIALS
-        return RingSpec.INTEGERS
-
     def contains(self, m: FpModule) -> bool:
-        if m.ring is not self.ring:
+        if m.ring is not RingSpec.INTEGERS:
             return False
-        if self.carrier in _FREE_CARRIERS:
+        if self.carrier is Carrier.FREE_Z:
             return m.is_free()
         if self.carrier is Carrier.TORSION_Z:
             return m.is_torsion()
@@ -109,11 +98,9 @@ def is_deflation(f: FpMorphism, ex: ExactStructure) -> bool:
         if ex.carrier is Carrier.FP_Z:
             return modules.is_epi(f)
         return _is_cokernel_of_its_kernel(f, ex)
-    # inherited: ambient epi with kernel in the class
-    if not modules.is_epi(f):
-        return False
-    k, _ = modules.kernel(f)
-    return ex.contains(k)
+    # inherited by the finite groups: the kernel of a map between finite
+    # groups is finite, so every ambient epi deflates
+    return modules.is_epi(f)
 
 
 def is_inflation(f: FpMorphism, ex: ExactStructure) -> bool:
@@ -125,7 +112,7 @@ def is_inflation(f: FpMorphism, ex: ExactStructure) -> bool:
 
 
 def _is_cokernel_of_its_kernel(f: FpMorphism, ex: ExactStructure) -> bool:
-    """Maximal-structure deflation test on a free carrier.
+    """Maximal-structure deflation test on the free carrier.
 
     f is a deflation iff (ker f, f) is a kernel-cokernel pair, i.e. the map
     induced from the carrier cokernel of its kernel is an isomorphism; on
@@ -155,28 +142,22 @@ def is_conflation(incl: FpMorphism, defl: FpMorphism, ex: ExactStructure) -> boo
 # -- kernels and cokernels inside the carrier ----------------------------------
 
 def e_kernel(f: FpMorphism, ex: ExactStructure) -> tuple[FpModule, FpMorphism]:
-    """The kernel computed inside the carrier category.
-
-    Ambient kernel everywhere; on the finite-group carrier this equals the
-    torsion part of the ambient kernel, which is the ambient kernel itself.
-    """
+    """The kernel computed inside the carrier category: the ambient kernel,
+    which every catalogued carrier contains (a subgroup of a free or a
+    finite group is free or finite)."""
     ex.check_morphism(f)
-    k, incl = modules.kernel(f)
-    if ex.carrier is Carrier.TORSION_Z:
-        t, tincl, _, _ = modules.torsion_decompose(k)
-        return t, modules.compose(incl, tincl)
-    return k, incl
+    return modules.kernel(f)
 
 
 def e_cokernel(f: FpMorphism, ex: ExactStructure) -> tuple[FpModule, FpMorphism]:
-    """The cokernel inside the carrier: the free quotient on free carriers."""
+    """The cokernel inside the carrier: the free quotient on the free carrier."""
     ex.check_morphism(f)
     return _carrier_cokernel(f, ex)
 
 
 def _carrier_cokernel(f: FpMorphism, ex: ExactStructure) -> tuple[FpModule, FpMorphism]:
     proj = modules.cokernel_projection(f)
-    if ex.carrier in _FREE_CARRIERS:  # onto the free quotient of the cokernel
+    if ex.carrier is Carrier.FREE_Z:  # onto the free quotient of the cokernel
         proj = modules.compose(modules.free_quotient(proj.target)[1], proj)
     return proj.target, proj
 
@@ -224,7 +205,7 @@ def d_cokernel(f: FpMorphism, ex: ExactStructure) -> tuple[FpModule, FpMorphism,
 def carrier_pushout(f: FpMorphism, g: FpMorphism, ex: ExactStructure):
     """Pushout inside the carrier: free quotient of the ambient pushout."""
     p, leg_f, leg_g = modules.pushout(f, g)
-    if ex.carrier in _FREE_CARRIERS:
+    if ex.carrier is Carrier.FREE_Z:
         fq, proj = modules.free_quotient(p)
         return fq, modules.compose(proj, leg_f), modules.compose(proj, leg_g)
     return p, leg_f, leg_g

@@ -275,9 +275,6 @@ def right_filter_factor(f: FreydMorphism) -> tuple[FreydMorphism, FreydMorphism,
 
 # -- the cokernel projection to modules ---------------------------------------------
 
-_PROJECTABLE = {Carrier.FREE_Z, Carrier.FP_Z, Carrier.FREE_POLY_Q}
-
-
 def auslander_project(f: FreydObject) -> FpModule:
     """The cokernel of the carrier morphism, computed among modules.
 
@@ -285,7 +282,7 @@ def auslander_project(f: FreydObject) -> FpModule:
     target category is the left heart, realised as finitely presented
     modules.
     """
-    if f.ex.carrier not in _PROJECTABLE:
+    if f.ex.carrier is Carrier.TORSION_Z:
         raise UnsupportedCarrierError(
             f"no localisation target for carrier {f.ex.carrier.value}")
     return modules.cokernel(f.carrier)

@@ -4,7 +4,7 @@ Four variants act on bounded complexes:
 
 * the natural t-structure on complexes of finitely presented abelian
   groups (soft truncation through kernels and images),
-* the left and right t-structures on complexes over a free carrier, whose
+* the left and right t-structures on complexes over the free carrier, whose
   truncations cap a window with the carrier kernel of the next
   differential (left) or the carrier cokernel of the previous one (right),
 * the tilt of the natural t-structure along the torsion pair
@@ -17,7 +17,7 @@ peels a window of stalk factors off the natural truncation.
 Truncations return the truncated complex together with its canonical
 comparison map; memberships are decided by testing that comparison for
 invertibility in the ambient category, which holds iff its cone is exact:
-in the homotopy category over free carriers, exactness is read off one
+in the homotopy category over the free carrier, exactness is read off one
 diagonalisation per differential (``is_homotopy_iso``); in the derived
 category of finitely presented modules, it is decided by lifting the
 kernel generators of each differential through the previous one
@@ -79,8 +79,10 @@ class TStructureSpec:
         self.ex = ex
         self.corrupt = corrupt
         if variant in (TVariant.LEFT, TVariant.RIGHT):
-            if ex is None or ex.carrier not in (Carrier.FREE_Z, Carrier.FREE_POLY_Q):
-                raise ValueError("left/right t-structures need a free carrier")
+            if ex is None or ex.carrier is not Carrier.FREE_Z:
+                raise ValueError("left/right t-structures need the free carrier")
+        elif ex is not None:
+            raise ValueError(f"the {variant.value} t-structure reads no carrier")
 
     @classmethod
     def natural(cls) -> "TStructureSpec":
@@ -128,14 +130,10 @@ class TriangleData:
 
 
 def _check_ambient(spec: TStructureSpec, x: Complex):
-    if spec.ambient_base is BaseCategory.FREE_MODULES:
-        if not x.is_strict_free():
-            raise ValueError("this t-structure acts on complexes of free modules")
-        if spec.ex is not None and x.ring is not spec.ex.ring:
-            raise ValueError("complex ring does not match the carrier")
-    else:
-        if x.ring is not Z:
-            raise ValueError("this t-structure acts on complexes over the integers")
+    if x.ring is not Z:
+        raise ValueError("this t-structure acts on complexes over the integers")
+    if spec.ambient_base is BaseCategory.FREE_MODULES and not x.is_strict_free():
+        raise ValueError("this t-structure acts on complexes of free modules")
 
 
 def _identity_truncation(x: Complex) -> tuple[Complex, ChainMap]:

@@ -45,6 +45,15 @@ def test_missing_scenario_file_exits_2(tmp_path, capsys):
     assert code == EXIT_PARSE
 
 
+def test_unwritable_report_path_exits_2_before_any_suite_runs(tmp_path, monkeypatch):
+    monkeypatch.setattr("tiltbench.cli.run_scenario", lambda scenario: pytest.fail("ran"))
+    out = io.StringIO()
+    code = run(None, str(tmp_path / "no" / "such" / "r.json"),
+               {"suites": ["snf_identities"], "budget": 2}, stream=out)
+    assert code == EXIT_PARSE
+    assert out.getvalue().startswith("scenario error: cannot write report: ")
+
+
 def test_bad_json_exits_2(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

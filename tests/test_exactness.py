@@ -24,6 +24,7 @@ from tiltbench.modules import (
     FpMorphism,
     compose,
     factor,
+    is_epi,
     is_zero_morphism,
     kernel,
     morphism_equal,
@@ -31,7 +32,14 @@ from tiltbench.modules import (
     torsion_decompose,
 )
 from tiltbench.rings import RingSpec
-from tiltbench.samplers import SizeBounds, random_module, rng_for
+from tiltbench.samplers import (
+    SizeBounds,
+    random_carrier_deflation,
+    random_carrier_morphism,
+    random_module,
+    rng_for,
+)
+from tiltbench.tstructures import TStructureSpec, TVariant
 
 Z = RingSpec.INTEGERS
 
@@ -39,7 +47,6 @@ FREE_SPLIT = ExactStructure(Carrier.FREE_Z, Flavor.SPLIT)
 FREE_MAX = ExactStructure(Carrier.FREE_Z, Flavor.MAXIMAL)
 FP_MAX = ExactStructure(Carrier.FP_Z, Flavor.MAXIMAL)
 TOR_INH = ExactStructure(Carrier.TORSION_Z, Flavor.INHERITED)
-TORFREE_INH = ExactStructure(Carrier.TORSION_FREE_Z, Flavor.INHERITED)
 
 
 def zmat(rows, cols=None):
@@ -53,8 +60,15 @@ def free_map(rows, r_src, r_tgt):
 
 
 def test_catalogue_rejects_unknown_combination():
-    with pytest.raises(ValueError):
-        ExactStructure(Carrier.TORSION_Z, Flavor.MAXIMAL)
+    for carrier, flavor in ((Carrier.TORSION_Z, Flavor.MAXIMAL), (Carrier.FP_Z, Flavor.SPLIT),
+                            (Carrier.TORSION_Z, Flavor.SPLIT)):
+        with pytest.raises(ValueError):
+            ExactStructure(carrier, flavor)
+    # a t-structure takes a carrier exactly where its truncations read one
+    for variant, ex in ((TVariant.LEFT, None), (TVariant.RIGHT, FP_MAX),
+                        (TVariant.NATURAL, FREE_SPLIT), (TVariant.HRS_TILT, FREE_SPLIT)):
+        with pytest.raises(ValueError):
+            TStructureSpec(variant, ex=ex)
 
 
 def test_config_strings_are_distinct():
@@ -170,13 +184,24 @@ def test_inherited_structures_on_classes():
     incl = FpMorphism.from_generator_matrix(z2, z4, zmat([[2]]))
     proj = FpMorphism.from_generator_matrix(z4, z2, zmat([[1]]))
     assert is_conflation(incl, proj, TOR_INH)
-    f2 = free_map([[2]], 1, 1)
-    assert not is_deflation(f2, TORFREE_INH)
-    # saturated inclusion Z -> Z^2 is an inflation for the torsion-free class
-    sat = free_map([[1], [0]], 1, 2)
-    assert is_inflation(sat, TORFREE_INH)
-    nonsat = free_map([[2], [0]], 1, 2)
-    assert not is_inflation(nonsat, TORFREE_INH)
+
+
+def test_torsion_inherited_agrees_with_the_ambient_definition():
+    # inherited by the finite groups: an ambient epi whose kernel is finite,
+    # with the ambient kernel as the kernel inside the class
+    bounds = SizeBounds(max_rank=3, max_entry=8)
+    outcomes = set()
+    for i in range(40):
+        rnd = rng_for(5, "torsion-inherited", i)
+        f = (random_carrier_deflation if i % 2 else random_carrier_morphism)(TOR_INH, rnd, bounds)
+        k, k_incl = kernel(f)
+        expected = is_epi(f) and k.is_torsion()
+        assert is_deflation(f, TOR_INH) == expected
+        outcomes.add(expected)
+        e_mod, e_incl = e_kernel(f, TOR_INH)
+        assert e_mod.presentation == k.presentation
+        assert morphism_equal(e_incl, k_incl)
+    assert outcomes == {True, False}
 
 
 def test_acyclicity_examples():

@@ -146,3 +146,55 @@ def test_every_public_definition_is_read_in_src():
     assert sorted(unread - UNREAD_PUBLIC) == []
     # an exception that has gained a reader comes off the list
     assert UNREAD_PUBLIC <= unread
+
+
+def enum_members(trees: dict[str, ast.Module]) -> dict[str, list[str]]:
+    """The member names of every enum.Enum subclass, by class name."""
+    members = {}
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(base) in ("enum.Enum", "Enum") for base in node.bases):
+                members[node.name] = [target.id for item in node.body
+                                      if isinstance(item, ast.Assign)
+                                      for target in item.targets
+                                      if isinstance(target, ast.Name)]
+    return members
+
+
+def uncounted_nodes(tree: ast.Module) -> set[int]:
+    """The ids of the nodes whose reads test or list a member but build
+    nothing: comparison operands, the elements of a tuple or set literal
+    compared against, and all of a module-level container literal."""
+    skip = set()
+    containers = (ast.Set, ast.Dict, ast.Tuple, ast.List)
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, containers):
+            skip.update(id(inner) for inner in ast.walk(node.value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for operand in (node.left, *node.comparators):
+                skip.add(id(operand))
+                if isinstance(operand, (ast.Tuple, ast.Set)):
+                    skip.update(id(element) for element in operand.elts)
+    return skip
+
+
+def unbuilt_enum_members() -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    members = enum_members(trees)
+    built = set()
+    for tree in trees.values():
+        skip = uncounted_nodes(tree)
+        built.update((node.value.id, node.attr) for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and id(node) not in skip
+                     and isinstance(node.value, ast.Name) and node.value.id in members)
+    return sorted(f"{cls}.{name}" for cls, names in members.items()
+                  for name in names if (cls, name) not in built)
+
+
+def test_every_enum_member_is_built_in_src():
+    # a member that src/ only compares against or lists is a catalogue
+    # entry that no code path can produce, and its branches are dead
+    assert unbuilt_enum_members() == []

@@ -14,7 +14,7 @@ from tiltbench.complexes import (
 from tiltbench.exactness import Carrier, ExactStructure, Flavor
 from tiltbench.matrices import IntMatrix
 from tiltbench.modules import FpModule, hom_group, morphism_equal
-from tiltbench.rings import RingSpec
+from tiltbench.rings import QPoly, RingSpec
 from tiltbench.samplers import (
     SizeBounds,
     random_fp_complex,
@@ -71,6 +71,14 @@ def test_left_truncation_monic_differential():
     t, counit = truncate_le(LEFT, 0, x)
     assert t.is_zero_complex() or all(
         t.object_at(n).is_zero_module() for n in t.degrees())
+
+
+def test_left_truncation_rejects_a_polynomial_complex():
+    # every t-structure acts on complexes over the integers, free or not
+    x = free_complex(RingSpec.RATIONAL_POLYNOMIALS, 0,
+                     [IntMatrix.from_rows(RingSpec.RATIONAL_POLYNOMIALS, [[QPoly.x()]])])
+    with pytest.raises(ValueError):
+        truncate_le(LEFT, 0, x)
 
 
 def test_natural_truncation_no_positive_cohomology():
