@@ -147,7 +147,8 @@ def _reduce_carrier(ex: ExactStructure, carrier: FpMorphism):
 def adjoin_relations(f: FreydObject, extra: FpMorphism) -> tuple[FpMorphism, FpMorphism]:
     """The carrier [f.carrier | extra] : f.relations (+) extra.source ->
     f.generators of a quotient of f, with the injection of f.relations into
-    its source, the witness of the quotient map."""
+    its source, the witness of the quotient map.  The carrier's target is
+    f.generators itself, so a hom group into it serves f and the quotient."""
     parts = [f.relations, extra.source]
     rel_sum = modules.direct_sum(parts)
     carrier = modules.block_morphism(rel_sum, f.generators, parts, [f.generators],
@@ -215,10 +216,19 @@ def pointwise_epi(eta: FreydMorphism) -> bool:
 
 # -- evaluation at probe objects -------------------------------------------------
 
-def evaluate(f: FreydObject, probe: FpModule) -> tuple[FpModule, "modules.HomGroup"]:
+def evaluate(f: FreydObject, probe: FpModule,
+             h2: "modules.HomGroup | None" = None) -> tuple[FpModule, "modules.HomGroup"]:
     """F(probe) = coker(Hom(probe, F1) -> Hom(probe, F0)) as an abelian
-    group, with the hom group Hom(probe, F0) whose generators it keeps."""
-    h2 = modules.hom_group(probe, f.generators)
+    group, with the hom group Hom(probe, F0) whose generators it keeps.
+
+    ``h2`` is that group where the caller holds it already, for instance for
+    a quotient that shares F's generator module; ValueError if it is
+    another group."""
+    if h2 is None:
+        h2 = modules.hom_group(probe, f.generators)
+    elif not (modules.same_module(h2.source, probe)
+              and modules.same_module(h2.target, f.generators)):
+        raise ValueError("evaluate: the hom group is not Hom(probe, F0)")
     h1 = modules.hom_group(probe, f.relations)
     value = FpModule(h2.module.presentation.hstack(h1.pushforward(f.carrier, h2)))
     return value, h2

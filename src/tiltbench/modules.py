@@ -211,9 +211,14 @@ def rings_mismatch(a, b):
 
 # -- morphism calculus ----------------------------------------------------
 
+def same_module(a: FpModule, b: FpModule) -> bool:
+    """Whether a and b are one module: the same object or one presentation."""
+    return a is b or a.presentation == b.presentation
+
+
 def compose(g: FpMorphism, f: FpMorphism) -> FpMorphism:
     """g after f."""
-    if f.target is not g.source and f.target.presentation != g.source.presentation:
+    if not same_module(f.target, g.source):
         raise ValueError("non-composable morphisms")
     return FpMorphism(f.source, g.target, g.gen * f.gen, g.witness * f.witness)
 
@@ -448,7 +453,7 @@ def block_morphism(source: FpModule, target: FpModule,
                            {ij: b.witness for ij, b in blocks.items()})
     for (i, j), b in blocks.items():
         for end, part in ((b.source, source_parts[j]), (b.target, target_parts[i])):
-            if end is not part and end.presentation != part.presentation:
+            if not same_module(end, part):
                 raise ValueError(f"block {(i, j)} does not sit between its parts")
     return FpMorphism(source, target, gen, witness)
 
@@ -463,6 +468,12 @@ class HomGroup:
     them up.  The zero morphisms span T = I kron P_N.  ``module``, the
     quotient, and ``pushforward``, the coordinates of composites, read one
     diagonalisation of [gen_vecs | -T], built when first read.
+
+    A source without relations needs none: gen_vecs = I there, so the
+    kernel of [I | -T] is [T; I], ``module`` is T (Hom(R^m, N) = N^m), and a
+    composite's coordinates are its own vectorised generator matrix, the
+    particular solution [vec; 0]: the diagonalisation's matrices, entry for
+    entry.
     """
 
     def __init__(self, source: FpModule, target: FpModule,
@@ -481,7 +492,12 @@ class HomGroup:
     @property
     def module(self) -> FpModule:
         if self._module is None:
-            self._module = FpModule(self._solver().kernel().take_rows(range(self.generators)))
+            if self.source.relations:
+                pres = self._solver().kernel().take_rows(range(self.generators))
+            else:
+                pres = block_diag(self.source.ring,
+                                  [self.target.presentation] * self.source.generators)
+            self._module = FpModule(pres)
         return self._module
 
     def element(self, coords: Sequence[int]) -> FpMorphism:
@@ -508,13 +524,21 @@ class HomGroup:
         Column i holds the coordinates in tgt of f composed with generator i.
         All compositions are formed at once, since vec(f.gen * G) =
         (I kron f.gen) * vec(G): f.gen times the b_n-row blocks of the
-        columns of gen_vecs laid side by side, solved on tgt's solver.
+        columns of gen_vecs laid side by side, solved on tgt's solver, or
+        read off as they are when tgt's source has no relations.  Raises
+        ValueError unless f : self.target -> tgt.target and tgt has
+        self's source.
         """
+        if not (same_module(f.source, self.target) and same_module(f.target, tgt.target)
+                and same_module(tgt.source, self.source)):
+            raise ValueError("pushforward: f and the hom groups do not match")
         gens, b_n, b_m = self._gen_vecs, self.target.generators, self.source.generators
         side = [[e for l in range(b_m) for e in gens.row(l * b_n + i)] for i in range(b_n)]
         prod, n = f.gen * IntMatrix.from_rows(gens.ring, side, cols=b_m * gens.cols), gens.cols
         images = IntMatrix.from_rows(gens.ring, [
             prod.row(i)[l * n:(l + 1) * n] for l in range(b_m) for i in range(prod.rows)], cols=n)
+        if not tgt.source.relations:
+            return images
         sol = tgt._solver().solve(images)
         if sol is None:
             raise AssertionError("pushforward left the hom group")
@@ -522,7 +546,11 @@ class HomGroup:
 
 
 def hom_group(source: FpModule, target: FpModule) -> HomGroup:
-    """The abelian group of morphisms source -> target (ring = Z)."""
+    """The abelian group of morphisms source -> target (ring = Z).
+
+    Its generators span the solutions of G * P_M = P_N * W; without source
+    relations that is every G, so they are the unit vectors and the group
+    is N^m in closed form (see ``HomGroup``)."""
     ring = source.ring
     if ring is not RingSpec.INTEGERS:
         raise UnsupportedRingError("hom groups are computed over the integers")

@@ -557,8 +557,9 @@ def _freyd_pointwise_exactness(rnd, bounds):
     sub, incl = freyd_kernel(pi)
     payload = {"carrier": serialize.morphism_to_json(t.carrier)}
     for probe in probes:
-        ev_t = evaluate(t, probe)
-        ev_q = evaluate(quotient, probe)
+        # quotient has t's generator module, so both values read one hom group
+        ev_t = evaluate(t, probe, modules.hom_group(probe, t.generators))
+        ev_q = evaluate(quotient, probe, ev_t[1])
         ev_s = evaluate(sub, probe)
         incl_map = evaluate_map(incl, probe, ev_s, ev_t)
         pi_map = evaluate_map(pi, probe, ev_t, ev_q)

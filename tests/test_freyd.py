@@ -220,6 +220,38 @@ def test_freyd_kernel_and_cokernel_pointwise():
         assert is_zero_morphism(compose(eta_map, incl_map))
 
 
+def test_value_at_a_free_probe_is_a_power_of_the_projection():
+    # a coherent functor is additive, so F(R^m) = F(R)^m, and F(R) is the
+    # cokernel of the carrier: checked against the projection to modules
+    bounds = SizeBounds(max_rank=2, max_entry=6)
+    for i in range(12):
+        rnd = rng_for(31, "free-probe", i)
+        f = FreydObject(FP_MAX, random_carrier_morphism(FP_MAX, rnd, bounds))
+        for m in range(1, 4):
+            value = evaluate(f, FpModule.free(Z, m))[0]
+            power = modules.direct_sum([auslander_project(f)] * m)
+            assert value.invariant_data() == power.invariant_data()
+
+
+def test_evaluate_reads_a_given_generator_hom_group():
+    bounds = SizeBounds(max_rank=2, max_entry=6)
+    for i in range(8):
+        rnd = rng_for(31, "given-hom-group", i)
+        pi, _ = pointwise_exactness_maps(rnd, bounds, random_carrier_morphism)
+        t, quotient = pi.source, pi.target
+        for probe in (FpModule.free(Z, 1), FpModule.free(Z, 2), FpModule.cyclic(Z, 4)):
+            h2 = hom_group(probe, t.generators)
+            for obj in (t, quotient):
+                value, given = evaluate(obj, probe, h2)
+                assert given is h2
+                assert value.presentation == evaluate(obj, probe)[0].presentation
+            other = modules.direct_sum([t.generators, FpModule.cyclic(Z, 7)])
+            with pytest.raises(ValueError):
+                evaluate(t, probe, hom_group(probe, other))
+            with pytest.raises(ValueError):
+                evaluate(t, FpModule.cyclic(Z, 3), h2)
+
+
 def test_fraction_identity_and_composition():
     z2 = FpModule.free(Z, 2)
     obj = free_obj(FREE_SPLIT, zmat([[2, 0], [0, 3]]))

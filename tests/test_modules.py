@@ -1,5 +1,6 @@
 import hashlib
 import random
+from functools import reduce
 
 import pytest
 
@@ -15,7 +16,7 @@ from tiltbench.freyd import (
     right_filter_factor,
 )
 from tiltbench.matrices import (DimensionMismatchError, IntMatrix, RingMismatchError,
-                                kernel_matrix, solve_lift)
+                                block_diag, kernel_matrix, solve_lift, vec)
 from tiltbench.modules import (
     FpModule,
     FpMorphism,
@@ -389,7 +390,8 @@ def test_embed_into_free():
 def test_hom_group_builds_its_quotient_when_read(modules_built, snf_runs):
     # elements, generators and pushforwards read only the generator count;
     # the quotient module is built on the first read, once, from the one
-    # diagonalisation that pushforwards into the group solve on
+    # diagonalisation that pushforwards into the group solve on, which a
+    # source without relations does not need
     rnd = rng_for(11, "lazy-hom")
     bounds = SizeBounds(max_rank=2, max_entry=6)
     for _ in range(12):
@@ -405,7 +407,8 @@ def test_hom_group_builds_its_quotient_when_read(modules_built, snf_runs):
         assert modules_built(lambda: (h.module, h.module)) == 1
         assert h.module.generators == h.generators
         fresh, ident = hom_group(src, tgt), FpMorphism.identity(tgt)
-        assert snf_runs(lambda: (fresh.module, h.pushforward(ident, fresh), fresh.module)) == 1
+        assert snf_runs(lambda: (fresh.module, h.pushforward(ident, fresh), fresh.module)) \
+            == (1 if src.relations else 0)
 
 
 def hom_oracle_cases():
@@ -443,6 +446,39 @@ def test_hom_group_agrees_with_the_kronecker_oracle():
             ("relation-free target", n.generators > 0 and n.relations == 0),
             ("nonzero composite", not coords.is_zero())] if holds)
     assert len(kinds) == 4
+
+
+def test_hom_out_of_a_free_module_is_a_direct_power(snf_runs):
+    # Hom(R^m, N) = N^m: the quotient is m copies of P_N side by side and a
+    # composite's coordinates are its vectorised generator matrix, both read
+    # with no diagonalisation
+    bounds = SizeBounds(max_rank=2, max_entry=6)
+    rnd = rng_for(29, "free-source-hom")
+    fixed = [FpModule.zero(Z), FpModule.free(Z, 2), zmod(4), FpModule(zmat([[2, 1], [0, 3]]))]
+    for n in fixed + [random_module(rnd, bounds) for _ in range(12)]:
+        f = random_morphism(rnd, n, random_module(rnd, bounds))
+        for m in range(4):
+            src = FpModule.free(Z, m)
+            h, h_f = hom_group(src, n), hom_group(src, f.target)
+            assert snf_runs(lambda: h.module) == 0
+            assert h.module.presentation == block_diag(Z, [n.presentation] * m)
+            coords = h.pushforward(f, h_f)
+            assert snf_runs(h.pushforward, f, h_f) == 0
+            composites = [vec(compose(f, h.generator(i)).gen) for i in range(h.generators)]
+            assert coords == reduce(IntMatrix.hstack, composites,
+                                    IntMatrix.zeros(Z, h_f.generators, 0))
+
+
+def test_pushforward_refuses_groups_that_do_not_match_the_map():
+    f = FpMorphism.from_generator_matrix(zmod(4), zmod(6), zmat([[3]]))
+    z = FpModule.free(Z, 1)
+    h = hom_group(z, f.source)
+    assert h.pushforward(f, hom_group(z, f.target)) == zmat([[3]])
+    for tgt in (hom_group(z, zmod(5)), hom_group(zmod(2), f.target)):
+        with pytest.raises(ValueError):
+            h.pushforward(f, tgt)
+    with pytest.raises(ValueError):
+        hom_group(z, zmod(2)).pushforward(f, hom_group(z, f.target))
 
 
 def test_pullback_legs_are_row_blocks_of_the_inclusion():
