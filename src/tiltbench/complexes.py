@@ -15,6 +15,8 @@ im D^{n-1}, which reads two differentials (``derived_hom``).
 Invertibility needs no homotopy and no cohomology module.  A chain map of
 relation-free complexes is a homotopy equivalence iff its cone is exact,
 which one diagonalisation per differential decides (``is_homotopy_iso``);
+that decision places the blocks of the cone's differentials as matrices
+and builds no cone, no module and no morphism;
 a complex of finitely presented modules is exact iff, in every degree, the
 generators of the kernel lie in the image of the previous differential,
 one solve per degree (``is_exact``, behind ``is_quasi_iso``).
@@ -237,6 +239,25 @@ def direct_sum_complexes(cs: Sequence[Complex]) -> Complex:
     return Complex(ring, base, lo, objs, diffs, check=False)
 
 
+def _cone_layout(f: ChainMap) -> tuple[range, list[dict[tuple[int, int], FpMorphism]]]:
+    """The cone's degrees and, per differential d^n, the blocks of
+    [[d_Y^n, f^{n+1}], [0, -d_X^{n+1}]] inside their supports (the others
+    are zero); block (1, 1) holds d_X^{n+1}, which d^n negates."""
+    x, y = f.source, f.target
+    degrees = range(min(y.lo, x.lo - 1), max(y.hi, x.hi - 1) + 1)
+    layout = []
+    for n in degrees[:-1]:
+        blocks = {}
+        if y.lo <= n < y.hi:
+            blocks[0, 0] = y.differential_at(n)
+        if n + 1 in f.components:
+            blocks[0, 1] = f.components[n + 1]
+        if x.lo <= n + 1 < x.hi:
+            blocks[1, 1] = x.differential_at(n + 1)
+        layout.append(blocks)
+    return degrees, layout
+
+
 def cone(f: ChainMap) -> Complex:
     """The mapping cone of f : X -> Y.
 
@@ -246,21 +267,15 @@ def cone(f: ChainMap) -> Complex:
     of summand 0 and ``modules.projection`` onto summand 1.
     """
     x, y = f.source, f.target
-    lo = min(y.lo, x.lo - 1)
-    hi = max(y.hi, x.hi - 1)
-    parts = {n: [y.object_at(n), x.object_at(n + 1)] for n in range(lo, hi + 1)}
-    objs = {n: modules.direct_sum(ms) for n, ms in parts.items()}
+    degrees, layout = _cone_layout(f)
+    parts = [[y.object_at(n), x.object_at(n + 1)] for n in degrees]
+    objs = [modules.direct_sum(ms) for ms in parts]
     diffs = []
-    for n in range(lo, hi):  # blocks outside the supports are zero, so left out
-        blocks = {}
-        if y.lo <= n < y.hi:
-            blocks[0, 0] = y.differential_at(n)
-        if n + 1 in f.components:
-            blocks[0, 1] = f.components[n + 1]
-        if x.lo <= n + 1 < x.hi:
-            blocks[1, 1] = modules.negate(x.differential_at(n + 1))
-        diffs.append(modules.block_morphism(objs[n], objs[n + 1], parts[n], parts[n + 1], blocks))
-    return Complex(x.ring, x.base, lo, list(objs.values()), diffs, check=False)
+    for k, blocks in enumerate(layout):
+        if (1, 1) in blocks:
+            blocks[1, 1] = modules.negate(blocks[1, 1])
+        diffs.append(modules.block_morphism(objs[k], objs[k + 1], parts[k], parts[k + 1], blocks))
+    return Complex(x.ring, x.base, degrees[0], objs, diffs, check=False)
 
 
 # -- cohomology ----------------------------------------------------------------
@@ -346,19 +361,25 @@ def is_homotopy_iso(f: ChainMap) -> bool:
     exact at n iff im d^{n-1} is a direct summand of C^n, which holds iff
     the nonzero diagonal of d^{n-1} consists of units, and has the rank of
     ker d^n: rank d^{n-1} + rank d^n = rank C^n.  One diagonalisation per
-    differential of the cone decides both.
+    differential of the cone decides both.  It reads the cone's matrices
+    alone, the blocks' generator matrices placed in summands of y^n and
+    x^{n+1} generators, and builds no cone, module or morphism.
     """
-    _require_relation_free(f.source, f.target)
-    cc = cone(f)
+    x, y = f.source, f.target
+    _require_relation_free(x, y)
+    degrees, layout = _cone_layout(f)
+    # generator counts read off the supports, building no zero module
+    gens = {(c, n): obj.generators for c in (x, y) for n, obj in zip(c.degrees(), c.objects)}
+    sizes = [[gens.get((y, n), 0), gens.get((x, n + 1), 0)] for n in degrees]
     ranks = [0]
-    for d in cc.differentials:
-        diag = nonzero_diagonal(d.gen)
-        if not all(rings.is_unit(cc.ring, e) for e in diag):
+    for k, blocks in enumerate(layout):
+        diag = nonzero_diagonal(block_matrix(x.ring, sizes[k + 1], sizes[k], {
+            ij: -b.gen if ij == (1, 1) else b.gen for ij, b in blocks.items()}))
+        if not all(rings.is_unit(x.ring, e) for e in diag):
             return False
         ranks.append(len(diag))
     ranks.append(0)
-    return all(ranks[i] + ranks[i + 1] == obj.generators
-               for i, obj in enumerate(cc.objects))
+    return all(ranks[k] + ranks[k + 1] == sum(size) for k, size in enumerate(sizes))
 
 
 # -- hom complexes and derived hom ----------------------------------------------

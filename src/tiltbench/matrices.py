@@ -18,10 +18,12 @@ objects and zero maps.
 
 from __future__ import annotations
 
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import rings
-from .rings import Element, RingSpec
+from .rings import Element, QPoly, RingSpec
 
 
 class RingMismatchError(ValueError):
@@ -90,6 +92,8 @@ class IntMatrix:
         n = len(diag)
         rows = n if rows is None else rows
         cols = n if cols is None else cols
+        if n > min(rows, cols):
+            raise DimensionMismatchError(f"{n} diagonal entries in a {rows}x{cols} matrix")
         z = rings.zero(ring)
         ent = [z] * (rows * cols)
         for i, d in enumerate(diag):
@@ -139,17 +143,23 @@ class IntMatrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        n, m = self.cols, other.cols
-        zero_row = [rings.zero(self.ring)] * m
-        other_rows = [other.entries[k * m:(k + 1) * m] for k in range(n)]
-        out = []
-        for i in range(self.rows):
-            acc = zero_row
-            for a, brow in zip(self.entries[i * n:(i + 1) * n], other_rows):
-                if a:
-                    acc = [c + a * b if b else c for c, b in zip(acc, brow)]
-            out.extend(acc)
-        return IntMatrix(self.ring, self.rows, m, tuple(out))
+        ring, rows, n, m = self.ring, self.rows, self.cols, other.cols
+        a, b = self.entries, other.entries
+        a_rows = [a[i * n:(i + 1) * n] for i in range(rows)]
+        if ring is RingSpec.INTEGERS:
+            cols = [b[j::m] for j in range(m)]
+            out = [sum(map(mul, row, col)) for row in a_rows for col in cols]
+        else:  # a polynomial product costs, so zero factors are skipped
+            zero_row = [rings.zero(ring)] * m
+            b_rows = [b[k * m:(k + 1) * m] for k in range(n)]
+            out = []
+            for a_row in a_rows:
+                acc = zero_row
+                for x, brow in zip(a_row, b_rows):
+                    if x:
+                        acc = [c + x * y if y else c for c, y in zip(acc, brow)]
+                out.extend(acc)
+        return IntMatrix(ring, rows, m, tuple(out))
 
     def transpose(self) -> "IntMatrix":
         ent = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
@@ -311,10 +321,12 @@ class _SNFWorker:
         self.row_log = []
         self.col_log = []
         if m.ring is RingSpec.INTEGERS:
+            self.euc_divmod = rings.int_divmod
             self._norm = abs
             self._divides = lambda a, b: b % a == 0
         else:
             ring = m.ring
+            self.euc_divmod = QPoly.divmod
             self._norm = lambda x: rings.norm(ring, x)
             self._divides = lambda a, b: rings.divides(ring, a, b)
         self._unit_norm = self._norm(rings.one(m.ring))
@@ -419,7 +431,7 @@ class _SNFWorker:
         The chain requires extra folding passes that pure solving and
         kernel extraction do not need.  Returns the worker.
         """
-        ring = self.ring
+        ring, a, euc_divmod = self.ring, self.a, self.euc_divmod
         t = 0
         limit = min(self.nr, self.nc)
         while t < limit:
@@ -431,16 +443,16 @@ class _SNFWorker:
             while True:
                 dirty = False
                 for i in range(t + 1, self.nr):
-                    if not self.a[i][t]:
+                    if not a[i][t]:
                         continue
-                    q, r = rings.euc_divmod(ring, self.a[i][t], self.a[t][t])
+                    q, r = euc_divmod(a[i][t], a[t][t])
                     self._add_row(i, t, -q)
                     if r:
                         dirty = True
                 for j in range(t + 1, self.nc):
-                    if not self.a[t][j]:
+                    if not a[t][j]:
                         continue
-                    q, r = rings.euc_divmod(ring, self.a[t][j], self.a[t][t])
+                    q, r = euc_divmod(a[t][j], a[t][t])
                     self._add_col(j, t, -q)
                     if r:
                         dirty = True
@@ -453,9 +465,9 @@ class _SNFWorker:
                     break
                 offender = None
                 divides = self._divides
-                pivot_val = self.a[t][t]
+                pivot_val = a[t][t]
                 for i in range(t + 1, self.nr):
-                    row = self.a[i]
+                    row = a[i]
                     for j in range(t + 1, self.nc):
                         e = row[j]
                         if e and not divides(pivot_val, e):
@@ -471,7 +483,7 @@ class _SNFWorker:
                 self._add_row(t, offender, rings.one(ring))
             t += 1
         for i in range(limit):
-            d = self.a[i][i]
+            d = a[i][i]
             if d:
                 unit = rings.canonical_unit(ring, d)
                 if unit != rings.one(ring):
@@ -479,23 +491,38 @@ class _SNFWorker:
         return self
 
 
-class SmithForm(tuple):
-    """The (U, D, V) of ``smith_normal_form``; it unpacks as a 3-tuple.
+class SmithForm:
+    """The (U, D, V) of ``smith_normal_form``, named ``u``, ``d`` and ``v``;
+    it unpacks and prints as that 3-tuple.
 
-    ``u_inv()`` and ``v_inv()`` replay the diagonalisation's logs inverted,
-    so the inverse transforms need no solve.
+    U and V are replayed from the diagonalisation's logs when first read,
+    so reading D alone replays neither; ``u_inv()`` and ``v_inv()`` replay
+    the logs inverted, so the inverse transforms need no solve.
     """
 
-    def __new__(cls, worker: _SNFWorker, u: IntMatrix, d: IntMatrix, v: IntMatrix):
-        form = super().__new__(cls, (u, d, v))
-        form._worker = worker
-        return form
+    def __init__(self, worker: _SNFWorker):
+        self._worker = worker
+        self.d = IntMatrix.from_rows(worker.ring, worker.a, cols=worker.nc)
+
+    @cached_property
+    def u(self) -> IntMatrix:
+        return self._worker.replay_identity(self._worker.apply_u, self._worker.nr)
+
+    @cached_property
+    def v(self) -> IntMatrix:
+        return self._worker.replay_identity(self._worker.apply_v, self._worker.nc)
+
+    def __iter__(self):
+        return iter((self.u, self.d, self.v))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
     def u_inv(self) -> IntMatrix:
-        return self._worker.replay_identity(self._worker.apply_u_inv, self[0].rows)
+        return self._worker.replay_identity(self._worker.apply_u_inv, self._worker.nr)
 
     def v_inv(self) -> IntMatrix:
-        return self._worker.replay_identity(self._worker.apply_v_inv, self[2].rows)
+        return self._worker.replay_identity(self._worker.apply_v_inv, self._worker.nc)
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
@@ -503,12 +530,10 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 
     U and V are unimodular (unit determinant); diagonal entries are
     canonical associates (nonnegative integers / monic polynomials), with
-    zeros trailing the chain.
+    zeros trailing the chain.  D is read at once; U and V are replayed from
+    the diagonalisation's logs when first read (see ``SmithForm``).
     """
-    w = _SNFWorker(m).run()
-    return SmithForm(w, w.replay_identity(w.apply_u, m.rows),
-                     IntMatrix.from_rows(m.ring, w.a, cols=m.cols),
-                     w.replay_identity(w.apply_v, m.cols))
+    return SmithForm(_SNFWorker(m).run())
 
 
 def nonzero_diagonal(m: IntMatrix) -> list:
@@ -538,9 +563,8 @@ class PreparedSolver:
             raise RingMismatchError(f"{a.ring} vs {b.ring}")
         if a.rows != b.rows:
             raise DimensionMismatchError("solve_lift row mismatch")
-        ring = a.ring
-        zero = rings.zero(ring)
-        d = self._snf.a
+        zero = rings.zero(a.ring)
+        d, euc_divmod = self._snf.a, self._snf.euc_divmod
         y = [[zero] * b.cols for _ in range(a.cols)]
         r = min(a.rows, a.cols)
         for i, ub_row in enumerate(self._snf.apply_u(b.to_rows())):
@@ -550,11 +574,11 @@ class PreparedSolver:
                     if rhs:
                         return None
                 else:
-                    q, rem = rings.euc_divmod(ring, rhs, di)
+                    q, rem = euc_divmod(rhs, di)
                     if rem:
                         return None
                     y[i][j] = q
-        return IntMatrix.from_rows(ring, self._snf.apply_v(y), cols=b.cols)
+        return IntMatrix.from_rows(a.ring, self._snf.apply_v(y), cols=b.cols)
 
     def kernel(self) -> IntMatrix:
         """``kernel_matrix(a)``, read from this diagonalisation."""

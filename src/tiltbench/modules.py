@@ -86,9 +86,8 @@ class FpModule:
     def smith_diagonal(self) -> tuple[list, list[int], list[int]]:
         """The SNF diagonal padded with zeros to one entry per generator,
         with the indices of its nonzero nonunit (torsion) and zero (free)
-        entries."""
-        ring = self.ring
-        _, d, _ = self.snf()
+        entries.  It reads D alone, so neither transform is replayed."""
+        ring, d = self.ring, self.snf().d
         diag = [d.at(i, i) if i < d.cols else rings.zero(ring)
                 for i in range(self.generators)]
         tor_idx = [i for i, e in enumerate(diag)
@@ -111,14 +110,13 @@ class FpModule:
             self._reduction = (self, ident, ident)
             return self._reduction
         snf = self.snf()
-        u, _, v = snf
         diag, tor_idx, free_idx = self.smith_diagonal()
         idx = tor_idx + free_idx
         canon = FpModule.from_invariants(self.ring, [diag[i] for i in tor_idx], len(free_idx))
         self._reduction = (
             canon,
-            FpMorphism(self, canon, u.take_rows(idx), snf.v_inv().take_rows(tor_idx)),
-            FpMorphism(canon, self, snf.u_inv().take_columns(idx), v.take_columns(tor_idx)),
+            FpMorphism(self, canon, snf.u.take_rows(idx), snf.v_inv().take_rows(tor_idx)),
+            FpMorphism(canon, self, snf.u_inv().take_columns(idx), snf.v.take_columns(tor_idx)),
         )
         return self._reduction
 
@@ -584,20 +582,18 @@ def torsion_decompose(m: FpModule):
     """
     if m.ring is not RingSpec.INTEGERS:
         raise UnsupportedRingError("torsion decomposition needs ring = Z")
-    ring = m.ring
-    _, _, v = m.snf()
+    snf = m.snf()
     diag, tor_idx, _ = m.smith_diagonal()
-    t_mod = FpModule.from_invariants(ring, [diag[i] for i in tor_idx], 0)
+    t_mod = FpModule.from_invariants(m.ring, [diag[i] for i in tor_idx], 0)
     # U^-1 * D = P * V, so the columns of V at tor_idx witness the inclusion
-    incl = FpMorphism(t_mod, m, m.snf().u_inv().take_columns(tor_idx), v.take_columns(tor_idx))
+    incl = FpMorphism(t_mod, m, snf.u_inv().take_columns(tor_idx), snf.v.take_columns(tor_idx))
     f_mod, proj = free_quotient(m)
     return t_mod, incl, f_mod, proj
 
 
 def free_quotient(m: FpModule) -> tuple[FpModule, FpMorphism]:
     """The maximal free quotient, over any catalogued ring."""
-    ring = m.ring
-    u, _, _ = m.snf()
+    ring, u = m.ring, m.snf().u
     _, _, free_idx = m.smith_diagonal()
     f_mod = FpModule.free(ring, len(free_idx))
     # the rows of U at free_idx kill P, since those rows of D = U * P * V vanish
@@ -640,9 +636,8 @@ def projective_resolution(m: FpModule, max_len: int = 1) -> list[IntMatrix]:
 def _injective_column_basis(p: IntMatrix) -> IntMatrix:
     """A matrix with the same column span as p and trivial kernel."""
     m = FpModule(p)
-    _, d, _ = m.snf()
     rank = m.generators - len(m.smith_diagonal()[2])
-    return m.snf().u_inv() * d.take_columns(range(rank))
+    return m.snf().u_inv() * m.snf().d.take_columns(range(rank))
 
 
 def reduce_presentation(m: FpModule) -> FpModule:

@@ -211,13 +211,18 @@ def euc_divmod(ring: RingSpec, a: Element, b: Element) -> tuple[Element, Element
     normal-form loops; over Q[x] it is the standard degree-reducing one.
     """
     if ring is RingSpec.INTEGERS:
-        q, r = divmod(a, b)
-        # python divmod gives r with the sign of b; fold to |r| <= |b|/2
-        if 2 * abs(r) > abs(b):
-            q += 1
-            r -= b
-        return q, r
+        return int_divmod(a, b)
     return a.divmod(b)
+
+
+def int_divmod(a: int, b: int) -> tuple[int, int]:
+    """Integer division with the balanced remainder |r| <= |b|/2."""
+    q, r = divmod(a, b)
+    # python divmod gives r with the sign of b; fold to |r| <= |b|/2
+    if 2 * abs(r) > abs(b):
+        q += 1
+        r -= b
+    return q, r
 
 
 def exact_div(ring: RingSpec, a: Element, b: Element) -> Element:

@@ -169,7 +169,8 @@ def _solve_kernel_duality(rnd, bounds):
     b2 = samplers.random_matrix(rnd, rows, 1, bounds.max_entry)
     x2 = solve_lift(a, b2)
     if x2 is None:
-        u, d, _ = smith_normal_form(a)
+        form = smith_normal_form(a)
+        u, d = form.u, form.d
         ub = u * b2
         r = min(rows, cols)
         obstructed = any(

@@ -23,6 +23,11 @@ built before a leg became a row block of the kernel inclusion: the
 summand's projection composed with that inclusion.  ``scale`` multiplies a
 matrix by a scalar; only the tests need it.
 
+``row_accumulating_product`` is ``IntMatrix.__mul__`` as it was before
+the integer product summed each entry over a row and a column slice: one
+accumulated output row per row of the left factor, skipping zero factors
+on both sides, over either ring.
+
 ``FractionPoly`` is the element type of ``Q[x]`` before ``rings.QPoly``
 stored one integer numerator polynomial over one denominator: a tuple of
 separately normalised ``Fraction`` coefficients, divided by the schoolbook
@@ -35,6 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
+from tiltbench import rings
 from tiltbench.complexes import (
     BaseCategory,
     ChainMap,
@@ -147,6 +153,21 @@ def pullback_legs(f: FpMorphism, g: FpMorphism) -> tuple[FpMorphism, FpMorphism]
     _, incl = kernel(diff)
     return (compose(projection(total, parts, 0), incl),
             compose(projection(total, parts, 1), incl))
+
+
+def row_accumulating_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """a * b, each output row a sum of the rows of b scaled by a's entries."""
+    n, m = a.cols, b.cols
+    zero_row = [rings.zero(a.ring)] * m
+    b_rows = [b.entries[k * m:(k + 1) * m] for k in range(n)]
+    out = []
+    for i in range(a.rows):
+        acc = zero_row
+        for x, brow in zip(a.entries[i * n:(i + 1) * n], b_rows):
+            if x:
+                acc = [c + x * y if y else c for c, y in zip(acc, brow)]
+        out.extend(acc)
+    return IntMatrix(a.ring, a.rows, m, tuple(out))
 
 
 def scale(m: IntMatrix, c) -> IntMatrix:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from tiltbench import rings
 from tiltbench.matrices import (
     DimensionMismatchError,
@@ -175,7 +176,7 @@ def test_snf_inverse_transforms():
         assert v * form.v_inv() == eye_cols and form.v_inv() * v == eye_cols
     # [3x + 6, 2x] reduces to the pivot -4, scaled to 1 by the unit -1/4
     form = smith_normal_form(IntMatrix.from_rows(QX, [[QPoly((6, 3)), QPoly((0, 2))]]))
-    assert form[0] == IntMatrix.from_rows(QX, [[QPoly.const(Fraction(-1, 4))]])
+    assert form.u == IntMatrix.from_rows(QX, [[QPoly.const(Fraction(-1, 4))]])
     assert form.u_inv() == IntMatrix.from_rows(QX, [[QPoly.const(-4)]])
 
 
@@ -365,6 +366,61 @@ def test_block_matrix_shape_and_ring_errors():
         IntMatrix(Z, 2, 2, (1, 2, 3))
     with pytest.raises(DimensionMismatchError, match="negative matrix dimensions"):
         IntMatrix(Z, -1, 0, ())
+
+
+def product_cases():
+    # every shape up to 4 x 4 times 4 x 4, empty dimensions included, over
+    # Z and Q[x], with about half the entries zero
+    rnd = random.Random(2402)
+
+    def entry(ring):
+        if rnd.random() < 0.5:
+            return rings.zero(ring)
+        if ring is Z:
+            return rnd.randint(-9, 9)
+        return QPoly([Fraction(rnd.randint(-3, 3), rnd.choice((1, 2))) for _ in range(3)])
+
+    for ring in (Z, QX):
+        for rows in range(5):
+            for inner in range(5):
+                for cols in range(5):
+                    a = IntMatrix(ring, rows, inner,
+                                  tuple(entry(ring) for _ in range(rows * inner)))
+                    b = IntMatrix(ring, inner, cols,
+                                  tuple(entry(ring) for _ in range(inner * cols)))
+                    yield a, b
+
+
+def test_product_matches_the_row_accumulating_oracle():
+    # the integer product sums an entry over a row and a column slice, an
+    # inner dimension of 1 is an outer product, an empty one gives zeros
+    for a, b in product_cases():
+        assert a * b == oracles.row_accumulating_product(a, b)
+
+
+def test_product_shape_and_ring_errors():
+    with pytest.raises(DimensionMismatchError, match="cannot multiply 2x3 by 2x3"):
+        IntMatrix.zeros(Z, 2, 3) * IntMatrix.zeros(Z, 2, 3)
+    with pytest.raises(DimensionMismatchError):
+        IntMatrix.zeros(Z, 0, 1) * IntMatrix.zeros(Z, 0, 1)
+    with pytest.raises(RingMismatchError):
+        IntMatrix.zeros(Z, 1, 1) * IntMatrix.zeros(QX, 1, 1)
+    with pytest.raises(RingMismatchError):
+        IntMatrix.zeros(QX, 0, 0) * IntMatrix.zeros(Z, 0, 0)
+
+
+def test_diagonal_refuses_more_entries_than_fit():
+    # surplus entries were written past the end of their row, or past the
+    # end of the matrix
+    with pytest.raises(DimensionMismatchError):
+        IntMatrix.diagonal(Z, [1, 2], rows=3, cols=1)
+    with pytest.raises(DimensionMismatchError):
+        IntMatrix.diagonal(Z, [1, 2, 3], rows=2, cols=5)
+    with pytest.raises(DimensionMismatchError):
+        IntMatrix.diagonal(Z, [1], rows=0)
+    assert IntMatrix.diagonal(Z, [1, 2], rows=3) == zmat([[1, 0], [0, 2], [0, 0]])
+    assert IntMatrix.diagonal(Z, [4], cols=3) == zmat([[4, 0, 0]])
+    assert IntMatrix.diagonal(Z, [], rows=2, cols=0) == IntMatrix.zeros(Z, 2, 0)
 
 
 def test_matrices_are_values():

@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 
 import oracles
-from tiltbench import modules
+from tiltbench import matrices, modules
 from tiltbench.complexes import ChainMap, cone, direct_sum_complexes
 from tiltbench.exactness import Carrier, ExactStructure, Flavor
 from tiltbench.freyd import (
@@ -373,6 +373,30 @@ def test_reduction_isomorphisms_are_mutually_inverse(solvers_built):
         assert a.source is m and b.target is m and a.target is canon and b.source is canon
         assert morphism_equal(compose(a, b), FpMorphism.identity(canon))
         assert morphism_equal(compose(b, a), FpMorphism.identity(m))
+
+
+def test_invariants_replay_no_transform(monkeypatch, snf_runs):
+    # the invariants read the Smith form's D alone; U and V are replayed
+    # from the diagonalisation's logs only where a map is built, and a later
+    # reduction reads them from the same diagonalisation
+    replays = []
+    real_replay = matrices._SNFWorker.replay_identity
+
+    def counting_replay(worker, apply, n):
+        replays.append(apply.__name__)
+        return real_replay(worker, apply, n)
+
+    monkeypatch.setattr(matrices._SNFWorker, "replay_identity", counting_replay)
+    for m in reduction_cases():
+        fresh = FpModule(m.presentation)
+        replays.clear()
+        assert snf_runs(lambda: (fresh.invariant_factors(), fresh.free_rank(),
+                                 fresh.is_torsion(), fresh.invariant_data())) == 1
+        assert replays == []
+        assert snf_runs(fresh.reduction) == 0
+        if fresh.relations:
+            assert sorted(replays) == ["apply_u", "apply_u_inv", "apply_v", "apply_v_inv"]
+        assert fresh.reduction()[0] == reduce_presentation(m)
 
 
 def test_reduce_presentation_drops_units():
