@@ -64,9 +64,14 @@ class FreydMorphism:
 
     def __init__(self, source: FreydObject, target: FreydObject,
                  gen: FpMorphism, wit: FpMorphism):
-        if not modules.morphism_equal(
-                modules.compose(gen, source.carrier),
-                modules.compose(target.carrier, wit)):
+        ends = ((gen.source, source.generators), (gen.target, target.generators),
+                (wit.source, source.relations), (wit.target, target.relations))
+        if not all(modules.same_module(a, b) for a, b in ends):
+            raise ValueError("witness square does not sit between the functors")
+        # the square commutes iff gen o f - g o wit vanishes in G0
+        if not modules.factors_through_relations(
+                target.generators,
+                gen.gen * source.carrier.gen - target.carrier.gen * wit.gen):
             raise ValueError("witness square does not commute")
         self.source = source
         self.target = target
@@ -104,7 +109,8 @@ def freyd_compose(g: FreydMorphism, f: FreydMorphism) -> FreydMorphism:
 
 def freyd_equal(f: FreydMorphism, g: FreydMorphism) -> bool:
     """Equality: the difference factors through the target's presentation."""
-    delta = modules.sub_morphisms(f.gen, g.gen)
+    delta = FpMorphism(f.gen.source, f.gen.target, f.gen.gen - g.gen.gen,
+                       f.gen.witness - g.gen.witness)
     return modules.factor(delta, f.target.carrier) is not None
 
 

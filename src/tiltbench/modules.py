@@ -221,19 +221,24 @@ def compose(g: FpMorphism, f: FpMorphism) -> FpMorphism:
     return FpMorphism(f.source, g.target, g.gen * f.gen, g.witness * f.witness)
 
 
+def factors_through_relations(m: FpModule, gen: IntMatrix) -> bool:
+    """Whether the columns of ``gen``, in m's generators, vanish in m: one
+    solve against P_m, or none where m has no relations."""
+    if not m.relations:  # nothing to factor through
+        return gen.is_zero()
+    return solve_lift(m.presentation, gen) is not None
+
+
 def morphism_equal(f: FpMorphism, g: FpMorphism) -> bool:
     """Whether f and g agree, i.e. their difference factors through P_tgt."""
     if f.source.presentation != g.source.presentation \
             or f.target.presentation != g.target.presentation:
         return False
-    diff = f.gen - g.gen
-    if not f.target.relations:  # nothing to factor through
-        return diff.is_zero()
-    return solve_lift(f.target.presentation, diff) is not None
+    return factors_through_relations(f.target, f.gen - g.gen)
 
 
 def is_zero_morphism(f: FpMorphism) -> bool:
-    return morphism_equal(f, FpMorphism.zero(f.source, f.target))
+    return factors_through_relations(f.target, f.gen)
 
 
 def add_morphisms(f: FpMorphism, g: FpMorphism) -> FpMorphism:
@@ -242,10 +247,6 @@ def add_morphisms(f: FpMorphism, g: FpMorphism) -> FpMorphism:
 
 def negate(f: FpMorphism) -> FpMorphism:
     return FpMorphism(f.source, f.target, -f.gen, -f.witness)
-
-
-def sub_morphisms(f: FpMorphism, g: FpMorphism) -> FpMorphism:
-    return add_morphisms(f, negate(g))
 
 
 def _solve_by_runs(m: FpModule, y: FpModule, rhs: IntMatrix,
@@ -471,7 +472,8 @@ class HomGroup:
     kernel of [I | -T] is [T; I], ``module`` is T (Hom(R^m, N) = N^m), and a
     composite's coordinates are its own vectorised generator matrix, the
     particular solution [vec; 0]: the diagonalisation's matrices, entry for
-    entry.
+    entry.  The pushforward along f is then I kron f.gen, placed as the
+    diagonal blocks of ``block_diag`` with no product.
     """
 
     def __init__(self, source: FpModule, target: FpModule,
@@ -522,21 +524,21 @@ class HomGroup:
         Column i holds the coordinates in tgt of f composed with generator i.
         All compositions are formed at once, since vec(f.gen * G) =
         (I kron f.gen) * vec(G): f.gen times the b_n-row blocks of the
-        columns of gen_vecs laid side by side, solved on tgt's solver, or
-        read off as they are when tgt's source has no relations.  Raises
-        ValueError unless f : self.target -> tgt.target and tgt has
-        self's source.
+        columns of gen_vecs laid side by side, solved on tgt's solver.  A
+        source without relations has gen_vecs = I, so the coordinates are
+        I kron f.gen itself.  Raises ValueError unless
+        f : self.target -> tgt.target and tgt has self's source.
         """
         if not (same_module(f.source, self.target) and same_module(f.target, tgt.target)
                 and same_module(tgt.source, self.source)):
             raise ValueError("pushforward: f and the hom groups do not match")
         gens, b_n, b_m = self._gen_vecs, self.target.generators, self.source.generators
+        if not self.source.relations:
+            return block_diag(gens.ring, [f.gen] * b_m)
         side = [[e for l in range(b_m) for e in gens.row(l * b_n + i)] for i in range(b_n)]
         prod, n = f.gen * IntMatrix.from_rows(gens.ring, side, cols=b_m * gens.cols), gens.cols
         images = IntMatrix.from_rows(gens.ring, [
             prod.row(i)[l * n:(l + 1) * n] for l in range(b_m) for i in range(prod.rows)], cols=n)
-        if not tgt.source.relations:
-            return images
         sol = tgt._solver().solve(images)
         if sol is None:
             raise AssertionError("pushforward left the hom group")
@@ -650,17 +652,19 @@ def pullback(f: FpMorphism, g: FpMorphism):
     """Pullback of f : A -> C along g : B -> C, with its two legs."""
     if f.target.presentation != g.target.presentation:
         raise ValueError("pullback targets differ")
-    parts = [f.source, g.source]
-    total = direct_sum(parts)
-    diff = block_morphism(total, f.target, parts, [f.target], {(0, 0): f, (0, 1): negate(g)})
-    p_mod, incl = kernel(diff)
+    # the kernel of [f, -g] on A (+) B, posed on matrices: its generators are
+    # the kernel of [f.gen | -g.gen | -P_C] cut to A (+) B, its relations
+    # those of the block-diagonal presentation of the sum
+    a, b = f.source, g.source
+    pair = kernel_matrix(f.gen.hstack(-g.gen).hstack(-f.target.presentation))
+    incl_gen = pair.take_rows(range(a.generators + b.generators))
+    p_mod, wit = span_quotient(incl_gen, block_diag(a.ring, [a.presentation, b.presentation]))
     # a leg is its summand's row block of the inclusion, on generators and on
-    # relations alike, since the sum is presented block-diagonally
-    a_gens, a_rels = f.source.generators, f.source.relations
-    leg_a = FpMorphism(p_mod, f.source, incl.gen.take_rows(range(a_gens)),
-                       incl.witness.take_rows(range(a_rels)))
-    leg_b = FpMorphism(p_mod, g.source, incl.gen.take_rows(range(a_gens, total.generators)),
-                       incl.witness.take_rows(range(a_rels, total.relations)))
+    # relations alike
+    leg_a = FpMorphism(p_mod, a, incl_gen.take_rows(range(a.generators)),
+                       wit.take_rows(range(a.relations)))
+    leg_b = FpMorphism(p_mod, b, incl_gen.take_rows(range(a.generators, incl_gen.rows)),
+                       wit.take_rows(range(a.relations, wit.rows)))
     return p_mod, leg_a, leg_b
 
 

@@ -10,7 +10,12 @@ solution where it is unique.
 of two relation-free complexes at once, as one ``Complex``;
 ``complexes.hom_differential`` builds one of them, the one a caller reads.
 ``cohomology_map`` is the map induced on cohomology, and
-``chain_maps_homotopic`` decides whether two chain maps are homotopic.
+``chain_maps_homotopic`` decides whether two chain maps are homotopic,
+on their difference ``sub_chain_maps``, taken component by component with
+``sub_morphisms``: f plus the negation of g, two checked morphisms.
+
+``is_zero_morphism`` compares a morphism with the zero morphism built in
+full; ``modules.is_zero_morphism`` solves on its generator matrix alone.
 
 ``hom_group_system`` poses the system of ``modules.hom_group`` as it was
 posed before its blocks were placed directly: Kronecker products with
@@ -55,14 +60,15 @@ from tiltbench.matrices import (IntMatrix, block_matrix, kernel_matrix, kron, so
 from tiltbench.modules import (
     FpModule,
     FpMorphism,
+    add_morphisms,
     block_morphism,
     compose,
     direct_sum,
     kernel,
     kernel_generators,
+    morphism_equal,
     negate,
     projection,
-    sub_morphisms,
 )
 
 
@@ -235,6 +241,15 @@ def cohomology_map(f: ChainMap, n: int) -> FpMorphism:
     if sol is None:
         raise ArithmeticError("chain map does not respect kernels")
     return FpMorphism.from_generator_matrix(hx, hy, sol.take_rows(range(ky.cols)))
+
+
+def sub_morphisms(f: FpMorphism, g: FpMorphism) -> FpMorphism:
+    return add_morphisms(f, negate(g))
+
+
+def is_zero_morphism(f: FpMorphism) -> bool:
+    """f == 0, decided against the zero morphism built in full."""
+    return morphism_equal(f, FpMorphism.zero(f.source, f.target))
 
 
 def sub_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:

@@ -415,3 +415,40 @@ def test_induced_maps_solve_no_cofactor_system(monkeypatch):
         for probe in PROBES:
             evaluate_map(eta, probe)
     assert calls == []
+
+
+# -- natural transformations decided on matrices ------------------------------------
+
+def test_freyd_square_builds_no_composite(morphisms_built):
+    # the square is one solve on matrices, and it decides as the old
+    # comparison of the two composed morphisms did
+    verdicts = []
+    for i in range(4):
+        rnd = rng_for(43, "freyd-square", i)
+        for eta in pointwise_exactness_maps(rnd, SizeBounds(max_rank=2, max_entry=3),
+                                            random_carrier_morphism):
+            f, g, gen = eta.source, eta.target, eta.gen
+            assert morphisms_built(FreydMorphism, f, g, gen, eta.wit) == 0
+            doubled = FpMorphism(gen.source, gen.target, scale(gen.gen, 2),
+                                 scale(gen.witness, 2))
+            verdicts.append(morphism_equal(compose(doubled, f.carrier),
+                                           compose(g.carrier, eta.wit)))
+            if verdicts[-1]:
+                assert morphisms_built(FreydMorphism, f, g, doubled, eta.wit) == 0
+            else:
+                with pytest.raises(ValueError, match="does not commute"):
+                    FreydMorphism(f, g, doubled, eta.wit)
+    assert 0 < verdicts.count(True) < len(verdicts)
+
+
+def test_freyd_square_checks_its_ends():
+    z = FpModule.free(Z, 1)
+    two, three = free_obj(FREE_SPLIT, zmat([[2]])), free_obj(FREE_SPLIT, zmat([[3]]))
+    ident = FpMorphism.identity(z)
+    with pytest.raises(ValueError, match="does not commute"):
+        FreydMorphism(two, three, ident, ident)
+    # a map out of Z^2 starts at neither end of the functor, which is Z twice
+    wide = FpMorphism.from_generator_matrix(FpModule.free(Z, 2), z, zmat([[1, 0]]))
+    for gen, wit in ((wide, ident), (ident, wide)):
+        with pytest.raises(ValueError):
+            FreydMorphism(two, two, gen, wit)

@@ -54,6 +54,7 @@ from tiltbench.samplers import (
     SizeBounds,
     random_carrier_deflation,
     random_fp_complex,
+    random_matrix,
     random_module,
     random_morphism,
     rng_for,
@@ -475,10 +476,12 @@ def test_hom_group_agrees_with_the_kronecker_oracle():
 def test_hom_out_of_a_free_module_is_a_direct_power(snf_runs):
     # Hom(R^m, N) = N^m: the quotient is m copies of P_N side by side and a
     # composite's coordinates are its vectorised generator matrix, both read
-    # with no diagonalisation
+    # with no diagonalisation; the pushforward is the oracle's I kron f.gen
+    # times gen_vecs = I, entry for entry
     bounds = SizeBounds(max_rank=2, max_entry=6)
     rnd = rng_for(29, "free-source-hom")
     fixed = [FpModule.zero(Z), FpModule.free(Z, 2), zmod(4), FpModule(zmat([[2, 1], [0, 3]]))]
+    kinds = set()
     for n in fixed + [random_module(rnd, bounds) for _ in range(12)]:
         f = random_morphism(rnd, n, random_module(rnd, bounds))
         for m in range(4):
@@ -491,6 +494,9 @@ def test_hom_out_of_a_free_module_is_a_direct_power(snf_runs):
             composites = [vec(compose(f, h.generator(i)).gen) for i in range(h.generators)]
             assert coords == reduce(IntMatrix.hstack, composites,
                                     IntMatrix.zeros(Z, h_f.generators, 0))
+            assert coords == oracles.pushforward_images(f, h._gen_vecs, m)
+            kinds.add((f.target.relations > 0, not coords.is_zero()))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_pushforward_refuses_groups_that_do_not_match_the_map():
@@ -505,9 +511,11 @@ def test_pushforward_refuses_groups_that_do_not_match_the_map():
         hom_group(z, zmod(2)).pushforward(f, hom_group(z, f.target))
 
 
-def test_pullback_legs_are_row_blocks_of_the_inclusion():
+def test_pullback_legs_are_row_blocks_of_the_inclusion(morphisms_built, snf_runs):
     # the legs equal the summand projections after the kernel inclusion,
-    # matrix for matrix, zero modules included
+    # matrix for matrix, zero modules included; the kernel of [f, -g] is
+    # posed on matrices, so only the legs are built (no sum, negation, block
+    # map or kernel inclusion), with the old construction's diagonalisations
     rnd = rng_for(12, "pullback-legs")
     bounds = SizeBounds(max_rank=2, max_entry=6)
     zero = FpModule.zero(Z)
@@ -518,11 +526,49 @@ def test_pullback_legs_are_row_blocks_of_the_inclusion():
                        (zero, b, zero)][i // 5 % 5]
         f, g = random_morphism(rnd, a, c), random_morphism(rnd, b, c)
         p, leg_a, leg_b = pullback(f, g)
+        assert morphisms_built(pullback, f, g) == 2
+        assert snf_runs(pullback, f, g) == snf_runs(oracles.pullback_legs, f, g)
         for leg, old in zip((leg_a, leg_b), oracles.pullback_legs(f, g)):
             assert leg.source is p and old.source.presentation == p.presentation
             assert leg.target.presentation == old.target.presentation
             assert (leg.gen, leg.witness) == (old.gen, old.witness)
         assert morphism_equal(compose(f, leg_a), compose(g, leg_b))
+
+
+def zero_test_cases():
+    """48 seeded morphisms: random ones, ones whose generator matrix lies in
+    the target's relations, into targets without relations and out of
+    sources without generators."""
+    bounds = SizeBounds(max_rank=2, max_entry=6)
+    for i in range(48):
+        rnd = rng_for(37, "zero-test", i)
+        src, tgt = random_module(rnd, bounds), random_module(rnd, bounds)
+        kind = i % 4
+        if kind == 1:  # P_tgt * X descends with witness X * P_src, and is zero
+            x = random_matrix(rnd, tgt.relations, src.generators, 3)
+            yield FpMorphism(src, tgt, tgt.presentation * x, x * src.presentation)
+            continue
+        if kind == 2:
+            tgt = FpModule.free(Z, rnd.randint(0, 2))
+        elif kind == 3:
+            src = FpModule(IntMatrix.zeros(Z, 0, rnd.randint(0, 2)))
+        yield random_morphism(rnd, src, tgt, bound=rnd.randint(0, 2))
+
+
+def test_zero_test_agrees_with_the_zero_morphism(morphisms_built):
+    # one solve on the generator matrix, the old comparison's decision,
+    # with no zero morphism built
+    outcomes, kinds = [], set()
+    for f in zero_test_cases():
+        outcomes.append(is_zero_morphism(f))
+        assert outcomes[-1] == oracles.is_zero_morphism(f)
+        assert morphisms_built(is_zero_morphism, f) == 0
+        kinds.update(kind for kind, holds in [
+            ("relation-free target", f.target.relations == 0),
+            ("no source generators", f.source.generators == 0),
+            ("zero, nonzero generators", outcomes[-1] and not f.gen.is_zero())] if holds)
+    assert 0 < outcomes.count(False) < len(outcomes)
+    assert len(kinds) == 3
 
 
 def test_pullback_square():
