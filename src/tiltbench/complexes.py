@@ -12,14 +12,15 @@ null-homotopic iff its components are D^{-1} of a homotopy, one exact
 solve (``is_nullhomotopic``); the derived hom group H^n is ker D^n modulo
 im D^{n-1}, which reads two differentials (``derived_hom``).
 
-Invertibility needs no homotopy and no cohomology module.  A chain map of
-relation-free complexes is a homotopy equivalence iff its cone is exact,
-which one diagonalisation per differential decides (``is_homotopy_iso``);
-that decision places the blocks of the cone's differentials as matrices
-and builds no cone, no module and no morphism;
-a complex of finitely presented modules is exact iff, in every degree, the
-generators of the kernel lie in the image of the previous differential,
-one solve per degree (``is_exact``, behind ``is_quasi_iso``).
+Exactness is one decision on matrices (``total_is_exact``): the total
+complex of parts[0] <- parts[1] <- ..., laid out block by block with no
+module or morphism built.  A complex is exact iff its one-part total
+complex is (``is_exact``); a chain map f : X -> Y is a quasi-isomorphism
+iff the total complex of [Y, X] along f, its cone, is (``is_quasi_iso``).
+The parts pick the criterion: relation-free parts are decided by one
+diagonalisation per differential, where over a PID exactness and
+contractibility agree; others by one kernel and one image-membership solve
+per degree.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import enum
 from typing import Optional, Sequence
 
 from . import modules, rings
-from .matrices import (IntMatrix, block_matrix, kernel_matrix, kron, nonzero_diagonal,
-                       solve_lift, unvec, vec)
+from .matrices import (IntMatrix, block_diag, block_matrix, kernel_matrix, kron,
+                       nonzero_diagonal, solve_lift, unvec, vec)
 from .modules import FpModule, FpMorphism
 from .rings import RingSpec
 
@@ -71,8 +72,7 @@ class Complex:
             if d.target is not self.objects[i + 1] and d.target.presentation != self.objects[i + 1].presentation:
                 raise ValueError(f"differential {i} target mismatch")
         for i in range(len(self.differentials) - 1):
-            comp = modules.compose(self.differentials[i + 1], self.differentials[i])
-            if not modules.is_zero_morphism(comp):
+            if not modules.composite_is_zero(self.differentials[i + 1], self.differentials[i]):
                 raise ValueError(f"d o d != 0 at degree {self.lo + i}")
 
     # -- accessors -------------------------------------------------------
@@ -221,7 +221,7 @@ class Homotopy:
         return True
 
 
-# -- direct sums and cones ---------------------------------------------------
+# -- direct sums and total complexes ---------------------------------------------
 
 def direct_sum_complexes(cs: Sequence[Complex]) -> Complex:
     """The degreewise direct sum: each entry is the ``modules.direct_sum`` of
@@ -239,43 +239,81 @@ def direct_sum_complexes(cs: Sequence[Complex]) -> Complex:
     return Complex(ring, base, lo, objs, diffs, check=False)
 
 
-def _cone_layout(f: ChainMap) -> tuple[range, list[dict[tuple[int, int], FpMorphism]]]:
-    """The cone's degrees and, per differential d^n, the blocks of
-    [[d_Y^n, f^{n+1}], [0, -d_X^{n+1}]] inside their supports (the others
-    are zero); block (1, 1) holds d_X^{n+1}, which d^n negates."""
-    x, y = f.source, f.target
-    degrees = range(min(y.lo, x.lo - 1), max(y.hi, x.hi - 1) + 1)
-    layout = []
-    for n in degrees[:-1]:
-        blocks = {}
-        if y.lo <= n < y.hi:
-            blocks[0, 0] = y.differential_at(n)
-        if n + 1 in f.components:
-            blocks[0, 1] = f.components[n + 1]
-        if x.lo <= n + 1 < x.hi:
-            blocks[1, 1] = x.differential_at(n + 1)
-        layout.append(blocks)
-    return degrees, layout
+def _total(parts: Sequence[Complex], maps: dict[tuple[int, int], dict[int, FpMorphism]]
+           ) -> tuple[list[IntMatrix], list[IntMatrix]]:
+    """The total complex of parts[0] <- parts[1] <- ..., as matrices.
 
-
-def cone(f: ChainMap) -> Complex:
-    """The mapping cone of f : X -> Y.
-
-    cone^n = Y^n (+) X^{n+1}, the ``modules.direct_sum`` of
-    [Y^n, X^{n+1}], with d^n = [[d_Y, f], [0, -d_X]].  The triangle maps
-    Y -> cone and cone -> X[1] are, degree by degree, ``modules.injection``
-    of summand 0 and ``modules.projection`` onto summand 1.
+    Entry n is the sum of parts[i]^{n+i}, presented block-diagonally; block
+    (i, i) of d^n is (-1)^i d_i^{n+i}, and for j > i block (i, j) is
+    (-1)^i maps[i, j][n+j] : parts[j]^{n+j} -> parts[i]^{n+1+i}, zero where
+    the component is absent.  Returns the presentations of the entries
+    lo..hi and the differentials d^lo..d^{hi-1}; it builds no module and no
+    morphism.  The cone of f : X -> Y is the total complex of [Y, X] with f
+    as block (0, 1).
     """
-    x, y = f.source, f.target
-    degrees, layout = _cone_layout(f)
-    parts = [[y.object_at(n), x.object_at(n + 1)] for n in degrees]
-    objs = [modules.direct_sum(ms) for ms in parts]
+    ring = parts[0].ring
+    starts = [c.lo - i for i, c in enumerate(parts)]  # part i's first total degree
+    lo = min(starts)
+    hi = max(start + len(c.objects) - 1 for start, c in zip(starts, parts))
+
+    def at(seq, i, n):  # the item of part i in total degree n, or None
+        k = n - starts[i]
+        return seq[k] if 0 <= k < len(seq) else None
+
+    entries = [[at(c.objects, i, n) for i, c in enumerate(parts)] for n in range(lo, hi + 1)]
+    sizes = [[0 if m is None else m.generators for m in e] for e in entries]
+    pres = [block_diag(ring, [IntMatrix.zeros(ring, 0, 0) if m is None else m.presentation
+                              for m in e])
+            if any(m is not None and m.relations for m in e)
+            else IntMatrix.zeros(ring, sum(size), 0) for e, size in zip(entries, sizes)]
     diffs = []
-    for k, blocks in enumerate(layout):
-        if (1, 1) in blocks:
-            blocks[1, 1] = modules.negate(blocks[1, 1])
-        diffs.append(modules.block_morphism(objs[k], objs[k + 1], parts[k], parts[k + 1], blocks))
-    return Complex(x.ring, x.base, degrees[0], objs, diffs, check=False)
+    for k, n in enumerate(range(lo, hi)):
+        blocks = {}
+        for i, c in enumerate(parts):
+            row = {j: maps[i, j][n + j] for j in range(i + 1, len(parts))
+                   if n + j in maps.get((i, j), ())}
+            if (d := at(c.differentials, i, n)) is not None:
+                row[i] = d
+            blocks.update({(i, j): -b.gen if i % 2 else b.gen for j, b in row.items()})
+        diffs.append(block_matrix(ring, sizes[k + 1], sizes[k], blocks))
+    return pres, diffs
+
+
+def total_is_exact(parts: Sequence[Complex],
+                   maps: dict[tuple[int, int], dict[int, FpMorphism]]) -> bool:
+    """Whether the total complex of parts (``_total``) is exact.
+
+    With relation-free parts it is a bounded complex of free modules, exact
+    at n iff im d^{n-1} is a direct summand, i.e. the nonzero diagonal of
+    d^{n-1} consists of units, of the rank of ker d^n: rank d^{n-1} +
+    rank d^n = rank C^n.  One diagonalisation per differential decides both;
+    over a PID such a complex is exact iff it is contractible (Weibel, 1.4
+    and 10.4).  Otherwise it is exact at n iff the generators of ker d^n
+    lie in im d^{n-1} + im P, P the presentation of C^n: one kernel and one
+    solve per degree.  Elements are tested, not the kernel inclusion: a map
+    out of the kernel must respect the kernel's relations, and one need not
+    lift even where the complex is exact.
+    """
+    ring = parts[0].ring
+    pres, diffs = _total(parts, maps)
+    if all(c.is_strict_free() for c in parts):
+        ranks = [0]
+        for d in diffs:
+            diag = nonzero_diagonal(d)
+            if not all(rings.is_unit(ring, e) for e in diag):
+                return False
+            ranks.append(len(diag))
+        ranks.append(0)
+        return all(ranks[k] + ranks[k + 1] == p.rows for k, p in enumerate(pres))
+    # the zero differentials into the first entry and out of the last
+    diffs = [IntMatrix.zeros(ring, pres[0].rows, 0), *diffs,
+             IntMatrix.zeros(ring, 0, pres[-1].rows)]
+    pres = [*pres, IntMatrix.zeros(ring, 0, 0)]
+    for k, p in enumerate(pres[:-1]):
+        gens = kernel_matrix(diffs[k + 1].hstack(-pres[k + 1])).take_rows(range(p.rows))
+        if gens.cols and solve_lift(diffs[k].hstack(p), gens) is None:
+            return False
+    return True
 
 
 # -- cohomology ----------------------------------------------------------------
@@ -290,23 +328,13 @@ def cohomology(c: Complex, n: int) -> FpModule:
 
 
 def is_exact(c: Complex) -> bool:
-    """Whether c has zero cohomology in every degree, by one solve per degree.
-
-    c is exact at n iff ker d^n lies in im d^{n-1}, i.e. iff the kernel's
-    generators lie in im d^{n-1} + im P, P the presentation of C^n
-    (``modules.in_image``).  Elements are tested, not the kernel inclusion:
-    a map out of the kernel must respect the kernel's relations, and one
-    need not lift even where c is exact.
-    """
-    for n in c.degrees():
-        gens = modules.kernel_generators(c.differential_at(n))
-        if gens.cols and not modules.in_image(c.differential_at(n - 1), gens):
-            return False
-    return True
+    """Whether c has zero cohomology in every degree."""
+    return total_is_exact([c], {})
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
-    return is_exact(cone(f))
+    """Whether f induces isomorphisms on cohomology: its cone is exact."""
+    return total_is_exact([f.target, f.source], {(0, 1): f.components})
 
 
 # -- homotopy decisions ---------------------------------------------------------
@@ -351,35 +379,6 @@ def is_nullhomotopic(f: ChainMap) -> Optional[Homotopy]:
 
 def is_contractible(c: Complex) -> Optional[Homotopy]:
     return is_nullhomotopic(ChainMap.identity(c))
-
-
-def is_homotopy_iso(f: ChainMap) -> bool:
-    """Whether f is invertible up to homotopy, i.e. its cone is contractible.
-
-    Over a PID a bounded complex of finitely generated free modules is
-    contractible iff it is exact (Weibel, 1.4 and 10.4).  A free complex is
-    exact at n iff im d^{n-1} is a direct summand of C^n, which holds iff
-    the nonzero diagonal of d^{n-1} consists of units, and has the rank of
-    ker d^n: rank d^{n-1} + rank d^n = rank C^n.  One diagonalisation per
-    differential of the cone decides both.  It reads the cone's matrices
-    alone, the blocks' generator matrices placed in summands of y^n and
-    x^{n+1} generators, and builds no cone, module or morphism.
-    """
-    x, y = f.source, f.target
-    _require_relation_free(x, y)
-    degrees, layout = _cone_layout(f)
-    # generator counts read off the supports, building no zero module
-    gens = {(c, n): obj.generators for c in (x, y) for n, obj in zip(c.degrees(), c.objects)}
-    sizes = [[gens.get((y, n), 0), gens.get((x, n + 1), 0)] for n in degrees]
-    ranks = [0]
-    for k, blocks in enumerate(layout):
-        diag = nonzero_diagonal(block_matrix(x.ring, sizes[k + 1], sizes[k], {
-            ij: -b.gen if ij == (1, 1) else b.gen for ij, b in blocks.items()}))
-        if not all(rings.is_unit(x.ring, e) for e in diag):
-            return False
-        ranks.append(len(diag))
-    ranks.append(0)
-    return all(ranks[k] + ranks[k + 1] == sum(size) for k, size in enumerate(sizes))
 
 
 # -- hom complexes and derived hom ----------------------------------------------

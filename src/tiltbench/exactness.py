@@ -131,7 +131,7 @@ def is_conflation(incl: FpMorphism, defl: FpMorphism, ex: ExactStructure) -> boo
     """Whether (incl, defl) is an inflation-deflation pair exact in the middle."""
     if incl.target.presentation != defl.source.presentation:
         return False
-    if not modules.is_zero_morphism(modules.compose(defl, incl)):
+    if not modules.composite_is_zero(defl, incl):
         return False
     if not (is_inflation(incl, ex) and is_deflation(defl, ex)):
         return False
@@ -175,7 +175,7 @@ def d_kernel(f: FpMorphism, ex: ExactStructure) -> tuple[FpModule, FpMorphism, D
     k_mod, incl = e_kernel(f, ex)
 
     def protocol(j: FpMorphism) -> tuple[FpMorphism, FpMorphism]:
-        if not modules.is_zero_morphism(modules.compose(f, j)):
+        if not modules.composite_is_zero(f, j):
             raise ValueError("test map is not killed by f")
         lifted = modules.factor(j, incl)
         if lifted is None:
@@ -190,7 +190,7 @@ def d_cokernel(f: FpMorphism, ex: ExactStructure) -> tuple[FpModule, FpMorphism,
     c_mod, proj = e_cokernel(f, ex)
 
     def protocol(j: FpMorphism) -> tuple[FpMorphism, FpMorphism]:
-        if not modules.is_zero_morphism(modules.compose(j, f)):
+        if not modules.composite_is_zero(j, f):
             raise ValueError("test map does not kill f")
         descended = modules.cofactor(j, proj)
         if descended is None:

@@ -146,7 +146,9 @@ def _reduce_carrier(ex: ExactStructure, carrier: FpMorphism):
     """
     _, src_iso, src_inv = carrier.source.reduction()
     _, tgt_iso, tgt_inv = carrier.target.reduction()
-    reduced = modules.compose(tgt_iso, modules.compose(carrier, src_inv))
+    reduced = FpMorphism(src_inv.source, tgt_iso.target,
+                         tgt_iso.gen * (carrier.gen * src_inv.gen),
+                         tgt_iso.witness * (carrier.witness * src_inv.witness))
     return FreydObject(ex, reduced), tgt_iso, tgt_inv, src_iso, src_inv
 
 

@@ -221,6 +221,14 @@ def compose(g: FpMorphism, f: FpMorphism) -> FpMorphism:
     return FpMorphism(f.source, g.target, g.gen * f.gen, g.witness * f.witness)
 
 
+def composite_is_zero(g: FpMorphism, f: FpMorphism) -> bool:
+    """Whether g after f is zero, decided on g.gen * f.gen with no composite
+    built."""
+    if not same_module(f.target, g.source):
+        raise ValueError("non-composable morphisms")
+    return factors_through_relations(g.target, g.gen * f.gen)
+
+
 def factors_through_relations(m: FpModule, gen: IntMatrix) -> bool:
     """Whether the columns of ``gen``, in m's generators, vanish in m: one
     solve against P_m, or none where m has no relations."""

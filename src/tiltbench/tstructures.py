@@ -16,12 +16,14 @@ peels a window of stalk factors off the natural truncation.
 
 Truncations return the truncated complex together with its canonical
 comparison map; memberships are decided by testing that comparison for
-invertibility in the ambient category, which holds iff its cone is exact:
-in the homotopy category over the free carrier, exactness is read off one
-diagonalisation per differential (``is_homotopy_iso``); in the derived
-category of finitely presented modules, it is decided by lifting the
-kernel generators of each differential through the previous one
-(``is_quasi_iso``).
+invertibility in the ambient category, which holds iff its cone is exact
+(``is_quasi_iso``): over a PID a quasi-isomorphism of bounded free
+complexes is a homotopy equivalence, so one decision serves the homotopy
+category over the free carrier and the derived category of finitely
+presented modules.  A triangle A -> X -> B is distinguished iff its
+composite vanishes up to a homotopy s and the cone of the comparison map
+cone(A -> X) -> B is exact; that cone is the total complex of
+B <- X <- A along the unit, the counit and s (``total_is_exact``).
 """
 
 from __future__ import annotations
@@ -37,12 +39,11 @@ from .complexes import (
     Complex,
     cohomology,
     compose_chain_maps,
-    cone,
     free_complex,
-    is_homotopy_iso,
     is_nullhomotopic,
     is_quasi_iso,
     stalk_complex,
+    total_is_exact,
     zero_complex,
 )
 from .exactness import Carrier, ExactStructure, e_cokernel, e_kernel
@@ -296,20 +297,14 @@ def _truncate_ge_honest(spec, n, x):
 
 # -- membership, hearts, triangles ------------------------------------------------
 
-def _localized_iso(spec: TStructureSpec, f: ChainMap) -> bool:
-    if spec.ambient_base is BaseCategory.FREE_MODULES:
-        return is_homotopy_iso(f)
-    return is_quasi_iso(f)
-
-
 def in_aisle(spec: TStructureSpec, n: int, x: Complex) -> bool:
     t, counit = truncate_le(spec, n, x)
-    return _localized_iso(spec, counit)
+    return is_quasi_iso(counit)
 
 
 def in_coaisle(spec: TStructureSpec, n: int, x: Complex) -> bool:
     t, unit = truncate_ge(spec, n, x)
-    return _localized_iso(spec, unit)
+    return is_quasi_iso(unit)
 
 
 def heart_membership(spec: TStructureSpec, x: Complex) -> bool:
@@ -322,39 +317,26 @@ def approximating_triangle(spec: TStructureSpec, x: Complex) -> TriangleData:
     return TriangleData(a, x, b, counit, unit)
 
 
-def triangle_is_distinguished(spec: TStructureSpec, counit: ChainMap,
-                              unit: ChainMap) -> bool:
+def triangle_is_distinguished(counit: ChainMap, unit: ChainMap) -> bool:
     """Whether (A -> X -> B) is a distinguished triangle.
 
     The composite must vanish, on the nose or up to a computed homotopy s;
     the comparison map cone(A -> X) -> B, corrected by s on the shifted
-    part, must then be invertible in the ambient category of spec.
+    part, must then be invertible, i.e. its cone, the total complex of
+    B <- X <- A along the unit, the counit and s, must be exact.
     """
-    comp = compose_chain_maps(unit, counit)
-    literally_zero = all(modules.is_zero_morphism(comp.component_at(n))
-                         for n in comp.source.degrees())
-    homotopy = None
-    if not literally_zero:
-        if not (comp.source.is_strict_free() and comp.target.is_strict_free()):
+    a, x, b = counit.source, counit.target, unit.target
+    s = {}
+    if not all(modules.composite_is_zero(unit.component_at(n), counit.component_at(n))
+               for n in a.degrees()):
+        if not (a.is_strict_free() and b.is_strict_free()):
             return False
-        homotopy = is_nullhomotopic(comp)
+        homotopy = is_nullhomotopic(compose_chain_maps(unit, counit))
         if homotopy is None:
             return False
-    cone_c = cone(counit)
-    a = counit.source
-    x = counit.target
-    b = unit.target
-    comps = {}
-    for n in cone_c.degrees():
-        # cone^n = X^n (+) A^{n+1}: phi^n = [unit^n, s^{n+1}] : cone^n -> B^n
-        blocks = {(0, 0): unit.component_at(n)}
-        if homotopy is not None:
-            blocks[0, 1] = homotopy.component_at(n + 1)
-        comps[n] = modules.block_morphism(cone_c.object_at(n), b.object_at(n),
-                                          [x.object_at(n), a.object_at(n + 1)],
-                                          [b.object_at(n)], blocks)
-    phi = ChainMap(cone_c, b, comps, check=False)
-    return _localized_iso(spec, phi)
+        s = homotopy.components
+    return total_is_exact([b, x, a], {(0, 1): unit.components, (1, 2): counit.components,
+                                      (0, 2): s})
 
 
 def t_cohomology(spec: TStructureSpec, n: int, x: Complex) -> Complex:
@@ -527,7 +509,7 @@ def intersection_normal_form(spec1: TStructureSpec, spec2: TStructureSpec,
     c_mod, proj = e_cokernel(r.differential_at(-1), left.ex)
     stalk = stalk_complex(c_mod, 0, base=BaseCategory.FREE_MODULES)
     q = ChainMap(r, stalk, {0: proj}, check=False)
-    if not is_homotopy_iso(q):
+    if not is_quasi_iso(q):
         return None
     return modules.reduce_presentation(c_mod)
 

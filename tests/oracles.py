@@ -14,6 +14,15 @@ of two relation-free complexes at once, as one ``Complex``;
 on their difference ``sub_chain_maps``, taken component by component with
 ``sub_morphisms``: f plus the negation of g, two checked morphisms.
 
+``cone`` builds the mapping cone of a chain map as a ``Complex`` of
+direct sums with block-morphism differentials; ``complexes.total_is_exact``
+decides exactness of a cone, and of the cone of a triangle's comparison
+map, on matrices alone.  ``distinguished_by_comparison_cone`` is
+``tstructures.triangle_is_distinguished`` as it was before: it builds that
+cone, the comparison map cone(A -> X) -> B out of it and that map's cone,
+and decides by a contracting homotopy over the free carrier and by
+``is_exact`` elsewhere.
+
 ``is_zero_morphism`` compares a morphism with the zero morphism built in
 full; ``modules.is_zero_morphism`` solves on its generator matrix alone.
 
@@ -53,6 +62,9 @@ from tiltbench.complexes import (
     Homotopy,
     UndecidableConfigurationError,
     cohomology,
+    compose_chain_maps,
+    is_contractible,
+    is_exact,
     is_nullhomotopic,
 )
 from tiltbench.matrices import (IntMatrix, block_matrix, kernel_matrix, kron, solve_lift,
@@ -241,6 +253,59 @@ def cohomology_map(f: ChainMap, n: int) -> FpMorphism:
     if sol is None:
         raise ArithmeticError("chain map does not respect kernels")
     return FpMorphism.from_generator_matrix(hx, hy, sol.take_rows(range(ky.cols)))
+
+
+def cone(f: ChainMap) -> Complex:
+    """The mapping cone of f : X -> Y.
+
+    cone^n = Y^n (+) X^{n+1}, the ``direct_sum`` of [Y^n, X^{n+1}], with
+    d^n = [[d_Y, f], [0, -d_X]].  The triangle maps Y -> cone and
+    cone -> X[1] are, degree by degree, ``modules.injection`` of summand 0
+    and ``modules.projection`` onto summand 1.
+    """
+    x, y = f.source, f.target
+    degrees = range(min(y.lo, x.lo - 1), max(y.hi, x.hi - 1) + 1)
+    parts = [[y.object_at(n), x.object_at(n + 1)] for n in degrees]
+    objs = [direct_sum(ms) for ms in parts]
+    diffs = []
+    for k, n in enumerate(degrees[:-1]):
+        blocks = {}
+        if y.lo <= n < y.hi:
+            blocks[0, 0] = y.differential_at(n)
+        if n + 1 in f.components:
+            blocks[0, 1] = f.components[n + 1]
+        if x.lo <= n + 1 < x.hi:
+            blocks[1, 1] = negate(x.differential_at(n + 1))
+        diffs.append(block_morphism(objs[k], objs[k + 1], parts[k], parts[k + 1], blocks))
+    return Complex(x.ring, x.base, degrees[0], objs, diffs, check=False)
+
+
+def distinguished_by_comparison_cone(counit: ChainMap, unit: ChainMap, free: bool) -> bool:
+    """Whether A -> X -> B is distinguished, decided on the cone of the
+    comparison map cone(A -> X) -> B built in full; ``free`` picks
+    contraction (the homotopy category) over ``is_exact``."""
+    comp = compose_chain_maps(unit, counit)
+    homotopy = None
+    if not all(is_zero_morphism(comp.component_at(n)) for n in comp.source.degrees()):
+        if not (comp.source.is_strict_free() and comp.target.is_strict_free()):
+            return False
+        homotopy = is_nullhomotopic(comp)
+        if homotopy is None:
+            return False
+    cone_c = cone(counit)
+    a, x, b = counit.source, counit.target, unit.target
+    comps = {}
+    for n in cone_c.degrees():
+        # cone^n = X^n (+) A^{n+1}: phi^n = [unit^n, s^{n+1}] : cone^n -> B^n
+        blocks = {(0, 0): unit.component_at(n)}
+        if homotopy is not None:
+            blocks[0, 1] = homotopy.component_at(n + 1)
+        comps[n] = block_morphism(cone_c.object_at(n), b.object_at(n),
+                                  [x.object_at(n), a.object_at(n + 1)], [b.object_at(n)], blocks)
+    phi_cone = cone(ChainMap(cone_c, b, comps, check=False))
+    if free:
+        return is_contractible(phi_cone) is not None
+    return is_exact(phi_cone)
 
 
 def sub_morphisms(f: FpMorphism, g: FpMorphism) -> FpMorphism:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import chain_maps_homotopic, cohomology_map, scale, total_hom_complex
+from oracles import chain_maps_homotopic, cohomology_map, cone, scale, total_hom_complex
 from tiltbench import complexes, modules, rings
 from tiltbench.complexes import (
     BaseCategory,
@@ -11,7 +11,6 @@ from tiltbench.complexes import (
     Complex,
     UndecidableConfigurationError,
     cohomology,
-    cone,
     derived_hom,
     direct_sum_complexes,
     free_complex,
@@ -19,7 +18,6 @@ from tiltbench.complexes import (
     hom_differential,
     is_contractible,
     is_exact,
-    is_homotopy_iso,
     is_nullhomotopic,
     is_quasi_iso,
     stalk_complex,
@@ -201,7 +199,6 @@ def test_homotopy_iso_detects_quasi_iso_of_frees():
     s = direct_sum_complexes([acyclic, z])
     proj = ChainMap(s, z, {n: projection(
         s.object_at(n), [acyclic.object_at(n), z.object_at(n)], 1) for n in s.degrees()})
-    assert is_homotopy_iso(proj)
     assert is_quasi_iso(proj)
 
 
@@ -445,15 +442,18 @@ def test_cones_build_no_summand_maps(morphisms_built, modules_built):
     # differential one block morphism and the negated d_X where X has one;
     # zero blocks outside the supports of X and Y raised both counts to 62,
     # and an injection and a projection per summand and degree on top of
-    # those to 197.  is_homotopy_iso reads the cone's matrices and builds
-    # neither a morphism nor a module; building the cone first cost it 32
+    # those to 197.  is_quasi_iso reads the total complex's matrices and
+    # builds neither a morphism nor a module, on free and on fp maps;
+    # building the cone first cost it 32 on the free maps
     bounds = SizeBounds(max_rank=3, max_entry=4, max_width=4)
     cones = decisions = decision_modules = 0
     for i in range(10):
         f = ChainMap.identity(random_free_complex(rng_for(13, "cone-maps", i), bounds))
+        g = ChainMap.identity(random_fp_complex(rng_for(13, "cone-maps-fp", i), bounds))
         cones += morphisms_built(cone, f)
-        decisions += morphisms_built(is_homotopy_iso, f)
-        decision_modules += modules_built(is_homotopy_iso, f)
+        for h in (f, g):
+            decisions += morphisms_built(is_quasi_iso, h)
+            decision_modules += modules_built(is_quasi_iso, h)
     assert (cones, decisions, decision_modules) == (32, 0, 0)
 
 
@@ -478,7 +478,8 @@ def scalar_map(c, k):
 
 def test_invertibility_criteria_agree_with_contraction_and_cohomology():
     # identity, 2 * identity and zero of seeded complexes: the diagonal
-    # criterion of is_homotopy_iso and the lifting criterion of is_exact
+    # criterion of is_quasi_iso on free maps and the lifting criterion of
+    # is_exact on fp complexes
     # against a contracting homotopy and a cohomology module per degree
     bounds = SizeBounds(max_rank=2, max_entry=4, max_width=3)
     free = []
@@ -494,7 +495,7 @@ def test_invertibility_criteria_agree_with_contraction_and_cohomology():
     isos, exact = [], []
     for c in free:
         for f in (ChainMap.identity(c), scalar_map(c, 2), ChainMap.zero(c, c)):
-            isos.append(is_homotopy_iso(f))
+            isos.append(is_quasi_iso(f))
             assert isos[-1] == homotopy_iso_by_contraction(f)
     for c in free + fp:
         for cc in (c, cone(scalar_map(c, 2)), cone(ChainMap.identity(c))):
@@ -504,13 +505,34 @@ def test_invertibility_criteria_agree_with_contraction_and_cohomology():
     assert 0 < exact.count(False) < len(exact)
 
 
+def test_quasi_iso_agrees_with_the_exactness_of_the_built_cone():
+    # the total complex of [Y, X] along f against the cone built in full,
+    # tested by is_exact and by a cohomology module per degree: identity,
+    # 2 * identity, zero and cone inclusions of free, exact and fp complexes
+    bounds = SizeBounds(max_rank=2, max_entry=4, max_width=3)
+    maps = []
+    for i in range(10):
+        rnd = rng_for(41, "quasi-iso-cones", i)
+        for c in (random_free_complex(rnd, bounds), random_exact_free_complex(rnd, bounds),
+                  random_fp_complex(rnd, bounds)):
+            maps += [ChainMap.identity(c), scalar_map(c, 2), ChainMap.zero(c, c)]
+            maps.append(cone_inclusion(maps[-2], cone(maps[-2])))
+    outcomes = []
+    for f in maps:
+        cc = cone(f)
+        outcomes.append(is_quasi_iso(f))
+        assert outcomes[-1] == is_exact(cc) == exact_by_cohomology(cc)
+    assert any(r.relations for f in maps for r in f.source.objects)
+    assert 0 < outcomes.count(False) < len(outcomes)
+
+
 def test_unit_diagonal_depends_on_the_ring():
     x = QPoly.x()
     for ring, entry, expected in ((QX, x, False), (QX, QPoly.const(2), True), (Z, 2, False)):
         c = free_complex(ring, 0, [IntMatrix.from_rows(ring, [[entry]])])
         assert is_exact(c) is exact_by_cohomology(c) is expected
         f = ChainMap.zero(c, c)
-        assert is_homotopy_iso(f) is homotopy_iso_by_contraction(f) is expected
+        assert is_quasi_iso(f) is homotopy_iso_by_contraction(f) is expected
 
 
 def test_exactness_lifts_the_kernel_cover_not_the_inclusion():
@@ -544,9 +566,3 @@ def test_exactness_and_cohomology_build_no_kernel_module(module_constructions):
                 inside = cc.lo <= n <= cc.hi
                 assert module_constructions(cohomology, cc, n) == ["span_quotient"] * inside
     assert 0 < exact.count(False) < len(exact)
-
-
-def test_homotopy_iso_requires_relation_free():
-    c = stalk_complex(FpModule.cyclic(Z, 4), 0)
-    with pytest.raises(UndecidableConfigurationError):
-        is_homotopy_iso(ChainMap.identity(c))

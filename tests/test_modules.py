@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from tiltbench import matrices, modules
-from tiltbench.complexes import ChainMap, cone, direct_sum_complexes
+from tiltbench.complexes import ChainMap, direct_sum_complexes
 from tiltbench.exactness import Carrier, ExactStructure, Flavor
 from tiltbench.freyd import (
     FreydMorphism,
@@ -875,10 +875,10 @@ def test_maps_between_direct_sums_are_pinned():
     for i in range(8):
         rnd = rng_for(5, "pinned-blocks", i)
         x, y = random_fp_complex(rnd, bounds), random_fp_complex(rnd, bounds)
-        cx = cone(ChainMap.identity(x))
+        cx = oracles.cone(ChainMap.identity(x))
         incl = ChainMap(x, cx, {n: injection([x.object_at(n), x.object_at(n + 1)],
                                              cx.object_at(n), 0) for n in cx.degrees()})
-        cc = cone(incl)
+        cc = oracles.cone(incl)
         s = direct_sum_complexes([x, y])
         for c in (cx, cc, s):
             update(*c.differentials)

@@ -2,9 +2,12 @@ import hashlib
 
 import pytest
 
+import oracles
 from entry_guard import guard_snf_entries
 from tiltbench import complexes, modules, suites, tstructures
 from tiltbench.complexes import (
+    BaseCategory,
+    ChainMap,
     cohomology,
     direct_sum_complexes,
     free_complex,
@@ -13,7 +16,7 @@ from tiltbench.complexes import (
 )
 from tiltbench.exactness import Carrier, ExactStructure, Flavor
 from tiltbench.matrices import IntMatrix
-from tiltbench.modules import FpModule, hom_group, morphism_equal
+from tiltbench.modules import FpModule, FpMorphism, hom_group, injection, morphism_equal
 from tiltbench.rings import QPoly, RingSpec
 from tiltbench.samplers import (
     SizeBounds,
@@ -136,29 +139,80 @@ def test_approximating_triangle_splits_direct_sum():
     zb = stalk_complex(FpModule.cyclic(Z, 2), -1)
     s = direct_sum_complexes([za, zb])
     tri = approximating_triangle(NAT, s)
-    assert triangle_is_distinguished(NAT, tri.sub_map, tri.quot_map)
+    assert triangle_is_distinguished(tri.sub_map, tri.quot_map)
     assert cohomology(tri.sub, 0).invariant_data() == (1, ())
     assert cohomology(tri.sub, -1).invariant_data() == (0, (2,))
     assert all(cohomology(tri.quotient, n).is_zero_module()
                for n in tri.quotient.degrees())
 
 
-def test_triangle_check_builds_each_sum_once(monkeypatch):
-    # the comparison map cone(A -> X) -> B is built on the cone's own sums
+def test_triangle_check_builds_no_sum_and_no_cone(monkeypatch):
+    # the cone of the comparison map cone(A -> X) -> B is read as the total
+    # complex of B <- X <- A: no direct sum and no block morphism is built
     za = stalk_complex(FpModule.free(Z, 1), 0)
     zb = stalk_complex(FpModule.cyclic(Z, 2), -1)
     s = direct_sum_complexes([za, zb])
     tri = approximating_triangle(NAT, s)
-    summands, real_sum = [], modules.direct_sum
+    built = []
+    for name in ("direct_sum", "block_morphism"):
+        def recording(*args, _name=name, _real=getattr(modules, name)):
+            built.append(_name)
+            return _real(*args)
 
-    def recording_sum(ms):
-        summands.append(list(ms))  # holding the modules keeps their ids unique
-        return real_sum(ms)
+        monkeypatch.setattr(modules, name, recording)
+    assert triangle_is_distinguished(tri.sub_map, tri.quot_map)
+    assert built == []
 
-    monkeypatch.setattr(modules, "direct_sum", recording_sum)
-    assert triangle_is_distinguished(NAT, tri.sub_map, tri.quot_map)
-    keys = [tuple(map(id, ms)) for ms in summands]
-    assert keys and len(set(keys)) == len(keys)
+
+def cone_triangle(f, k):
+    """X -> cone(f) with k times the injection of X, after f : A -> X; its
+    composite is (k f, 0), null-homotopic but not zero where k f is not."""
+    cc = oracles.cone(f)
+    unit = ChainMap(f.target, cc, {n: FpMorphism(
+        f.target.object_at(n), cc.object_at(n),
+        oracles.scale(injection([f.target.object_at(n), f.source.object_at(n + 1)],
+                                cc.object_at(n), 0).gen, k),
+        IntMatrix.zeros(Z, 0, 0)) for n in cc.degrees()}, check=False)
+    return f, unit
+
+
+def test_triangle_check_agrees_with_the_comparison_cone():
+    # against the old construction: the comparison map built on
+    # oracles.cone, then its cone, contracted over the free carrier and
+    # tested by is_exact elsewhere; approximating triangles of all five
+    # specs (the corrupted aisle gives triangles that are not
+    # distinguished), star peeling triangles, and the triangles
+    # A -> X -> cone(A -> X), whose composites need a homotopy
+    corrupted = TStructureSpec(TVariant.NATURAL, corrupt=True)
+    bounds = SizeBounds(max_rank=2, max_entry=3, max_width=3)
+    cases = []
+    for spec in (LEFT, RIGHT, NAT, HRS, corrupted):
+        free = spec.ambient_base is BaseCategory.FREE_MODULES
+        for i in range(12):
+            rnd = rng_for(29, "triangle-cones", spec.config_string(), i)
+            x = (random_free_complex if free else random_fp_complex)(rnd, bounds)
+            tri = approximating_triangle(spec, x)
+            cases.append((tri.sub_map, tri.quot_map, free))
+    for i in range(12):
+        x = random_fp_complex(rng_for(29, "triangle-stars", i), bounds)
+        for tag, n in ((ClassTag.TORSION, 1), (ClassTag.ALL_FP, 2)):
+            dec = star_membership(x, tag, n)
+            if dec is not None:
+                cases += [(tri.sub_map, tri.quot_map, False) for tri in dec.triangles]
+    for i in range(6):
+        x = random_free_complex(rng_for(29, "triangle-homotopies", i), bounds)
+        for k in (1, 2):
+            cases.append((*cone_triangle(ChainMap.identity(x), k), True))
+    outcomes, homotopies = [], 0
+    for counit, unit, free in cases:
+        got = triangle_is_distinguished(counit, unit)
+        assert got == oracles.distinguished_by_comparison_cone(counit, unit, free)
+        outcomes.append(got)
+        homotopies += not all(
+            modules.is_zero_morphism(modules.compose(unit.component_at(n), counit.component_at(n)))
+            for n in counit.source.degrees())
+    assert 0 < outcomes.count(False) < len(outcomes)
+    assert homotopies >= 6
 
 
 def test_star_membership_torsion_examples():
@@ -179,7 +233,7 @@ def test_star_membership_trivial_class():
     assert dec is not None
     assert len(dec.factors) == 2
     for tri in dec.triangles:
-        assert triangle_is_distinguished(NAT, tri.sub_map, tri.quot_map)
+        assert triangle_is_distinguished(tri.sub_map, tri.quot_map)
     bad = stalk_complex(FpModule.cyclic(Z, 2), 1)
     assert star_membership(bad, ClassTag.ALL_FP, 2) is None
 
