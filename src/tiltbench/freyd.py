@@ -174,9 +174,9 @@ def freyd_cokernel(eta: FreydMorphism) -> tuple[FreydObject, FreydMorphism]:
 
 
 def freyd_kernel(eta: FreydMorphism) -> tuple[FreydObject, FreydMorphism]:
-    """Kernel subfunctor, computed from two carrier-level pullbacks."""
+    """Kernel subfunctor from two carrier-level pullbacks; the first builds one leg."""
     f, g = eta.source, eta.target
-    p_mod, p_to_u2, p_to_n1 = modules.pullback(eta.gen, g.carrier)
+    _, p_to_u2, _, _ = modules._pullback_leg(eta.gen, g.carrier)
     q_mod, q_to_p, q_to_u1 = modules.pullback(p_to_u2, f.carrier)
     k, _, tgt_inv, _, src_inv = _reduce_carrier(f.ex, q_to_p)
     incl = FreydMorphism(k, f,

@@ -146,19 +146,12 @@ class IntMatrix:
         ring, rows, n, m = self.ring, self.rows, self.cols, other.cols
         a, b = self.entries, other.entries
         a_rows = [a[i * n:(i + 1) * n] for i in range(rows)]
+        cols = [b[j::m] for j in range(m)]
         if ring is RingSpec.INTEGERS:
-            cols = [b[j::m] for j in range(m)]
             out = [sum(map(mul, row, col)) for row in a_rows for col in cols]
-        else:  # a polynomial product costs, so zero factors are skipped
-            zero_row = [rings.zero(ring)] * m
-            b_rows = [b[k * m:(k + 1) * m] for k in range(n)]
-            out = []
-            for a_row in a_rows:
-                acc = zero_row
-                for x, brow in zip(a_row, b_rows):
-                    if x:
-                        acc = [c + x * y if y else c for c, y in zip(acc, brow)]
-                out.extend(acc)
+        else:
+            dot = QPoly.dot
+            out = [dot(row, col) for row in a_rows for col in cols]
         return IntMatrix(ring, rows, m, tuple(out))
 
     def transpose(self) -> "IntMatrix":
@@ -275,6 +268,7 @@ def determinant(m: IntMatrix) -> Element:
     a = m.to_rows()
     sign = 1
     prev = rings.one(ring)
+    dot = None if ring is RingSpec.INTEGERS else QPoly.dot
     for k in range(n - 1):
         if not a[k][k]:
             pivot_row = next((i for i in range(k + 1, n) if a[i][k]), None)
@@ -283,8 +277,10 @@ def determinant(m: IntMatrix) -> Element:
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
         for i in range(k + 1, n):
+            neg = -a[i][k]  # over Q[x] the numerator is one dot product
             for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                num = (a[i][j] * a[k][k] - a[i][k] * a[k][j] if dot is None
+                       else dot((a[i][j], neg), (a[k][k], a[k][j])))
                 a[i][j] = rings.exact_div(ring, num, prev)
             a[i][k] = rings.zero(ring)
         prev = a[k][k]
@@ -311,7 +307,9 @@ class _SNFWorker:
     backward with each operation inverted, V^-1 * Y the column log forward
     as "row j -= c * row i".  Column operations at pivot t skip the rows
     above t: those rows are already zero outside their own pivot, so zero
-    in both columns (both >= t) that are combined.
+    in both columns (both >= t) that are combined.  Over Q[x] every row and
+    column operation, replays included, takes one ``QPoly.add_mul`` per
+    entry; ``add_mul_row`` is picked once per worker, like ``euc_divmod``.
     """
 
     def __init__(self, m: IntMatrix):
@@ -322,11 +320,14 @@ class _SNFWorker:
         self.col_log = []
         if m.ring is RingSpec.INTEGERS:
             self.euc_divmod = rings.int_divmod
+            self.add_mul_row = None  # the integer row operations run inline
             self._norm = abs
             self._divides = lambda a, b: b % a == 0
         else:
             ring = m.ring
             self.euc_divmod = QPoly.divmod
+            self.add_mul_row = lambda xs, c, ys: [x.add_mul(c, y) if y else x
+                                                  for x, y in zip(xs, ys)]
             self._norm = lambda x: rings.norm(ring, x)
             self._divides = lambda a, b: rings.divides(ring, a, b)
         self._unit_norm = self._norm(rings.one(m.ring))
@@ -348,16 +349,24 @@ class _SNFWorker:
         if not c:
             return
         a = self.a
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        if self.add_mul_row is None:
+            a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        else:
+            a[dst] = self.add_mul_row(a[dst], c, a[src])
         self.row_log.append((dst, src, c))
 
     def _add_col(self, dst, t, c):
         """col[dst] += c * col[t], for the pivot column t."""
         if not c:
             return
-        for row in self.a[t:]:
-            if row[t]:
-                row[dst] += c * row[t]
+        if self.add_mul_row is None:
+            for row in self.a[t:]:
+                if row[t]:
+                    row[dst] += c * row[t]
+        else:
+            for row in self.a[t:]:
+                if row[t]:
+                    row[dst] = row[dst].add_mul(c, row[t])
         self.col_log.append((dst, t, c))
 
     def _scale_row(self, i, unit):
@@ -371,8 +380,10 @@ class _SNFWorker:
                 rows[i], rows[j] = rows[j], rows[i]
             elif j is None:
                 rows[i] = [c * x for x in rows[i]]
-            else:
+            elif self.add_mul_row is None:
                 rows[i] = [x + c * y if y else x for x, y in zip(rows[i], rows[j])]
+            else:
+                rows[i] = self.add_mul_row(rows[i], c, rows[j])
         return rows
 
     def apply_v(self, rows: list) -> list:
@@ -380,8 +391,10 @@ class _SNFWorker:
         for i, j, c in reversed(self.col_log):
             if c is None:
                 rows[i], rows[j] = rows[j], rows[i]
-            else:
+            elif self.add_mul_row is None:
                 rows[j] = [x + c * y if y else x for x, y in zip(rows[j], rows[i])]
+            else:
+                rows[j] = self.add_mul_row(rows[j], c, rows[i])
         return rows
 
     def apply_u_inv(self, rows: list) -> list:
@@ -392,8 +405,10 @@ class _SNFWorker:
             elif j is None:
                 c_inv = rings.exact_div(self.ring, rings.one(self.ring), c)
                 rows[i] = [c_inv * x for x in rows[i]]
-            else:
+            elif self.add_mul_row is None:
                 rows[i] = [x - c * y if y else x for x, y in zip(rows[i], rows[j])]
+            else:
+                rows[i] = self.add_mul_row(rows[i], -c, rows[j])
         return rows
 
     def apply_v_inv(self, rows: list) -> list:
@@ -401,8 +416,10 @@ class _SNFWorker:
         for i, j, c in self.col_log:
             if c is None:
                 rows[i], rows[j] = rows[j], rows[i]
-            else:
+            elif self.add_mul_row is None:
                 rows[j] = [x - c * y if y else x for x, y in zip(rows[j], rows[i])]
+            else:
+                rows[j] = self.add_mul_row(rows[j], -c, rows[i])
         return rows
 
     def replay_identity(self, apply, n: int) -> IntMatrix:

@@ -658,6 +658,16 @@ def reduce_presentation(m: FpModule) -> FpModule:
 
 def pullback(f: FpMorphism, g: FpMorphism):
     """Pullback of f : A -> C along g : B -> C, with its two legs."""
+    p_mod, leg_a, incl_gen, wit = _pullback_leg(f, g)
+    n, r = f.source.generators, f.source.relations
+    leg_b = FpMorphism(p_mod, g.source, incl_gen.take_rows(range(n, incl_gen.rows)),
+                       wit.take_rows(range(r, wit.rows)))
+    return p_mod, leg_a, leg_b
+
+
+def _pullback_leg(f: FpMorphism, g: FpMorphism):
+    """``pullback``'s module and leg to A, with the inclusion into A (+) B
+    and its witness, whose row blocks below A's are the leg to B."""
     if f.target.presentation != g.target.presentation:
         raise ValueError("pullback targets differ")
     # the kernel of [f, -g] on A (+) B, posed on matrices: its generators are
@@ -671,9 +681,7 @@ def pullback(f: FpMorphism, g: FpMorphism):
     # relations alike
     leg_a = FpMorphism(p_mod, a, incl_gen.take_rows(range(a.generators)),
                        wit.take_rows(range(a.relations)))
-    leg_b = FpMorphism(p_mod, b, incl_gen.take_rows(range(a.generators, incl_gen.rows)),
-                       wit.take_rows(range(a.relations, wit.rows)))
-    return p_mod, leg_a, leg_b
+    return p_mod, leg_a, incl_gen, wit
 
 
 def pushout(f: FpMorphism, g: FpMorphism):

@@ -32,15 +32,17 @@ class QPoly:
     low degree first, over one integer denominator.  The form is canonical,
     so equal polynomials have equal fields: ``den > 0``, no trailing zero in
     ``num``, ``gcd(den, *num) == 1``, and zero is ``((), 1)``.  Arithmetic
-    stays on integers; division is pseudo-division of the numerators
-    (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).  ``coeffs`` gives the
-    coefficients as ``Fraction`` values.
+    stays on integers.  ``QPoly.dot`` (sum of products) and ``add_mul``
+    (x + c * y) bring a whole sum to canonical form once, with no partial
+    products or sums.  Division by a constant is exact; by anything else it
+    is pseudo-division of the numerators (Knuth, TAOCP vol. 2, 4.6.1,
+    Algorithm R).  ``coeffs`` gives the coefficients as ``Fraction`` values.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         p = _canonical([c.numerator * (den // c.denominator) for c in cs], den)
         self.num, self.den = p.num, p.den
@@ -102,17 +104,60 @@ class QPoly:
                     out[i + j] += c * e
         return _canonical(out, self.den * other.den)
 
+    @staticmethod
+    def dot(xs, ys) -> "QPoly":
+        """sum(x * y for x, y in zip(xs, ys)) over one common denominator."""
+        out, den = [], 1
+        for x, y in zip(xs, ys):
+            a, b = x.num, y.num
+            if not a or not b:
+                continue
+            d, s = x.den * y.den, 1
+            if d != den:
+                new = lcm(den, d)
+                if new != den:
+                    out = [t * (new // den) for t in out]
+                    den = new
+                s = den // d
+            out += [0] * (len(a) + len(b) - 1 - len(out))
+            for i, c in enumerate(a):
+                if c:
+                    c *= s
+                    for j, e in enumerate(b, i):
+                        out[j] += c * e
+        return _canonical(out, den)
+
+    def add_mul(self, c: "QPoly", y: "QPoly") -> "QPoly":
+        """self + c * y over one common denominator."""
+        if not c.num or not y.num:
+            return self
+        cy = c.den * y.den
+        den = lcm(self.den, cy)
+        s, b = den // cy, y.num
+        out = [t * (den // self.den) for t in self.num]
+        out += [0] * (len(c.num) + len(b) - 1 - len(out))
+        for i, e in enumerate(c.num):
+            if e:
+                e *= s
+                for j, f in enumerate(b, i):
+                    out[j] += e * f
+        return _canonical(out, den)
+
     def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
         """Euclidean division; remainder has degree < deg(other).
 
         Pseudo-division of the numerators gives lc**e * a = q * b + r, with
         lc the leading numerator of b and e the number of nonzero steps;
         then self = (q * other.den / (lc**e * self.den)) * other
-        + r / (lc**e * self.den).
+        + r / (lc**e * self.den).  A constant b0 / den_b divides exactly:
+        the quotient is num * den_b / (den * b0) and the remainder zero.
         """
         b = other.num
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
+        if len(b) == 1:
+            return (_canonical([t * other.den for t in self.num], self.den * b[0]),
+                    _canonical([], 1))
         r = list(self.num)
         d = len(b) - 1
         if len(r) <= d:

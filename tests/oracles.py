@@ -38,9 +38,9 @@ summand's projection composed with that inclusion.  ``scale`` multiplies a
 matrix by a scalar; only the tests need it.
 
 ``row_accumulating_product`` is ``IntMatrix.__mul__`` as it was before
-the integer product summed each entry over a row and a column slice: one
-accumulated output row per row of the left factor, skipping zero factors
-on both sides, over either ring.
+the product took each entry over a row and a column slice (the integer
+sum, then ``QPoly.dot`` over Q[x]): one accumulated output row per row of
+the left factor, skipping zero factors on both sides, over either ring.
 
 ``FractionPoly`` is the element type of ``Q[x]`` before ``rings.QPoly``
 stored one integer numerator polynomial over one denominator: a tuple of

@@ -4,7 +4,7 @@ from functools import reduce
 import pytest
 
 from oracles import scale
-from tiltbench import modules
+from tiltbench import freyd, modules
 from tiltbench.exactness import Carrier, ExactStructure, Flavor
 from tiltbench.freyd import (
     Fraction,
@@ -218,6 +218,31 @@ def test_freyd_kernel_and_cokernel_pointwise():
         assert is_mono(incl_map)
         assert is_epi(eta_map)
         assert is_zero_morphism(compose(eta_map, incl_map))
+
+
+def kernel_from_both_legs(eta: FreydMorphism):
+    """freyd_kernel built from the first pullback with both its legs."""
+    f, g = eta.source, eta.target
+    _, p_to_u2, _ = modules.pullback(eta.gen, g.carrier)
+    _, q_to_p, q_to_u1 = modules.pullback(p_to_u2, f.carrier)
+    k, _, tgt_inv, _, src_inv = freyd._reduce_carrier(f.ex, q_to_p)
+    return k, FreydMorphism(k, f, compose(p_to_u2, tgt_inv), compose(q_to_u1, src_inv))
+
+
+def test_freyd_kernel_builds_only_the_pullback_leg_it_reads(morphisms_built):
+    # the first pullback's leg to the target's relations is never read, so
+    # one morphism fewer is built; carrier and inclusion stay the same
+    bounds = SizeBounds(max_rank=2, max_entry=6)
+    for i in range(10):
+        rnd = rng_for(31, "kernel-legs", i)
+        pi, _ = pointwise_exactness_maps(rnd, bounds, random_carrier_morphism)
+        (k, incl), (old_k, old_incl) = freyd_kernel(pi), kernel_from_both_legs(pi)
+        assert morphisms_built(freyd_kernel, pi) == morphisms_built(kernel_from_both_legs, pi) - 1
+        assert k.carrier.gen == old_k.carrier.gen and k.carrier.witness == old_k.carrier.witness
+        assert k.generators.presentation == old_k.generators.presentation
+        assert k.relations.presentation == old_k.relations.presentation
+        for new, old in ((incl.gen, old_incl.gen), (incl.wit, old_incl.wit)):
+            assert (new.gen, new.witness) == (old.gen, old.witness)
 
 
 def test_value_at_a_free_probe_is_a_power_of_the_projection():

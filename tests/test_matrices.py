@@ -28,7 +28,7 @@ from tiltbench.matrices import (
     vec,
 )
 from tiltbench.rings import QPoly, RingSpec
-from tiltbench.serialize import matrix_to_json
+from tiltbench.serialize import element_to_json, matrix_to_json
 
 Z = RingSpec.INTEGERS
 QX = RingSpec.RATIONAL_POLYNOMIALS
@@ -212,6 +212,32 @@ def test_polynomial_normal_forms_are_pinned():
         "0587ed1e5c103f0e612c3b027dfe2b12870d3b3858fc193934da4671ff39b966")
 
 
+def polynomial_transform_matrices():
+    # 300 seeded Q[x] matrices of shapes 1-3 x 1-3 like snf_polynomials'
+    # samples; every third has coefficients that are not integers
+    rnd = random.Random(300)
+    for k in range(300):
+        rows, cols = rnd.randint(1, 3), rnd.randint(1, 3)
+        dens = (1, 2, 3, 5) if k % 3 == 0 else (1,)
+        yield IntMatrix.from_rows(QX, [[QPoly([Fraction(rnd.randint(-3, 3), rnd.choice(dens))
+                                               for _ in range(rnd.randint(1, 3))])
+                                        for _ in range(cols)] for _ in range(rows)])
+
+
+def test_polynomial_transforms_are_pinned():
+    # golden hash of U, D, V, U^-1, V^-1 and det U, det V over Q[x]; the
+    # polynomial report digest records only pass or fail, so this pins the
+    # element arithmetic that the transforms and determinants go through
+    h = hashlib.sha256()
+    for m in polynomial_transform_matrices():
+        form = smith_normal_form(m)
+        outputs = [matrix_to_json(o) for o in (*form, form.u_inv(), form.v_inv())]
+        outputs += [element_to_json(QX, determinant(t)) for t in (form.u, form.v)]
+        h.update(json.dumps(outputs).encode())
+    assert h.hexdigest() == (
+        "7835c75114d73fcd9e830d28d5b71c0b71479af49af29355cd2e9f86e6e4f206")
+
+
 def test_prepared_solver_reuse_is_pinned():
     # golden hash of one solver per matrix reused on several right sides of
     # one to three columns, solvable (B = M*X) and random
@@ -392,8 +418,9 @@ def product_cases():
 
 
 def test_product_matches_the_row_accumulating_oracle():
-    # the integer product sums an entry over a row and a column slice, an
-    # inner dimension of 1 is an outer product, an empty one gives zeros
+    # the product takes an entry over a row and a column slice (a sum over
+    # Z, one QPoly.dot over Q[x]), an inner dimension of 1 is an outer
+    # product, an empty one gives zeros
     for a, b in product_cases():
         assert a * b == oracles.row_accumulating_product(a, b)
 

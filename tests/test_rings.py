@@ -71,6 +71,12 @@ def test_qpoly_agrees_with_the_fraction_oracle():
         for value, oracle in ((p, fp), (q, fq), (p + q, fp + fq), (p - q, fp - fq),
                               (-p, -fp), (p * q, fp * fq)):
             assert_agrees(value, oracle)
+        for cs, value in ((a, p), (b, q)):
+            if all(Fraction(c).denominator == 1 for c in cs):
+                # a list of ints skips Fraction and builds the same fields
+                ints = QPoly([int(c) for c in cs])
+                assert_canonical(ints)
+                assert (ints.num, ints.den) == (value.num, value.den)
         assert (p == q) == (fp == fq) and (p == q) == (hash(p) == hash(q))
         if fq.is_zero():
             with pytest.raises(ZeroDivisionError):
@@ -81,6 +87,38 @@ def test_qpoly_agrees_with_the_fraction_oracle():
         assert_agrees(rem, frem)
         assert rem.degree < q.degree and quo * q + rem == p
     assert all(count >= 200 for count in kinds.values()), kinds
+
+
+def test_fused_operations_agree_with_the_fraction_oracle():
+    # dot over 0-4 pairs and x + c * y bring one sum to canonical form; the
+    # oracle multiplies and adds separately normalised coefficients
+    polys = [(QPoly(a), FractionPoly(a)) for pair in polynomial_pairs() for a in pair]
+    rnd = random.Random(4)
+    lengths = dict.fromkeys(range(5), 0)
+    for k in range(2000):
+        n = k % 5
+        terms = [(rnd.choice(polys), rnd.choice(polys)) for _ in range(n)]
+        oracle = FractionPoly()
+        for (_, fx), (_, fy) in terms:
+            oracle = oracle + fx * fy
+        assert_agrees(QPoly.dot([x for (x, _), _ in terms], [y for _, (y, _) in terms]), oracle)
+        lengths[n] += 1
+        (x, fx), (c, fc), (y, fy) = rnd.choice(polys), rnd.choice(polys), rnd.choice(polys)
+        assert_agrees(x.add_mul(c, y), fx + fc * fy)
+    assert all(count >= 400 for count in lengths.values()), lengths
+
+
+def test_division_by_a_constant_is_exact():
+    # quotient num * den_b / (den * b0), remainder zero, also for negative
+    # and non-integral constants
+    constants = [1, -1, 3, -4, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)]
+    for k, (a, _) in enumerate(polynomial_pairs()):
+        c = constants[k % len(constants)]
+        quo, rem = QPoly(a).divmod(QPoly.const(c))
+        fquo, frem = FractionPoly(a).divmod(FractionPoly.const(c))
+        assert_agrees(quo, fquo)
+        assert_agrees(rem, frem)
+        assert rem.is_zero() and quo * QPoly.const(c) == QPoly(a)
 
 
 def test_equal_values_have_equal_fields():
