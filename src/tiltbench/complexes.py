@@ -2,7 +2,10 @@
 
 Complexes carry finitely presented modules in a bounded window of degrees;
 differentials raise degree and compose to zero.  The shift [1] moves
-objects down one degree and negates differentials.
+objects down one degree and negates differentials.  A complex is its
+entries and differentials and names no ambient category: over Z, of global
+dimension 1, a bounded complex of free modules means the same in K^b(free)
+as in D^b(fp-Z) (Weibel, 10.4).
 
 Cohomology is a ``modules.span_quotient``: the generators of ker d^n
 modulo the relations of C^n and im d^{n-1}.  For complexes with
@@ -25,7 +28,6 @@ per degree.
 
 from __future__ import annotations
 
-import enum
 from typing import Optional, Sequence
 
 from . import modules, rings
@@ -35,11 +37,6 @@ from .modules import FpModule, FpMorphism
 from .rings import RingSpec
 
 
-class BaseCategory(enum.Enum):
-    FREE_MODULES = "FreeModules"
-    FP_MODULES = "FpModules"
-
-
 class UndecidableConfigurationError(ValueError):
     """Homotopy decision requested outside the relation-free regime."""
 
@@ -47,11 +44,10 @@ class UndecidableConfigurationError(ValueError):
 class Complex:
     """A bounded cochain complex supported on [lo, hi]."""
 
-    def __init__(self, ring: RingSpec, base: BaseCategory, lo: int,
+    def __init__(self, ring: RingSpec, lo: int,
                  objects: Sequence[FpModule], differentials: Sequence[FpMorphism],
                  check: bool = True):
         self.ring = ring
-        self.base = base
         self.lo = lo
         self.objects = list(objects)
         self.differentials = list(differentials)
@@ -61,11 +57,8 @@ class Complex:
             self._validate()
 
     def _validate(self):
-        for i, obj in enumerate(self.objects):
-            if obj.ring is not self.ring:
-                raise ValueError("object ring mismatch")
-            if self.base is BaseCategory.FREE_MODULES and obj.relations != 0:
-                raise ValueError("free-based complexes need relation-free entries")
+        if any(obj.ring is not self.ring for obj in self.objects):
+            raise ValueError("object ring mismatch")
         for i, d in enumerate(self.differentials):
             if d.source is not self.objects[i] and d.source.presentation != self.objects[i].presentation:
                 raise ValueError(f"differential {i} source mismatch")
@@ -104,20 +97,19 @@ class Complex:
         """The complex X[k] with X[k]^n = X^{n+k} and differential (-1)^k d."""
         objs = list(self.objects)
         diffs = self.differentials if k % 2 == 0 else [modules.negate(d) for d in self.differentials]
-        return Complex(self.ring, self.base, self.lo - k, objs, list(diffs), check=False)
+        return Complex(self.ring, self.lo - k, objs, list(diffs), check=False)
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{n}:{self.object_at(n)!r}" for n in self.degrees())
-        return f"Complex[{self.base.value}]({parts})"
+        return f"Complex({parts})"
 
 
-def stalk_complex(m: FpModule, degree: int = 0,
-                  base: BaseCategory = BaseCategory.FP_MODULES) -> Complex:
-    return Complex(m.ring, base, degree, [m], [], check=False)
+def stalk_complex(m: FpModule, degree: int = 0) -> Complex:
+    return Complex(m.ring, degree, [m], [], check=False)
 
 
-def zero_complex(ring: RingSpec, base: BaseCategory = BaseCategory.FP_MODULES) -> Complex:
-    return Complex(ring, base, 0, [FpModule.zero(ring)], [], check=False)
+def zero_complex(ring: RingSpec) -> Complex:
+    return Complex(ring, 0, [FpModule.zero(ring)], [], check=False)
 
 
 def free_complex(ring: RingSpec, lo: int, mats: Sequence[IntMatrix],
@@ -128,8 +120,7 @@ def free_complex(ring: RingSpec, lo: int, mats: Sequence[IntMatrix],
     an empty matrix list and ``first_rank``.
     """
     if not mats:
-        return stalk_complex(FpModule.free(ring, first_rank or 0), lo,
-                             base=BaseCategory.FREE_MODULES)
+        return stalk_complex(FpModule.free(ring, first_rank or 0), lo)
     ranks = [mats[0].cols] + [m.rows for m in mats]
     objs = [FpModule.free(ring, r) for r in ranks]
     diffs = []
@@ -138,37 +129,17 @@ def free_complex(ring: RingSpec, lo: int, mats: Sequence[IntMatrix],
             raise ValueError("differential shapes do not chain")
         # free entries: the witness is the empty matrix
         diffs.append(FpMorphism(objs[i], objs[i + 1], m, IntMatrix.zeros(ring, 0, 0)))
-    return Complex(ring, BaseCategory.FREE_MODULES, lo, objs, diffs)
-
-
-def fp_complex(ring: RingSpec, lo: int, objects: Sequence[FpModule],
-               differentials: Sequence[FpMorphism]) -> Complex:
-    return Complex(ring, BaseCategory.FP_MODULES, lo, objects, differentials)
+    return Complex(ring, lo, objs, diffs)
 
 
 class ChainMap:
     """A degreewise morphism commuting with the differentials."""
 
     def __init__(self, source: Complex, target: Complex,
-                 components: dict[int, FpMorphism], check: bool = True):
+                 components: dict[int, FpMorphism]):
         self.source = source
         self.target = target
         self.components = dict(components)
-        if check:
-            self._validate()
-
-    def _validate(self):
-        for n, f in self.components.items():
-            if f.source.presentation != self.source.object_at(n).presentation:
-                raise ValueError(f"component {n} source mismatch")
-            if f.target.presentation != self.target.object_at(n).presentation:
-                raise ValueError(f"component {n} target mismatch")
-        for n in range(min(self.source.lo, self.target.lo) - 1,
-                       max(self.source.hi, self.target.hi) + 1):
-            lhs = modules.compose(self.target.differential_at(n), self.component_at(n))
-            rhs = modules.compose(self.component_at(n + 1), self.source.differential_at(n))
-            if not modules.morphism_equal(lhs, rhs):
-                raise ValueError(f"chain map does not commute at degree {n}")
 
     def component_at(self, n: int) -> FpMorphism:
         if n in self.components:
@@ -178,11 +149,11 @@ class ChainMap:
     @classmethod
     def identity(cls, c: Complex) -> "ChainMap":
         comps = {n: FpMorphism.identity(c.object_at(n)) for n in c.degrees()}
-        return cls(c, c, comps, check=False)
+        return cls(c, c, comps)
 
     @classmethod
     def zero(cls, source: Complex, target: Complex) -> "ChainMap":
-        return cls(source, target, {}, check=False)
+        return cls(source, target, {})
 
     def __repr__(self) -> str:
         return f"ChainMap({self.source!r} -> {self.target!r})"
@@ -192,7 +163,7 @@ def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
     comps = {}
     for n in f.source.degrees():
         comps[n] = modules.compose(g.component_at(n), f.component_at(n))
-    return ChainMap(f.source, g.target, comps, check=False)
+    return ChainMap(f.source, g.target, comps)
 
 
 class Homotopy:
@@ -228,7 +199,7 @@ def direct_sum_complexes(cs: Sequence[Complex]) -> Complex:
     the summands' entries in the order of cs, so ``modules.injection`` and
     ``modules.projection`` on them give the components of its structure maps.
     """
-    ring, base = cs[0].ring, cs[0].base
+    ring = cs[0].ring
     lo = min(c.lo for c in cs)
     hi = max(c.hi for c in cs)
     parts = {n: [c.object_at(n) for c in cs] for n in range(lo, hi + 1)}
@@ -236,7 +207,7 @@ def direct_sum_complexes(cs: Sequence[Complex]) -> Complex:
     diffs = [modules.block_morphism(
         objs[n - lo], objs[n + 1 - lo], parts[n], parts[n + 1],
         {(i, i): c.differential_at(n) for i, c in enumerate(cs)}) for n in range(lo, hi)]
-    return Complex(ring, base, lo, objs, diffs, check=False)
+    return Complex(ring, lo, objs, diffs, check=False)
 
 
 def _total(parts: Sequence[Complex], maps: dict[tuple[int, int], dict[int, FpMorphism]]
@@ -445,9 +416,5 @@ def free_resolution(c: Complex) -> Complex:
             piece = free_complex(c.ring, n, [], first_rank=h.generators)
         pieces.append(piece)
     if not pieces:
-        return zero_complex(c.ring, BaseCategory.FREE_MODULES)
-    if len(pieces) == 1:
-        return pieces[0]
-    total = direct_sum_complexes(pieces)
-    return Complex(c.ring, BaseCategory.FREE_MODULES, total.lo,
-                   total.objects, total.differentials, check=False)
+        return zero_complex(c.ring)
+    return pieces[0] if len(pieces) == 1 else direct_sum_complexes(pieces)

@@ -267,7 +267,7 @@ def determinant(m: IntMatrix) -> Element:
         return rings.one(ring)
     a = m.to_rows()
     sign = 1
-    prev = rings.one(ring)
+    prev = None  # the previous pivot; the first step divides by nothing
     dot = None if ring is RingSpec.INTEGERS else QPoly.dot
     for k in range(n - 1):
         if not a[k][k]:
@@ -281,7 +281,7 @@ def determinant(m: IntMatrix) -> Element:
             for j in range(k + 1, n):
                 num = (a[i][j] * a[k][k] - a[i][k] * a[k][j] if dot is None
                        else dot((a[i][j], neg), (a[k][k], a[k][j])))
-                a[i][j] = rings.exact_div(ring, num, prev)
+                a[i][j] = num if prev is None else rings.exact_div(ring, num, prev)
             a[i][k] = rings.zero(ring)
         prev = a[k][k]
     det = a[n - 1][n - 1]

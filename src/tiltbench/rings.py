@@ -91,7 +91,10 @@ class QPoly:
         return self._combine(other, -1)
 
     def __neg__(self) -> "QPoly":
-        return _canonical([-c for c in self.num], self.den)
+        # negation keeps den > 0, the last numerator nonzero and the gcd
+        p = object.__new__(QPoly)
+        p.num, p.den = tuple(-c for c in self.num), self.den
+        return p
 
     def __mul__(self, other: "QPoly") -> "QPoly":
         a, b = self.num, other.num

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from . import modules
-from .complexes import Complex, direct_sum_complexes, free_complex, fp_complex
+from .complexes import Complex, direct_sum_complexes, free_complex
 from .exactness import Carrier
 from .matrices import IntMatrix, kernel_matrix, solve_lift
 from .modules import FpModule, FpMorphism
@@ -123,7 +123,7 @@ def random_fp_complex(rnd: random.Random, bounds: SizeBounds,
             proj = modules.cokernel_projection(diffs[-1])
             diffs.append(modules.compose(random_morphism(rnd, proj.target, nxt), proj))
         objs.append(nxt)
-    return fp_complex(Z, lo, objs, diffs)
+    return Complex(Z, lo, objs, diffs)
 
 
 def random_carrier_module(ex, rnd: random.Random, bounds: SizeBounds) -> FpModule:

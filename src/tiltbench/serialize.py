@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any
 
-from .complexes import BaseCategory, Complex
+from .complexes import Complex
 from .matrices import IntMatrix
 from .modules import FpModule, FpMorphism
 from .rings import QPoly, RingSpec
@@ -77,7 +77,6 @@ def complex_to_json(c: Complex) -> dict:
     return {
         "kind": "complex",
         "ring": c.ring.value,
-        "base": c.base.value,
         "lo": c.lo,
         "hi": c.hi,
         "objects": [module_to_json(c.object_at(n)) for n in c.degrees()],
@@ -92,11 +91,10 @@ def complex_from_json(data: dict) -> Complex:
     if data.get("kind") != "complex":
         raise ValueError("not a serialized complex")
     ring = RingSpec(data["ring"])
-    base = BaseCategory(data["base"])
     objs = [module_from_json(o) for o in data["objects"]]
     diffs = []
     for i in range(len(objs) - 1):
         diffs.append(FpMorphism(objs[i], objs[i + 1],
                                 matrix_from_json(data["differentials"][i]),
                                 matrix_from_json(data["witnesses"][i])))
-    return Complex(ring, base, data["lo"], objs, diffs)
+    return Complex(ring, data["lo"], objs, diffs)

@@ -20,10 +20,12 @@ invertibility in the ambient category, which holds iff its cone is exact
 (``is_quasi_iso``): over a PID a quasi-isomorphism of bounded free
 complexes is a homotopy equivalence, so one decision serves the homotopy
 category over the free carrier and the derived category of finitely
-presented modules.  A triangle A -> X -> B is distinguished iff its
-composite vanishes up to a homotopy s and the cone of the comparison map
-cone(A -> X) -> B is exact; that cone is the total complex of
-B <- X <- A along the unit, the counit and s (``total_is_exact``).
+presented modules.  A triangle A -> X -> B is its pair (counit, unit) of
+chain maps; A, X and B are counit.source, counit.target and unit.target.
+It is distinguished iff its composite vanishes up to a homotopy s and the
+cone of the comparison map cone(A -> X) -> B is exact; that cone is the
+total complex of B <- X <- A along the unit, the counit and s
+(``total_is_exact``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from typing import Optional
 
 from . import modules
 from .complexes import (
-    BaseCategory,
     ChainMap,
     Complex,
     cohomology,
@@ -102,12 +103,10 @@ class TStructureSpec:
         return cls(TVariant.HRS_TILT)
 
     @property
-    def ambient_base(self) -> BaseCategory:
+    def acts_on_free_complexes(self) -> bool:
         """Complexes of free modules up to homotopy (K(E)) for the left and
         right t-structures; complexes of fp modules in D(fp-Z) otherwise."""
-        if self.variant in (TVariant.LEFT, TVariant.RIGHT):
-            return BaseCategory.FREE_MODULES
-        return BaseCategory.FP_MODULES
+        return self.variant in (TVariant.LEFT, TVariant.RIGHT)
 
     def config_string(self) -> str:
         parts = [f"variant={self.variant.value}"]
@@ -121,19 +120,10 @@ class TStructureSpec:
         return f"TStructureSpec({self.config_string()})"
 
 
-@dataclass
-class TriangleData:
-    sub: Complex
-    total: Complex
-    quotient: Complex
-    sub_map: ChainMap
-    quot_map: ChainMap
-
-
 def _check_ambient(spec: TStructureSpec, x: Complex):
     if x.ring is not Z:
         raise ValueError("this t-structure acts on complexes over the integers")
-    if spec.ambient_base is BaseCategory.FREE_MODULES and not x.is_strict_free():
+    if spec.acts_on_free_complexes and not x.is_strict_free():
         raise ValueError("this t-structure acts on complexes of free modules")
 
 
@@ -142,12 +132,12 @@ def _identity_truncation(x: Complex) -> tuple[Complex, ChainMap]:
 
 
 def _zero_truncation_le(x: Complex) -> tuple[Complex, ChainMap]:
-    z = zero_complex(x.ring, x.base)
+    z = zero_complex(x.ring)
     return z, ChainMap.zero(z, x)
 
 
 def _zero_truncation_ge(x: Complex) -> tuple[Complex, ChainMap]:
-    z = zero_complex(x.ring, x.base)
+    z = zero_complex(x.ring)
     return z, ChainMap.zero(x, z)
 
 
@@ -161,10 +151,10 @@ def _cap_below_with(x: Complex, n: int, cap: FpModule, incl: FpMorphism
         if core is None:
             raise AssertionError("previous differential does not land in the cap")
         diffs.append(core)
-    t = Complex(x.ring, x.base, x.lo if n > x.lo else n, objs, diffs, check=False)
+    t = Complex(x.ring, x.lo if n > x.lo else n, objs, diffs, check=False)
     comps = {j: FpMorphism.identity(x.object_at(j)) for j in range(x.lo, n)}
     comps[n] = incl
-    return t, ChainMap(t, x, comps, check=False)
+    return t, ChainMap(t, x, comps)
 
 
 def _quotient_above(x: Complex, n: int, proj: FpMorphism) -> tuple[Complex, ChainMap]:
@@ -177,11 +167,11 @@ def _quotient_above(x: Complex, n: int, proj: FpMorphism) -> tuple[Complex, Chai
             raise AssertionError("differential does not descend to the quotient")
         diffs.append(desc)
         diffs.extend(x.differential_at(j) for j in range(n + 1, x.hi))
-    t = Complex(x.ring, x.base, n, objs, diffs, check=False)
+    t = Complex(x.ring, n, objs, diffs, check=False)
     comps = {n: proj}
     comps.update({j: FpMorphism.identity(x.object_at(j))
                   for j in range(n + 1, x.hi + 1)})
-    return t, ChainMap(x, t, comps, check=False)
+    return t, ChainMap(x, t, comps)
 
 
 # -- the truncation table ------------------------------------------------------
@@ -212,13 +202,13 @@ def _truncate_le_honest(spec, n, x):
         c, proj = e_cokernel(x.differential_at(n), spec.ex)
         objs = [x.object_at(j) for j in range(x.lo, n + 2)] + [c]
         diffs = [x.differential_at(j) for j in range(x.lo, n + 1)] + [proj]
-        t = Complex(x.ring, x.base, x.lo, objs, diffs, check=False)
+        t = Complex(x.ring, x.lo, objs, diffs, check=False)
         comps = {j: FpMorphism.identity(x.object_at(j)) for j in range(x.lo, n + 2)}
         down = modules.cofactor(x.differential_at(n + 1), proj)
         if down is None:
             raise AssertionError("cokernel cap does not map back")
         comps[n + 2] = down
-        return t, ChainMap(t, x, comps, check=False)
+        return t, ChainMap(t, x, comps)
     if v is TVariant.NATURAL:
         if n >= x.hi:
             return _identity_truncation(x)
@@ -261,7 +251,7 @@ def _truncate_ge_honest(spec, n, x):
         k, incl = e_kernel(x.differential_at(n - 1), spec.ex)
         objs = [k] + [x.object_at(j) for j in range(n - 1, x.hi + 1)]
         diffs = [incl] + [x.differential_at(j) for j in range(n - 1, x.hi)]
-        t = Complex(x.ring, x.base, n - 2, objs, diffs, check=False)
+        t = Complex(x.ring, n - 2, objs, diffs, check=False)
         comps = {j: FpMorphism.identity(x.object_at(j))
                  for j in range(n - 1, x.hi + 1)}
         if n - 2 >= x.lo:
@@ -269,7 +259,7 @@ def _truncate_ge_honest(spec, n, x):
             if core is None:
                 raise AssertionError("differential does not corestrict to the kernel cap")
             comps[n - 2] = core
-        return t, ChainMap(x, t, comps, check=False)
+        return t, ChainMap(x, t, comps)
     if v is TVariant.RIGHT:
         if n <= x.lo:
             return _identity_truncation(x)
@@ -311,10 +301,9 @@ def heart_membership(spec: TStructureSpec, x: Complex) -> bool:
     return in_aisle(spec, 0, x) and in_coaisle(spec, 0, x)
 
 
-def approximating_triangle(spec: TStructureSpec, x: Complex) -> TriangleData:
-    a, counit = truncate_le(spec, 0, x)
-    b, unit = truncate_ge(spec, 1, x)
-    return TriangleData(a, x, b, counit, unit)
+def approximating_triangle(spec: TStructureSpec, x: Complex) -> tuple[ChainMap, ChainMap]:
+    """The triangle tau_{<=0} x -> x -> tau_{>=1} x as its (counit, unit)."""
+    return truncate_le(spec, 0, x)[1], truncate_ge(spec, 1, x)[1]
 
 
 def triangle_is_distinguished(counit: ChainMap, unit: ChainMap) -> bool:
@@ -356,24 +345,22 @@ class StarFactor:
 
 @dataclass
 class StarDecomposition:
-    triangles: list[TriangleData]
-    window_part: Complex
+    triangles: list[tuple[ChainMap, ChainMap]]
     factors: list[StarFactor]
 
 
-def _brutal_sub_triangle(w: Complex, d: int) -> TriangleData:
-    """The degreewise-split triangle (w^{>=d}, w, w^{<=d-1})."""
-    hi_part = Complex(w.ring, w.base, d,
+def _brutal_sub_triangle(w: Complex, d: int) -> tuple[ChainMap, ChainMap]:
+    """The degreewise-split triangle w^{>=d} -> w -> w^{<=d-1}."""
+    hi_part = Complex(w.ring, d,
                       [w.object_at(j) for j in range(d, w.hi + 1)],
                       [w.differential_at(j) for j in range(d, w.hi)], check=False)
-    lo_part = Complex(w.ring, w.base, w.lo,
+    lo_part = Complex(w.ring, w.lo,
                       [w.object_at(j) for j in range(w.lo, d)],
                       [w.differential_at(j) for j in range(w.lo, d - 1)], check=False)
-    sub_map = ChainMap(hi_part, w, {j: FpMorphism.identity(w.object_at(j))
-                                    for j in range(d, w.hi + 1)}, check=False)
-    quot_map = ChainMap(w, lo_part, {j: FpMorphism.identity(w.object_at(j))
-                                     for j in range(w.lo, d)}, check=False)
-    return TriangleData(hi_part, w, lo_part, sub_map, quot_map)
+    return (ChainMap(hi_part, w, {j: FpMorphism.identity(w.object_at(j))
+                                  for j in range(d, w.hi + 1)}),
+            ChainMap(w, lo_part, {j: FpMorphism.identity(w.object_at(j))
+                                  for j in range(w.lo, d)}))
 
 
 def star_membership(x: Complex, class_tag: ClassTag, n: int
@@ -403,20 +390,15 @@ def star_membership(x: Complex, class_tag: ClassTag, n: int
         h0 = cohomology(x, 0)
         if not h0.is_torsion():
             return None
-        t, _ = truncate_le(spec, 0, x)
-        a, counit = truncate_le(spec, -1, t)
-        b, unit = truncate_ge(spec, 0, t)
-        tri = TriangleData(a, t, b, counit, unit)
-        return StarDecomposition([tri], a, [StarFactor(0, modules.reduce_presentation(h0))])
-    # trivial class: that is the whole criterion
     t, _ = truncate_le(spec, 0, x)
-    a, counit = truncate_le(spec, -n, t)
-    b, unit = truncate_ge(spec, -n + 1, t)
-    triangles = [TriangleData(a, t, b, counit, unit)]
+    triangles = [(truncate_le(spec, -n, t)[1], truncate_ge(spec, -n + 1, t)[1])]
+    if class_tag is ClassTag.TORSION:
+        return StarDecomposition(triangles, [StarFactor(0, modules.reduce_presentation(h0))])
+    # trivial class: that is the whole criterion
     factors = []
     # fold the windowed part into degrees [-n+1, 0]; the fold is a
     # quasi-isomorphism because the bottom differential is injective
-    w = _cokernel_form_window(b, -n + 1)
+    w = _cokernel_form_window(triangles[0][1].target, -n + 1)
     for d in range(0, -n, -1):
         if w.is_zero_complex() or w.hi < d:
             factors.append(StarFactor(d, FpModule.zero(x.ring)))
@@ -424,11 +406,10 @@ def star_membership(x: Complex, class_tag: ClassTag, n: int
         if w.lo >= d:
             factors.append(StarFactor(d, modules.reduce_presentation(w.object_at(d))))
             continue
-        tri = _brutal_sub_triangle(w, d)
-        triangles.append(tri)
+        triangles.append(_brutal_sub_triangle(w, d))
         factors.append(StarFactor(d, modules.reduce_presentation(w.object_at(d))))
-        w = tri.quotient
-    return StarDecomposition(triangles, a, factors)
+        w = triangles[-1][1].target
+    return StarDecomposition(triangles, factors)
 
 
 def _cokernel_form_window(b: Complex, m: int) -> Complex:
@@ -490,7 +471,7 @@ def module_map_to_left_heart_map(psi: FpMorphism, hx: Complex, hy: Complex) -> C
             raise AssertionError("comparison lift failed on exact representatives")
         comps[n] = FpMorphism.from_generator_matrix(
             hx.object_at(n), hy.object_at(n), sol)
-    return ChainMap(hx, hy, comps, check=False)
+    return ChainMap(hx, hy, comps)
 
 
 def intersection_normal_form(spec1: TStructureSpec, spec2: TStructureSpec,
@@ -507,8 +488,7 @@ def intersection_normal_form(spec1: TStructureSpec, spec2: TStructureSpec,
         c_mod = r.object_at(0)
         return modules.reduce_presentation(c_mod)
     c_mod, proj = e_cokernel(r.differential_at(-1), left.ex)
-    stalk = stalk_complex(c_mod, 0, base=BaseCategory.FREE_MODULES)
-    q = ChainMap(r, stalk, {0: proj}, check=False)
+    q = ChainMap(r, stalk_complex(c_mod, 0), {0: proj})
     if not is_quasi_iso(q):
         return None
     return modules.reduce_presentation(c_mod)

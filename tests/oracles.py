@@ -26,6 +26,10 @@ and decides by a contracting homotopy over the free carrier and by
 ``is_zero_morphism`` compares a morphism with the zero morphism built in
 full; ``modules.is_zero_morphism`` solves on its generator matrix alone.
 
+``checked_chain_map`` builds a ``ChainMap`` after checking that its
+components run between the entries of its source and target and commute
+with the differentials; the verifier builds its chain maps unchecked.
+
 ``hom_group_system`` poses the system of ``modules.hom_group`` as it was
 posed before its blocks were placed directly: Kronecker products with
 identity matrices, for the kernel (vec G, vec W) of G * P_M - P_N * W = 0
@@ -56,7 +60,6 @@ from typing import Optional
 
 from tiltbench import rings
 from tiltbench.complexes import (
-    BaseCategory,
     ChainMap,
     Complex,
     Homotopy,
@@ -232,7 +235,7 @@ def total_hom_complex(x: Complex, y: Complex) -> Complex:
     objs = [FpModule.free(ring, r) for r in ranks]
     diffs = [FpMorphism(objs[i], objs[i + 1], m, IntMatrix.zeros(ring, 0, 0))
              for i, m in enumerate(mats)]
-    return Complex(ring, BaseCategory.FREE_MODULES, lo, objs, diffs, check=False)
+    return Complex(ring, lo, objs, diffs, check=False)
 
 
 def cohomology_map(f: ChainMap, n: int) -> FpMorphism:
@@ -277,7 +280,7 @@ def cone(f: ChainMap) -> Complex:
         if x.lo <= n + 1 < x.hi:
             blocks[1, 1] = negate(x.differential_at(n + 1))
         diffs.append(block_morphism(objs[k], objs[k + 1], parts[k], parts[k + 1], blocks))
-    return Complex(x.ring, x.base, degrees[0], objs, diffs, check=False)
+    return Complex(x.ring, degrees[0], objs, diffs, check=False)
 
 
 def distinguished_by_comparison_cone(counit: ChainMap, unit: ChainMap, free: bool) -> bool:
@@ -302,10 +305,28 @@ def distinguished_by_comparison_cone(counit: ChainMap, unit: ChainMap, free: boo
             blocks[0, 1] = homotopy.component_at(n + 1)
         comps[n] = block_morphism(cone_c.object_at(n), b.object_at(n),
                                   [x.object_at(n), a.object_at(n + 1)], [b.object_at(n)], blocks)
-    phi_cone = cone(ChainMap(cone_c, b, comps, check=False))
+    phi_cone = cone(ChainMap(cone_c, b, comps))
     if free:
         return is_contractible(phi_cone) is not None
     return is_exact(phi_cone)
+
+
+def checked_chain_map(source: Complex, target: Complex,
+                      components: dict[int, FpMorphism]) -> ChainMap:
+    """The chain map with these components, or ValueError where one has the
+    wrong source or target or the square at some degree does not commute."""
+    f = ChainMap(source, target, components)
+    for n, c in f.components.items():
+        if c.source.presentation != source.object_at(n).presentation:
+            raise ValueError(f"component {n} source mismatch")
+        if c.target.presentation != target.object_at(n).presentation:
+            raise ValueError(f"component {n} target mismatch")
+    for n in range(min(source.lo, target.lo) - 1, max(source.hi, target.hi) + 1):
+        lhs = compose(target.differential_at(n), f.component_at(n))
+        rhs = compose(f.component_at(n + 1), source.differential_at(n))
+        if not morphism_equal(lhs, rhs):
+            raise ValueError(f"chain map does not commute at degree {n}")
+    return f
 
 
 def sub_morphisms(f: FpMorphism, g: FpMorphism) -> FpMorphism:
@@ -321,7 +342,7 @@ def sub_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     comps = {}
     for n in set(f.components) | set(g.components):
         comps[n] = sub_morphisms(f.component_at(n), g.component_at(n))
-    return ChainMap(f.source, f.target, comps, check=False)
+    return ChainMap(f.source, f.target, comps)
 
 
 def chain_maps_homotopic(f: ChainMap, g: ChainMap) -> Optional[Homotopy]:

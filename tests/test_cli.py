@@ -1,10 +1,12 @@
-import hashlib
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import report_digest as digest_gate
 from tiltbench import suites, tstructures
 from tiltbench.cli import (
     EXIT_FAILURES,
@@ -27,8 +29,11 @@ from tiltbench.suites import REGISTRY
 # times, as json.dumps(sort_keys=True, indent=2)
 DEFAULT_BUDGET_3_DIGEST = "12899190a5f2c9c67ce50d727a259c97b9aade5eab48029073ecfc4295c22c96"
 # the same digest of scenarios/negative-control.json's report; unlike the
-# default scenario it carries failure payloads, witnesses included
-NEGATIVE_CONTROL_DIGEST = "1be2cab84c66013de47d559be4783fdaef97415e076fe75a7f3d332715447322"
+# default scenario it carries failure payloads, witnesses included.  It was
+# 1be2cab84c66013d... while a serialised complex carried a "base" field (the
+# ambient category, which no decision read); the report without those 20
+# keys is otherwise the same, and hashes to this digest
+NEGATIVE_CONTROL_DIGEST = "626dbf2993fe3653326cf0d34ab3ccd1d6715522a5801307294cbd44504f1a52"
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -256,11 +261,7 @@ def test_negative_controls_never_come_up_empty(name):
 
 
 def report_digest(scenario: Scenario) -> str:
-    data = json.loads(run_scenario(scenario).to_json_string())
-    for suite in data["suites"]:
-        suite.pop("wall_time")
-    text = json.dumps(data, sort_keys=True, indent=2)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return digest_gate.report_digest(json.loads(run_scenario(scenario).to_json_string()))[0]
 
 
 def test_default_scenario_digest():
@@ -272,3 +273,18 @@ def test_default_scenario_digest():
 def test_negative_control_scenario_digest():
     scenario = load_scenario(str(SCENARIOS / "negative-control.json"))
     assert report_digest(scenario) == NEGATIVE_CONTROL_DIGEST
+
+
+def test_digest_script_gates_a_written_report(tmp_path):
+    # the CI digest steps run tests/report_digest.py on a report that --out wrote
+    path = tmp_path / "report.json"
+    assert run(None, str(path), {"suites": ["snf_identities"], "budget": 2},
+               stream=io.StringIO()) == EXIT_OK
+    digest = digest_gate.report_digest(json.loads(path.read_text()))[0]
+    script = str(Path(digest_gate.__file__))
+    ok = subprocess.run([sys.executable, script, str(path), digest],
+                        capture_output=True, text=True)
+    assert ok.returncode == 0 and ok.stdout.splitlines()[-1] == digest
+    bad = subprocess.run([sys.executable, script, str(path), "0" * 64],
+                         capture_output=True, text=True)
+    assert bad.returncode == 1 and f"digest {digest} != {'0' * 64}" in bad.stderr

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tiltbench.complexes import fp_complex, free_complex
+from tiltbench.complexes import Complex, free_complex
 from tiltbench.exactness import (
     Carrier,
     CarrierMismatchError,
@@ -223,7 +223,7 @@ def test_acyclicity_fp_max_vs_free():
     z2, z4 = FpModule.cyclic(Z, 2), FpModule.cyclic(Z, 4)
     incl = FpMorphism.from_generator_matrix(z2, z4, zmat([[2]]))
     proj = FpMorphism.from_generator_matrix(z4, z2, zmat([[1]]))
-    c = fp_complex(Z, 0, [z2, z4, z2], [incl, proj])
+    c = Complex(Z, 0, [z2, z4, z2], [incl, proj])
     assert is_acyclic_wrt(c, FP_MAX) is not None
     assert is_acyclic_wrt(c, TOR_INH) is not None
 

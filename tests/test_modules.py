@@ -876,8 +876,9 @@ def test_maps_between_direct_sums_are_pinned():
         rnd = rng_for(5, "pinned-blocks", i)
         x, y = random_fp_complex(rnd, bounds), random_fp_complex(rnd, bounds)
         cx = oracles.cone(ChainMap.identity(x))
-        incl = ChainMap(x, cx, {n: injection([x.object_at(n), x.object_at(n + 1)],
-                                             cx.object_at(n), 0) for n in cx.degrees()})
+        incl = oracles.checked_chain_map(
+            x, cx, {n: injection([x.object_at(n), x.object_at(n + 1)], cx.object_at(n), 0)
+                    for n in cx.degrees()})
         cc = oracles.cone(incl)
         s = direct_sum_complexes([x, y])
         for c in (cx, cc, s):

@@ -89,6 +89,16 @@ def test_qpoly_agrees_with_the_fraction_oracle():
     assert all(count >= 200 for count in kinds.values()), kinds
 
 
+def test_negation_builds_canonical_fields():
+    # -p is read off p's fields with no canonical pass; it must have the
+    # fields that the constructor gives the negated coefficients
+    for a, b in polynomial_pairs():
+        for p in (QPoly(a), QPoly(b)):
+            neg, built = -p, QPoly([-c for c in p.coeffs])
+            assert_canonical(neg)
+            assert (neg.num, neg.den) == (built.num, built.den)
+
+
 def test_fused_operations_agree_with_the_fraction_oracle():
     # dot over 0-4 pairs and x + c * y bring one sum to canonical form; the
     # oracle multiplies and adds separately normalised coefficients

@@ -6,6 +6,7 @@ from tiltbench.complexes import free_complex
 from tiltbench.matrices import IntMatrix
 from tiltbench.modules import FpModule, FpMorphism
 from tiltbench.rings import QPoly, RingSpec
+from tiltbench.samplers import SizeBounds, random_fp_complex, rng_for
 from tiltbench.serialize import (
     complex_from_json,
     complex_to_json,
@@ -54,6 +55,28 @@ def test_complex_round_trip():
     for n in c.degrees():
         assert back.object_at(n).presentation == c.object_at(n).presentation
     assert back.differential_at(-1).gen == c.differential_at(-1).gen
+
+
+def test_fp_complex_round_trip():
+    # entries with relations and differentials with nonzero witnesses survive
+    # bit for bit; a complex is its entries and differentials, with no
+    # ambient-category field
+    bounds = SizeBounds(max_rank=3, max_entry=5, max_width=4)
+    relations = witnesses = 0
+    for i in range(10):
+        c = random_fp_complex(rng_for(3, "serialize-fp", i), bounds)
+        data = through_json(complex_to_json(c))
+        assert "base" not in data
+        back = complex_from_json(data)
+        assert (back.ring, back.lo, back.hi) == (c.ring, c.lo, c.hi)
+        for n in c.degrees():
+            assert back.object_at(n).presentation == c.object_at(n).presentation
+            relations += c.object_at(n).relations
+        for n in range(c.lo, c.hi):
+            d, d_back = c.differential_at(n), back.differential_at(n)
+            assert (d_back.gen, d_back.witness) == (d.gen, d.witness)
+            witnesses += not d.witness.is_zero()
+    assert relations and witnesses
 
 
 def test_complex_from_json_rejects_a_non_complex():

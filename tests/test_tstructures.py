@@ -6,7 +6,6 @@ import oracles
 from entry_guard import guard_snf_entries
 from tiltbench import complexes, modules, suites, tstructures
 from tiltbench.complexes import (
-    BaseCategory,
     ChainMap,
     cohomology,
     direct_sum_complexes,
@@ -124,26 +123,26 @@ def test_stalk_in_every_heart_containing_it():
 def test_approximating_triangle_aisle_cases():
     # X in the aisle: coaisle part vanishes up to iso
     x = fc(-2, [[[3]]])  # degrees (-2, -1)
-    tri = approximating_triangle(NAT, x)
-    assert all(cohomology(tri.quotient, n).is_zero_module()
-               for n in tri.quotient.degrees())
+    _, unit = approximating_triangle(NAT, x)
+    assert all(cohomology(unit.target, n).is_zero_module()
+               for n in unit.target.degrees())
     # X a shifted co-aisle object: aisle part vanishes
     y = stalk_complex(FpModule.cyclic(Z, 2), 2)
-    tri2 = approximating_triangle(NAT, y)
-    assert all(cohomology(tri2.sub, n).is_zero_module()
-               for n in tri2.sub.degrees())
+    counit, _ = approximating_triangle(NAT, y)
+    assert all(cohomology(counit.source, n).is_zero_module()
+               for n in counit.source.degrees())
 
 
 def test_approximating_triangle_splits_direct_sum():
     za = stalk_complex(FpModule.free(Z, 1), 0)
     zb = stalk_complex(FpModule.cyclic(Z, 2), -1)
     s = direct_sum_complexes([za, zb])
-    tri = approximating_triangle(NAT, s)
-    assert triangle_is_distinguished(tri.sub_map, tri.quot_map)
-    assert cohomology(tri.sub, 0).invariant_data() == (1, ())
-    assert cohomology(tri.sub, -1).invariant_data() == (0, (2,))
-    assert all(cohomology(tri.quotient, n).is_zero_module()
-               for n in tri.quotient.degrees())
+    counit, unit = approximating_triangle(NAT, s)
+    assert triangle_is_distinguished(counit, unit)
+    assert cohomology(counit.source, 0).invariant_data() == (1, ())
+    assert cohomology(counit.source, -1).invariant_data() == (0, (2,))
+    assert all(cohomology(unit.target, n).is_zero_module()
+               for n in unit.target.degrees())
 
 
 def test_triangle_check_builds_no_sum_and_no_cone(monkeypatch):
@@ -160,7 +159,7 @@ def test_triangle_check_builds_no_sum_and_no_cone(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(modules, name, recording)
-    assert triangle_is_distinguished(tri.sub_map, tri.quot_map)
+    assert triangle_is_distinguished(*tri)
     assert built == []
 
 
@@ -172,7 +171,7 @@ def cone_triangle(f, k):
         f.target.object_at(n), cc.object_at(n),
         oracles.scale(injection([f.target.object_at(n), f.source.object_at(n + 1)],
                                 cc.object_at(n), 0).gen, k),
-        IntMatrix.zeros(Z, 0, 0)) for n in cc.degrees()}, check=False)
+        IntMatrix.zeros(Z, 0, 0)) for n in cc.degrees()})
     return f, unit
 
 
@@ -187,18 +186,17 @@ def test_triangle_check_agrees_with_the_comparison_cone():
     bounds = SizeBounds(max_rank=2, max_entry=3, max_width=3)
     cases = []
     for spec in (LEFT, RIGHT, NAT, HRS, corrupted):
-        free = spec.ambient_base is BaseCategory.FREE_MODULES
+        free = spec.acts_on_free_complexes
         for i in range(12):
             rnd = rng_for(29, "triangle-cones", spec.config_string(), i)
             x = (random_free_complex if free else random_fp_complex)(rnd, bounds)
-            tri = approximating_triangle(spec, x)
-            cases.append((tri.sub_map, tri.quot_map, free))
+            cases.append((*approximating_triangle(spec, x), free))
     for i in range(12):
         x = random_fp_complex(rng_for(29, "triangle-stars", i), bounds)
         for tag, n in ((ClassTag.TORSION, 1), (ClassTag.ALL_FP, 2)):
             dec = star_membership(x, tag, n)
             if dec is not None:
-                cases += [(tri.sub_map, tri.quot_map, False) for tri in dec.triangles]
+                cases += [(*tri, False) for tri in dec.triangles]
     for i in range(6):
         x = random_free_complex(rng_for(29, "triangle-homotopies", i), bounds)
         for k in (1, 2):
@@ -233,7 +231,7 @@ def test_star_membership_trivial_class():
     assert dec is not None
     assert len(dec.factors) == 2
     for tri in dec.triangles:
-        assert triangle_is_distinguished(tri.sub_map, tri.quot_map)
+        assert triangle_is_distinguished(*tri)
     bad = stalk_complex(FpModule.cyclic(Z, 2), 1)
     assert star_membership(bad, ClassTag.ALL_FP, 2) is None
 
@@ -411,12 +409,12 @@ def test_truncations_are_pinned():
                 if dec is None:
                     h.update(b"none")
                     continue
-                update_complex(dec.window_part)
-                for tri in dec.triangles:
-                    for c in (tri.sub, tri.total, tri.quotient):
+                update_complex(dec.triangles[0][0].source)  # the window part
+                for counit, unit in dec.triangles:
+                    for c in (counit.source, counit.target, unit.target):
                         update_complex(c)
-                    update_map(tri.sub_map)
-                    update_map(tri.quot_map)
+                    update_map(counit)
+                    update_map(unit)
                 h.update(repr([(f.degree, f.module.presentation)
                                for f in dec.factors]).encode())
     assert h.hexdigest() == (
