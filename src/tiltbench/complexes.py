@@ -42,19 +42,19 @@ class UndecidableConfigurationError(ValueError):
 
 
 class Complex:
-    """A bounded cochain complex supported on [lo, hi]."""
+    """A bounded cochain complex supported on [lo, hi], checked when built:
+    its entries lie over its ring, each differential runs between adjacent
+    entries, and consecutive differentials compose to zero."""
 
     def __init__(self, ring: RingSpec, lo: int,
-                 objects: Sequence[FpModule], differentials: Sequence[FpMorphism],
-                 check: bool = True):
+                 objects: Sequence[FpModule], differentials: Sequence[FpMorphism]):
         self.ring = ring
         self.lo = lo
         self.objects = list(objects)
         self.differentials = list(differentials)
         if len(self.differentials) != max(len(self.objects) - 1, 0):
             raise ValueError("need one differential per adjacent degree pair")
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         if any(obj.ring is not self.ring for obj in self.objects):
@@ -97,7 +97,7 @@ class Complex:
         """The complex X[k] with X[k]^n = X^{n+k} and differential (-1)^k d."""
         objs = list(self.objects)
         diffs = self.differentials if k % 2 == 0 else [modules.negate(d) for d in self.differentials]
-        return Complex(self.ring, self.lo - k, objs, list(diffs), check=False)
+        return Complex(self.ring, self.lo - k, objs, list(diffs))
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{n}:{self.object_at(n)!r}" for n in self.degrees())
@@ -105,11 +105,11 @@ class Complex:
 
 
 def stalk_complex(m: FpModule, degree: int = 0) -> Complex:
-    return Complex(m.ring, degree, [m], [], check=False)
+    return Complex(m.ring, degree, [m], [])
 
 
 def zero_complex(ring: RingSpec) -> Complex:
-    return Complex(ring, 0, [FpModule.zero(ring)], [], check=False)
+    return Complex(ring, 0, [FpModule.zero(ring)], [])
 
 
 def free_complex(ring: RingSpec, lo: int, mats: Sequence[IntMatrix],
@@ -207,7 +207,7 @@ def direct_sum_complexes(cs: Sequence[Complex]) -> Complex:
     diffs = [modules.block_morphism(
         objs[n - lo], objs[n + 1 - lo], parts[n], parts[n + 1],
         {(i, i): c.differential_at(n) for i, c in enumerate(cs)}) for n in range(lo, hi)]
-    return Complex(ring, lo, objs, diffs, check=False)
+    return Complex(ring, lo, objs, diffs)
 
 
 def _total(parts: Sequence[Complex], maps: dict[tuple[int, int], dict[int, FpMorphism]]

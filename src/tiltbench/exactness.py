@@ -80,13 +80,6 @@ class ExactStructure:
     def __repr__(self) -> str:
         return f"ExactStructure({self.config_string()})"
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ExactStructure)
-                and self.carrier is other.carrier and self.flavor is other.flavor)
-
-    def __hash__(self):
-        return hash((self.carrier, self.flavor))
-
 
 # -- deflation / inflation predicates -----------------------------------------
 

@@ -91,12 +91,6 @@ class FreydMorphism:
         return cls(f, f, FpMorphism.identity(f.generators),
                    FpMorphism.identity(f.relations))
 
-    @classmethod
-    def zero(cls, source: FreydObject, target: FreydObject) -> "FreydMorphism":
-        return cls(source, target,
-                   FpMorphism.zero(source.generators, target.generators),
-                   FpMorphism.zero(source.relations, target.relations))
-
     def __repr__(self) -> str:
         return f"FreydMorphism({self.source!r} -> {self.target!r})"
 
@@ -242,18 +236,14 @@ def evaluate(f: FreydObject, probe: FpModule,
     return value, h2
 
 
-def evaluate_map(eta: FreydMorphism, probe: FpModule,
-                 src_eval=None, tgt_eval=None) -> FpMorphism:
-    """The induced map F(probe) -> G(probe).
+def evaluate_map(eta: FreydMorphism, src_eval, tgt_eval) -> FpMorphism:
+    """The induced map F(probe) -> G(probe) between the values
+    ``evaluate(eta.source, probe)`` and ``evaluate(eta.target, probe)``.
 
     Both values are presented on the generators of their hom groups, so the
     map eta o - between those groups is already the induced map on the
     quotients; ``from_generator_matrix`` checks that it descends.
     """
-    if src_eval is None:
-        src_eval = evaluate(eta.source, probe)
-    if tgt_eval is None:
-        tgt_eval = evaluate(eta.target, probe)
     src, src_h2 = src_eval
     tgt, tgt_h2 = tgt_eval
     return FpMorphism.from_generator_matrix(src, tgt, src_h2.pushforward(eta.gen, tgt_h2))

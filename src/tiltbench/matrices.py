@@ -266,8 +266,8 @@ def determinant(m: IntMatrix) -> Element:
     if n == 0:
         return rings.one(ring)
     a = m.to_rows()
-    sign = 1
-    prev = None  # the previous pivot; the first step divides by nothing
+    sign, one = 1, rings.one(ring)
+    prev = None  # the previous pivot, to divide by; None at the first step and for a one
     dot = None if ring is RingSpec.INTEGERS else QPoly.dot
     for k in range(n - 1):
         if not a[k][k]:
@@ -283,7 +283,7 @@ def determinant(m: IntMatrix) -> Element:
                        else dot((a[i][j], neg), (a[k][k], a[k][j])))
                 a[i][j] = num if prev is None else rings.exact_div(ring, num, prev)
             a[i][k] = rings.zero(ring)
-        prev = a[k][k]
+        prev = None if a[k][k] == one else a[k][k]
     det = a[n - 1][n - 1]
     return -det if sign < 0 else det
 

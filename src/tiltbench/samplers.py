@@ -103,16 +103,14 @@ def random_free_complex(rnd: random.Random, bounds: SizeBounds,
     return free_complex(Z, lo, mats)
 
 
-def random_fp_complex(rnd: random.Random, bounds: SizeBounds,
-                      lo: int | None = None) -> Complex:
+def random_fp_complex(rnd: random.Random, bounds: SizeBounds) -> Complex:
     """A random bounded complex of finitely presented modules.
 
     Built left to right: each next differential is a random hom out of the
     previous cokernel, so d o d = 0 holds by construction.
     """
     width = rnd.randint(1, bounds.max_width)
-    if lo is None:
-        lo = rnd.randint(-2, 1)
+    lo = rnd.randint(-2, 1)
     objs = [random_module(rnd, bounds)]
     diffs: list[FpMorphism] = []
     for _ in range(width - 1):
@@ -208,12 +206,11 @@ def random_exact_free_complex(rnd: random.Random, bounds: SizeBounds) -> Complex
     return disguise_free_complex(rnd, plain)
 
 
-def random_disguised_free_stalk(rnd: random.Random, bounds: SizeBounds,
-                                rank: int | None = None, degree: int = 0) -> tuple[Complex, int]:
-    """A complex homotopy-equivalent to a free stalk, plus the hidden rank."""
-    if rank is None:
-        rank = rnd.randint(0, bounds.max_rank)
-    stalk = free_complex(Z, degree, [], first_rank=rank)
+def random_disguised_free_stalk(rnd: random.Random, bounds: SizeBounds) -> tuple[Complex, int]:
+    """A complex homotopy-equivalent to a free stalk in degree 0, plus the
+    hidden rank."""
+    rank = rnd.randint(0, bounds.max_rank)
+    stalk = free_complex(Z, 0, [], first_rank=rank)
     if rnd.random() < 0.7:
         pad = random_exact_free_complex(rnd, SizeBounds(2, 1, min(bounds.max_width, 3)))
         total = direct_sum_complexes([stalk, pad])

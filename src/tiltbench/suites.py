@@ -98,10 +98,10 @@ FREE_SPLIT = ExactStructure(Carrier.FREE_Z, Flavor.SPLIT)
 FREE_MAX = ExactStructure(Carrier.FREE_Z, Flavor.MAXIMAL)
 FP_MAX = ExactStructure(Carrier.FP_Z, Flavor.MAXIMAL)
 TOR_INH = ExactStructure(Carrier.TORSION_Z, Flavor.INHERITED)
-NATURAL = TStructureSpec.natural()
-LEFT = TStructureSpec.left(FREE_SPLIT)
-RIGHT = TStructureSpec.right(FREE_SPLIT)
-HRS = TStructureSpec.hrs_tilt()
+NATURAL = TStructureSpec(TVariant.NATURAL)
+LEFT = TStructureSpec(TVariant.LEFT, FREE_SPLIT)
+RIGHT = TStructureSpec(TVariant.RIGHT, FREE_SPLIT)
+HRS = TStructureSpec(TVariant.HRS_TILT)
 CORRUPTED = TStructureSpec(TVariant.NATURAL, corrupt=True)
 
 Check = Callable[[int, int, SizeBounds], CheckReport]
@@ -260,11 +260,9 @@ def _global_dimension(rnd, bounds):
     if res and not FpModule(res[0]).is_isomorphic(m):
         yield "resolution_cokernel", payload
     x = samplers.random_free_complex(rnd, bounds)
-    t, _ = truncate_le(RIGHT, -1, x)
-    if not in_aisle(LEFT, 0, t):
+    if not in_aisle(LEFT, 0, truncate_le(RIGHT, -1, x).source):
         yield "right_window_in_left_aisle", {"complex": serialize.complex_to_json(x)}
-    t2, _ = truncate_le(LEFT, 0, x)
-    if not in_aisle(RIGHT, 0, t2):
+    if not in_aisle(RIGHT, 0, truncate_le(LEFT, 0, x).source):
         yield "left_aisle_in_right_aisle", {"complex": serialize.complex_to_json(x)}
 
 
@@ -409,11 +407,11 @@ def _hrs_star_consistency(rnd, bounds):
     h0 = cohomology(h, 0)
     if not (hm1.is_free() and h0.is_torsion()):
         yield "tilted_pair_classes", payload
-    a, counit = truncate_le(NATURAL, -1, h)
-    b, unit = truncate_ge(NATURAL, 0, h)
+    counit, unit = truncate_le(NATURAL, -1, h), truncate_ge(NATURAL, 0, h)
     if not triangle_is_distinguished(counit, unit):
         yield "tilted_pair_sequence", payload
-    if not derived_hom(free_resolution(a), free_resolution(b), 0).is_zero_module():
+    a, b = free_resolution(counit.source), free_resolution(unit.target)
+    if not derived_hom(a, b, 0).is_zero_module():
         yield "tilted_pair_orthogonality", payload
 
 
@@ -452,7 +450,7 @@ def _aisle_axioms(spec: TStructureSpec, x: Complex, x2: Complex):
     distinguished approximating triangle with parts in the right classes."""
     counit, unit = approximating_triangle(spec, x)
     a = counit.source
-    b, _ = truncate_ge(spec, 1, x2)
+    b = truncate_ge(spec, 1, x2).target
     payload = {"sample": serialize.complex_to_json(x),
                "second": serialize.complex_to_json(x2)}
     if not in_aisle(spec, 0, a):
@@ -560,8 +558,8 @@ def _freyd_pointwise_exactness(rnd, bounds):
         ev_t = evaluate(t, probe, modules.hom_group(probe, t.generators))
         ev_q = evaluate(quotient, probe, ev_t[1])
         ev_s = evaluate(sub, probe)
-        incl_map = evaluate_map(incl, probe, ev_s, ev_t)
-        pi_map = evaluate_map(pi, probe, ev_t, ev_q)
+        incl_map = evaluate_map(incl, ev_s, ev_t)
+        pi_map = evaluate_map(pi, ev_t, ev_q)
         if not modules.is_mono(incl_map):
             yield "pointwise_mono", payload
             return

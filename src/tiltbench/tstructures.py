@@ -14,8 +14,13 @@ Four variants act on bounded complexes:
 Star aisles over a chosen class are decided by ``star_membership``, which
 peels a window of stalk factors off the natural truncation.
 
-Truncations return the truncated complex together with its canonical
-comparison map; memberships are decided by testing that comparison for
+A truncation is its comparison map, as tau_{<=n} is right adjoint to the
+inclusion of the aisle (Beilinson-Bernstein-Deligne, 1.3): ``truncate_le``
+returns the counit tau_{<=n} x -> x, whose source is the truncation, and
+``truncate_ge`` the unit x -> tau_{>=n} x, whose target is.  Every truncated
+complex is x's entries in a window of degrees with at most one new entry at
+either end, given by its differential (``_splice``), and its map is the
+identity on the window.  Memberships are decided by testing that map for
 invertibility in the ambient category, which holds iff its cone is exact
 (``is_quasi_iso``): over a PID a quasi-isomorphism of bounded free
 complexes is a homotopy equivalence, so one decision serves the homotopy
@@ -85,22 +90,8 @@ class TStructureSpec:
                 raise ValueError("left/right t-structures need the free carrier")
         elif ex is not None:
             raise ValueError(f"the {variant.value} t-structure reads no carrier")
-
-    @classmethod
-    def natural(cls) -> "TStructureSpec":
-        return cls(TVariant.NATURAL)
-
-    @classmethod
-    def left(cls, ex: ExactStructure) -> "TStructureSpec":
-        return cls(TVariant.LEFT, ex=ex)
-
-    @classmethod
-    def right(cls, ex: ExactStructure) -> "TStructureSpec":
-        return cls(TVariant.RIGHT, ex=ex)
-
-    @classmethod
-    def hrs_tilt(cls) -> "TStructureSpec":
-        return cls(TVariant.HRS_TILT)
+        if corrupt and variant is not TVariant.NATURAL:
+            raise ValueError("the corrupted control is a natural t-structure")
 
     @property
     def acts_on_free_complexes(self) -> bool:
@@ -127,174 +118,107 @@ def _check_ambient(spec: TStructureSpec, x: Complex):
         raise ValueError("this t-structure acts on complexes of free modules")
 
 
-def _identity_truncation(x: Complex) -> tuple[Complex, ChainMap]:
-    return x, ChainMap.identity(x)
+def _splice(x: Complex, lo: int, hi: int, below: Optional[FpMorphism] = None,
+            above: Optional[FpMorphism] = None) -> Complex:
+    """x's entries in degrees lo..hi, with one new entry in degree lo - 1
+    given by its differential below : B -> x^lo, or in degree hi + 1 given by
+    above : x^hi -> A.  Over an empty window the new entry stands alone."""
+    joined = hi >= lo  # a new entry's differential joins it to the window
+    objs = [x.object_at(j) for j in range(lo, hi + 1)]
+    diffs = [x.differential_at(j) for j in range(lo, hi)]
+    if below is not None:
+        objs, diffs, lo = [below.source, *objs], [below] * joined + diffs, lo - 1
+    if above is not None:
+        objs, diffs = [*objs, above.target], diffs + [above] * joined
+    return Complex(x.ring, lo, objs, diffs)
 
 
-def _zero_truncation_le(x: Complex) -> tuple[Complex, ChainMap]:
-    z = zero_complex(x.ring)
-    return z, ChainMap.zero(z, x)
+def _identity_on(x: Complex, lo: int, hi: int) -> dict[int, FpMorphism]:
+    return {j: FpMorphism.identity(x.object_at(j)) for j in range(lo, hi + 1)}
 
 
-def _zero_truncation_ge(x: Complex) -> tuple[Complex, ChainMap]:
-    z = zero_complex(x.ring)
-    return z, ChainMap.zero(x, z)
-
-
-def _cap_below_with(x: Complex, n: int, cap: FpModule, incl: FpMorphism
-                    ) -> tuple[Complex, ChainMap]:
-    """[X^{<n} -> cap] with the inclusion-induced map into X."""
-    objs = [x.object_at(j) for j in range(x.lo, n)] + [cap]
-    diffs = [x.differential_at(j) for j in range(x.lo, n - 1)]
-    if n > x.lo:
-        core = modules.factor(x.differential_at(n - 1), incl)
-        if core is None:
-            raise AssertionError("previous differential does not land in the cap")
-        diffs.append(core)
-    t = Complex(x.ring, x.lo if n > x.lo else n, objs, diffs, check=False)
-    comps = {j: FpMorphism.identity(x.object_at(j)) for j in range(x.lo, n)}
-    comps[n] = incl
-    return t, ChainMap(t, x, comps)
-
-
-def _quotient_above(x: Complex, n: int, proj: FpMorphism) -> tuple[Complex, ChainMap]:
-    """[Q -> X^{>n}] with the map from X induced by proj : X^n -> Q."""
-    objs = [proj.target] + [x.object_at(j) for j in range(n + 1, x.hi + 1)]
-    diffs = []
-    if n < x.hi:
-        desc = modules.cofactor(x.differential_at(n), proj)
-        if desc is None:
-            raise AssertionError("differential does not descend to the quotient")
-        diffs.append(desc)
-        diffs.extend(x.differential_at(j) for j in range(n + 1, x.hi))
-    t = Complex(x.ring, n, objs, diffs, check=False)
-    comps = {n: proj}
-    comps.update({j: FpMorphism.identity(x.object_at(j))
-                  for j in range(n + 1, x.hi + 1)})
-    return t, ChainMap(x, t, comps)
+def _induced(h: Optional[FpMorphism]) -> FpMorphism:
+    """A map a truncation induces on a new entry; it exists since d o d = 0."""
+    if h is None:
+        raise AssertionError("a differential does not factor through the new entry")
+    return h
 
 
 # -- the truncation table ------------------------------------------------------
 
-def truncate_le(spec: TStructureSpec, n: int, x: Complex) -> tuple[Complex, ChainMap]:
-    """The aisle truncation with its counit into x."""
+def truncate_le(spec: TStructureSpec, n: int, x: Complex) -> ChainMap:
+    """The counit tau_{<=n} x -> x of the aisle truncation, its source."""
     _check_ambient(spec, x)
-    if spec.corrupt:
-        # deliberately broken variant for negative controls: off-by-one cap
-        return _truncate_le_honest(spec, n + 1, x)
-    return _truncate_le_honest(spec, n, x)
-
-
-def _truncate_le_honest(spec, n, x):
+    if spec.corrupt:  # the negative control: an off-by-one cap
+        n += 1
     v = spec.variant
+    # the tilt still cuts x at its top degree; the right cap reaches one below x
+    if n >= x.hi + (v is TVariant.HRS_TILT):
+        return ChainMap.identity(x)
+    if n < x.lo - (v is TVariant.RIGHT):
+        return ChainMap.zero(zero_complex(x.ring), x)
+    if v is TVariant.RIGHT:  # x up to degree n + 1, capped by the carrier cokernel of d^n
+        proj = e_cokernel(x.differential_at(n), spec.ex)[1]
+        down = _induced(modules.cofactor(x.differential_at(n + 1), proj))
+        return ChainMap(_splice(x, x.lo, n + 1, above=proj), x,
+                        {**_identity_on(x, x.lo, n + 1), n + 2: down})
+    # x below degree n, capped by a submodule of ker d^n
     if v is TVariant.LEFT:
-        if n >= x.hi:
-            return _identity_truncation(x)
-        if n < x.lo:
-            return _zero_truncation_le(x)
-        k, incl = e_kernel(x.differential_at(n), spec.ex)
-        return _cap_below_with(x, n, k, incl)
-    if v is TVariant.RIGHT:
-        if n >= x.hi:
-            return _identity_truncation(x)
-        if n < x.lo - 1:
-            return _zero_truncation_le(x)
-        c, proj = e_cokernel(x.differential_at(n), spec.ex)
-        objs = [x.object_at(j) for j in range(x.lo, n + 2)] + [c]
-        diffs = [x.differential_at(j) for j in range(x.lo, n + 1)] + [proj]
-        t = Complex(x.ring, x.lo, objs, diffs, check=False)
-        comps = {j: FpMorphism.identity(x.object_at(j)) for j in range(x.lo, n + 2)}
-        down = modules.cofactor(x.differential_at(n + 1), proj)
-        if down is None:
-            raise AssertionError("cokernel cap does not map back")
-        comps[n + 2] = down
-        return t, ChainMap(t, x, comps)
-    if v is TVariant.NATURAL:
-        if n >= x.hi:
-            return _identity_truncation(x)
-        if n < x.lo:
-            return _zero_truncation_le(x)
-        k, incl = modules.kernel(x.differential_at(n))
-        return _cap_below_with(x, n, k, incl)
-    if v is TVariant.HRS_TILT:
-        if n > x.hi:
-            return _identity_truncation(x)
-        if n < x.lo:
-            return _zero_truncation_le(x)
-        k, incl = modules.kernel(x.differential_at(n))
+        incl = e_kernel(x.differential_at(n), spec.ex)[1]
+    else:
+        incl = modules.kernel(x.differential_at(n))[1]
+    if v is TVariant.HRS_TILT:  # the cycles whose class in H^n is torsion
         lifted = modules.factor(x.differential_at(n - 1), incl)
         h_proj = modules.cokernel_projection(lifted)
         to_free = modules.compose(modules.free_quotient(h_proj.target)[1], h_proj)
-        k_tors, k_incl = modules.kernel(to_free)
-        cap_incl = modules.compose(incl, k_incl)
-        return _cap_below_with(x, n, k_tors, cap_incl)
-    raise ValueError(f"unsupported variant {v}")
+        incl = modules.compose(incl, modules.kernel(to_free)[1])
+    core = _induced(modules.factor(x.differential_at(n - 1), incl))
+    return ChainMap(_splice(x, x.lo, n - 1, above=core), x,
+                    {**_identity_on(x, x.lo, n - 1), n: incl})
 
 
-def truncate_ge(spec: TStructureSpec, n: int, x: Complex) -> tuple[Complex, ChainMap]:
-    """The co-aisle truncation with its unit from x.
+def truncate_ge(spec: TStructureSpec, n: int, x: Complex) -> ChainMap:
+    """The unit x -> tau_{>=n} x of the co-aisle truncation, its target.
 
     The corrupted negative-control variant leaves this side honest, so the
     mismatch with the broken aisle truncation is observable.
     """
     _check_ambient(spec, x)
-    return _truncate_ge_honest(spec, n, x)
-
-
-def _truncate_ge_honest(spec, n, x):
     v = spec.variant
-    if v is TVariant.LEFT:
-        if n <= x.lo:
-            return _identity_truncation(x)
-        if n > x.hi + 1:
-            return _zero_truncation_ge(x)
-        k, incl = e_kernel(x.differential_at(n - 1), spec.ex)
-        objs = [k] + [x.object_at(j) for j in range(n - 1, x.hi + 1)]
-        diffs = [incl] + [x.differential_at(j) for j in range(n - 1, x.hi)]
-        t = Complex(x.ring, n - 2, objs, diffs, check=False)
-        comps = {j: FpMorphism.identity(x.object_at(j))
-                 for j in range(n - 1, x.hi + 1)}
+    if n <= x.lo:
+        return ChainMap.identity(x)
+    # the left kernel and the tilted quotient still reach one above x
+    if n > x.hi + (v in (TVariant.LEFT, TVariant.HRS_TILT)):
+        return ChainMap.zero(x, zero_complex(x.ring))
+    if v is TVariant.LEFT:  # x from degree n - 1 on, below it the carrier kernel of d^{n-1}
+        incl = e_kernel(x.differential_at(n - 1), spec.ex)[1]
+        comps = _identity_on(x, n - 1, x.hi)
         if n - 2 >= x.lo:
-            core = modules.factor(x.differential_at(n - 2), incl)
-            if core is None:
-                raise AssertionError("differential does not corestrict to the kernel cap")
-            comps[n - 2] = core
-        return t, ChainMap(x, t, comps)
+            comps[n - 2] = _induced(modules.factor(x.differential_at(n - 2), incl))
+        return ChainMap(x, _splice(x, n - 1, x.hi, below=incl), comps)
+    # x above degree m, below it a quotient proj : x^m -> Q
     if v is TVariant.RIGHT:
-        if n <= x.lo:
-            return _identity_truncation(x)
-        if n > x.hi:
-            return _zero_truncation_ge(x)
-        return _quotient_above(x, n, e_cokernel(x.differential_at(n - 1), spec.ex)[1])
-    if v is TVariant.NATURAL:
-        if n <= x.lo:
-            return _identity_truncation(x)
-        if n > x.hi:
-            return _zero_truncation_ge(x)
-        k, incl = modules.kernel(x.differential_at(n - 1))
-        return _quotient_above(x, n - 1, modules.cokernel_projection(incl))
-    if v is TVariant.HRS_TILT:
-        if n <= x.lo:
-            return _identity_truncation(x)
-        if n > x.hi + 1:
-            return _zero_truncation_ge(x)
-        sub, counit = _truncate_le_honest(spec, n - 1, x)
-        if sub.is_zero_complex():
-            return _identity_truncation(x)
-        return _quotient_above(x, n - 1, modules.cokernel_projection(counit.component_at(n - 1)))
-    raise ValueError(f"unsupported variant {v}")
+        m, proj = n, e_cokernel(x.differential_at(n - 1), spec.ex)[1]
+    elif v is TVariant.NATURAL:
+        m, proj = n - 1, modules.cokernel_projection(modules.kernel(x.differential_at(n - 1))[1])
+    else:
+        counit = truncate_le(spec, n - 1, x)
+        if counit.source.is_zero_complex():
+            return ChainMap.identity(x)
+        m, proj = n - 1, modules.cokernel_projection(counit.component_at(n - 1))
+    desc = _induced(modules.cofactor(x.differential_at(m), proj))
+    return ChainMap(x, _splice(x, m + 1, x.hi, below=desc),
+                    {m: proj, **_identity_on(x, m + 1, x.hi)})
 
 
 # -- membership, hearts, triangles ------------------------------------------------
 
 def in_aisle(spec: TStructureSpec, n: int, x: Complex) -> bool:
-    t, counit = truncate_le(spec, n, x)
-    return is_quasi_iso(counit)
+    return is_quasi_iso(truncate_le(spec, n, x))
 
 
 def in_coaisle(spec: TStructureSpec, n: int, x: Complex) -> bool:
-    t, unit = truncate_ge(spec, n, x)
-    return is_quasi_iso(unit)
+    return is_quasi_iso(truncate_ge(spec, n, x))
 
 
 def heart_membership(spec: TStructureSpec, x: Complex) -> bool:
@@ -303,7 +227,7 @@ def heart_membership(spec: TStructureSpec, x: Complex) -> bool:
 
 def approximating_triangle(spec: TStructureSpec, x: Complex) -> tuple[ChainMap, ChainMap]:
     """The triangle tau_{<=0} x -> x -> tau_{>=1} x as its (counit, unit)."""
-    return truncate_le(spec, 0, x)[1], truncate_ge(spec, 1, x)[1]
+    return truncate_le(spec, 0, x), truncate_ge(spec, 1, x)
 
 
 def triangle_is_distinguished(counit: ChainMap, unit: ChainMap) -> bool:
@@ -330,9 +254,7 @@ def triangle_is_distinguished(counit: ChainMap, unit: ChainMap) -> bool:
 
 def t_cohomology(spec: TStructureSpec, n: int, x: Complex) -> Complex:
     """A heart representative of the n-th t-cohomology."""
-    t1, _ = truncate_le(spec, n, x)
-    t2, _ = truncate_ge(spec, n, t1)
-    return t2
+    return truncate_ge(spec, n, truncate_le(spec, n, x).source).target
 
 
 # -- star aisles ---------------------------------------------------------------
@@ -351,16 +273,8 @@ class StarDecomposition:
 
 def _brutal_sub_triangle(w: Complex, d: int) -> tuple[ChainMap, ChainMap]:
     """The degreewise-split triangle w^{>=d} -> w -> w^{<=d-1}."""
-    hi_part = Complex(w.ring, d,
-                      [w.object_at(j) for j in range(d, w.hi + 1)],
-                      [w.differential_at(j) for j in range(d, w.hi)], check=False)
-    lo_part = Complex(w.ring, w.lo,
-                      [w.object_at(j) for j in range(w.lo, d)],
-                      [w.differential_at(j) for j in range(w.lo, d - 1)], check=False)
-    return (ChainMap(hi_part, w, {j: FpMorphism.identity(w.object_at(j))
-                                  for j in range(d, w.hi + 1)}),
-            ChainMap(w, lo_part, {j: FpMorphism.identity(w.object_at(j))
-                                  for j in range(w.lo, d)}))
+    return (ChainMap(_splice(w, d, w.hi), w, _identity_on(w, d, w.hi)),
+            ChainMap(w, _splice(w, w.lo, d - 1), _identity_on(w, w.lo, d - 1)))
 
 
 def star_membership(x: Complex, class_tag: ClassTag, n: int
@@ -385,13 +299,13 @@ def star_membership(x: Complex, class_tag: ClassTag, n: int
     for j in range(1, x.hi + 1):
         if not cohomology(x, j).is_zero_module():
             return None
-    spec = TStructureSpec.natural()
+    spec = TStructureSpec(TVariant.NATURAL)
     if class_tag is ClassTag.TORSION:
         h0 = cohomology(x, 0)
         if not h0.is_torsion():
             return None
-    t, _ = truncate_le(spec, 0, x)
-    triangles = [(truncate_le(spec, -n, t)[1], truncate_ge(spec, -n + 1, t)[1])]
+    t = truncate_le(spec, 0, x).source
+    triangles = [(truncate_le(spec, -n, t), truncate_ge(spec, -n + 1, t))]
     if class_tag is ClassTag.TORSION:
         return StarDecomposition(triangles, [StarFactor(0, modules.reduce_presentation(h0))])
     # trivial class: that is the whole criterion
@@ -423,7 +337,8 @@ def _cokernel_form_window(b: Complex, m: int) -> Complex:
         return b
     if b.lo < m - 1:
         raise ValueError("window fold expects at most one entry below the cut")
-    return _quotient_above(b, m, modules.cokernel_projection(b.differential_at(m - 1)))[0]
+    proj = modules.cokernel_projection(b.differential_at(m - 1))
+    return _splice(b, m + 1, b.hi, below=_induced(modules.cofactor(b.differential_at(m), proj)))
 
 
 # -- heart equivalence with the module category ------------------------------------
@@ -434,7 +349,7 @@ def left_heart_to_module(spec: TStructureSpec, x: Complex) -> FpModule:
         raise ValueError("heart equivalence is implemented for the left heart")
     if not heart_membership(spec, x):
         raise ValueError("complex is not a left-heart object")
-    r, _ = truncate_le(spec, 0, x)
+    r = truncate_le(spec, 0, x).source
     # the aisle representative tops out in degree <= 0; the heart object is
     # the cokernel of its (-1 -> 0) differential (a zero map at the edges)
     return FpModule(r.differential_at(-1).gen)
@@ -483,7 +398,7 @@ def intersection_normal_form(spec1: TStructureSpec, spec2: TStructureSpec,
     left = spec1 if spec1.variant is TVariant.LEFT else spec2
     if not (heart_membership(spec1, x) and heart_membership(spec2, x)):
         return None
-    r, _ = truncate_le(left, 0, x)
+    r = truncate_le(left, 0, x).source
     if r.lo == r.hi and r.hi == 0:
         c_mod = r.object_at(0)
         return modules.reduce_presentation(c_mod)

@@ -25,6 +25,8 @@ and decides by a contracting homotopy over the free carrier and by
 
 ``is_zero_morphism`` compares a morphism with the zero morphism built in
 full; ``modules.is_zero_morphism`` solves on its generator matrix alone.
+``zero_freyd_morphism`` is the zero natural transformation between two
+Freyd objects, which only the tests build.
 
 ``checked_chain_map`` builds a ``ChainMap`` after checking that its
 components run between the entries of its source and target and commute
@@ -70,6 +72,7 @@ from tiltbench.complexes import (
     is_exact,
     is_nullhomotopic,
 )
+from tiltbench.freyd import FreydMorphism, FreydObject
 from tiltbench.matrices import (IntMatrix, block_matrix, kernel_matrix, kron, solve_lift,
                                 unvec, vec)
 from tiltbench.modules import (
@@ -235,7 +238,7 @@ def total_hom_complex(x: Complex, y: Complex) -> Complex:
     objs = [FpModule.free(ring, r) for r in ranks]
     diffs = [FpMorphism(objs[i], objs[i + 1], m, IntMatrix.zeros(ring, 0, 0))
              for i, m in enumerate(mats)]
-    return Complex(ring, lo, objs, diffs, check=False)
+    return Complex(ring, lo, objs, diffs)
 
 
 def cohomology_map(f: ChainMap, n: int) -> FpMorphism:
@@ -280,7 +283,7 @@ def cone(f: ChainMap) -> Complex:
         if x.lo <= n + 1 < x.hi:
             blocks[1, 1] = negate(x.differential_at(n + 1))
         diffs.append(block_morphism(objs[k], objs[k + 1], parts[k], parts[k + 1], blocks))
-    return Complex(x.ring, degrees[0], objs, diffs, check=False)
+    return Complex(x.ring, degrees[0], objs, diffs)
 
 
 def distinguished_by_comparison_cone(counit: ChainMap, unit: ChainMap, free: bool) -> bool:
@@ -336,6 +339,12 @@ def sub_morphisms(f: FpMorphism, g: FpMorphism) -> FpMorphism:
 def is_zero_morphism(f: FpMorphism) -> bool:
     """f == 0, decided against the zero morphism built in full."""
     return morphism_equal(f, FpMorphism.zero(f.source, f.target))
+
+
+def zero_freyd_morphism(source: FreydObject, target: FreydObject) -> FreydMorphism:
+    return FreydMorphism(source, target,
+                         FpMorphism.zero(source.generators, target.generators),
+                         FpMorphism.zero(source.relations, target.relations))
 
 
 def sub_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:

@@ -3,7 +3,7 @@ from functools import reduce
 
 import pytest
 
-from oracles import scale
+from oracles import scale, zero_freyd_morphism
 from tiltbench import freyd, modules
 from tiltbench.exactness import Carrier, ExactStructure, Flavor
 from tiltbench.freyd import (
@@ -190,7 +190,7 @@ def test_right_filter_factor_trivial_cases():
     z = FpModule.free(Z, 1)
     z2 = FpModule.cyclic(Z, 2)
     eff = FreydObject(FP_MAX, FpMorphism.from_generator_matrix(z, z2, zmat([[1]])))
-    zero_map = FreydMorphism.zero(eff, eff)
+    zero_map = zero_freyd_morphism(eff, eff)
     p, g, mid = right_filter_factor(zero_map)
     assert freyd_equal(freyd_compose(g, p), zero_map)
     ident = FreydMorphism.identity(eff)
@@ -213,11 +213,15 @@ def test_freyd_kernel_and_cokernel_pointwise():
         val_k = evaluate(k, probe)[0]
         val_f = evaluate(four, probe)[0]
         val_g = evaluate(two, probe)[0]
-        incl_map = evaluate_map(incl, probe)
-        eta_map = evaluate_map(eta, probe)
+        incl_map = value_map(incl, probe)
+        eta_map = value_map(eta, probe)
         assert is_mono(incl_map)
         assert is_epi(eta_map)
         assert is_zero_morphism(compose(eta_map, incl_map))
+
+
+def value_map(eta: FreydMorphism, probe: FpModule) -> FpMorphism:
+    return evaluate_map(eta, evaluate(eta.source, probe), evaluate(eta.target, probe))
 
 
 def kernel_from_both_legs(eta: FreydMorphism):
@@ -419,7 +423,7 @@ def test_induced_maps_match_the_cofactor_construction(max_rank):
         for eta in maps:
             assert morphism_equal(project_morphism(eta), cofactor_project_morphism(eta))
             for probe in PROBES:
-                assert morphism_equal(evaluate_map(eta, probe),
+                assert morphism_equal(value_map(eta, probe),
                                       cofactor_evaluate_map(eta, probe))
 
 
@@ -438,7 +442,7 @@ def test_induced_maps_solve_no_cofactor_system(monkeypatch):
     for eta in (pi, incl):
         project_morphism(eta)
         for probe in PROBES:
-            evaluate_map(eta, probe)
+            value_map(eta, probe)
     assert calls == []
 
 

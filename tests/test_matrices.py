@@ -527,6 +527,21 @@ def test_determinant_matches_cofactor_small():
         assert determinant(m) == cof(m)
 
 
+@pytest.mark.parametrize("ring", [Z, QX])
+def test_determinant_makes_no_division_by_a_pivot_of_one(monkeypatch, ring):
+    # every leading principal minor of m is 1, so each Bareiss pivot is one
+    # and no step divides; det m = -7 + e, e its last entry
+    e = 9 if ring is Z else QPoly.x()
+    const = (lambda v: v) if ring is Z else QPoly.const
+    m = IntMatrix.from_rows(ring, [[const(v) for v in row] for row in
+                                   [[1, 2, 3, 1], [2, 5, 7, 0], [1, 3, 5, 2]]]
+                            + [[const(0), const(1), const(4), e]])
+    calls, real_div = [], rings.exact_div
+    monkeypatch.setattr(rings, "exact_div", lambda *args: calls.append(args) or real_div(*args))
+    assert determinant(m) == e + const(-7)
+    assert calls == []
+
+
 def test_qpoly_arithmetic():
     x = QPoly.x()
     p = (x + QPoly.const(1)) * (x - QPoly.const(1))

@@ -46,10 +46,10 @@ from tiltbench.tstructures import (
 
 Z = RingSpec.INTEGERS
 FREE_SPLIT = ExactStructure(Carrier.FREE_Z, Flavor.SPLIT)
-LEFT = TStructureSpec.left(FREE_SPLIT)
-RIGHT = TStructureSpec.right(FREE_SPLIT)
-NAT = TStructureSpec.natural()
-HRS = TStructureSpec.hrs_tilt()
+LEFT = TStructureSpec(TVariant.LEFT, FREE_SPLIT)
+RIGHT = TStructureSpec(TVariant.RIGHT, FREE_SPLIT)
+NAT = TStructureSpec(TVariant.NATURAL)
+HRS = TStructureSpec(TVariant.HRS_TILT)
 
 
 def zmat(rows, cols=None):
@@ -70,7 +70,7 @@ def test_config_strings_are_distinct():
 def test_left_truncation_monic_differential():
     # [Z --x2--> Z] in degrees (0, 1): kernel of d^0 is 0, so tau_le(0) = 0
     x = fc(0, [[[2]]])
-    t, counit = truncate_le(LEFT, 0, x)
+    t = truncate_le(LEFT, 0, x).source
     assert t.is_zero_complex() or all(
         t.object_at(n).is_zero_module() for n in t.degrees())
 
@@ -85,19 +85,16 @@ def test_left_truncation_rejects_a_polynomial_complex():
 
 def test_natural_truncation_no_positive_cohomology():
     x = fc(-1, [[[2]]])
-    t, counit = truncate_le(NAT, 0, x)
-    assert is_quasi_iso(counit)
+    assert is_quasi_iso(truncate_le(NAT, 0, x))
 
 
 def test_hrs_truncation_of_mixed_stalk():
     # (Z (+) Z/4)[0]: the tilted truncation keeps the torsion part
     m = FpModule.from_invariants(Z, [4], 1)
     x = stalk_complex(m, 0)
-    t, counit = truncate_le(HRS, 0, x)
-    h0 = cohomology(t, 0)
+    h0 = cohomology(truncate_le(HRS, 0, x).source, 0)
     assert h0.invariant_data() == (0, (4,))
-    b, unit = truncate_ge(HRS, 1, x)
-    assert cohomology(b, 0).invariant_data() == (1, ())
+    assert cohomology(truncate_ge(HRS, 1, x).target, 0).invariant_data() == (1, ())
 
 
 def test_left_heart_membership_of_z2_resolution():
@@ -341,10 +338,8 @@ def test_gap_inclusion_right_le_minus_one_in_left_le_zero():
     rnd = rng_for(17, "gap")
     for i in range(15):
         x = random_free_complex(rnd, SizeBounds(2, 5, 3))
-        t, _ = truncate_le(RIGHT, -1, x)
-        assert in_aisle(LEFT, 0, t)
-        t2, _ = truncate_le(LEFT, 0, x)
-        assert in_aisle(RIGHT, 0, t2)
+        assert in_aisle(LEFT, 0, truncate_le(RIGHT, -1, x).source)
+        assert in_aisle(RIGHT, 0, truncate_le(LEFT, 0, x).source)
 
 
 @pytest.fixture
@@ -374,6 +369,35 @@ def test_entry_growth_replays_stay_small(snf_entry_bits, replay, checks):
     assert 0 < snf_entry_bits[0] <= 256
 
 
+def test_a_truncation_is_its_comparison_map():
+    # every variant, the corrupted one too, returns one chain map: the
+    # counit ends and the unit starts at x, and both commute with the
+    # differentials of the spliced complex; so do the maps of the
+    # degreewise-split triangles that peel a star decomposition
+    bounds = SizeBounds(max_rank=2, max_entry=4, max_width=3)
+    corrupted = TStructureSpec(TVariant.NATURAL, corrupt=True)
+    maps = []
+    for spec in (NAT, LEFT, RIGHT, HRS, corrupted):
+        sample = random_free_complex if spec.acts_on_free_complexes else random_fp_complex
+        for i in range(4):
+            x = sample(rng_for(31, "truncation-maps", spec.config_string(), i), bounds)
+            for n in range(-2, 3):
+                counit, unit = truncate_le(spec, n, x), truncate_ge(spec, n, x)
+                assert counit.target is x and unit.source is x
+                maps += [counit, unit]
+    for i in range(6):
+        x = random_fp_complex(rng_for(31, "truncation-stars", i), bounds)
+        dec = star_membership(x.shift(x.hi), ClassTag.ALL_FP, 2)
+        maps += [f for tri in dec.triangles for f in tri]
+    for f in maps:
+        oracles.checked_chain_map(f.source, f.target, f.components)
+
+
+def test_the_corrupted_control_is_natural():
+    with pytest.raises(ValueError):
+        TStructureSpec(TVariant.HRS_TILT, corrupt=True)
+
+
 def test_truncations_are_pinned():
     # golden hash of every truncated complex and comparison map of the four
     # t-structures and the corrupted control at n in -2..2, and of the
@@ -396,15 +420,15 @@ def test_truncations_are_pinned():
         for i in range(4):
             x = sample(rng_for(11, "pinned-truncations", spec.config_string(), i), bounds)
             for n in range(-2, 3):
-                for truncate in (truncate_le, truncate_ge):
-                    t, f = truncate(spec, n, x)
+                counit, unit = truncate_le(spec, n, x), truncate_ge(spec, n, x)
+                for t, f in ((counit.source, counit), (unit.target, unit)):
                     update_complex(t)
                     update_map(f)
     for tag, n in ((ClassTag.TORSION, 1), (ClassTag.ALL_FP, 2)):
         for i in range(6):
             x = random_fp_complex(rng_for(11, "pinned-star", tag.value, i), bounds)
             x = x.shift(x.hi)  # nothing above degree 0
-            for candidate in (x, truncate_le(HRS, 0, x)[0]):
+            for candidate in (x, truncate_le(HRS, 0, x).source):
                 dec = star_membership(candidate, tag, n)
                 if dec is None:
                     h.update(b"none")
