@@ -567,12 +567,13 @@ def nonzero_diagonal(m: IntMatrix) -> list:
 class PreparedSolver:
     """A factorised linear system A*X = B, reusable across right sides.
 
-    Solving only needs a diagonalisation, not the divisibility chain.
+    Solving only needs a diagonalisation, not the divisibility chain; a
+    matrix without rows or columns needs none (see ``_diagonalise``).
     """
 
     def __init__(self, a: IntMatrix):
         self.a = a
-        self._snf = _SNFWorker(a).run(enforce_chain=False)
+        self._snf = _diagonalise(a)
 
     def solve(self, b: IntMatrix) -> Optional[IntMatrix]:
         a = self.a
@@ -580,6 +581,8 @@ class PreparedSolver:
             raise RingMismatchError(f"{a.ring} vs {b.ring}")
         if a.rows != b.rows:
             raise DimensionMismatchError("solve_lift row mismatch")
+        if self._snf is None:  # every X solves a 0-row system, only B = 0 a 0-column one
+            return IntMatrix.zeros(a.ring, a.cols, b.cols) if b.is_zero() else None
         zero = rings.zero(a.ring)
         d, euc_divmod = self._snf.a, self._snf.euc_divmod
         y = [[zero] * b.cols for _ in range(a.cols)]
@@ -599,7 +602,7 @@ class PreparedSolver:
 
     def kernel(self) -> IntMatrix:
         """``kernel_matrix(a)``, read from this diagonalisation."""
-        return _kernel_columns(self._snf)
+        return _kernel_columns(self.a, self._snf)
 
 
 def solve_lift(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
@@ -618,16 +621,22 @@ def kernel_matrix(a: IntMatrix) -> IntMatrix:
 
     Over the catalogued domains the kernel is free; the returned matrix has
     full column rank (or zero columns when the kernel is trivial).  They are
-    the columns of V at the zero diagonal positions and past the rank; a
-    matrix without rows or columns needs no elimination.
+    the columns of V at the zero diagonal positions and past the rank.
     """
-    if not a.rows or not a.cols:
+    return _kernel_columns(a, _diagonalise(a))
+
+
+def _diagonalise(a: IntMatrix) -> Optional[_SNFWorker]:
+    """A worker that has diagonalised a, without the divisibility chain; None
+    for a matrix without rows or columns, which needs no elimination."""
+    return _SNFWorker(a).run(enforce_chain=False) if a.rows and a.cols else None
+
+
+def _kernel_columns(a: IntMatrix, w: Optional[_SNFWorker]) -> IntMatrix:
+    """The columns of V at the zero pivots of a's diagonalisation w and past
+    its rank; every unit vector where a has no rows or columns."""
+    if w is None:
         return IntMatrix.identity(a.ring, a.cols)
-    return _kernel_columns(_SNFWorker(a).run(enforce_chain=False))
-
-
-def _kernel_columns(w: _SNFWorker) -> IntMatrix:
-    """The columns of V at a diagonalised worker's zero pivots and past its rank."""
     r = min(w.nr, w.nc)
     free = [j for j in range(w.nc) if j >= r or not w.a[j][j]]
     zero, one = rings.zero(w.ring), rings.one(w.ring)

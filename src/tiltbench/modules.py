@@ -38,13 +38,19 @@ class UnsupportedRingError(ValueError):
 
 
 class FpModule:
-    """A finitely presented module, the cokernel of its presentation."""
+    """A finitely presented module, the cokernel of its presentation.
+
+    Its relation system P * X = B is diagonalised once, when first solved
+    on (``relation_solver``): every witness into the module and every
+    "vanishes in the module" decision on it reads that one diagonalisation.
+    """
 
     def __init__(self, presentation: IntMatrix):
         self.ring = presentation.ring
         self.presentation = presentation
         self._snf = None
         self._reduction = None
+        self._relation_solver = None
 
     # -- constructors ----------------------------------------------------
 
@@ -82,6 +88,11 @@ class FpModule:
         if self._snf is None:
             self._snf = smith_normal_form(self.presentation)
         return self._snf
+
+    def relation_solver(self) -> PreparedSolver:
+        if self._relation_solver is None:
+            self._relation_solver = PreparedSolver(self.presentation)
+        return self._relation_solver
 
     def smith_diagonal(self) -> tuple[list, list[int], list[int]]:
         """The SNF diagonal padded with zeros to one entry per generator,
@@ -160,6 +171,9 @@ class FpMorphism:
 
     ``gen`` maps generators to generators; ``witness`` certifies
     gen * P_src = P_tgt * witness, so the map descends to the cokernels.
+    Its kernel system [gen | -P_tgt] is diagonalised once, when first read
+    (``kernel_solver``): the kernel, image membership and the epi test all
+    read that one diagonalisation.
     """
 
     def __init__(self, source: FpModule, target: FpModule,
@@ -178,11 +192,17 @@ class FpMorphism:
         self.target = target
         self.gen = gen
         self.witness = witness
+        self._kernel_solver = None
+
+    def kernel_solver(self) -> PreparedSolver:
+        if self._kernel_solver is None:
+            self._kernel_solver = PreparedSolver(self.gen.hstack(-self.target.presentation))
+        return self._kernel_solver
 
     @classmethod
     def from_generator_matrix(cls, source: FpModule, target: FpModule,
                               gen: IntMatrix) -> "FpMorphism":
-        w = solve_lift(target.presentation, gen * source.presentation)
+        w = target.relation_solver().solve(gen * source.presentation)
         if w is None:
             raise ValueError("generator matrix does not define a morphism")
         return cls(source, target, gen, w)
@@ -231,10 +251,10 @@ def composite_is_zero(g: FpMorphism, f: FpMorphism) -> bool:
 
 def factors_through_relations(m: FpModule, gen: IntMatrix) -> bool:
     """Whether the columns of ``gen``, in m's generators, vanish in m: one
-    solve against P_m, or none where m has no relations."""
+    solve on m's relation solver, or none where m has no relations."""
     if not m.relations:  # nothing to factor through
         return gen.is_zero()
-    return solve_lift(m.presentation, gen) is not None
+    return m.relation_solver().solve(gen) is not None
 
 
 def morphism_equal(f: FpMorphism, g: FpMorphism) -> bool:
@@ -343,9 +363,9 @@ def span_quotient(gens: IntMatrix, rels: IntMatrix) -> tuple[FpModule, IntMatrix
 
 
 def kernel_generators(f: FpMorphism) -> IntMatrix:
-    """Columns, in the source's generators, that generate ker f."""
-    pair = kernel_matrix(f.gen.hstack(-f.target.presentation))
-    return pair.take_rows(range(f.source.generators))
+    """Columns, in the source's generators, that generate ker f: the top
+    rows of the kernel of f's kernel system [gen | -P_tgt]."""
+    return f.kernel_solver().kernel().take_rows(range(f.source.generators))
 
 
 def kernel(f: FpMorphism) -> tuple[FpModule, FpMorphism]:
@@ -386,8 +406,9 @@ def corestrict_to_image(f: FpMorphism) -> tuple[FpModule, FpMorphism, FpMorphism
 
 def in_image(f: FpMorphism, elements: IntMatrix) -> bool:
     """Whether the columns of ``elements``, in the target's generators, lie
-    in im f: one solve of [f.gen | P_tgt] against them."""
-    return solve_lift(f.gen.hstack(f.target.presentation), elements) is not None
+    in im f: one solve on f's kernel system, since [gen | -P_tgt] and
+    [gen | P_tgt] are solvable for the same right sides."""
+    return f.kernel_solver().solve(elements) is not None
 
 
 def is_epi(f: FpMorphism) -> bool:
@@ -396,7 +417,7 @@ def is_epi(f: FpMorphism) -> bool:
 
 def is_mono(f: FpMorphism) -> bool:
     # ker f is zero iff its generators already lie in the source's relations
-    return solve_lift(f.source.presentation, kernel_generators(f)) is not None
+    return factors_through_relations(f.source, kernel_generators(f))
 
 
 def is_iso(f: FpMorphism) -> bool:
@@ -557,12 +578,18 @@ def hom_group(source: FpModule, target: FpModule) -> HomGroup:
     """The abelian group of morphisms source -> target (ring = Z).
 
     Its generators span the solutions of G * P_M = P_N * W; without source
-    relations that is every G, so they are the unit vectors and the group
-    is N^m in closed form (see ``HomGroup``)."""
+    relations that is every G, so they are the unit vectors, with empty
+    witnesses, written down without posing the system, and the group is
+    N^m in closed form (see ``HomGroup``)."""
     ring = source.ring
     if ring is not RingSpec.INTEGERS:
         raise UnsupportedRingError("hom groups are computed over the integers")
-    p_mt, zero, b_n = source.presentation.transpose(), rings.zero(ring), target.generators
+    b_n = target.generators
+    if not source.relations:
+        size = b_n * source.generators
+        return HomGroup(source, target, IntMatrix.identity(ring, size),
+                        IntMatrix.zeros(ring, 0, size))
+    p_mt, zero = source.presentation.transpose(), rings.zero(ring)
     # solutions (vec G, vec W) of G * P_M - P_N * W = 0: row (j, i) holds
     # P_M[l][j] at column l * b_n + i and -P_N[i] in witness block j
     rows = [[e if k == i else zero for e in p_mt.row(j) for k in range(b_n)]

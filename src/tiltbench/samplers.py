@@ -74,16 +74,14 @@ def random_morphism(rnd: random.Random, src: FpModule, tgt: FpModule,
     return h.element(coords)
 
 
-def random_free_complex(rnd: random.Random, bounds: SizeBounds,
-                        lo: int | None = None) -> Complex:
+def random_free_complex(rnd: random.Random, bounds: SizeBounds) -> Complex:
     """A random bounded complex of free modules with d o d = 0.
 
     Differentials are drawn from the exact annihilator of the previous one,
     so arbitrary widths carry honestly composable differentials.
     """
     width = rnd.randint(1, bounds.max_width)
-    if lo is None:
-        lo = rnd.randint(-2, 1)
+    lo = rnd.randint(-2, 1)
     ranks = [rnd.randint(1, bounds.max_rank) for _ in range(width)]
     mats: list[IntMatrix] = []
     for i in range(width - 1):

@@ -395,7 +395,8 @@ def test_derived_hom_matches_the_cohomology_of_the_total_hom_complex():
         x = random_free_complex(rnd, bounds)
         y = random_free_complex(rnd, bounds)
         e = random_exact_free_complex(rnd, bounds)
-        far = random_free_complex(rnd, bounds, lo=6)
+        c = random_free_complex(rnd, bounds)
+        far = c.shift(c.lo - 6)
         pairs += [(x, y), (e, x), (y, e), (x, far), (far, y)]
     nonzero = 0
     for x, y in pairs:

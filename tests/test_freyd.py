@@ -343,6 +343,18 @@ def test_factors_through_effaceable_matches_projection():
         assert projected_zero == factors_through_effaceable(eta)
 
 
+def test_zero_transformation_into_a_representable_is_not_pointwise_epi():
+    # 0 -> h_Z: the zero functor (carrier the identity of Z) into h_Z
+    # (carrier 0 -> Z); at the probe Z its value 0 -> Hom(Z, Z) = Z misses 1
+    z = FpModule.free(Z, 1)
+    zero_functor = FreydObject(FP_MAX, FpMorphism.identity(z))
+    h_z = FreydObject(FP_MAX, FpMorphism.zero(FpModule.zero(Z), z))
+    assert zero_functor.is_zero_functor() and not h_z.is_zero_functor()
+    eta = zero_freyd_morphism(zero_functor, h_z)
+    assert not pointwise_epi(eta)
+    assert not is_epi(evaluate_map(eta, evaluate(zero_functor, z), evaluate(h_z, z)))
+
+
 def test_pullback_of_pointwise_epi_stays_epi():
     z = FpModule.free(Z, 1)
     four = FreydObject(FP_MAX, FpMorphism.from_generator_matrix(z, z, zmat([[4]])))

@@ -303,12 +303,17 @@ def test_kernel_trivial_cases():
 
 
 def test_kernel_of_an_empty_shape_needs_no_elimination(snf_runs):
-    # without rows every vector solves, without columns the kernel is 0 x 0;
-    # both equal what the elimination finds, which a solver's kernel reads
+    # without rows every vector solves, without columns the kernel is 0 x 0
+    # and only B = 0 is solvable, by the 0-row X; all equal what the
+    # elimination finds, and a solver on such a shape runs none either
     for ring, rows, cols in [(Z, 0, 3), (Z, 3, 0), (Z, 0, 0), (QX, 0, 2), (QX, 2, 0)]:
         m = IntMatrix.zeros(ring, rows, cols)
-        assert snf_runs(kernel_matrix, m) == 0
+        assert snf_runs(kernel_matrix, m) == snf_runs(PreparedSolver, m) == 0
         assert kernel_matrix(m) == IntMatrix.identity(ring, cols) == PreparedSolver(m).kernel()
+        assert solve_lift(m, IntMatrix.zeros(ring, rows, 2)) == IntMatrix.zeros(ring, cols, 2)
+        if rows:
+            b = IntMatrix.from_rows(ring, [[rings.one(ring)]] + [[rings.zero(ring)]] * (rows - 1))
+            assert solve_lift(m, b) is None
     assert snf_runs(kernel_matrix, IntMatrix.zeros(Z, 1, 2)) == 1
 
 

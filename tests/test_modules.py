@@ -416,7 +416,8 @@ def test_hom_group_builds_its_quotient_when_read(modules_built, snf_runs):
     # elements, generators and pushforwards read only the generator count;
     # the quotient module is built on the first read, once, from the one
     # diagonalisation that pushforwards into the group solve on, which a
-    # source without relations does not need
+    # source without relations does not need, nor a system
+    # [gen_vecs | -(I kron P_tgt)] without rows or columns
     rnd = rng_for(11, "lazy-hom")
     bounds = SizeBounds(max_rank=2, max_entry=6)
     for _ in range(12):
@@ -432,8 +433,10 @@ def test_hom_group_builds_its_quotient_when_read(modules_built, snf_runs):
         assert modules_built(lambda: (h.module, h.module)) == 1
         assert h.module.generators == h.generators
         fresh, ident = hom_group(src, tgt), FpMorphism.identity(tgt)
+        rows = tgt.generators * src.generators
+        cols = h.generators + src.generators * tgt.relations
         assert snf_runs(lambda: (fresh.module, h.pushforward(ident, fresh), fresh.module)) \
-            == (1 if src.relations else 0)
+            == (1 if src.relations and rows and cols else 0)
 
 
 def hom_oracle_cases():
@@ -667,6 +670,82 @@ def test_epi_and_mono_build_no_morphism(morphisms_built):
     for f in membership_maps():
         assert morphisms_built(is_epi, f) == 0
         assert morphisms_built(is_mono, f) == 0
+
+
+def prepared_system_cases():
+    """(m, n, f : m -> n) over 200 seeded pairs, every fourth target
+    without relations, plus maps into and out of the zero module."""
+    bounds = SizeBounds(max_rank=3, max_entry=5)
+    for i in range(200):
+        rnd = rng_for(41, "prepared-systems", i)
+        m, n = random_module(rnd, bounds), random_module(rnd, bounds)
+        if i % 4 == 3:
+            n = FpModule.free(Z, n.generators)
+        yield m, n, random_morphism(rnd, m, n)
+    zero = FpModule.zero(Z)
+    for m, n in ((zero, zmod(3, 0)), (zmod(0, 5), zero), (zero, zero)):
+        yield m, n, FpMorphism.zero(m, n)
+
+
+def test_prepared_systems_agree_with_the_old_solves():
+    # every witness, kernel and decision read from a module's relation
+    # solver or a morphism's kernel solver is, entry for entry, what the
+    # system posed afresh gives: P_n * X = B, the kernel of [gen | -P_n],
+    # and [gen | P_n] * X = elements
+    rnd = rng_for(41, "prepared-rhs")
+    outcomes = {"relations": [], "image": [], "epi": [], "mono": []}
+    for m, n, f in prepared_system_cases():
+        image_system = f.gen.hstack(n.presentation)
+        assert FpMorphism.from_generator_matrix(m, n, f.gen).witness == \
+            solve_lift(n.presentation, f.gen * m.presentation)
+        for gen in (random_matrix(rnd, n.generators, 2, 3),
+                    n.presentation * random_matrix(rnd, n.relations, 2, 3), f.gen - f.gen):
+            outcomes["relations"].append(modules.factors_through_relations(n, gen))
+            assert outcomes["relations"][-1] == (solve_lift(n.presentation, gen) is not None)
+        kernel = modules.kernel_generators(f)
+        assert kernel == kernel_matrix(f.gen.hstack(-n.presentation)).take_rows(
+            range(m.generators))
+        ident = IntMatrix.identity(Z, n.generators)
+        for elements in (ident, random_matrix(rnd, n.generators, 2, 3),
+                         f.gen * random_matrix(rnd, m.generators, 2, 3)):
+            outcomes["image"].append(in_image(f, elements))
+            assert outcomes["image"][-1] == (solve_lift(image_system, elements) is not None)
+        outcomes["epi"].append(is_epi(f))
+        assert outcomes["epi"][-1] == (solve_lift(image_system, ident) is not None)
+        outcomes["mono"].append(is_mono(f))
+        assert outcomes["mono"][-1] == (solve_lift(m.presentation, kernel) is not None)
+    for found in outcomes.values():
+        assert 0 < found.count(False) < len(found)
+
+
+def test_each_module_and_morphism_diagonalises_once(snf_runs):
+    # a module's witnesses and vanishing decisions share one diagonalisation
+    # of its relations; a morphism's kernel, image membership and epi test
+    # share one of [gen | -P_tgt]; a system without rows or columns needs
+    # none; the old solves posed each afresh
+    ident = FpMorphism.identity
+    for m, n, f in prepared_system_cases():
+        target = FpModule(n.presentation)
+        g = FpMorphism(m, target, f.gen, f.witness)
+
+        def module_solves():
+            h = FpMorphism.from_generator_matrix(m, target, f.gen)
+            return h, morphism_equal(g, h), modules.composite_is_zero(ident(target), g)
+
+        assert snf_runs(module_solves) == int(bool(n.generators and n.relations))
+        assert snf_runs(module_solves) == 0
+        elements = IntMatrix.identity(Z, n.generators)
+        decisions = (modules.kernel_generators, lambda g: in_image(g, elements), is_epi)
+        posed = int(bool(n.generators and m.generators + n.relations))
+        assert snf_runs(lambda: [decide(g) for decide in decisions]) == posed
+        assert snf_runs(lambda: [decide(g) for decide in decisions]) == 0
+        if n.generators and n.relations:
+            image_system = f.gen.hstack(n.presentation)
+            assert snf_runs(lambda: (solve_lift(n.presentation, f.gen * m.presentation),
+                                     solve_lift(n.presentation, f.gen - f.gen),
+                                     kernel_matrix(f.gen.hstack(-n.presentation)),
+                                     solve_lift(image_system, elements),
+                                     solve_lift(image_system, elements))) == 5
 
 
 def test_morphism_solves_are_pinned():
