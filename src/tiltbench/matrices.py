@@ -52,8 +52,8 @@ class IntMatrix:
     def __eq__(self, other) -> bool:
         if other.__class__ is not IntMatrix:
             return NotImplemented
-        return (self.ring is other.ring and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+        return other is self or (self.ring is other.ring and self.rows == other.rows
+                                 and self.cols == other.cols and self.entries == other.entries)
 
     def __hash__(self) -> int:
         return hash((self.ring, self.rows, self.cols, self.entries))
@@ -80,11 +80,15 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, ring: RingSpec, n: int) -> "IntMatrix":
-        z, o = rings.zero(ring), rings.one(ring)
-        ent = [z] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = o
-        return cls(ring, n, n, tuple(ent))
+        """The n x n identity: one shared instance per ring and size, which
+        ``__mul__`` multiplies by without arithmetic."""
+        eye = _IDENTITIES.get((ring, n))
+        if eye is None:
+            ent = [rings.zero(ring)] * (n * n)
+            ent[::n + 1] = [rings.one(ring)] * n
+            eye = _IDENTITIES[ring, n] = cls(ring, n, n, tuple(ent))
+            _IDENTITY_IDS.add(id(eye))
+        return eye
 
     @classmethod
     def diagonal(cls, ring: RingSpec, diag: Sequence[Element],
@@ -143,6 +147,10 @@ class IntMatrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        if id(self) in _IDENTITY_IDS:
+            return other
+        if id(other) in _IDENTITY_IDS:
+            return self
         ring, rows, n, m = self.ring, self.rows, self.cols, other.cols
         a, b = self.entries, other.entries
         a_rows = [a[i * n:(i + 1) * n] for i in range(rows)]
@@ -199,6 +207,11 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.ring.value}, {self.rows}x{self.cols}, {self.to_rows()})"
+
+
+# the shared identities by (ring, size), and their ids, for a product to test
+_IDENTITIES: dict[tuple[RingSpec, int], IntMatrix] = {}
+_IDENTITY_IDS: set[int] = set()
 
 
 def block_matrix(ring: RingSpec, row_sizes: Sequence[int], col_sizes: Sequence[int],
@@ -302,10 +315,10 @@ class _SNFWorker:
     operations as (i, j, c), "line i += c * line j", with (i, j, None) a
     swap and (i, None, c) a scaling.  U * B replays the row log forward on
     the rows of B; V * Y replays the column log backward on the rows of Y,
-    "col i += c * col j" acting as "row j += c * row i".  The inverses undo
-    the same operations in the opposite order: U^-1 * B replays the row log
-    backward with each operation inverted, V^-1 * Y the column log forward
-    as "row j -= c * row i".  Column operations at pivot t skip the rows
+    "col i += c * col j" acting as "row j += c * row i"; U^-1 * B replays
+    the row log backward with each operation inverted.  Each column of B
+    is replayed on its own, so some columns of a transform need a replay on
+    those unit columns alone.  Column operations at pivot t skip the rows
     above t: those rows are already zero outside their own pivot, so zero
     in both columns (both >= t) that are combined.  Over Q[x] every row and
     column operation, replays included, takes one ``QPoly.add_mul`` per
@@ -411,21 +424,15 @@ class _SNFWorker:
                 rows[i] = self.add_mul_row(rows[i], -c, rows[j])
         return rows
 
-    def apply_v_inv(self, rows: list) -> list:
-        """V^-1 * Y on the rows of Y, in place."""
-        for i, j, c in self.col_log:
-            if c is None:
-                rows[i], rows[j] = rows[j], rows[i]
-            elif self.add_mul_row is None:
-                rows[j] = [x - c * y if y else x for x, y in zip(rows[j], rows[i])]
-            else:
-                rows[j] = self.add_mul_row(rows[j], -c, rows[i])
-        return rows
-
-    def replay_identity(self, apply, n: int) -> IntMatrix:
-        """The n x n transform that ``apply`` multiplies by."""
-        return IntMatrix.from_rows(self.ring, apply(IntMatrix.identity(self.ring, n).to_rows()),
-                                   cols=n)
+    def transform_columns(self, apply, n: int, idx: Optional[Sequence[int]] = None) -> IntMatrix:
+        """The columns at idx (all by default) of the n x n transform that
+        ``apply`` multiplies by: ``apply`` replayed on those unit columns."""
+        idx = range(n) if idx is None else idx
+        zero, one = rings.zero(self.ring), rings.one(self.ring)
+        units = [[zero] * len(idx) for _ in range(n)]
+        for k, j in enumerate(idx):
+            units[j][k] = one
+        return IntMatrix.from_rows(self.ring, apply(units), cols=len(idx))
 
     def _find_pivot(self, t):
         best = None
@@ -513,8 +520,9 @@ class SmithForm:
     it unpacks and prints as that 3-tuple.
 
     U and V are replayed from the diagonalisation's logs when first read,
-    so reading D alone replays neither; ``u_inv()`` and ``v_inv()`` replay
-    the logs inverted, so the inverse transforms need no solve.
+    so reading D alone replays neither; ``u_inv`` replays the row log
+    inverted, so U^-1 needs no solve.  Both it and ``v_columns`` replay
+    only the columns a caller asks for.
     """
 
     def __init__(self, worker: _SNFWorker):
@@ -523,11 +531,11 @@ class SmithForm:
 
     @cached_property
     def u(self) -> IntMatrix:
-        return self._worker.replay_identity(self._worker.apply_u, self._worker.nr)
+        return self._worker.transform_columns(self._worker.apply_u, self._worker.nr)
 
     @cached_property
     def v(self) -> IntMatrix:
-        return self._worker.replay_identity(self._worker.apply_v, self._worker.nc)
+        return self._worker.transform_columns(self._worker.apply_v, self._worker.nc)
 
     def __iter__(self):
         return iter((self.u, self.d, self.v))
@@ -535,11 +543,13 @@ class SmithForm:
     def __repr__(self) -> str:
         return repr(tuple(self))
 
-    def u_inv(self) -> IntMatrix:
-        return self._worker.replay_identity(self._worker.apply_u_inv, self._worker.nr)
+    def u_inv(self, idx: Optional[Sequence[int]] = None) -> IntMatrix:
+        """U^-1, or its columns at idx alone."""
+        return self._worker.transform_columns(self._worker.apply_u_inv, self._worker.nr, idx)
 
-    def v_inv(self) -> IntMatrix:
-        return self._worker.replay_identity(self._worker.apply_v_inv, self._worker.nc)
+    def v_columns(self, idx: Sequence[int]) -> IntMatrix:
+        """The columns of V at idx, without replaying the others."""
+        return self._worker.transform_columns(self._worker.apply_v, self._worker.nc, idx)
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
@@ -556,12 +566,12 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 def nonzero_diagonal(m: IntMatrix) -> list:
     """The nonzero entries of a diagonal form U * M * V of m.
 
-    One diagonalisation, without the divisibility chain and without U or V.
-    Their count is the rank of m, and they are all units exactly when the
-    invariant factors of m are: both products agree up to a unit.
+    One diagonalisation, without the divisibility chain and without U or V;
+    none for a matrix without rows or columns.  Their count is the rank of
+    m, and they are all units exactly when the invariant factors of m are:
+    both products agree up to a unit.
     """
-    a = _SNFWorker(m).run(enforce_chain=False).a
-    return [a[i][i] for i in range(min(m.rows, m.cols)) if a[i][i]]
+    return _nonzero_pivots(_diagonalise(m))
 
 
 class PreparedSolver:
@@ -604,6 +614,10 @@ class PreparedSolver:
         """``kernel_matrix(a)``, read from this diagonalisation."""
         return _kernel_columns(self.a, self._snf)
 
+    def nonzero_diagonal(self) -> list:
+        """``nonzero_diagonal(a)``, read from this diagonalisation."""
+        return _nonzero_pivots(self._snf)
+
 
 def solve_lift(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     """An exact solution X of A*X = B over the ring, or None.
@@ -638,10 +652,13 @@ def _kernel_columns(a: IntMatrix, w: Optional[_SNFWorker]) -> IntMatrix:
     if w is None:
         return IntMatrix.identity(a.ring, a.cols)
     r = min(w.nr, w.nc)
-    free = [j for j in range(w.nc) if j >= r or not w.a[j][j]]
-    zero, one = rings.zero(w.ring), rings.one(w.ring)
-    units = [[one if j == f else zero for f in free] for j in range(w.nc)]
-    return IntMatrix.from_rows(w.ring, w.apply_v(units), cols=len(free))
+    return w.transform_columns(w.apply_v, w.nc, [j for j in range(w.nc)
+                                                 if j >= r or not w.a[j][j]])
+
+
+def _nonzero_pivots(w: Optional[_SNFWorker]) -> list:
+    """The nonzero diagonal entries of w's diagonal form, none for None."""
+    return [] if w is None else [w.a[i][i] for i in range(min(w.nr, w.nc)) if w.a[i][i]]
 
 
 def is_unimodular(m: IntMatrix) -> bool:

@@ -42,7 +42,9 @@ class FpModule:
 
     Its relation system P * X = B is diagonalised once, when first solved
     on (``relation_solver``): every witness into the module and every
-    "vanishes in the module" decision on it reads that one diagonalisation.
+    "vanishes in the module" decision on it reads that one diagonalisation,
+    and so do the rank questions (``rank_data``).  The chained Smith form
+    (``snf``) runs only for the invariant factors and maps read off it.
     """
 
     def __init__(self, presentation: IntMatrix):
@@ -51,6 +53,7 @@ class FpModule:
         self._snf = None
         self._reduction = None
         self._relation_solver = None
+        self._ranks = None
 
     # -- constructors ----------------------------------------------------
 
@@ -94,13 +97,24 @@ class FpModule:
             self._relation_solver = PreparedSolver(self.presentation)
         return self._relation_solver
 
+    def rank_data(self) -> tuple[int, bool]:
+        """(free rank, whether every nonzero diagonal entry is a unit), kept
+        once read off the relation solver's diagonal: both are the same on
+        any diagonal form.  Without relations it needs no solver."""
+        if self._ranks is None:
+            diag = self.relation_solver().nonzero_diagonal() if self.relations else []
+            self._ranks = (self.generators - len(diag),
+                           all(rings.is_unit(self.ring, e) for e in diag))
+        return self._ranks
+
     def smith_diagonal(self) -> tuple[list, list[int], list[int]]:
         """The SNF diagonal padded with zeros to one entry per generator,
         with the indices of its nonzero nonunit (torsion) and zero (free)
-        entries.  It reads D alone, so neither transform is replayed."""
-        ring, d = self.ring, self.snf().d
-        diag = [d.at(i, i) if i < d.cols else rings.zero(ring)
-                for i in range(self.generators)]
+        entries.  It reads D alone, so neither transform is replayed, and
+        without relations no Smith form: every generator is free."""
+        ring, n = self.ring, self.relations
+        d = self.snf().d if n else None
+        diag = [d.at(i, i) if i < n else rings.zero(ring) for i in range(self.generators)]
         tor_idx = [i for i, e in enumerate(diag)
                    if not rings.is_zero(ring, e) and not rings.is_unit(ring, e)]
         free_idx = [i for i, e in enumerate(diag) if rings.is_zero(ring, e)]
@@ -112,7 +126,8 @@ class FpModule:
 
         With U * P * V = D, U * P = D * V^-1 and P * V = U^-1 * D; for
         idx = torsion then free indices, a = (U[idx, :], V^-1[torsion, :])
-        and b = (U^-1[:, idx], V[:, torsion]).
+        and b = (U^-1[:, idx], V[:, torsion]).  U^-1 and V are replayed at
+        those columns alone, V^-1 not at all: its row i is (U * P)[i] / d_i.
         """
         if self._reduction is not None:
             return self._reduction
@@ -120,15 +135,15 @@ class FpModule:
             ident = FpMorphism.identity(self)
             self._reduction = (self, ident, ident)
             return self._reduction
-        snf = self.snf()
+        ring, snf = self.ring, self.snf()
         diag, tor_idx, free_idx = self.smith_diagonal()
         idx = tor_idx + free_idx
-        canon = FpModule.from_invariants(self.ring, [diag[i] for i in tor_idx], len(free_idx))
-        self._reduction = (
-            canon,
-            FpMorphism(self, canon, snf.u.take_rows(idx), snf.v_inv().take_rows(tor_idx)),
-            FpMorphism(canon, self, snf.u_inv().take_columns(idx), snf.v.take_columns(tor_idx)),
-        )
+        canon = FpModule.from_invariants(ring, [diag[i] for i in tor_idx], len(free_idx))
+        up = snf.u.take_rows(tor_idx) * self.presentation
+        v_inv = IntMatrix.from_rows(ring, [[rings.exact_div(ring, e, diag[i]) for e in up.row(k)]
+                                           for k, i in enumerate(tor_idx)], cols=self.relations)
+        self._reduction = (canon, FpMorphism(self, canon, snf.u.take_rows(idx), v_inv),
+                           FpMorphism(canon, self, snf.u_inv(idx), snf.v_columns(tor_idx)))
         return self._reduction
 
     def invariant_factors(self) -> list:
@@ -137,16 +152,17 @@ class FpModule:
         return [diag[i] for i in tor_idx]
 
     def free_rank(self) -> int:
-        return len(self.smith_diagonal()[2])
+        return self.rank_data()[0]
 
     def invariant_data(self) -> tuple:
-        return (self.free_rank(), tuple(self.invariant_factors()))
+        diag, tor_idx, free_idx = self.smith_diagonal()
+        return (len(free_idx), tuple(diag[i] for i in tor_idx))
 
     def is_zero_module(self) -> bool:
-        return self.free_rank() == 0 and not self.invariant_factors()
+        return self.rank_data() == (0, True)
 
     def is_free(self) -> bool:
-        return not self.invariant_factors()
+        return self.rank_data()[1]
 
     def is_torsion(self) -> bool:
         return self.free_rank() == 0
@@ -623,7 +639,7 @@ def torsion_decompose(m: FpModule):
     diag, tor_idx, _ = m.smith_diagonal()
     t_mod = FpModule.from_invariants(m.ring, [diag[i] for i in tor_idx], 0)
     # U^-1 * D = P * V, so the columns of V at tor_idx witness the inclusion
-    incl = FpMorphism(t_mod, m, snf.u_inv().take_columns(tor_idx), snf.v.take_columns(tor_idx))
+    incl = FpMorphism(t_mod, m, snf.u_inv(tor_idx), snf.v_columns(tor_idx))
     f_mod, proj = free_quotient(m)
     return t_mod, incl, f_mod, proj
 

@@ -48,6 +48,14 @@ the product took each entry over a row and a column slice (the integer
 sum, then ``QPoly.dot`` over Q[x]): one accumulated output row per row of
 the left factor, skipping zero factors on both sides, over either ring.
 
+``v_inv`` is V^-1 of a Smith form, replayed from its column log forward
+with each operation inverted; the verifier reads no V^-1.
+``chained_rank_answers`` answers a module's rank questions from its Smith
+form with the divisibility chain, as ``FpModule`` did before it read them
+off its relation solver's chain-free diagonal.  ``reduction_by_full_replays``
+builds the isomorphisms of ``FpModule.reduction`` from the four whole
+transforms U, V^-1, U^-1 and V.
+
 ``FractionPoly`` is the element type of ``Q[x]`` before ``rings.QPoly``
 stored one integer numerator polynomial over one denominator: a tuple of
 separately normalised ``Fraction`` coefficients, divided by the schoolbook
@@ -73,8 +81,8 @@ from tiltbench.complexes import (
     is_nullhomotopic,
 )
 from tiltbench.freyd import FreydMorphism, FreydObject
-from tiltbench.matrices import (IntMatrix, block_matrix, kernel_matrix, kron, solve_lift,
-                                unvec, vec)
+from tiltbench.matrices import (IntMatrix, SmithForm, block_matrix, kernel_matrix, kron,
+                                smith_normal_form, solve_lift, unvec, vec)
 from tiltbench.modules import (
     FpModule,
     FpMorphism,
@@ -197,6 +205,50 @@ def row_accumulating_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 def scale(m: IntMatrix, c) -> IntMatrix:
     """c * m, entrywise."""
     return IntMatrix(m.ring, m.rows, m.cols, tuple(c * e for e in m.entries))
+
+
+def v_inv(form: SmithForm) -> IntMatrix:
+    """V^-1: the column log replayed forward on the identity's rows, each
+    "col i += c * col j" undone as "row j -= c * row i"."""
+    w = form._worker
+    rows = IntMatrix.identity(w.ring, w.nc).to_rows()
+    for i, j, c in w.col_log:
+        if c is None:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif w.add_mul_row is None:
+            rows[j] = [x - c * y if y else x for x, y in zip(rows[j], rows[i])]
+        else:
+            rows[j] = w.add_mul_row(rows[j], -c, rows[i])
+    return IntMatrix.from_rows(w.ring, rows, cols=w.nc)
+
+
+def _chained_diagonal(m: FpModule, form: SmithForm) -> tuple[list, list[int], list[int]]:
+    """m's Smith diagonal padded with zeros to one entry per generator, with
+    the indices of its torsion and of its zero entries."""
+    ring, d = m.ring, form.d
+    diag = [d.at(i, i) if i < d.cols else rings.zero(ring) for i in range(m.generators)]
+    zero = [i for i, e in enumerate(diag) if rings.is_zero(ring, e)]
+    return diag, [i for i, e in enumerate(diag)
+                  if i not in zero and not rings.is_unit(ring, e)], zero
+
+
+def chained_rank_answers(m: FpModule) -> tuple[int, bool, bool, bool]:
+    """(free_rank, is_free, is_torsion, is_zero_module) of m, from its
+    chained Smith diagonal."""
+    _, tor_idx, free_idx = _chained_diagonal(m, smith_normal_form(m.presentation))
+    return len(free_idx), not tor_idx, not free_idx, not free_idx and not tor_idx
+
+
+def reduction_by_full_replays(m: FpModule) -> tuple[FpMorphism, FpMorphism]:
+    """The isomorphisms a = (U[idx, :], V^-1[torsion, :]) and
+    b = (U^-1[:, idx], V[:, torsion]) of ``FpModule.reduction``, each
+    transform replayed whole, idx the torsion then the free indices."""
+    form = smith_normal_form(m.presentation)
+    diag, tor_idx, free_idx = _chained_diagonal(m, form)
+    idx = tor_idx + free_idx
+    canon = FpModule.from_invariants(m.ring, [diag[i] for i in tor_idx], len(free_idx))
+    return (FpMorphism(m, canon, form.u.take_rows(idx), v_inv(form).take_rows(tor_idx)),
+            FpMorphism(canon, m, form.u_inv().take_columns(idx), form.v.take_columns(tor_idx)))
 
 
 def total_hom_complex(x: Complex, y: Complex) -> Complex:

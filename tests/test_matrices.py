@@ -22,6 +22,7 @@ from tiltbench.matrices import (
     is_unimodular,
     kernel_matrix,
     kron,
+    nonzero_diagonal,
     smith_normal_form,
     solve_lift,
     unvec,
@@ -173,7 +174,7 @@ def test_snf_inverse_transforms():
         u, _, v = form
         eye_rows, eye_cols = IntMatrix.identity(m.ring, m.rows), IntMatrix.identity(m.ring, m.cols)
         assert form.u_inv() * u == eye_rows and u * form.u_inv() == eye_rows
-        assert v * form.v_inv() == eye_cols and form.v_inv() * v == eye_cols
+        assert v * oracles.v_inv(form) == eye_cols and oracles.v_inv(form) * v == eye_cols
     # [3x + 6, 2x] reduces to the pivot -4, scaled to 1 by the unit -1/4
     form = smith_normal_form(IntMatrix.from_rows(QX, [[QPoly((6, 3)), QPoly((0, 2))]]))
     assert form.u == IntMatrix.from_rows(QX, [[QPoly.const(Fraction(-1, 4))]])
@@ -205,7 +206,7 @@ def test_polynomial_normal_forms_are_pinned():
                                      for _ in range(m.cols)])
         b = IntMatrix.from_rows(QX, [[QPoly.const(Fraction(rnd.randint(-3, 3), 2))]
                                      for _ in range(m.rows)])
-        outputs = (*form, form.u_inv(), form.v_inv(), kernel_matrix(m),
+        outputs = (*form, form.u_inv(), oracles.v_inv(form), kernel_matrix(m),
                    solve_lift(m, m * x), solve_lift(m, b))
         h.update(json.dumps([None if o is None else matrix_to_json(o) for o in outputs]).encode())
     assert h.hexdigest() == (
@@ -231,7 +232,7 @@ def test_polynomial_transforms_are_pinned():
     h = hashlib.sha256()
     for m in polynomial_transform_matrices():
         form = smith_normal_form(m)
-        outputs = [matrix_to_json(o) for o in (*form, form.u_inv(), form.v_inv())]
+        outputs = [matrix_to_json(o) for o in (*form, form.u_inv(), oracles.v_inv(form))]
         outputs += [element_to_json(QX, determinant(t)) for t in (form.u, form.v)]
         h.update(json.dumps(outputs).encode())
     assert h.hexdigest() == (
@@ -305,10 +306,12 @@ def test_kernel_trivial_cases():
 def test_kernel_of_an_empty_shape_needs_no_elimination(snf_runs):
     # without rows every vector solves, without columns the kernel is 0 x 0
     # and only B = 0 is solvable, by the 0-row X; all equal what the
-    # elimination finds, and a solver on such a shape runs none either
+    # elimination finds, and a solver or a nonzero diagonal on such a shape
+    # runs none either
     for ring, rows, cols in [(Z, 0, 3), (Z, 3, 0), (Z, 0, 0), (QX, 0, 2), (QX, 2, 0)]:
         m = IntMatrix.zeros(ring, rows, cols)
         assert snf_runs(kernel_matrix, m) == snf_runs(PreparedSolver, m) == 0
+        assert snf_runs(nonzero_diagonal, m) == 0 and nonzero_diagonal(m) == []
         assert kernel_matrix(m) == IntMatrix.identity(ring, cols) == PreparedSolver(m).kernel()
         assert solve_lift(m, IntMatrix.zeros(ring, rows, 2)) == IntMatrix.zeros(ring, cols, 2)
         if rows:
@@ -439,6 +442,30 @@ def test_product_shape_and_ring_errors():
         IntMatrix.zeros(Z, 1, 1) * IntMatrix.zeros(QX, 1, 1)
     with pytest.raises(RingMismatchError):
         IntMatrix.zeros(QX, 0, 0) * IntMatrix.zeros(Z, 0, 0)
+
+
+def test_identity_is_shared_and_multiplies_for_free():
+    # one identity per ring and size; a product with it is the other factor
+    # itself, after the same ring and shape checks as any product
+    for ring in (Z, QX):
+        for n in range(4):
+            eye = IntMatrix.identity(ring, n)
+            assert eye is IntMatrix.identity(ring, n)
+            assert eye == IntMatrix.diagonal(ring, [rings.one(ring)] * n)
+            assert eye * eye is eye
+    assert IntMatrix.identity(Z, 2) is not IntMatrix.identity(QX, 2)
+    for a, b in product_cases():
+        left, right = IntMatrix.identity(a.ring, a.rows), IntMatrix.identity(a.ring, a.cols)
+        assert left * a is a and a * right is a
+        assert left * a == oracles.row_accumulating_product(left, a) == a * right
+    with pytest.raises(DimensionMismatchError):
+        IntMatrix.identity(Z, 2) * zmat([[1, 2, 3]])
+    with pytest.raises(DimensionMismatchError):
+        zmat([[1, 2, 3]]) * IntMatrix.identity(Z, 2)
+    with pytest.raises(RingMismatchError):
+        IntMatrix.identity(QX, 1) * zmat([[1]])
+    with pytest.raises(RingMismatchError):
+        zmat([[1]]) * IntMatrix.identity(QX, 1)
 
 
 def test_diagonal_refuses_more_entries_than_fit():

@@ -377,27 +377,89 @@ def test_reduction_isomorphisms_are_mutually_inverse(solvers_built):
 
 
 def test_invariants_replay_no_transform(monkeypatch, snf_runs):
-    # the invariants read the Smith form's D alone; U and V are replayed
-    # from the diagonalisation's logs only where a map is built, and a later
-    # reduction reads them from the same diagonalisation
+    # the rank questions read the relation solver's chain-free diagonal,
+    # which a module without relations or generators does not need; the
+    # invariant factors and the reduction share one chained Smith form and
+    # read its D alone, and the reduction then replays U whole, U^-1 and V
+    # only at the columns it returns, and no V^-1
     replays = []
-    real_replay = matrices._SNFWorker.replay_identity
+    real_replay = matrices._SNFWorker.transform_columns
 
-    def counting_replay(worker, apply, n):
-        replays.append(apply.__name__)
-        return real_replay(worker, apply, n)
+    def counting_replay(worker, apply, n, idx=None):
+        replays.append((apply.__name__, n, n if idx is None else len(idx)))
+        return real_replay(worker, apply, n, idx)
 
-    monkeypatch.setattr(matrices._SNFWorker, "replay_identity", counting_replay)
+    monkeypatch.setattr(matrices._SNFWorker, "transform_columns", counting_replay)
     for m in reduction_cases():
         fresh = FpModule(m.presentation)
+
+        def ranks():
+            return (fresh.free_rank(), fresh.is_free(), fresh.is_torsion(),
+                    fresh.is_zero_module())
+
+        assert snf_runs(ranks) == int(bool(fresh.relations and fresh.generators))
+        assert snf_runs(fresh.relation_solver) == 0 and snf_runs(ranks) == 0
         replays.clear()
-        assert snf_runs(lambda: (fresh.invariant_factors(), fresh.free_rank(),
-                                 fresh.is_torsion(), fresh.invariant_data())) == 1
+        assert snf_runs(lambda: (fresh.invariant_factors(), fresh.invariant_data())) \
+            == int(bool(fresh.relations))
         assert replays == []
         assert snf_runs(fresh.reduction) == 0
         if fresh.relations:
-            assert sorted(replays) == ["apply_u", "apply_u_inv", "apply_v", "apply_v_inv"]
+            _, tor_idx, free_idx = fresh.smith_diagonal()
+            b, a = fresh.generators, fresh.relations
+            assert sorted(replays) == [("apply_u", b, b),
+                                       ("apply_u_inv", b, len(tor_idx + free_idx)),
+                                       ("apply_v", a, len(tor_idx))]
         assert fresh.reduction()[0] == reduce_presentation(m)
+
+
+def differential_presentations():
+    # 320 seeded presentations up to 4 x 4 over Z, among them every
+    # 0 x k and b x 0 shape and, every fifth, a diagonal of units and
+    # zeros; every eighth is over Q[x]
+    rnd = random.Random(31)
+    qx = RingSpec.RATIONAL_POLYNOMIALS
+    for k in range(320):
+        rows, cols = rnd.randint(0, 4), rnd.randint(0, 4)
+        if k % 5 == 0:
+            diag = [rnd.choice((1, -1, 0)) for _ in range(min(rows, cols))]
+            yield FpModule(IntMatrix.diagonal(Z, diag, rows=rows, cols=cols))
+        elif k % 8 == 1:
+            yield FpModule(IntMatrix.from_rows(qx, [[QPoly((rnd.randint(-2, 2), rnd.randint(-1, 1)))
+                                                     for _ in range(cols)] for _ in range(rows)],
+                                               cols=cols))
+        else:
+            yield FpModule(random_matrix(rnd, rows, cols, 6))
+    for rows in range(4):
+        yield from (FpModule.free(Z, rows), FpModule(IntMatrix.zeros(Z, 0, rows + 1)))
+
+
+def test_rank_questions_agree_with_the_chained_smith_form():
+    # the chain-free diagonal answers every rank question as the chained
+    # Smith diagonal does, and asked twice reads the answer kept
+    shapes, answers = set(), set()
+    for m in differential_presentations():
+        got = (m.free_rank(), m.is_free(), m.is_torsion(), m.is_zero_module())
+        assert got == oracles.chained_rank_answers(m)
+        assert got == (m.free_rank(), m.is_free(), m.is_torsion(), m.is_zero_module())
+        shapes.add((m.generators > 0, m.relations > 0))
+        answers.add(got[1:])
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+    assert len(answers) == 4  # zero, free, torsion and mixed modules
+
+
+def test_reduction_equals_the_four_replay_formulas():
+    # the reduction's isomorphisms equal the whole-transform formulas entry
+    # for entry: U^-1 and V cut to columns, V^-1's rows divided out of U * P
+    reduced = 0
+    for m in differential_presentations():
+        canon, a, b = m.reduction()
+        old_a, old_b = oracles.reduction_by_full_replays(m)
+        assert canon.presentation == old_a.target.presentation
+        assert (a.gen, a.witness, b.gen, b.witness) \
+            == (old_a.gen, old_a.witness, old_b.gen, old_b.witness)
+        reduced += bool(m.invariant_factors())
+    assert reduced > 60
 
 
 def test_reduce_presentation_drops_units():
