@@ -168,7 +168,11 @@ def freyd_cokernel(eta: FreydMorphism) -> tuple[FreydObject, FreydMorphism]:
 
 
 def freyd_kernel(eta: FreydMorphism) -> tuple[FreydObject, FreydMorphism]:
-    """Kernel subfunctor from two carrier-level pullbacks; the first builds one leg."""
+    """Kernel subfunctor from two carrier-level pullbacks; the first builds
+    one leg.  Where eta is the identity on generators, as a quotient map
+    from ``adjoin_relations`` is, the first pullback is G's relation module
+    with leg G's carrier, read with no system posed, so only the second is
+    computed."""
     f, g = eta.source, eta.target
     _, p_to_u2, _, _ = modules._pullback_leg(eta.gen, g.carrier)
     q_mod, q_to_p, q_to_u1 = modules.pullback(p_to_u2, f.carrier)

@@ -518,7 +518,8 @@ class HomGroup:
     composite's coordinates are its own vectorised generator matrix, the
     particular solution [vec; 0]: the diagonalisation's matrices, entry for
     entry.  The pushforward along f is then I kron f.gen, placed as the
-    diagonal blocks of ``block_diag`` with no product.
+    diagonal blocks of ``block_diag`` with no product.  The pushforward along
+    an identity into the group itself is the identity, read, not solved.
     """
 
     def __init__(self, source: FpModule, target: FpModule,
@@ -571,13 +572,17 @@ class HomGroup:
         (I kron f.gen) * vec(G): f.gen times the b_n-row blocks of the
         columns of gen_vecs laid side by side, solved on tgt's solver.  A
         source without relations has gen_vecs = I, so the coordinates are
-        I kron f.gen itself.  Raises ValueError unless
-        f : self.target -> tgt.target and tgt has self's source.
+        I kron f.gen itself.  Along the shared identity into this same
+        group, f o g_i = g_i: the identity, with no product or solve.
+        Raises ValueError unless f : self.target -> tgt.target and tgt has
+        self's source.
         """
         if not (same_module(f.source, self.target) and same_module(f.target, tgt.target)
                 and same_module(tgt.source, self.source)):
             raise ValueError("pushforward: f and the hom groups do not match")
         gens, b_n, b_m = self._gen_vecs, self.target.generators, self.source.generators
+        if tgt is self and f.gen is IntMatrix.identity(gens.ring, b_n):
+            return IntMatrix.identity(gens.ring, self.generators)
         if not self.source.relations:
             return block_diag(gens.ring, [f.gen] * b_m)
         side = [[e for l in range(b_m) for e in gens.row(l * b_n + i)] for i in range(b_n)]
@@ -700,7 +705,8 @@ def reduce_presentation(m: FpModule) -> FpModule:
 
 
 def pullback(f: FpMorphism, g: FpMorphism):
-    """Pullback of f : A -> C along g : B -> C, with its two legs."""
+    """Pullback of f : A -> C along g : B -> C, with its two legs.  Along an
+    identity of A it is B itself, with legs g and the identity of B."""
     p_mod, leg_a, incl_gen, wit = _pullback_leg(f, g)
     n, r = f.source.generators, f.source.relations
     leg_b = FpMorphism(p_mod, g.source, incl_gen.take_rows(range(n, incl_gen.rows)),
@@ -710,13 +716,22 @@ def pullback(f: FpMorphism, g: FpMorphism):
 
 def _pullback_leg(f: FpMorphism, g: FpMorphism):
     """``pullback``'s module and leg to A, with the inclusion into A (+) B
-    and its witness, whose row blocks below A's are the leg to B."""
+    and its witness, whose row blocks below A's are the leg to B.
+
+    Where f is the identity of A (the shared identity on generators from A
+    to A itself, whatever its witness) the pullback is B with no system
+    posed: the leg to A is g, the inclusion [g.gen; I] with witness
+    [g.witness; I], as [g.gen * P_B; P_B] = diag(P_A, P_B) * [g.witness; I].
+    """
     if f.target.presentation != g.target.presentation:
         raise ValueError("pullback targets differ")
+    a, b = f.source, g.source
+    if f.gen is IntMatrix.identity(a.ring, a.generators) and same_module(a, f.target):
+        return (b, g, g.gen.vstack(IntMatrix.identity(b.ring, b.generators)),
+                g.witness.vstack(IntMatrix.identity(b.ring, b.relations)))
     # the kernel of [f, -g] on A (+) B, posed on matrices: its generators are
     # the kernel of [f.gen | -g.gen | -P_C] cut to A (+) B, its relations
     # those of the block-diagonal presentation of the sum
-    a, b = f.source, g.source
     pair = kernel_matrix(f.gen.hstack(-g.gen).hstack(-f.target.presentation))
     incl_gen = pair.take_rows(range(a.generators + b.generators))
     p_mod, wit = span_quotient(incl_gen, block_diag(a.ring, [a.presentation, b.presentation]))

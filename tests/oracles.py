@@ -43,6 +43,12 @@ built before a leg became a row block of the kernel inclusion: the
 summand's projection composed with that inclusion.  ``scale`` multiplies a
 matrix by a scalar; only the tests need it.
 
+``pullback_by_kernels`` is ``modules.pullback`` as it was posed for every
+f, identities included: the kernel of [f.gen | -g.gen | -P_C] cut to
+A (+) B, presented modulo the sum's relations, each leg its summand's row
+block of the inclusion.  ``modules.pullback`` reads the pullback along an
+identity of A off the other map, with no kernel.
+
 ``row_accumulating_product`` is ``IntMatrix.__mul__`` as it was before
 the product took each entry over a row and a column slice (the integer
 sum, then ``QPoly.dot`` over Q[x]): one accumulated output row per row of
@@ -81,8 +87,8 @@ from tiltbench.complexes import (
     is_nullhomotopic,
 )
 from tiltbench.freyd import FreydMorphism, FreydObject
-from tiltbench.matrices import (IntMatrix, SmithForm, block_matrix, kernel_matrix, kron,
-                                smith_normal_form, solve_lift, unvec, vec)
+from tiltbench.matrices import (IntMatrix, SmithForm, block_diag, block_matrix, kernel_matrix,
+                                kron, smith_normal_form, solve_lift, unvec, vec)
 from tiltbench.modules import (
     FpModule,
     FpMorphism,
@@ -95,6 +101,7 @@ from tiltbench.modules import (
     morphism_equal,
     negate,
     projection,
+    span_quotient,
 )
 
 
@@ -185,6 +192,22 @@ def pullback_legs(f: FpMorphism, g: FpMorphism) -> tuple[FpMorphism, FpMorphism]
     _, incl = kernel(diff)
     return (compose(projection(total, parts, 0), incl),
             compose(projection(total, parts, 1), incl))
+
+
+def pullback_by_kernels(f: FpMorphism, g: FpMorphism):
+    """Pullback of f : A -> C along g : B -> C with its two legs, from the
+    kernel of [f.gen | -g.gen | -P_C] whatever f is."""
+    if f.target.presentation != g.target.presentation:
+        raise ValueError("pullback targets differ")
+    a, b = f.source, g.source
+    pair = kernel_matrix(f.gen.hstack(-g.gen).hstack(-f.target.presentation))
+    incl_gen = pair.take_rows(range(a.generators + b.generators))
+    p_mod, wit = span_quotient(incl_gen, block_diag(a.ring, [a.presentation, b.presentation]))
+    leg_a = FpMorphism(p_mod, a, incl_gen.take_rows(range(a.generators)),
+                       wit.take_rows(range(a.relations)))
+    leg_b = FpMorphism(p_mod, b, incl_gen.take_rows(range(a.generators, incl_gen.rows)),
+                       wit.take_rows(range(a.relations, wit.rows)))
+    return p_mod, leg_a, leg_b
 
 
 def row_accumulating_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -235,18 +235,27 @@ def kernel_from_both_legs(eta: FreydMorphism):
 
 def test_freyd_kernel_builds_only_the_pullback_leg_it_reads(morphisms_built):
     # the first pullback's leg to the target's relations is never read, so
-    # one morphism fewer is built; carrier and inclusion stay the same
+    # one morphism fewer is built; carrier and inclusion stay the same.  A
+    # quotient map pi is the identity on generators, whose first pullback
+    # both sides read off; a cokernel projection with a reduced target poses
+    # the kernel of the first pullback on both sides
     bounds = SizeBounds(max_rank=2, max_entry=6)
+    kernel_route = 0
     for i in range(10):
         rnd = rng_for(31, "kernel-legs", i)
         pi, _ = pointwise_exactness_maps(rnd, bounds, random_carrier_morphism)
-        (k, incl), (old_k, old_incl) = freyd_kernel(pi), kernel_from_both_legs(pi)
-        assert morphisms_built(freyd_kernel, pi) == morphisms_built(kernel_from_both_legs, pi) - 1
-        assert k.carrier.gen == old_k.carrier.gen and k.carrier.witness == old_k.carrier.witness
-        assert k.generators.presentation == old_k.generators.presentation
-        assert k.relations.presentation == old_k.relations.presentation
-        for new, old in ((incl.gen, old_incl.gen), (incl.wit, old_incl.wit)):
-            assert (new.gen, new.witness) == (old.gen, old.witness)
+        for eta in (pi, freyd_cokernel(pi)[1]):
+            kernel_route += eta.gen.gen is not IntMatrix.identity(Z, eta.gen.source.generators)
+            (k, incl), (old_k, old_incl) = freyd_kernel(eta), kernel_from_both_legs(eta)
+            assert morphisms_built(freyd_kernel, eta) == \
+                morphisms_built(kernel_from_both_legs, eta) - 1
+            assert k.carrier.gen == old_k.carrier.gen
+            assert k.carrier.witness == old_k.carrier.witness
+            assert k.generators.presentation == old_k.generators.presentation
+            assert k.relations.presentation == old_k.relations.presentation
+            for new, old in ((incl.gen, old_incl.gen), (incl.wit, old_incl.wit)):
+                assert (new.gen, new.witness) == (old.gen, old.witness)
+    assert kernel_route >= 5
 
 
 def test_value_at_a_free_probe_is_a_power_of_the_projection():

@@ -600,6 +600,86 @@ def test_pullback_legs_are_row_blocks_of_the_inclusion(morphisms_built, snf_runs
         assert morphism_equal(compose(f, leg_a), compose(g, leg_b))
 
 
+def test_pullback_along_an_identity_is_the_other_map(monkeypatch):
+    # the pullback of the identity of A along g : B -> A is B with legs g and
+    # the identity, read with no kernel; the kernel route's pullback is the
+    # same module up to isomorphism over A (+) B.  A cokernel projection is
+    # the shared identity on generators between two modules: it poses its
+    # kernel and passes the same checks
+    kernels, real_kernel = [], modules.kernel_matrix
+
+    def counting_kernel(m):
+        kernels.append(m)
+        return real_kernel(m)
+
+    monkeypatch.setattr(modules, "kernel_matrix", counting_kernel)
+    bounds = SizeBounds(max_rank=2, max_entry=6)
+    zero = FpModule.zero(Z)
+    kinds = set()
+    for i in range(24):
+        rnd = rng_for(47, "identity-pullback", i)
+        a, b = random_module(rnd, bounds), random_module(rnd, bounds)
+        a, b = [(a, b), (zero, b), (a, zero), (zero, zero)][i % 4]
+        proj = cokernel_projection(random_morphism(rnd, random_module(rnd, bounds), a))
+        for f in (FpMorphism.identity(a), proj):
+            g = random_morphism(rnd, b, f.target)
+            closed = f is not proj
+            assert f.gen is IntMatrix.identity(Z, a.generators)
+            kernels.clear()
+            p, leg_a, leg_b = pullback(f, g)
+            assert bool(kernels) is not closed
+            if closed:
+                assert p is b and leg_a is g
+            old_p, old_a, old_b = oracles.pullback_by_kernels(f, g)
+            assert p.invariant_data() == old_p.invariant_data()
+            assert morphism_equal(compose(f, leg_a), compose(g, leg_b))
+            # both pairs of legs into A (+) B are monic, and factor through
+            # each other
+            parts = [a, b]
+            total = direct_sum(parts)
+            new, old = (block_morphism(q, total, [q], parts, {(0, 0): la, (1, 0): lb})
+                        for q, la, lb in ((p, leg_a, leg_b), (old_p, old_a, old_b)))
+            assert factor(old, new) is not None and factor(new, old) is not None
+            kinds.add((closed, a.generators > 0, b.generators > 0))
+    assert len(kinds) == 8
+
+
+def test_pushforward_along_the_identity_is_the_identity(monkeypatch):
+    # the identity of N composed with generator i of Hom(P, N) is generator
+    # i, so its coordinates in the same group are the unit vectors, read with
+    # no solve; they define the map the oracle's solved coordinates define.
+    # Another group with the same ends takes the general path
+    solves, real_solve = [], matrices.PreparedSolver.solve
+
+    def counting_solve(self, rhs):
+        solves.append(rhs)
+        return real_solve(self, rhs)
+
+    monkeypatch.setattr(matrices.PreparedSolver, "solve", counting_solve)
+    bounds = SizeBounds(max_rank=2, max_entry=6)
+    rnd = rng_for(53, "identity-pushforward")
+    fixed = [FpModule.zero(Z), FpModule.free(Z, 2), zmod(6)]
+    kinds = set()
+    for n in fixed + [random_module(rnd, bounds) for _ in range(9)]:
+        ident = FpMorphism.identity(n)
+        for p in (FpModule.free(Z, 1), FpModule.free(Z, 2), zmod(4)):
+            h, other = hom_group(p, n), hom_group(p, n)
+            solves.clear()
+            coords = h.pushforward(ident, h)
+            assert coords is IntMatrix.identity(Z, h.generators) and solves == []
+            general = h.pushforward(ident, other)
+            assert general is not coords and bool(solves) == bool(p.relations)
+            gen_vecs, _, triv = oracles.hom_group_system(p, n)
+            sol = solve_lift(gen_vecs.hstack(triv),
+                             oracles.pushforward_images(ident, gen_vecs, p.generators))
+            read = FpMorphism.from_generator_matrix(h.module, h.module, coords)
+            for solved, end in ((sol.take_rows(range(h.generators)), h), (general, other)):
+                assert morphism_equal(
+                    read, FpMorphism.from_generator_matrix(h.module, end.module, solved))
+            kinds.add((p.relations > 0, h.module.relations > 0))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def zero_test_cases():
     """48 seeded morphisms: random ones, ones whose generator matrix lies in
     the target's relations, into targets without relations and out of
