@@ -2,7 +2,7 @@
 
 Everything downstream (module presentations, chain complexes, functor
 presentations) reduces to three primitives implemented here, plus
-``nonzero_diagonal`` for rank and unit questions:
+``nonzero_diagonal`` for rank and unit questions on differentials:
 
 * ``smith_normal_form``   U * M * V = D with unimodular U, V and a
   divisibility chain d1 | d2 | ... on the diagonal,
@@ -571,7 +571,8 @@ def nonzero_diagonal(m: IntMatrix) -> list:
     m, and they are all units exactly when the invariant factors of m are:
     both products agree up to a unit.
     """
-    return _nonzero_pivots(_diagonalise(m))
+    w = _diagonalise(m)
+    return [] if w is None else [w.a[i][i] for i in range(min(w.nr, w.nc)) if w.a[i][i]]
 
 
 class PreparedSolver:
@@ -614,10 +615,6 @@ class PreparedSolver:
         """``kernel_matrix(a)``, read from this diagonalisation."""
         return _kernel_columns(self.a, self._snf)
 
-    def nonzero_diagonal(self) -> list:
-        """``nonzero_diagonal(a)``, read from this diagonalisation."""
-        return _nonzero_pivots(self._snf)
-
 
 def solve_lift(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     """An exact solution X of A*X = B over the ring, or None.
@@ -654,11 +651,6 @@ def _kernel_columns(a: IntMatrix, w: Optional[_SNFWorker]) -> IntMatrix:
     r = min(w.nr, w.nc)
     return w.transform_columns(w.apply_v, w.nc, [j for j in range(w.nc)
                                                  if j >= r or not w.a[j][j]])
-
-
-def _nonzero_pivots(w: Optional[_SNFWorker]) -> list:
-    """The nonzero diagonal entries of w's diagonal form, none for None."""
-    return [] if w is None else [w.a[i][i] for i in range(min(w.nr, w.nc)) if w.a[i][i]]
 
 
 def is_unimodular(m: IntMatrix) -> bool:

@@ -6,10 +6,10 @@ it descends to the cokernels.  Equality of morphisms is "the difference
 factors through the target presentation", decided by exact linear solving,
 so it works for infinite modules without element enumeration.
 
-Kernels, cokernels, images, hom groups, torsion decomposition and
-projective resolutions are all computed through the Smith normal form of
-integer (or exact polynomial) matrices; ``factor`` and ``cofactor`` are
-plain solves on one reduced presentation.
+A module's shape -- free rank, invariant factors, the torsion pair over Z
+and the reduced presentation [diag(d); 0], injective over a PID and so its
+projective resolution -- is read off one Smith diagonal; ``factor`` and
+``cofactor`` are plain solves on one reduced presentation.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ class UnsupportedRingError(ValueError):
 class FpModule:
     """A finitely presented module, the cokernel of its presentation.
 
-    Its relation system P * X = B is diagonalised once, when first solved
-    on (``relation_solver``): every witness into the module and every
-    "vanishes in the module" decision on it reads that one diagonalisation,
-    and so do the rank questions (``rank_data``).  The chained Smith form
-    (``snf``) runs only for the invariant factors and maps read off it.
+    The rank questions, the invariant factors and the reduction read one
+    chained Smith diagonal (``smith_diagonal``), kept once read.  Solves on
+    its relation system P * X = B read one chain-free diagonalisation, built
+    when first solved on (``relation_solver``): every witness into the
+    module and every "vanishes in the module" decision on it.
     """
 
     def __init__(self, presentation: IntMatrix):
@@ -53,7 +53,7 @@ class FpModule:
         self._snf = None
         self._reduction = None
         self._relation_solver = None
-        self._ranks = None
+        self._diagonal = None
 
     # -- constructors ----------------------------------------------------
 
@@ -97,28 +97,19 @@ class FpModule:
             self._relation_solver = PreparedSolver(self.presentation)
         return self._relation_solver
 
-    def rank_data(self) -> tuple[int, bool]:
-        """(free rank, whether every nonzero diagonal entry is a unit), kept
-        once read off the relation solver's diagonal: both are the same on
-        any diagonal form.  Without relations it needs no solver."""
-        if self._ranks is None:
-            diag = self.relation_solver().nonzero_diagonal() if self.relations else []
-            self._ranks = (self.generators - len(diag),
-                           all(rings.is_unit(self.ring, e) for e in diag))
-        return self._ranks
-
     def smith_diagonal(self) -> tuple[list, list[int], list[int]]:
         """The SNF diagonal padded with zeros to one entry per generator,
         with the indices of its nonzero nonunit (torsion) and zero (free)
-        entries.  It reads D alone, so neither transform is replayed, and
-        without relations no Smith form: every generator is free."""
-        ring, n = self.ring, self.relations
-        d = self.snf().d if n else None
-        diag = [d.at(i, i) if i < n else rings.zero(ring) for i in range(self.generators)]
-        tor_idx = [i for i, e in enumerate(diag)
-                   if not rings.is_zero(ring, e) and not rings.is_unit(ring, e)]
-        free_idx = [i for i, e in enumerate(diag) if rings.is_zero(ring, e)]
-        return diag, tor_idx, free_idx
+        entries, kept once read.  It reads D alone, so neither transform is
+        replayed, and without relations or generators no Smith form."""
+        if self._diagonal is None:
+            ring, n = self.ring, self.relations
+            d = self.snf().d if n and self.generators else None
+            diag = [d.at(i, i) if i < n else rings.zero(ring) for i in range(self.generators)]
+            zero = [i >= n or rings.is_zero(ring, e) for i, e in enumerate(diag)]
+            tor_idx = [i for i, e in enumerate(diag) if not zero[i] and not rings.is_unit(ring, e)]
+            self._diagonal = (diag, tor_idx, [i for i, z in enumerate(zero) if z])
+        return self._diagonal
 
     def reduction(self) -> tuple["FpModule", "FpMorphism", "FpMorphism"]:
         """``reduce_presentation(self)`` with mutually inverse isomorphisms
@@ -146,26 +137,22 @@ class FpModule:
                            FpMorphism(canon, self, snf.u_inv(idx), snf.v_columns(tor_idx)))
         return self._reduction
 
-    def invariant_factors(self) -> list:
-        """Nonunit nonzero diagonal entries of the reduced presentation."""
-        diag, tor_idx, _ = self.smith_diagonal()
-        return [diag[i] for i in tor_idx]
-
     def free_rank(self) -> int:
-        return self.rank_data()[0]
+        return len(self.smith_diagonal()[2])
 
     def invariant_data(self) -> tuple:
         diag, tor_idx, free_idx = self.smith_diagonal()
         return (len(free_idx), tuple(diag[i] for i in tor_idx))
 
     def is_zero_module(self) -> bool:
-        return self.rank_data() == (0, True)
+        _, tor_idx, free_idx = self.smith_diagonal()
+        return not tor_idx and not free_idx
 
     def is_free(self) -> bool:
-        return self.rank_data()[1]
+        return not self.smith_diagonal()[1]
 
     def is_torsion(self) -> bool:
-        return self.free_rank() == 0
+        return not self.smith_diagonal()[2]
 
     def is_isomorphic(self, other: "FpModule") -> bool:
         return self.ring is other.ring and self.invariant_data() == other.invariant_data()
@@ -660,42 +647,22 @@ def free_quotient(m: FpModule) -> tuple[FpModule, FpMorphism]:
 
 
 def embed_into_free(m: FpModule) -> Optional[FpMorphism]:
-    """A monomorphism into a free module, when one exists (M torsion-free)."""
-    if m.invariant_factors():
-        return None
-    _, _, _, proj = torsion_decompose(m)
-    return proj  # mono because the torsion part vanishes
+    """A monomorphism into a free module, when one exists (M torsion-free):
+    the free quotient, mono because the torsion part vanishes."""
+    return free_quotient(m)[1] if m.is_free() else None
 
 
 # -- projective resolutions ---------------------------------------------------
 
-def projective_resolution(m: FpModule, max_len: int = 1) -> list[IntMatrix]:
-    """Matrices [d1, ..., dk] of a free resolution 0 -> F_k -> ... -> F_0 -> M -> 0.
+def projective_resolution(m: FpModule) -> list[IntMatrix]:
+    """Matrices [d1] of a free resolution 0 -> F_1 -> F_0 -> M -> 0, or []
+    when M is free.
 
-    F_0 = R^{generators of the reduced presentation}; over the catalogued
-    rings the length never exceeds 1, and exceeding ``max_len`` raises.
+    d1 is the reduced presentation [diag(d); 0]: over a PID every d is
+    nonzero, so d1 is injective and the resolution has length at most 1.
     """
-    # reduce the presentation first so a free module yields a length-0 resolution
-    reduced = reduce_presentation(m)
-    mats = []
-    current = reduced.presentation
-    length = 0
-    while current.cols > 0 and not current.is_zero():
-        if length + 1 > max_len:
-            raise ValueError(f"resolution exceeds maximal length {max_len}")
-        # split off the redundant relation columns: keep an injective tail
-        inj = _injective_column_basis(current)
-        mats.append(inj)
-        current = kernel_matrix(inj)
-        length += 1
-    return mats
-
-
-def _injective_column_basis(p: IntMatrix) -> IntMatrix:
-    """A matrix with the same column span as p and trivial kernel."""
-    m = FpModule(p)
-    rank = m.generators - len(m.smith_diagonal()[2])
-    return m.snf().u_inv() * m.snf().d.take_columns(range(rank))
+    p = reduce_presentation(m).presentation
+    return [p] if p.cols else []
 
 
 def reduce_presentation(m: FpModule) -> FpModule:

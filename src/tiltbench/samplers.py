@@ -183,8 +183,9 @@ def disguise_free_complex(rnd: random.Random, c: Complex) -> Complex:
 
 
 def random_exact_free_complex(rnd: random.Random, bounds: SizeBounds) -> Complex:
-    """An exact bounded free complex: disguised sums of [Z --1--> Z] pieces."""
-    width = max(2, rnd.randint(2, bounds.max_width))
+    """An exact bounded free complex: disguised sums of [Z --1--> Z] pieces,
+    so it has at least two entries, whatever ``bounds.max_width``."""
+    width = rnd.randint(2, max(2, bounds.max_width))
     lo = rnd.randint(-2, 0)
     counts = [rnd.randint(0, 2) for _ in range(width - 1)]
     if sum(counts) == 0:

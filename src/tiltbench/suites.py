@@ -71,9 +71,13 @@ from .reports import CheckFailure, CheckReport, Sample, run_samples
 from .rings import QPoly, RingSpec, divides
 from .samplers import SizeBounds
 from .tstructures import (
+    CORRUPTED,
+    HRS,
+    LEFT,
+    NATURAL,
+    RIGHT,
     ClassTag,
     TStructureSpec,
-    TVariant,
     approximating_triangle,
     cogeneration_witness,
     heart_membership,
@@ -98,11 +102,6 @@ FREE_SPLIT = ExactStructure(Carrier.FREE_Z, Flavor.SPLIT)
 FREE_MAX = ExactStructure(Carrier.FREE_Z, Flavor.MAXIMAL)
 FP_MAX = ExactStructure(Carrier.FP_Z, Flavor.MAXIMAL)
 TOR_INH = ExactStructure(Carrier.TORSION_Z, Flavor.INHERITED)
-NATURAL = TStructureSpec(TVariant.NATURAL)
-LEFT = TStructureSpec(TVariant.LEFT, FREE_SPLIT)
-RIGHT = TStructureSpec(TVariant.RIGHT, FREE_SPLIT)
-HRS = TStructureSpec(TVariant.HRS_TILT)
-CORRUPTED = TStructureSpec(TVariant.NATURAL, corrupt=True)
 
 Check = Callable[[int, int, SizeBounds], CheckReport]
 
@@ -248,11 +247,7 @@ def _torsion_pair(rnd, bounds):
 def _global_dimension(rnd, bounds):
     m = samplers.random_module(rnd, bounds)
     payload = {"module": serialize.module_to_json(m)}
-    try:
-        res = modules.projective_resolution(m, max_len=1)
-    except ValueError:
-        yield "resolution_length", payload
-        return
+    res = modules.projective_resolution(m)
     if len(res) > 1:
         yield "resolution_length", payload
     if res and kernel_matrix(res[0]).cols != 0:

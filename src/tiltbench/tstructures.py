@@ -52,7 +52,7 @@ from .complexes import (
     total_is_exact,
     zero_complex,
 )
-from .exactness import Carrier, ExactStructure, e_cokernel, e_kernel
+from .exactness import Carrier, ExactStructure, Flavor, e_cokernel, e_kernel
 from .matrices import solve_lift
 from .modules import FpModule, FpMorphism
 from .rings import RingSpec
@@ -77,19 +77,16 @@ class UnsupportedClassTagError(ValueError):
     """Star membership requested for a class without a computable instance."""
 
 
+# the carrier whose kernels and cokernels cap the left and right truncations
+_FREE_CARRIER = ExactStructure(Carrier.FREE_Z, Flavor.SPLIT)
+
+
 class TStructureSpec:
     """A tagged description of a t-structure with executable truncation."""
 
-    def __init__(self, variant: TVariant, ex: Optional[ExactStructure] = None,
-                 corrupt: bool = False):
+    def __init__(self, variant: TVariant, *, corrupt: bool = False):
         self.variant = variant
-        self.ex = ex
         self.corrupt = corrupt
-        if variant in (TVariant.LEFT, TVariant.RIGHT):
-            if ex is None or ex.carrier is not Carrier.FREE_Z:
-                raise ValueError("left/right t-structures need the free carrier")
-        elif ex is not None:
-            raise ValueError(f"the {variant.value} t-structure reads no carrier")
         if corrupt and variant is not TVariant.NATURAL:
             raise ValueError("the corrupted control is a natural t-structure")
 
@@ -101,14 +98,21 @@ class TStructureSpec:
 
     def config_string(self) -> str:
         parts = [f"variant={self.variant.value}"]
-        if self.ex is not None:
-            parts.append(self.ex.config_string())
+        if self.acts_on_free_complexes:
+            parts.append(_FREE_CARRIER.config_string())
         if self.corrupt:
             parts.append("corrupt=1")
         return ",".join(parts)
 
     def __repr__(self) -> str:
         return f"TStructureSpec({self.config_string()})"
+
+
+NATURAL = TStructureSpec(TVariant.NATURAL)
+LEFT = TStructureSpec(TVariant.LEFT)
+RIGHT = TStructureSpec(TVariant.RIGHT)
+HRS = TStructureSpec(TVariant.HRS_TILT)
+CORRUPTED = TStructureSpec(TVariant.NATURAL, corrupt=True)
 
 
 def _check_ambient(spec: TStructureSpec, x: Complex):
@@ -158,13 +162,13 @@ def truncate_le(spec: TStructureSpec, n: int, x: Complex) -> ChainMap:
     if n < x.lo - (v is TVariant.RIGHT):
         return ChainMap.zero(zero_complex(x.ring), x)
     if v is TVariant.RIGHT:  # x up to degree n + 1, capped by the carrier cokernel of d^n
-        proj = e_cokernel(x.differential_at(n), spec.ex)[1]
+        proj = e_cokernel(x.differential_at(n), _FREE_CARRIER)[1]
         down = _induced(modules.cofactor(x.differential_at(n + 1), proj))
         return ChainMap(_splice(x, x.lo, n + 1, above=proj), x,
                         {**_identity_on(x, x.lo, n + 1), n + 2: down})
     # x below degree n, capped by a submodule of ker d^n
     if v is TVariant.LEFT:
-        incl = e_kernel(x.differential_at(n), spec.ex)[1]
+        incl = e_kernel(x.differential_at(n), _FREE_CARRIER)[1]
     else:
         incl = modules.kernel(x.differential_at(n))[1]
     if v is TVariant.HRS_TILT:  # the cycles whose class in H^n is torsion
@@ -191,14 +195,14 @@ def truncate_ge(spec: TStructureSpec, n: int, x: Complex) -> ChainMap:
     if n > x.hi + (v in (TVariant.LEFT, TVariant.HRS_TILT)):
         return ChainMap.zero(x, zero_complex(x.ring))
     if v is TVariant.LEFT:  # x from degree n - 1 on, below it the carrier kernel of d^{n-1}
-        incl = e_kernel(x.differential_at(n - 1), spec.ex)[1]
+        incl = e_kernel(x.differential_at(n - 1), _FREE_CARRIER)[1]
         comps = _identity_on(x, n - 1, x.hi)
         if n - 2 >= x.lo:
             comps[n - 2] = _induced(modules.factor(x.differential_at(n - 2), incl))
         return ChainMap(x, _splice(x, n - 1, x.hi, below=incl), comps)
     # x above degree m, below it a quotient proj : x^m -> Q
     if v is TVariant.RIGHT:
-        m, proj = n, e_cokernel(x.differential_at(n - 1), spec.ex)[1]
+        m, proj = n, e_cokernel(x.differential_at(n - 1), _FREE_CARRIER)[1]
     elif v is TVariant.NATURAL:
         m, proj = n - 1, modules.cokernel_projection(modules.kernel(x.differential_at(n - 1))[1])
     else:
@@ -299,13 +303,12 @@ def star_membership(x: Complex, class_tag: ClassTag, n: int
     for j in range(1, x.hi + 1):
         if not cohomology(x, j).is_zero_module():
             return None
-    spec = TStructureSpec(TVariant.NATURAL)
     if class_tag is ClassTag.TORSION:
         h0 = cohomology(x, 0)
         if not h0.is_torsion():
             return None
-    t = truncate_le(spec, 0, x).source
-    triangles = [(truncate_le(spec, -n, t), truncate_ge(spec, -n + 1, t))]
+    t = truncate_le(NATURAL, 0, x).source
+    triangles = [(truncate_le(NATURAL, -n, t), truncate_ge(NATURAL, -n + 1, t))]
     if class_tag is ClassTag.TORSION:
         return StarDecomposition(triangles, [StarFactor(0, modules.reduce_presentation(h0))])
     # trivial class: that is the whole criterion
@@ -402,7 +405,7 @@ def intersection_normal_form(spec1: TStructureSpec, spec2: TStructureSpec,
     if r.lo == r.hi and r.hi == 0:
         c_mod = r.object_at(0)
         return modules.reduce_presentation(c_mod)
-    c_mod, proj = e_cokernel(r.differential_at(-1), left.ex)
+    c_mod, proj = e_cokernel(r.differential_at(-1), _FREE_CARRIER)
     q = ChainMap(r, stalk_complex(c_mod, 0), {0: proj})
     if not is_quasi_iso(q):
         return None

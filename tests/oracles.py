@@ -56,11 +56,12 @@ the left factor, skipping zero factors on both sides, over either ring.
 
 ``v_inv`` is V^-1 of a Smith form, replayed from its column log forward
 with each operation inverted; the verifier reads no V^-1.
-``chained_rank_answers`` answers a module's rank questions from its Smith
-form with the divisibility chain, as ``FpModule`` did before it read them
-off its relation solver's chain-free diagonal.  ``reduction_by_full_replays``
-builds the isomorphisms of ``FpModule.reduction`` from the four whole
-transforms U, V^-1, U^-1 and V.
+``reduction_by_full_replays`` builds the isomorphisms of
+``FpModule.reduction`` from the four whole transforms U, V^-1, U^-1 and V.
+``resolution_by_injective_bases`` is ``modules.projective_resolution`` as
+it was built before it returned the reduced presentation itself: a loop
+that replaces the relations by an injective column basis, U^-1 * D cut to
+the rank, and goes on with its kernel.
 
 ``FractionPoly`` is the element type of ``Q[x]`` before ``rings.QPoly``
 stored one integer numerator polynomial over one denominator: a tuple of
@@ -101,6 +102,7 @@ from tiltbench.modules import (
     morphism_equal,
     negate,
     projection,
+    reduce_presentation,
     span_quotient,
 )
 
@@ -255,13 +257,6 @@ def _chained_diagonal(m: FpModule, form: SmithForm) -> tuple[list, list[int], li
                   if i not in zero and not rings.is_unit(ring, e)], zero
 
 
-def chained_rank_answers(m: FpModule) -> tuple[int, bool, bool, bool]:
-    """(free_rank, is_free, is_torsion, is_zero_module) of m, from its
-    chained Smith diagonal."""
-    _, tor_idx, free_idx = _chained_diagonal(m, smith_normal_form(m.presentation))
-    return len(free_idx), not tor_idx, not free_idx, not free_idx and not tor_idx
-
-
 def reduction_by_full_replays(m: FpModule) -> tuple[FpMorphism, FpMorphism]:
     """The isomorphisms a = (U[idx, :], V^-1[torsion, :]) and
     b = (U^-1[:, idx], V[:, torsion]) of ``FpModule.reduction``, each
@@ -272,6 +267,21 @@ def reduction_by_full_replays(m: FpModule) -> tuple[FpMorphism, FpMorphism]:
     canon = FpModule.from_invariants(m.ring, [diag[i] for i in tor_idx], len(free_idx))
     return (FpMorphism(m, canon, form.u.take_rows(idx), v_inv(form).take_rows(tor_idx)),
             FpMorphism(canon, m, form.u_inv().take_columns(idx), form.v.take_columns(tor_idx)))
+
+
+def resolution_by_injective_bases(m: FpModule) -> list[IntMatrix]:
+    """Matrices [d1, ..., dk] of a free resolution of m: from its reduced
+    presentation on, each step keeps an injective matrix with the column
+    span of the last, U^-1 * D cut to the rank, and goes on with its
+    kernel, until the kernel is zero."""
+    mats, current = [], reduce_presentation(m).presentation
+    while current.cols > 0 and not current.is_zero():
+        form = smith_normal_form(current)
+        rank = sum(not rings.is_zero(m.ring, form.d.at(i, i))
+                   for i in range(min(current.rows, current.cols)))
+        mats.append(form.u_inv() * form.d.take_columns(range(rank)))
+        current = kernel_matrix(mats[-1])
+    return mats
 
 
 def total_hom_complex(x: Complex, y: Complex) -> Complex:

@@ -23,7 +23,7 @@ from tiltbench.matrices import IntMatrix
 from tiltbench.rings import QPoly
 from tiltbench.samplers import SizeBounds
 from tiltbench.serialize import matrix_from_json
-from tiltbench.suites import REGISTRY
+from tiltbench.suites import REGISTRY, default_suite_names
 
 # sha256 of the default scenario's report at budget 3, seed 1, without wall
 # times, as json.dumps(sort_keys=True, indent=2)
@@ -123,6 +123,18 @@ def test_small_run_writes_report(tmp_path):
     names = [s["name"] for s in report["suites"]]
     assert names == sorted(names)
     assert all("law" in s and "seed" in s for s in report["suites"])
+
+
+def test_bounds_of_one_crash_no_suite(tmp_path):
+    # bounds of 1 are valid, so every default suite runs on them with no
+    # crashing sample; an exact complex still gets its two entries
+    path = write_scenario(tmp_path, suites="all", sample_budget=5,
+                          bounds={"max_rank": 1, "max_entry": 1, "max_width": 1})
+    out = tmp_path / "small.json"
+    assert run(path, str(out)) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert [s["name"] for s in report["suites"]] == default_suite_names()
+    assert [(s["name"], f["check"]) for s in report["suites"] for f in s["failures"]] == []
 
 
 def test_negative_control_suite_exits_1(tmp_path):

@@ -327,7 +327,7 @@ def test_derived_hom_matches_enumeration_oracle():
             classes.append(f)
     h0 = derived_hom(x, x, 0)
     order = 1
-    for d in h0.invariant_factors():
+    for d in h0.invariant_data()[1]:
         order *= int(d)
     assert h0.free_rank() == 0
     assert len(classes) == order == 2
@@ -349,7 +349,7 @@ def test_derived_hom_enumeration_oracle_z3():
             classes.append(f)
     h0 = derived_hom(x, y, 0)
     order = 1
-    for d in h0.invariant_factors():
+    for d in h0.invariant_data()[1]:
         order *= int(d)
     assert h0.free_rank() == 0
     assert len(classes) == order == 3

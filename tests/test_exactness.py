@@ -39,7 +39,6 @@ from tiltbench.samplers import (
     random_module,
     rng_for,
 )
-from tiltbench.tstructures import TStructureSpec, TVariant
 
 Z = RingSpec.INTEGERS
 
@@ -64,11 +63,6 @@ def test_catalogue_rejects_unknown_combination():
                             (Carrier.TORSION_Z, Flavor.SPLIT)):
         with pytest.raises(ValueError):
             ExactStructure(carrier, flavor)
-    # a t-structure takes a carrier exactly where its truncations read one
-    for variant, ex in ((TVariant.LEFT, None), (TVariant.RIGHT, FP_MAX),
-                        (TVariant.NATURAL, FREE_SPLIT), (TVariant.HRS_TILT, FREE_SPLIT)):
-        with pytest.raises(ValueError):
-            TStructureSpec(variant, ex=ex)
 
 
 def test_config_strings_are_distinct():

@@ -56,9 +56,21 @@ def test_algebra_modules_import_no_sampling_or_reporting(name):
     assert package_imports(PACKAGE / f"{name}.py") & ABOVE_ALGEBRA == set()
 
 
+def imported_names(path: Path) -> set[str]:
+    """The names that other package modules import from the module at path
+    by ``from .module import name``."""
+    found = set()
+    for other in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(other.read_text(), filename=str(other))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module == path.stem:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
 def unused_module_names(path: Path) -> list[str]:
     """The top-level imports and UPPER_CASE constants that the module at
-    path never reads."""
+    path never reads, and that no other package module imports from it
+    (whose own reads this check covers)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     bound = {}
     for node in tree.body:
@@ -74,6 +86,7 @@ def unused_module_names(path: Path) -> list[str]:
                     bound[target.id] = node.lineno
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= imported_names(path)
     return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
 
 

@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 
 import oracles
-from tiltbench import matrices, modules
+from tiltbench import matrices, modules, rings
 from tiltbench.complexes import ChainMap, direct_sum_complexes
 from tiltbench.exactness import Carrier, ExactStructure, Flavor
 from tiltbench.freyd import (
@@ -268,11 +268,6 @@ def test_projective_resolution_examples():
     assert FpModule(res[0]).is_isomorphic(m)
 
 
-def test_projective_resolution_length_guard():
-    with pytest.raises(ValueError):
-        projective_resolution(FpModule.cyclic(Z, 6), max_len=0)
-
-
 def test_lift_through_epi():
     z = FpModule.free(Z, 1)
     z6 = FpModule.cyclic(Z, 6)
@@ -377,11 +372,12 @@ def test_reduction_isomorphisms_are_mutually_inverse(solvers_built):
 
 
 def test_invariants_replay_no_transform(monkeypatch, snf_runs):
-    # the rank questions read the relation solver's chain-free diagonal,
-    # which a module without relations or generators does not need; the
-    # invariant factors and the reduction share one chained Smith form and
-    # read its D alone, and the reduction then replays U whole, U^-1 and V
-    # only at the columns it returns, and no V^-1
+    # the rank questions, the invariants and the reduction share one chained
+    # Smith form, which a module without relations or generators does not
+    # need; the first two read its D alone, kept once read, and the
+    # reduction then replays U whole, U^-1 and V only at the columns it
+    # returns, and no V^-1.  The relation solver diagonalises on its own,
+    # without the chain.
     replays = []
     real_replay = matrices._SNFWorker.transform_columns
 
@@ -393,16 +389,15 @@ def test_invariants_replay_no_transform(monkeypatch, snf_runs):
     for m in reduction_cases():
         fresh = FpModule(m.presentation)
 
-        def ranks():
+        def shape():
             return (fresh.free_rank(), fresh.is_free(), fresh.is_torsion(),
-                    fresh.is_zero_module())
+                    fresh.is_zero_module(), fresh.invariant_data())
 
-        assert snf_runs(ranks) == int(bool(fresh.relations and fresh.generators))
-        assert snf_runs(fresh.relation_solver) == 0 and snf_runs(ranks) == 0
         replays.clear()
-        assert snf_runs(lambda: (fresh.invariant_factors(), fresh.invariant_data())) \
-            == int(bool(fresh.relations))
-        assert replays == []
+        diagonalised = int(bool(fresh.relations and fresh.generators))
+        assert snf_runs(shape) == diagonalised
+        assert snf_runs(shape) == 0 and replays == []
+        assert snf_runs(fresh.relation_solver) == diagonalised
         assert snf_runs(fresh.reduction) == 0
         if fresh.relations:
             _, tor_idx, free_idx = fresh.smith_diagonal()
@@ -435,17 +430,32 @@ def differential_presentations():
 
 
 def test_rank_questions_agree_with_the_chained_smith_form():
-    # the chain-free diagonal answers every rank question as the chained
-    # Smith diagonal does, and asked twice reads the answer kept
+    # the rank questions, read off the chained Smith diagonal, agree with
+    # the chain-free diagonal of the presentation: its length is the rank
+    # of P, and its entries are all units exactly when the invariant factors
+    # are; asked twice, they read the diagonal kept
     shapes, answers = set(), set()
     for m in differential_presentations():
         got = (m.free_rank(), m.is_free(), m.is_torsion(), m.is_zero_module())
-        assert got == oracles.chained_rank_answers(m)
+        diag = matrices.nonzero_diagonal(m.presentation)
+        free_rank, units = m.generators - len(diag), all(rings.is_unit(m.ring, e) for e in diag)
+        assert got == (free_rank, units, free_rank == 0, free_rank == 0 and units)
         assert got == (m.free_rank(), m.is_free(), m.is_torsion(), m.is_zero_module())
         shapes.add((m.generators > 0, m.relations > 0))
         answers.add(got[1:])
     assert shapes == {(False, False), (False, True), (True, False), (True, True)}
     assert len(answers) == 4  # zero, free, torsion and mixed modules
+
+
+def test_projective_resolution_is_the_reduced_presentation():
+    # equal, entry for entry, to the resolution built step by step from
+    # injective column bases, which over a PID stops after its first step
+    lengths = set()
+    for m in differential_presentations():
+        res = projective_resolution(m)
+        assert res == oracles.resolution_by_injective_bases(m)
+        lengths.add((m.ring, len(res)))
+    assert lengths == {(r, n) for r in (Z, RingSpec.RATIONAL_POLYNOMIALS) for n in (0, 1)}
 
 
 def test_reduction_equals_the_four_replay_formulas():
@@ -458,7 +468,7 @@ def test_reduction_equals_the_four_replay_formulas():
         assert canon.presentation == old_a.target.presentation
         assert (a.gen, a.witness, b.gen, b.witness) \
             == (old_a.gen, old_a.witness, old_b.gen, old_b.witness)
-        reduced += bool(m.invariant_factors())
+        reduced += bool(m.invariant_data()[1])
     assert reduced > 60
 
 

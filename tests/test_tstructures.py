@@ -13,7 +13,6 @@ from tiltbench.complexes import (
     is_quasi_iso,
     stalk_complex,
 )
-from tiltbench.exactness import Carrier, ExactStructure, Flavor
 from tiltbench.matrices import IntMatrix
 from tiltbench.modules import FpModule, FpMorphism, hom_group, injection, morphism_equal
 from tiltbench.rings import QPoly, RingSpec
@@ -24,6 +23,11 @@ from tiltbench.samplers import (
     rng_for,
 )
 from tiltbench.tstructures import (
+    CORRUPTED,
+    HRS,
+    LEFT,
+    NATURAL,
+    RIGHT,
     ClassTag,
     TStructureSpec,
     TVariant,
@@ -45,11 +49,6 @@ from tiltbench.tstructures import (
 )
 
 Z = RingSpec.INTEGERS
-FREE_SPLIT = ExactStructure(Carrier.FREE_Z, Flavor.SPLIT)
-LEFT = TStructureSpec(TVariant.LEFT, FREE_SPLIT)
-RIGHT = TStructureSpec(TVariant.RIGHT, FREE_SPLIT)
-NAT = TStructureSpec(TVariant.NATURAL)
-HRS = TStructureSpec(TVariant.HRS_TILT)
 
 
 def zmat(rows, cols=None):
@@ -61,10 +60,12 @@ def fc(lo, mats, first_rank=None):
 
 
 def test_config_strings_are_distinct():
-    # config strings label the rng streams of the axiom checks
-    specs = (LEFT, RIGHT, NAT, HRS, TStructureSpec(TVariant.NATURAL, corrupt=True))
-    strings = [spec.config_string() for spec in specs]
-    assert len(set(strings)) == len(strings)
+    # config strings label the rng streams of the axiom checks, so they are
+    # pinned byte for byte; the left and right ones name the free carrier
+    strings = [spec.config_string() for spec in (LEFT, RIGHT, NATURAL, HRS, CORRUPTED)]
+    assert strings == ["variant=Left,carrier=FreeZ,flavor=Split",
+                       "variant=Right,carrier=FreeZ,flavor=Split",
+                       "variant=Natural", "variant=HRSTilt", "variant=Natural,corrupt=1"]
 
 
 def test_left_truncation_monic_differential():
@@ -85,7 +86,7 @@ def test_left_truncation_rejects_a_polynomial_complex():
 
 def test_natural_truncation_no_positive_cohomology():
     x = fc(-1, [[[2]]])
-    assert is_quasi_iso(truncate_le(NAT, 0, x))
+    assert is_quasi_iso(truncate_le(NATURAL, 0, x))
 
 
 def test_hrs_truncation_of_mixed_stalk():
@@ -110,7 +111,7 @@ def test_stalk_in_every_heart_containing_it():
     assert heart_membership(LEFT, z)
     assert heart_membership(RIGHT, z)
     zfp = stalk_complex(FpModule.free(Z, 1), 0)
-    assert heart_membership(NAT, zfp)
+    assert heart_membership(NATURAL, zfp)
     # the tilted heart holds torsion at degree 0 and frees at degree -1
     assert not heart_membership(HRS, zfp)
     assert heart_membership(HRS, stalk_complex(FpModule.free(Z, 1), -1))
@@ -120,12 +121,12 @@ def test_stalk_in_every_heart_containing_it():
 def test_approximating_triangle_aisle_cases():
     # X in the aisle: coaisle part vanishes up to iso
     x = fc(-2, [[[3]]])  # degrees (-2, -1)
-    _, unit = approximating_triangle(NAT, x)
+    _, unit = approximating_triangle(NATURAL, x)
     assert all(cohomology(unit.target, n).is_zero_module()
                for n in unit.target.degrees())
     # X a shifted co-aisle object: aisle part vanishes
     y = stalk_complex(FpModule.cyclic(Z, 2), 2)
-    counit, _ = approximating_triangle(NAT, y)
+    counit, _ = approximating_triangle(NATURAL, y)
     assert all(cohomology(counit.source, n).is_zero_module()
                for n in counit.source.degrees())
 
@@ -134,7 +135,7 @@ def test_approximating_triangle_splits_direct_sum():
     za = stalk_complex(FpModule.free(Z, 1), 0)
     zb = stalk_complex(FpModule.cyclic(Z, 2), -1)
     s = direct_sum_complexes([za, zb])
-    counit, unit = approximating_triangle(NAT, s)
+    counit, unit = approximating_triangle(NATURAL, s)
     assert triangle_is_distinguished(counit, unit)
     assert cohomology(counit.source, 0).invariant_data() == (1, ())
     assert cohomology(counit.source, -1).invariant_data() == (0, (2,))
@@ -148,7 +149,7 @@ def test_triangle_check_builds_no_sum_and_no_cone(monkeypatch):
     za = stalk_complex(FpModule.free(Z, 1), 0)
     zb = stalk_complex(FpModule.cyclic(Z, 2), -1)
     s = direct_sum_complexes([za, zb])
-    tri = approximating_triangle(NAT, s)
+    tri = approximating_triangle(NATURAL, s)
     built = []
     for name in ("direct_sum", "block_morphism"):
         def recording(*args, _name=name, _real=getattr(modules, name)):
@@ -179,10 +180,9 @@ def test_triangle_check_agrees_with_the_comparison_cone():
     # specs (the corrupted aisle gives triangles that are not
     # distinguished), star peeling triangles, and the triangles
     # A -> X -> cone(A -> X), whose composites need a homotopy
-    corrupted = TStructureSpec(TVariant.NATURAL, corrupt=True)
     bounds = SizeBounds(max_rank=2, max_entry=3, max_width=3)
     cases = []
-    for spec in (LEFT, RIGHT, NAT, HRS, corrupted):
+    for spec in (LEFT, RIGHT, NATURAL, HRS, CORRUPTED):
         free = spec.acts_on_free_complexes
         for i in range(12):
             rnd = rng_for(29, "triangle-cones", spec.config_string(), i)
@@ -292,19 +292,18 @@ def test_t_cohomology_matches_plain_cohomology_for_natural():
     for i in range(10):
         x = random_fp_complex(rnd, SizeBounds(2, 5, 3))
         for n in range(x.lo, x.hi + 1):
-            rep = t_cohomology(NAT, n, x)
+            rep = t_cohomology(NATURAL, n, x)
             assert cohomology(rep, n).is_isomorphic(cohomology(x, n))
 
 
 def test_axiom_checker_passes_small_budget():
-    for spec in (NAT, LEFT, RIGHT, HRS):
+    for spec in (NATURAL, LEFT, RIGHT, HRS):
         rep = suites._axioms(spec)(6, 3, SizeBounds(2, 5, 3))
         assert rep.passed, (spec.config_string(), [f.check for f in rep.failures])
 
 
 def test_corrupted_spec_fails_axioms():
-    bad = TStructureSpec(TVariant.NATURAL, corrupt=True)
-    rep = suites._axioms(bad)(12, 3, SizeBounds(2, 5, 3))
+    rep = suites._axioms(CORRUPTED)(12, 3, SizeBounds(2, 5, 3))
     assert not rep.passed
 
 
@@ -356,12 +355,12 @@ def snf_entry_bits(monkeypatch):
         rng_for(2618853688, "hrs-star", 1), SizeBounds()), []),
     # SNF inputs used to reach 492,041 bits, 45 s for one sample
     (lambda: suites._axiom_sample(
-        NAT, rng_for(1536079867, "axiom", NAT.config_string(), 3), SizeBounds()), []),
+        NATURAL, rng_for(1536079867, "axiom", NATURAL.config_string(), 3), SizeBounds()), []),
     # the widest SNF input, 78 bits, of every default suite over seeds 7-16
     # at budget 100: seed 7, sample 43 of the corrupted control, which is
     # detected there
     (lambda: suites._axiom_sample(
-        suites.CORRUPTED, rng_for(7, "axiom", suites.CORRUPTED.config_string(), 43),
+        CORRUPTED, rng_for(7, "axiom", CORRUPTED.config_string(), 43),
         SizeBounds()), ["approximating_triangle"]),
 ], ids=["hrs_star_consistency", "tstructure_axioms_natural", "corrupted_tstructure_detected"])
 def test_entry_growth_replays_stay_small(snf_entry_bits, replay, checks):
@@ -375,9 +374,8 @@ def test_a_truncation_is_its_comparison_map():
     # differentials of the spliced complex; so do the maps of the
     # degreewise-split triangles that peel a star decomposition
     bounds = SizeBounds(max_rank=2, max_entry=4, max_width=3)
-    corrupted = TStructureSpec(TVariant.NATURAL, corrupt=True)
     maps = []
-    for spec in (NAT, LEFT, RIGHT, HRS, corrupted):
+    for spec in (NATURAL, LEFT, RIGHT, HRS, CORRUPTED):
         sample = random_free_complex if spec.acts_on_free_complexes else random_fp_complex
         for i in range(4):
             x = sample(rng_for(31, "truncation-maps", spec.config_string(), i), bounds)
@@ -403,7 +401,6 @@ def test_truncations_are_pinned():
     # t-structures and the corrupted control at n in -2..2, and of the
     # triangles and stalk factors of both computable star memberships
     bounds = SizeBounds(max_rank=2, max_entry=4, max_width=3)
-    corrupted = TStructureSpec(TVariant.NATURAL, corrupt=True)
     h = hashlib.sha256()
 
     def update_complex(c):
@@ -414,7 +411,7 @@ def test_truncations_are_pinned():
         h.update(repr([(n, g.gen, g.witness)
                        for n, g in sorted(f.components.items())]).encode())
 
-    for spec in (NAT, LEFT, RIGHT, HRS, corrupted):
+    for spec in (NATURAL, LEFT, RIGHT, HRS, CORRUPTED):
         sample = (random_free_complex if spec.variant in (TVariant.LEFT, TVariant.RIGHT)
                   else random_fp_complex)
         for i in range(4):
