@@ -23,7 +23,14 @@ iff the total complex of [Y, X] along f, its cone, is (``is_quasi_iso``).
 The parts pick the criterion: relation-free parts are decided by one
 diagonalisation per differential, where over a PID exactness and
 contractibility agree; others by one kernel and one image-membership solve
-per degree.
+per degree.  Before either, the degrees where an end map is an identity
+are dropped: where the map between the first two parts is an identity
+above some degree, their entries there form a subcomplex, and where the
+map between the last two parts is one below some degree, their entries
+there form a quotient complex.  Both are cones of isomorphisms, so exact,
+and the long exact cohomology sequence leaves the decision to the rest.
+The cone of an identity, the comparison map of a truncation on its window,
+is read with no arithmetic.
 """
 
 from __future__ import annotations
@@ -210,12 +217,14 @@ def direct_sum_complexes(cs: Sequence[Complex]) -> Complex:
     return Complex(ring, lo, objs, diffs)
 
 
-def _total(parts: Sequence[Complex], maps: dict[tuple[int, int], dict[int, FpMorphism]]
-           ) -> tuple[list[IntMatrix], list[IntMatrix]]:
+def _total(parts: Sequence[Complex], maps: dict[tuple[int, int], dict[int, FpMorphism]],
+           windows: Sequence[Sequence[int]]) -> tuple[list[IntMatrix], list[IntMatrix]]:
     """The total complex of parts[0] <- parts[1] <- ..., as matrices.
 
-    Entry n is the sum of parts[i]^{n+i}, presented block-diagonally; block
-    (i, i) of d^n is (-1)^i d_i^{n+i}, and for j > i block (i, j) is
+    Part i contributes its entries in the degrees windows[i] = (lo_i, hi_i)
+    of its own, and a map component only where both its ends do.  Entry n
+    is the sum of parts[i]^{n+i}, presented block-diagonally; block (i, i)
+    of d^n is (-1)^i d_i^{n+i}, and for j > i block (i, j) is
     (-1)^i maps[i, j][n+j] : parts[j]^{n+j} -> parts[i]^{n+1+i}, zero where
     the component is absent.  Returns the presentations of the entries
     lo..hi and the differentials d^lo..d^{hi-1}; it builds no module and no
@@ -223,15 +232,13 @@ def _total(parts: Sequence[Complex], maps: dict[tuple[int, int], dict[int, FpMor
     as block (0, 1).
     """
     ring = parts[0].ring
-    starts = [c.lo - i for i, c in enumerate(parts)]  # part i's first total degree
-    lo = min(starts)
-    hi = max(start + len(c.objects) - 1 for start, c in zip(starts, parts))
+    spans = [(w[0] - i, w[1] - i) for i, w in enumerate(windows) if w[0] <= w[1]]
+    lo, hi = min(s[0] for s in spans), max(s[1] for s in spans)
 
-    def at(seq, i, n):  # the item of part i in total degree n, or None
-        k = n - starts[i]
-        return seq[k] if 0 <= k < len(seq) else None
+    def at(i, p):  # part i's entry in its degree p, or None outside its window
+        return parts[i].objects[p - parts[i].lo] if windows[i][0] <= p <= windows[i][1] else None
 
-    entries = [[at(c.objects, i, n) for i, c in enumerate(parts)] for n in range(lo, hi + 1)]
+    entries = [[at(i, n + i) for i in range(len(parts))] for n in range(lo, hi + 1)]
     sizes = [[0 if m is None else m.generators for m in e] for e in entries]
     pres = [block_diag(ring, [IntMatrix.zeros(ring, 0, 0) if m is None else m.presentation
                               for m in e])
@@ -241,18 +248,54 @@ def _total(parts: Sequence[Complex], maps: dict[tuple[int, int], dict[int, FpMor
     for k, n in enumerate(range(lo, hi)):
         blocks = {}
         for i, c in enumerate(parts):
+            if at(i, n + 1 + i) is None:
+                continue
             row = {j: maps[i, j][n + j] for j in range(i + 1, len(parts))
-                   if n + j in maps.get((i, j), ())}
-            if (d := at(c.differentials, i, n)) is not None:
-                row[i] = d
+                   if n + j in maps.get((i, j), ()) and at(j, n + j) is not None}
+            if at(i, n + i) is not None:
+                row[i] = c.differentials[n + i - c.lo]
             blocks.update({(i, j): -b.gen if i % 2 else b.gen for j, b in row.items()})
         diffs.append(block_matrix(ring, sizes[k + 1], sizes[k], blocks))
     return pres, diffs
 
 
+def _is_identity(c: Optional[FpMorphism]) -> bool:
+    """Whether c is the identity of one module, read off the shared identity
+    matrix, with no arithmetic."""
+    return (c is not None and c.gen is IntMatrix.identity(c.source.ring, c.source.generators)
+            and modules.same_module(c.source, c.target))
+
+
+def _trim(maps: dict[tuple[int, int], dict[int, FpMorphism]], windows: list[list[int]],
+          i: int, low: bool):
+    """Shrink the windows of parts i and i + 1 from their low or their high
+    end over the degrees where both have an entry and maps[i, i + 1] is an
+    identity."""
+    comps, a, b = maps.get((i, i + 1), {}), windows[i], windows[i + 1]
+    end, step, keep = (0, 1, max) if low else (1, -1, min)
+    p = min(a[0], b[0]) if low else max(a[1], b[1])
+    while a[0] <= p <= a[1] and b[0] <= p <= b[1] and _is_identity(comps.get(p)):
+        p += step
+    a[end], b[end] = keep(a[end], p), keep(b[end], p)
+
+
 def total_is_exact(parts: Sequence[Complex],
                    maps: dict[tuple[int, int], dict[int, FpMorphism]]) -> bool:
     """Whether the total complex of parts (``_total``) is exact.
+
+    First the degrees that carry no information are dropped.  Where
+    maps[0, 1] is an identity in every degree above m', the entries of
+    parts[0] and parts[1] above m' form a subcomplex, since the differential
+    leaves them only towards each other; where maps[k-2, k-1] between the
+    last two parts is an identity in every degree below m, their entries
+    below m form a quotient complex, since the differential enters them
+    only from each other.  Either is the cone of an isomorphism, so exact,
+    and by the long exact cohomology sequence the total complex is exact iff
+    what remains is (Weibel, 1.3 and 1.5).  An identity is read, not
+    solved: the shared identity matrix on one module (``_is_identity``).
+    Each end pairs only entries still in both windows, so a middle part
+    that both pairs share loses no entry twice; with nothing left the total
+    complex is zero.
 
     With relation-free parts it is a bounded complex of free modules, exact
     at n iff im d^{n-1} is a direct summand, i.e. the nonzero diagonal of
@@ -266,7 +309,13 @@ def total_is_exact(parts: Sequence[Complex],
     lift even where the complex is exact.
     """
     ring = parts[0].ring
-    pres, diffs = _total(parts, maps)
+    windows = [[c.lo, c.hi] for c in parts]
+    if len(parts) > 1:
+        _trim(maps, windows, 0, low=False)
+        _trim(maps, windows, len(parts) - 2, low=True)
+    if all(lo > hi for lo, hi in windows):
+        return True
+    pres, diffs = _total(parts, maps, windows)
     if all(c.is_strict_free() for c in parts):
         ranks = [0]
         for d in diffs:

@@ -627,23 +627,30 @@ def torsion_decompose(m: FpModule):
     """
     if m.ring is not RingSpec.INTEGERS:
         raise UnsupportedRingError("torsion decomposition needs ring = Z")
-    snf = m.snf()
     diag, tor_idx, _ = m.smith_diagonal()
     t_mod = FpModule.from_invariants(m.ring, [diag[i] for i in tor_idx], 0)
-    # U^-1 * D = P * V, so the columns of V at tor_idx witness the inclusion
-    incl = FpMorphism(t_mod, m, snf.u_inv(tor_idx), snf.v_columns(tor_idx))
+    if tor_idx:
+        snf = m.snf()
+        # U^-1 * D = P * V, so the columns of V at tor_idx witness the inclusion
+        incl = FpMorphism(t_mod, m, snf.u_inv(tor_idx), snf.v_columns(tor_idx))
+    else:  # the zero inclusion reads no Smith form
+        incl = FpMorphism.zero(t_mod, m)
     f_mod, proj = free_quotient(m)
     return t_mod, incl, f_mod, proj
 
 
 def free_quotient(m: FpModule) -> tuple[FpModule, FpMorphism]:
-    """The maximal free quotient, over any catalogued ring."""
-    ring, u = m.ring, m.snf().u
+    """The maximal free quotient, over any catalogued ring.  Without
+    relations it is the identity on generators, read with no Smith form."""
+    ring = m.ring
     _, _, free_idx = m.smith_diagonal()
     f_mod = FpModule.free(ring, len(free_idx))
-    # the rows of U at free_idx kill P, since those rows of D = U * P * V vanish
-    proj = FpMorphism(m, f_mod, u.take_rows(free_idx), IntMatrix.zeros(ring, 0, m.relations))
-    return f_mod, proj
+    if m.relations:
+        # the rows of U at free_idx kill P, since those rows of D = U * P * V vanish
+        gen = m.snf().u.take_rows(free_idx)
+    else:
+        gen = IntMatrix.identity(ring, m.generators)
+    return f_mod, FpMorphism(m, f_mod, gen, IntMatrix.zeros(ring, 0, m.relations))
 
 
 def embed_into_free(m: FpModule) -> Optional[FpMorphism]:

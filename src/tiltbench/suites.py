@@ -370,12 +370,12 @@ def _heart_identification(rnd, bounds):
 def _heart_intersection(rnd, bounds):
     c, rank = samplers.random_disguised_free_stalk(rnd, bounds)
     payload = {"complex": serialize.complex_to_json(c), "rank": rank}
-    if not (heart_membership(LEFT, c) and heart_membership(RIGHT, c)):
+    # the normal form decides both hearts; they are asked again only to name a miss
+    nf = intersection_normal_form(RIGHT, LEFT, c)
+    if nf is None and not (heart_membership(LEFT, c) and heart_membership(RIGHT, c)):
         yield "disguised_stalk_membership", payload
-    else:
-        nf = intersection_normal_form(RIGHT, LEFT, c)
-        if nf is None or nf.invariant_data() != (rank, ()):
-            yield "normal_form_recovers_rank", payload
+    elif nf is None or nf.invariant_data() != (rank, ()):
+        yield "normal_form_recovers_rank", payload
     stalk = free_complex(Z, 0, [], first_rank=rnd.randint(0, bounds.max_rank))
     if not (heart_membership(LEFT, stalk) and heart_membership(RIGHT, stalk)):
         yield "free_stalk_membership", payload

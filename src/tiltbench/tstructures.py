@@ -25,12 +25,14 @@ invertibility in the ambient category, which holds iff its cone is exact
 (``is_quasi_iso``): over a PID a quasi-isomorphism of bounded free
 complexes is a homotopy equivalence, so one decision serves the homotopy
 category over the free carrier and the derived category of finitely
-presented modules.  A triangle A -> X -> B is its pair (counit, unit) of
-chain maps; A, X and B are counit.source, counit.target and unit.target.
-It is distinguished iff its composite vanishes up to a homotopy s and the
-cone of the comparison map cone(A -> X) -> B is exact; that cone is the
-total complex of B <- X <- A along the unit, the counit and s
-(``total_is_exact``).
+presented modules.  On the window that cone is the cone of the identity,
+which ``total_is_exact`` drops unread, so a membership diagonalises only
+the degrees at the window's edge and beyond it.  A triangle A -> X -> B is
+its pair (counit, unit) of chain maps; A, X and B are counit.source,
+counit.target and unit.target.  It is distinguished iff its composite
+vanishes up to a homotopy s and the cone of the comparison map
+cone(A -> X) -> B is exact; that cone is the total complex of B <- X <- A
+along the unit, the counit and s (``total_is_exact``).
 """
 
 from __future__ import annotations

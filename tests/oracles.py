@@ -23,6 +23,14 @@ cone, the comparison map cone(A -> X) -> B out of it and that map's cone,
 and decides by a contracting homotopy over the free carrier and by
 ``is_exact`` elsewhere.
 
+``total_is_exact_in_full`` is ``complexes.total_is_exact`` as it was
+before it dropped the degrees where the end maps are identities: the
+whole total complex laid out, every differential diagonalised or solved.
+
+``torsion_decompose_by_smith_form`` is ``modules.torsion_decompose`` as it
+was posed on every module, relation-free ones included: the chained Smith
+form, U replayed for the free quotient, U^-1 and V for the inclusion.
+
 ``is_zero_morphism`` compares a morphism with the zero morphism built in
 full; ``modules.is_zero_morphism`` solves on its generator matrix alone.
 ``zero_freyd_morphism`` is the zero natural transformation between two
@@ -89,7 +97,8 @@ from tiltbench.complexes import (
 )
 from tiltbench.freyd import FreydMorphism, FreydObject
 from tiltbench.matrices import (IntMatrix, SmithForm, block_diag, block_matrix, kernel_matrix,
-                                kron, smith_normal_form, solve_lift, unvec, vec)
+                                kron, nonzero_diagonal, smith_normal_form, solve_lift, unvec,
+                                vec)
 from tiltbench.modules import (
     FpModule,
     FpMorphism,
@@ -269,6 +278,18 @@ def reduction_by_full_replays(m: FpModule) -> tuple[FpMorphism, FpMorphism]:
             FpMorphism(canon, m, form.u_inv().take_columns(idx), form.v.take_columns(tor_idx)))
 
 
+def torsion_decompose_by_smith_form(m: FpModule):
+    """(tM, incl, M/tM, proj) of ``modules.torsion_decompose``, read off the
+    chained Smith form of m's presentation."""
+    form = smith_normal_form(m.presentation)
+    diag, tor_idx, free_idx = _chained_diagonal(m, form)
+    t_mod = FpModule.from_invariants(m.ring, [diag[i] for i in tor_idx], 0)
+    f_mod = FpModule.free(m.ring, len(free_idx))
+    return (t_mod, FpMorphism(t_mod, m, form.u_inv(tor_idx), form.v_columns(tor_idx)),
+            f_mod, FpMorphism(m, f_mod, form.u.take_rows(free_idx),
+                              IntMatrix.zeros(m.ring, 0, m.relations)))
+
+
 def resolution_by_injective_bases(m: FpModule) -> list[IntMatrix]:
     """Matrices [d1, ..., dk] of a free resolution of m: from its reduced
     presentation on, each step keeps an injective matrix with the column
@@ -397,6 +418,58 @@ def distinguished_by_comparison_cone(counit: ChainMap, unit: ChainMap, free: boo
     if free:
         return is_contractible(phi_cone) is not None
     return is_exact(phi_cone)
+
+
+def total_is_exact_in_full(parts: list[Complex],
+                           maps: dict[tuple[int, int], dict[int, FpMorphism]]) -> bool:
+    """Whether the total complex of parts[0] <- parts[1] <- ... is exact,
+    every degree of it laid out: entry n is the sum of parts[i]^{n+i};
+    block (i, i) of d^n is (-1)^i d_i^{n+i} and block (i, j), j > i, is
+    (-1)^i maps[i, j][n+j].  Relation-free parts are decided by the units
+    and ranks of the diagonals, others by one kernel and one solve per
+    degree."""
+    ring = parts[0].ring
+    starts = [c.lo - i for i, c in enumerate(parts)]
+    lo = min(starts)
+    hi = max(start + len(c.objects) - 1 for start, c in zip(starts, parts))
+
+    def at(seq, i, n):
+        k = n - starts[i]
+        return seq[k] if 0 <= k < len(seq) else None
+
+    entries = [[at(c.objects, i, n) for i, c in enumerate(parts)] for n in range(lo, hi + 1)]
+    sizes = [[0 if m is None else m.generators for m in e] for e in entries]
+    pres = [block_diag(ring, [IntMatrix.zeros(ring, 0, 0) if m is None else m.presentation
+                              for m in e])
+            if any(m is not None and m.relations for m in e)
+            else IntMatrix.zeros(ring, sum(size), 0) for e, size in zip(entries, sizes)]
+    diffs = []
+    for k, n in enumerate(range(lo, hi)):
+        blocks = {}
+        for i, c in enumerate(parts):
+            row = {j: maps[i, j][n + j] for j in range(i + 1, len(parts))
+                   if n + j in maps.get((i, j), ())}
+            if (d := at(c.differentials, i, n)) is not None:
+                row[i] = d
+            blocks.update({(i, j): -b.gen if i % 2 else b.gen for j, b in row.items()})
+        diffs.append(block_matrix(ring, sizes[k + 1], sizes[k], blocks))
+    if all(c.is_strict_free() for c in parts):
+        ranks = [0]
+        for d in diffs:
+            diag = nonzero_diagonal(d)
+            if not all(rings.is_unit(ring, e) for e in diag):
+                return False
+            ranks.append(len(diag))
+        ranks.append(0)
+        return all(ranks[k] + ranks[k + 1] == p.rows for k, p in enumerate(pres))
+    diffs = [IntMatrix.zeros(ring, pres[0].rows, 0), *diffs,
+             IntMatrix.zeros(ring, 0, pres[-1].rows)]
+    pres = [*pres, IntMatrix.zeros(ring, 0, 0)]
+    for k, p in enumerate(pres[:-1]):
+        gens = kernel_matrix(diffs[k + 1].hstack(-pres[k + 1])).take_rows(range(p.rows))
+        if gens.cols and solve_lift(diffs[k].hstack(p), gens) is None:
+            return False
+    return True
 
 
 def checked_chain_map(source: Complex, target: Complex,

@@ -7,8 +7,9 @@ checks the digest of a report written by the command line's ``--out``:
 
     python tests/report_digest.py report.json <expected sha256>
 
-prints the summed wall time and the digest, and exits 1 with a message
-when the digest is not the expected one.
+prints each suite's wall time, slowest first, then the summed wall time
+and the digest, and exits 1 with a message when the digest is not the
+expected one.
 """
 
 import hashlib
@@ -25,7 +26,10 @@ def report_digest(data: dict) -> tuple[str, float]:
 if __name__ == "__main__":
     path, expected = sys.argv[1:]
     with open(path) as f:
-        digest, wall = report_digest(json.load(f))
+        data = json.load(f)
+    for suite in sorted(data["suites"], key=lambda s: (-s["wall_time"], s["name"])):
+        print(f"{suite['wall_time']:8.2f} s  {suite['name']}")
+    digest, wall = report_digest(data)
     print(f"summed suite wall_time: {wall:.1f} s")
     print(digest)
     if digest != expected:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from oracles import (chain_maps_homotopic, checked_chain_map, cohomology_map, cone, scale,
-                     total_hom_complex)
+                     total_hom_complex, total_is_exact_in_full)
 from tiltbench import complexes, modules, rings
 from tiltbench.complexes import (
     ChainMap,
@@ -567,3 +567,57 @@ def test_exactness_and_cohomology_build_no_kernel_module(module_constructions):
                 inside = cc.lo <= n <= cc.hi
                 assert module_constructions(cohomology, cc, n) == ["span_quotient"] * inside
     assert 0 < exact.count(False) < len(exact)
+
+
+@pytest.fixture
+def diagonalised(monkeypatch):
+    """The matrices that complexes diagonalises, as (rows, cols), in order:
+    by nonzero_diagonal on free totals, kernel_matrix on the others."""
+    shapes = []
+    for name in ("nonzero_diagonal", "kernel_matrix"):
+        def recording(m, _real=getattr(complexes, name)):
+            shapes.append((m.rows, m.cols))
+            return _real(m)
+
+        monkeypatch.setattr(complexes, name, recording)
+    return shapes
+
+
+def test_the_quasi_iso_test_of_an_identity_diagonalises_nothing(diagonalised):
+    # the cone of the identity is trimmed to nothing from its high end
+    bounds = SizeBounds(max_rank=2, max_entry=4, max_width=3)
+    for i in range(6):
+        rnd = rng_for(43, "identity-cones", i)
+        for c in (random_free_complex(rnd, bounds), random_fp_complex(rnd, bounds)):
+            assert is_quasi_iso(ChainMap.identity(c))
+            assert is_quasi_iso(ChainMap.identity(c.shift(1)))
+    assert diagonalised == []
+
+
+def maps_of_one(x, y, components):
+    """The chain map x -> y with the given generator matrices per degree and
+    zero witnesses, for entries of rank at most 1."""
+    return ChainMap(x, y, {n: FpMorphism(
+        x.object_at(n), y.object_at(n), g,
+        IntMatrix.zeros(Z, y.object_at(n).relations, x.object_at(n).relations))
+        for n, g in components.items()})
+
+
+def test_only_identities_of_one_module_at_the_ends_are_trimmed():
+    # Z --0--> Z onto Z --0--> Z/2 is the shared identity matrix in both
+    # degrees, a module identity only in degree -1: the degree-0 component
+    # Z -> Z/2 stays, and its cone is not exact, trimmed and in full; an
+    # identity in a middle degree alone is not trimmed either
+    z, z2 = FpModule.free(Z, 1), FpModule.cyclic(Z, 2)
+    eye, zero = IntMatrix.identity(Z, 1), FpMorphism.zero(z, z)
+    x = Complex(Z, -1, [z, z], [zero])
+    y = Complex(Z, -1, [z, z2], [FpMorphism.zero(z, z2)])
+    mid = Complex(Z, -1, [z, z, z], [zero, zero])
+    cases = [(maps_of_one(x, y, {-1: eye, 0: eye}), False),
+             (maps_of_one(x, x, {-1: eye, 0: eye}), True),
+             (maps_of_one(mid, mid, {-1: zmat([[2]]), 0: eye, 1: zmat([[3]])}), False),
+             (maps_of_one(mid, mid, {-1: zmat([[-1]]), 0: eye, 1: zmat([[-1]])}), True)]
+    for f, expected in cases:
+        assert is_quasi_iso(f) is expected
+        assert total_is_exact_in_full([f.target, f.source], {(0, 1): f.components}) is expected
+        assert exact_by_cohomology(cone(f)) is expected

@@ -1130,3 +1130,30 @@ def test_maps_between_direct_sums_are_pinned():
                pi.wit, g.wit, mid.carrier)
     assert h.hexdigest() == (
         "e9f3aa6fbc3d976d4ef80a62b7c1fb94aaa4548850657544e96bcf6d7eaaf142")
+
+
+def test_a_relation_free_free_quotient_runs_no_smith_form(monkeypatch):
+    # without relations the free quotient is the identity on generators and
+    # the torsion inclusion is zero: no Smith form, and the maps of the
+    # chained path, over both rings and without generators too
+    forms = []
+
+    def counting(m, _real=modules.smith_normal_form):
+        forms.append(m)
+        return _real(m)
+
+    monkeypatch.setattr(modules, "smith_normal_form", counting)
+    for ring in (Z, RingSpec.RATIONAL_POLYNOMIALS):
+        for n in range(4):
+            m = FpModule.free(ring, n)
+            got = [free_quotient(m)[1], embed_into_free(m)]
+            if ring is Z:
+                got += torsion_decompose(m)[1::2]
+            assert forms == []
+            _, incl, _, proj = oracles.torsion_decompose_by_smith_form(m)
+            want = [proj, proj] + [incl, proj] * (ring is Z)
+            assert ([(f.source.presentation, f.target.presentation, f.gen, f.witness)
+                     for f in got] ==
+                    [(f.source.presentation, f.target.presentation, f.gen, f.witness)
+                     for f in want])
+            forms.clear()

@@ -8,8 +8,10 @@ from tiltbench import complexes, modules, suites, tstructures
 from tiltbench.complexes import (
     ChainMap,
     cohomology,
+    compose_chain_maps,
     direct_sum_complexes,
     free_complex,
+    is_nullhomotopic,
     is_quasi_iso,
     stalk_complex,
 )
@@ -208,6 +210,82 @@ def test_triangle_check_agrees_with_the_comparison_cone():
             for n in counit.source.degrees())
     assert 0 < outcomes.count(False) < len(outcomes)
     assert homotopies >= 6
+
+
+def triangle_total(counit, unit):
+    """The parts and maps whose total complex ``triangle_is_distinguished``
+    tests, or None where the composite is not null-homotopic."""
+    a, x, b = counit.source, counit.target, unit.target
+    s = {}
+    if not all(modules.composite_is_zero(unit.component_at(n), counit.component_at(n))
+               for n in a.degrees()):
+        if not (a.is_strict_free() and b.is_strict_free()):
+            return None
+        homotopy = is_nullhomotopic(compose_chain_maps(unit, counit))
+        if homotopy is None:
+            return None
+        s = homotopy.components
+    return [b, x, a], {(0, 1): unit.components, (1, 2): counit.components, (0, 2): s}
+
+
+def test_trimmed_exactness_agrees_with_the_full_total_complex():
+    # total_is_exact drops the degrees where its end maps are identities;
+    # oracles.total_is_exact_in_full lays out every degree: the counits and
+    # units of all five specs at n from lo - 1 to hi + 1, on free and fp
+    # complexes and their shifts, approximating triangles, the triangles
+    # A -> X -> cone(A -> X) along identities and counits, and one built by
+    # hand
+    bounds = SizeBounds(max_rank=2, max_entry=3, max_width=3)
+    cases = []
+    for spec in (LEFT, RIGHT, NATURAL, HRS, CORRUPTED):
+        samples = [random_free_complex] + [random_fp_complex] * (not spec.acts_on_free_complexes)
+        for sample in samples:
+            for i in range(4):
+                x = sample(rng_for(37, "trimmed-totals", spec.config_string(),
+                                   sample.__name__, i), bounds)
+                for y in (x, x.shift(1)):
+                    for n in range(y.lo - 1, y.hi + 2):
+                        for f in (truncate_le(spec, n, y), truncate_ge(spec, n, y)):
+                            cases.append(([f.target, f.source], {(0, 1): f.components}))
+                    cases.append(triangle_total(*approximating_triangle(spec, y)))
+    for i in range(6):
+        x = random_free_complex(rng_for(37, "trimmed-cones", i), bounds)
+        for f in (ChainMap.identity(x), truncate_le(LEFT, 0, x)):
+            for k in (1, 2):
+                cases.append(triangle_total(*cone_triangle(f, k)))
+    # Z --1--> Z in degrees -1..0 three times, the unit the shared identity
+    # at -1 alone: only the homotopy s kills the composite, and it enters
+    # B^-1 from A^0, so the first pair must not be trimmed from below
+    x, a = fc(-1, [[[1]]]), fc(-1, [[[1]]])
+    ones = {n: FpMorphism(a.object_at(n), x.object_at(n), zmat([[1]]), IntMatrix.zeros(Z, 0, 0))
+            for n in (-1, 0)}
+    unit = ChainMap(x, x, {-1: FpMorphism.identity(x.object_at(-1)), 0: ones[0]})
+    contractible = triangle_total(ChainMap(a, x, ones), unit)
+    assert complexes.total_is_exact(*contractible)
+    cases.append(contractible)
+    outcomes = []
+    for parts, maps in filter(None, cases):
+        outcomes.append(complexes.total_is_exact(parts, maps))
+        assert outcomes[-1] == oracles.total_is_exact_in_full(parts, maps)
+    assert len(outcomes) > 400
+    assert 0 < outcomes.count(False) < len(outcomes)
+    assert sum(len(parts) == 3 for parts, _ in filter(None, cases)) > 50
+
+
+def test_aisle_membership_diagonalises_outside_the_identity_window(monkeypatch):
+    # x = Z --1--> Z --0--> Z --1--> Z in degrees -2..1 is exact; its left
+    # counit at 0 is the identity below 0, so of the cone only the total
+    # degrees -1..1 are laid out: x^0, x^1 and the capping kernel, rank 0
+    shapes = []
+
+    def recording(m, _real=complexes.nonzero_diagonal):
+        shapes.append((m.rows, m.cols))
+        return _real(m)
+
+    monkeypatch.setattr(complexes, "nonzero_diagonal", recording)
+    x = fc(-2, [[[1]], [[0]], [[1]]])
+    assert in_aisle(LEFT, 0, x)
+    assert shapes == [(1, 0), (1, 1)]
 
 
 def test_star_membership_torsion_examples():
