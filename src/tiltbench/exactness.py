@@ -7,11 +7,12 @@ finite groups inherits from the ambient module category.  Carriers are
 closed catalogue entries, not user predicates.
 
 Each structure decides deflations and inflations, computes kernels and
-cokernels inside its carrier, and exposes the relativised kernel whose
-universal property holds only after passing to a deflation cover; for the
-catalogued carriers the ordinary kernel works with an identity cover, and
-the cover protocol is materialised as a function value so the existential
-in the contract stays executable.
+cokernels inside its carrier, each its universal map as in ``modules`` (the
+inclusion, the projection, a pushout's two legs), and exposes the
+relativised kernel whose universal property holds only after passing to a
+deflation cover; for the catalogued carriers the ordinary kernel works with
+an identity cover, and the cover protocol is materialised as a function
+value so the existential in the contract stays executable.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def is_inflation(f: FpMorphism, ex: ExactStructure) -> bool:
     if ex.flavor is Flavor.SPLIT:
         return modules.cofactor(FpMorphism.identity(f.source), f) is not None
     # maximal and inherited: a mono whose cokernel stays in the carrier
-    return modules.is_mono(f) and ex.contains(modules.cokernel(f))
+    return modules.is_mono(f) and ex.contains(modules.cokernel(f).target)
 
 
 def _is_cokernel_of_its_kernel(f: FpMorphism, ex: ExactStructure) -> bool:
@@ -112,9 +113,7 @@ def _is_cokernel_of_its_kernel(f: FpMorphism, ex: ExactStructure) -> bool:
     these carriers every kernel-cokernel pair splits, so stability is
     automatic (cross-checked against the split predicate by the suites).
     """
-    _, incl = modules.kernel(f)
-    _, proj = _carrier_cokernel(incl, ex)
-    induced = modules.cofactor(f, proj)
+    induced = modules.cofactor(f, _carrier_cokernel(modules.kernel(f), ex))
     if induced is None:
         return False
     return modules.is_iso(induced)
@@ -134,38 +133,39 @@ def is_conflation(incl: FpMorphism, defl: FpMorphism, ex: ExactStructure) -> boo
 
 # -- kernels and cokernels inside the carrier ----------------------------------
 
-def e_kernel(f: FpMorphism, ex: ExactStructure) -> tuple[FpModule, FpMorphism]:
-    """The kernel computed inside the carrier category: the ambient kernel,
+def e_kernel(f: FpMorphism, ex: ExactStructure) -> FpMorphism:
+    """The kernel inclusion inside the carrier category: the ambient kernel,
     which every catalogued carrier contains (a subgroup of a free or a
     finite group is free or finite)."""
     ex.check_morphism(f)
     return modules.kernel(f)
 
 
-def e_cokernel(f: FpMorphism, ex: ExactStructure) -> tuple[FpModule, FpMorphism]:
-    """The cokernel inside the carrier: the free quotient on the free carrier."""
+def e_cokernel(f: FpMorphism, ex: ExactStructure) -> FpMorphism:
+    """The cokernel projection inside the carrier: onto the free quotient of
+    the cokernel on the free carrier."""
     ex.check_morphism(f)
     return _carrier_cokernel(f, ex)
 
 
-def _carrier_cokernel(f: FpMorphism, ex: ExactStructure) -> tuple[FpModule, FpMorphism]:
-    proj = modules.cokernel_projection(f)
+def _carrier_cokernel(f: FpMorphism, ex: ExactStructure) -> FpMorphism:
+    proj = modules.cokernel(f)
     if ex.carrier is Carrier.FREE_Z:  # onto the free quotient of the cokernel
-        proj = modules.compose(modules.free_quotient(proj.target)[1], proj)
-    return proj.target, proj
+        proj = modules.compose(modules.free_quotient(proj.target), proj)
+    return proj
 
 
 DeflationCover = Callable[[FpMorphism], tuple[FpMorphism, FpMorphism]]
 
 
-def d_kernel(f: FpMorphism, ex: ExactStructure) -> tuple[FpModule, FpMorphism, DeflationCover]:
+def d_kernel(f: FpMorphism, ex: ExactStructure) -> tuple[FpMorphism, DeflationCover]:
     """Kernel up to a deflation cover, with an executable cover protocol.
 
     For every test map j with f o j = 0 the protocol returns a deflation pi
     and a map k with j o pi = incl o k; on the catalogued carriers the
     ordinary kernel already works and pi is the identity.
     """
-    k_mod, incl = e_kernel(f, ex)
+    incl = e_kernel(f, ex)
 
     def protocol(j: FpMorphism) -> tuple[FpMorphism, FpMorphism]:
         if not modules.composite_is_zero(f, j):
@@ -175,12 +175,12 @@ def d_kernel(f: FpMorphism, ex: ExactStructure) -> tuple[FpModule, FpMorphism, D
             raise AssertionError("catalogued carrier lost the kernel property")
         return FpMorphism.identity(j.source), lifted
 
-    return k_mod, incl, protocol
+    return incl, protocol
 
 
-def d_cokernel(f: FpMorphism, ex: ExactStructure) -> tuple[FpModule, FpMorphism, DeflationCover]:
+def d_cokernel(f: FpMorphism, ex: ExactStructure) -> tuple[FpMorphism, DeflationCover]:
     """Dual of d_kernel: cokernel up to an inflation cover (identity here)."""
-    c_mod, proj = e_cokernel(f, ex)
+    proj = e_cokernel(f, ex)
 
     def protocol(j: FpMorphism) -> tuple[FpMorphism, FpMorphism]:
         if not modules.composite_is_zero(j, f):
@@ -190,18 +190,19 @@ def d_cokernel(f: FpMorphism, ex: ExactStructure) -> tuple[FpModule, FpMorphism,
             raise AssertionError("catalogued carrier lost the cokernel property")
         return FpMorphism.identity(j.target), descended
 
-    return c_mod, proj, protocol
+    return proj, protocol
 
 
 # -- carrier-level pushouts ------------------------------------------------------
 
-def carrier_pushout(f: FpMorphism, g: FpMorphism, ex: ExactStructure):
-    """Pushout inside the carrier: free quotient of the ambient pushout."""
-    p, leg_f, leg_g = modules.pushout(f, g)
+def carrier_pushout(f: FpMorphism, g: FpMorphism,
+                    ex: ExactStructure) -> tuple[FpMorphism, FpMorphism]:
+    """The two legs of the pushout inside the carrier, on FREE_Z onto its free quotient."""
+    leg_f, leg_g = modules.pushout(f, g)
     if ex.carrier is Carrier.FREE_Z:
-        fq, proj = modules.free_quotient(p)
-        return fq, modules.compose(proj, leg_f), modules.compose(proj, leg_g)
-    return p, leg_f, leg_g
+        proj = modules.free_quotient(leg_f.target)
+        return modules.compose(proj, leg_f), modules.compose(proj, leg_g)
+    return leg_f, leg_g
 
 
 # -- acyclicity with witness ------------------------------------------------------
@@ -213,23 +214,13 @@ def is_acyclic_wrt(c: Complex, ex: ExactStructure) -> Optional[dict[int, FpModul
     for n in c.degrees():
         if not ex.contains(c.object_at(n)):
             raise CarrierMismatchError(f"complex entry in degree {n} leaves the carrier")
-    factors = {}
-    embeddings = {}
-    surjections = {}
-    for n in range(c.lo, c.hi):
-        d = c.differential_at(n)
-        im, surj, incl = modules.corestrict_to_image(d)
-        factors[n] = im
-        surjections[n] = surj
-        embeddings[n] = incl
     zero = FpModule.zero(c.ring)
-    factors[c.lo - 1] = zero
-    factors[c.hi] = zero
-    embeddings[c.lo - 1] = FpMorphism.zero(zero, c.object_at(c.lo))
-    surjections[c.hi] = FpMorphism.zero(c.object_at(c.hi), zero)
+    embeddings = {c.lo - 1: FpMorphism.zero(zero, c.object_at(c.lo))}
+    surjections = {c.hi: FpMorphism.zero(c.object_at(c.hi), zero)}
+    for n in range(c.lo, c.hi):
+        surjections[n], embeddings[n] = modules.corestrict_to_image(c.differential_at(n))
     for n in c.degrees():
-        m = embeddings[n - 1]
-        e = surjections[n]
-        if not ex.contains(factors[n]) or not is_conflation(m, e, ex):
+        if not ex.contains(surjections[n].target) \
+                or not is_conflation(embeddings[n - 1], surjections[n], ex):
             return None
-    return {n: factors[n] for n in range(c.lo - 1, c.hi + 1)}
+    return {c.lo - 1: zero, **{n: surjections[n].target for n in c.degrees()}}

@@ -12,6 +12,10 @@ subcategory, the quotient by which is computed through the cokernel
 functor to finitely presented modules (the localisation is an equivalence
 onto that quotient, so equality of right fractions is decided on the
 projections).
+
+As in ``modules``, a universal construction returns its maps alone
+(``freyd_image`` its inclusion and corestriction, ``freyd_direct_sum`` its
+projections); the functor is an end of a map.
 """
 
 from __future__ import annotations
@@ -108,18 +112,16 @@ def freyd_equal(f: FreydMorphism, g: FreydMorphism) -> bool:
     return modules.factor(delta, f.target.carrier) is not None
 
 
-def freyd_direct_sum(a: FreydObject, b: FreydObject):
-    """Direct sum with its two projections."""
+def freyd_direct_sum(a: FreydObject, b: FreydObject) -> tuple[FreydMorphism, FreydMorphism]:
+    """The two projections of the direct sum, their common source."""
     src_parts, tgt_parts = [a.relations, b.relations], [a.generators, b.generators]
     src, tgt = modules.direct_sum(src_parts), modules.direct_sum(tgt_parts)
     carrier = modules.block_morphism(src, tgt, src_parts, tgt_parts,
                                      {(0, 0): a.carrier, (1, 1): b.carrier})
     total = FreydObject(a.ex, carrier)
-    proj_a = FreydMorphism(total, a, modules.projection(tgt, tgt_parts, 0),
-                           modules.projection(src, src_parts, 0))
-    proj_b = FreydMorphism(total, b, modules.projection(tgt, tgt_parts, 1),
-                           modules.projection(src, src_parts, 1))
-    return total, (proj_a, proj_b)
+    return tuple(FreydMorphism(total, part, modules.projection(tgt, tgt_parts, k),
+                               modules.projection(src, src_parts, k))
+                 for k, part in enumerate((a, b)))
 
 
 # -- effaceability ------------------------------------------------------------
@@ -158,40 +160,37 @@ def adjoin_relations(f: FreydObject, extra: FpMorphism) -> tuple[FpMorphism, FpM
     return carrier, modules.injection(parts, rel_sum, 0)
 
 
-def freyd_cokernel(eta: FreydMorphism) -> tuple[FreydObject, FreydMorphism]:
-    """Cokernel: adjoin the image of eta to the target's relations."""
+def freyd_cokernel(eta: FreydMorphism) -> FreydMorphism:
+    """The cokernel projection: adjoin the image of eta to the target's
+    relations."""
     g = eta.target
     carrier, rel_inj = adjoin_relations(g, eta.gen)
     c, tgt_iso, _, src_iso, _ = _reduce_carrier(g.ex, carrier)
-    proj = FreydMorphism(g, c, tgt_iso, modules.compose(src_iso, rel_inj))
-    return c, proj
+    return FreydMorphism(g, c, tgt_iso, modules.compose(src_iso, rel_inj))
 
 
-def freyd_kernel(eta: FreydMorphism) -> tuple[FreydObject, FreydMorphism]:
-    """Kernel subfunctor from two carrier-level pullbacks; the first builds
-    one leg.  Where eta is the identity on generators, as a quotient map
-    from ``adjoin_relations`` is, the first pullback is G's relation module
-    with leg G's carrier, read with no system posed, so only the second is
-    computed."""
+def freyd_kernel(eta: FreydMorphism) -> FreydMorphism:
+    """The inclusion of the kernel subfunctor, from two carrier-level
+    pullbacks; the first builds one leg.  Where eta is the identity on
+    generators, as a quotient map from ``adjoin_relations`` is, the first
+    pullback is G's relation module with leg G's carrier, read with no
+    system posed, so only the second is computed."""
     f, g = eta.source, eta.target
-    _, p_to_u2, _, _ = modules._pullback_leg(eta.gen, g.carrier)
-    q_mod, q_to_p, q_to_u1 = modules.pullback(p_to_u2, f.carrier)
+    p_to_u2 = modules._pullback_leg(eta.gen, g.carrier)[0]
+    q_to_p, q_to_u1 = modules.pullback(p_to_u2, f.carrier)
     k, _, tgt_inv, _, src_inv = _reduce_carrier(f.ex, q_to_p)
-    incl = FreydMorphism(k, f,
-                         modules.compose(p_to_u2, tgt_inv),
+    return FreydMorphism(k, f, modules.compose(p_to_u2, tgt_inv),
                          modules.compose(q_to_u1, src_inv))
-    return k, incl
 
 
-def freyd_image(eta: FreydMorphism):
-    """Image subfunctor of the target with inclusion and corestriction."""
-    c, proj = freyd_cokernel(eta)
-    img, incl = freyd_kernel(proj)
+def freyd_image(eta: FreydMorphism) -> tuple[FreydMorphism, FreydMorphism]:
+    """The inclusion of the image subfunctor of the target, and the
+    corestriction of eta onto it: (incl, core)."""
+    incl = freyd_kernel(freyd_cokernel(eta))
     core_gen = modules.factor(eta.gen, incl.gen)
     if core_gen is None:
         raise AssertionError("transformation does not corestrict to its image")
-    core = FreydMorphism.from_generator(eta.source, img, core_gen)
-    return img, incl, core
+    return incl, FreydMorphism.from_generator(eta.source, incl.source, core_gen)
 
 
 def same_freyd_object(x: FreydObject, y: FreydObject) -> bool:
@@ -200,24 +199,21 @@ def same_freyd_object(x: FreydObject, y: FreydObject) -> bool:
             and x.relations.presentation == y.relations.presentation)
 
 
-def freyd_pullback(f: FreydMorphism, g: FreydMorphism):
-    """Pullback of f along g inside the functor category, with its legs."""
+def freyd_pullback(f: FreydMorphism, g: FreydMorphism) -> tuple[FreydMorphism, FreydMorphism]:
+    """The legs (to f's source, to g's) of the pullback of f along g inside
+    the functor category, their common source."""
     if not same_freyd_object(f.target, g.target):
         raise ValueError("pullback targets differ")
-    total, (proj_a, proj_b) = freyd_direct_sum(f.source, g.source)
+    proj_a, proj_b = freyd_direct_sum(f.source, g.source)
     diff_gen = modules.block_morphism(
-        total.generators, f.gen.target, [f.source.generators, g.source.generators],
+        proj_a.source.generators, f.gen.target, [f.source.generators, g.source.generators],
         [f.gen.target], {(0, 0): f.gen, (0, 1): modules.negate(g.gen)})
-    diff = FreydMorphism.from_generator(total, f.target, diff_gen)
-    p, incl = freyd_kernel(diff)
-    leg_f = freyd_compose(proj_a, incl)
-    leg_g = freyd_compose(proj_b, incl)
-    return p, leg_f, leg_g
+    incl = freyd_kernel(FreydMorphism.from_generator(proj_a.source, f.target, diff_gen))
+    return freyd_compose(proj_a, incl), freyd_compose(proj_b, incl)
 
 
 def pointwise_epi(eta: FreydMorphism) -> bool:
-    c, _ = freyd_cokernel(eta)
-    return c.is_zero_functor()
+    return freyd_cokernel(eta).target.is_zero_functor()
 
 
 # -- evaluation at probe objects -------------------------------------------------
@@ -275,7 +271,7 @@ def right_filter_factor(f: FreydMorphism) -> tuple[FreydMorphism, FreydMorphism,
                                   {(0, 0): u.carrier, (1, 0): f.wit})
     diff = modules.block_morphism(total, a.generators, parts, [a.generators],
                                   {(0, 0): f.gen, (0, 1): modules.negate(a.carrier)})
-    k_mod, k_incl = modules.kernel(diff)
+    k_incl = modules.kernel(diff)
     r = modules.factor(pair, k_incl)
     if r is None:
         raise AssertionError("relations do not reach the pullback")
@@ -288,7 +284,9 @@ def right_filter_factor(f: FreydMorphism) -> tuple[FreydMorphism, FreydMorphism,
 # -- the cokernel projection to modules ---------------------------------------------
 
 def auslander_project(f: FreydObject) -> FpModule:
-    """The cokernel of the carrier morphism, computed among modules.
+    """The cokernel of the carrier morphism, computed among modules: the
+    target of ``modules.cokernel(f.carrier)``, [P_G0 | f] on G0's
+    generators, built with no projection.
 
     Vanishes exactly on the effaceable functors; over the free carrier the
     target category is the left heart, realised as finitely presented
@@ -297,7 +295,7 @@ def auslander_project(f: FreydObject) -> FpModule:
     if f.ex.carrier is Carrier.TORSION_Z:
         raise UnsupportedCarrierError(
             f"no localisation target for carrier {f.ex.carrier.value}")
-    return modules.cokernel(f.carrier)
+    return FpModule(f.carrier.target.presentation.hstack(f.carrier.gen))
 
 
 def project_morphism(eta: FreydMorphism) -> FpMorphism:
@@ -313,8 +311,8 @@ def project_morphism(eta: FreydMorphism) -> FpMorphism:
 
 def factors_through_effaceable(eta: FreydMorphism) -> bool:
     """Whether eta factors through an effaceable functor (its image)."""
-    img, incl, core = freyd_image(eta)
-    if not is_effaceable(img):
+    incl, core = freyd_image(eta)
+    if not is_effaceable(incl.source):
         return False
     return freyd_equal(freyd_compose(incl, core), eta)
 
@@ -357,8 +355,7 @@ def padding_deflation(f: FreydObject, eff: FreydObject) -> WeakIsoFactor:
     """The projection F (+) T -> F, an elementary weak iso for effaceable T."""
     if not is_effaceable(eff):
         raise ValueError("padding summand must be effaceable")
-    _, (proj_f, _) = freyd_direct_sum(f, eff)
-    return WeakIsoFactor(proj_f, eff)
+    return WeakIsoFactor(freyd_direct_sum(f, eff)[0], eff)
 
 
 def refine_fraction(a: Fraction, eff: FreydObject) -> Fraction:
@@ -372,8 +369,8 @@ def refine_fraction(a: Fraction, eff: FreydObject) -> Fraction:
 def _pull_elementary(factor: WeakIsoFactor, g: FreydMorphism
                      ) -> tuple[WeakIsoFactor, FreydMorphism]:
     """Pull an elementary weak iso back along g; Ore square completion."""
-    p, leg_g, leg_w = freyd_pullback(g, factor.map)
-    cert, _ = freyd_kernel(leg_g)
+    leg_g, leg_w = freyd_pullback(g, factor.map)
+    cert = freyd_kernel(leg_g).source
     if not is_effaceable(cert):
         raise AssertionError("pullback lost the effaceable certificate")
     return WeakIsoFactor(leg_g, cert), leg_w

@@ -10,6 +10,11 @@ A module's shape -- free rank, invariant factors, the torsion pair over Z
 and the reduced presentation [diag(d); 0], injective over a PID and so its
 projective resolution -- is read off one Smith diagonal; ``factor`` and
 ``cofactor`` are plain solves on one reduced presentation.
+
+A universal construction is its universal map: ``kernel`` and ``image``
+return inclusions, ``cokernel`` and ``free_quotient`` projections,
+``pullback`` and ``pushout`` two legs; the object is an end of a map.
+``direct_sum`` returns its object: a biproduct's maps are built where read.
 """
 
 from __future__ import annotations
@@ -137,9 +142,6 @@ class FpModule:
                            FpMorphism(canon, self, snf.u_inv(idx), snf.v_columns(tor_idx)))
         return self._reduction
 
-    def free_rank(self) -> int:
-        return len(self.smith_diagonal()[2])
-
     def invariant_data(self) -> tuple:
         diag, tor_idx, free_idx = self.smith_diagonal()
         return (len(free_idx), tuple(diag[i] for i in tor_idx))
@@ -156,13 +158,6 @@ class FpModule:
 
     def is_isomorphic(self, other: "FpModule") -> bool:
         return self.ring is other.ring and self.invariant_data() == other.invariant_data()
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FpModule)
-                and self.presentation == other.presentation)
-
-    def __hash__(self) -> int:
-        return hash(self.presentation)
 
     def __repr__(self) -> str:
         fr, tor = self.invariant_data()
@@ -371,40 +366,35 @@ def kernel_generators(f: FpMorphism) -> IntMatrix:
     return f.kernel_solver().kernel().take_rows(range(f.source.generators))
 
 
-def kernel(f: FpMorphism) -> tuple[FpModule, FpMorphism]:
-    """Kernel with its monic inclusion."""
+def kernel(f: FpMorphism) -> FpMorphism:
+    """The monic inclusion ker f -> f.source; ker f is its source."""
     u = kernel_generators(f)
     k_mod, wit = span_quotient(u, f.source.presentation)
-    incl = FpMorphism(k_mod, f.source, u, wit)
-    return k_mod, incl
+    return FpMorphism(k_mod, f.source, u, wit)
 
 
-def cokernel(f: FpMorphism) -> FpModule:
-    """The cokernel, presented by [P_tgt | gen] on the target's generators."""
-    return FpModule(f.target.presentation.hstack(f.gen))
-
-
-def cokernel_projection(f: FpMorphism) -> FpMorphism:
-    """The epi f.target -> cokernel(f), the identity on generators."""
+def cokernel(f: FpMorphism) -> FpMorphism:
+    """The epi f.target -> coker f, the identity on generators; coker f, its
+    target, is presented by [P_tgt | gen] on the target's generators."""
     ring, a = f.source.ring, f.target.relations
     w = IntMatrix.diagonal(ring, [rings.one(ring)] * a, rows=a + f.source.generators)
-    return FpMorphism(f.target, cokernel(f), IntMatrix.identity(ring, f.target.generators), w)
+    return FpMorphism(f.target, FpModule(f.target.presentation.hstack(f.gen)),
+                      IntMatrix.identity(ring, f.target.generators), w)
 
 
-def image(f: FpMorphism) -> tuple[FpModule, FpMorphism]:
-    """Image submodule of the target, with its inclusion."""
+def image(f: FpMorphism) -> FpMorphism:
+    """The inclusion im f -> f.target; the image submodule is its source."""
     im_mod, wit = span_quotient(f.gen, f.target.presentation)
-    incl = FpMorphism(im_mod, f.target, f.gen, wit)
-    return im_mod, incl
+    return FpMorphism(im_mod, f.target, f.gen, wit)
 
 
-def corestrict_to_image(f: FpMorphism) -> tuple[FpModule, FpMorphism, FpMorphism]:
-    """f = incl o surj through its image; returns (image, surj, incl)."""
-    im_mod, incl = image(f)
+def corestrict_to_image(f: FpMorphism) -> tuple[FpMorphism, FpMorphism]:
+    """f = incl o surj through its image; returns (surj, incl)."""
+    incl = image(f)
     # the image generators are the columns of f.gen, one per source generator
     surj = FpMorphism.from_generator_matrix(
-        f.source, im_mod, IntMatrix.identity(f.source.ring, f.source.generators))
-    return im_mod, surj, incl
+        f.source, incl.source, IntMatrix.identity(f.source.ring, f.source.generators))
+    return surj, incl
 
 
 def in_image(f: FpMorphism, elements: IntMatrix) -> bool:
@@ -619,29 +609,26 @@ def _beside_negated_blocks(left: IntMatrix, p: IntMatrix, count: int) -> IntMatr
 
 # -- torsion pair over Z -----------------------------------------------------
 
-def torsion_decompose(m: FpModule):
-    """The short exact sequence 0 -> tM -> M -> M/tM -> 0 over Z.
-
-    tM is the (finite) torsion part, the quotient is free; both come with
-    the morphisms realising the sequence.
+def torsion_decompose(m: FpModule) -> tuple[FpMorphism, FpMorphism]:
+    """The short exact sequence 0 -> tM -> M -> M/tM -> 0 over Z, as its
+    two maps (incl, proj): tM, the (finite) torsion part, is incl.source,
+    and M/tM, free, is proj.target.
     """
     if m.ring is not RingSpec.INTEGERS:
         raise UnsupportedRingError("torsion decomposition needs ring = Z")
     diag, tor_idx, _ = m.smith_diagonal()
     t_mod = FpModule.from_invariants(m.ring, [diag[i] for i in tor_idx], 0)
-    if tor_idx:
-        snf = m.snf()
-        # U^-1 * D = P * V, so the columns of V at tor_idx witness the inclusion
-        incl = FpMorphism(t_mod, m, snf.u_inv(tor_idx), snf.v_columns(tor_idx))
+    if tor_idx:  # U^-1 * D = P * V, so the columns of V at tor_idx witness it
+        incl = FpMorphism(t_mod, m, m.snf().u_inv(tor_idx), m.snf().v_columns(tor_idx))
     else:  # the zero inclusion reads no Smith form
         incl = FpMorphism.zero(t_mod, m)
-    f_mod, proj = free_quotient(m)
-    return t_mod, incl, f_mod, proj
+    return incl, free_quotient(m)
 
 
-def free_quotient(m: FpModule) -> tuple[FpModule, FpMorphism]:
-    """The maximal free quotient, over any catalogued ring.  Without
-    relations it is the identity on generators, read with no Smith form."""
+def free_quotient(m: FpModule) -> FpMorphism:
+    """The projection onto the maximal free quotient, over any catalogued
+    ring.  Without relations it is the identity on generators, read with no
+    Smith form."""
     ring = m.ring
     _, _, free_idx = m.smith_diagonal()
     f_mod = FpModule.free(ring, len(free_idx))
@@ -650,13 +637,13 @@ def free_quotient(m: FpModule) -> tuple[FpModule, FpMorphism]:
         gen = m.snf().u.take_rows(free_idx)
     else:
         gen = IntMatrix.identity(ring, m.generators)
-    return f_mod, FpMorphism(m, f_mod, gen, IntMatrix.zeros(ring, 0, m.relations))
+    return FpMorphism(m, f_mod, gen, IntMatrix.zeros(ring, 0, m.relations))
 
 
 def embed_into_free(m: FpModule) -> Optional[FpMorphism]:
     """A monomorphism into a free module, when one exists (M torsion-free):
     the free quotient, mono because the torsion part vanishes."""
-    return free_quotient(m)[1] if m.is_free() else None
+    return free_quotient(m) if m.is_free() else None
 
 
 # -- projective resolutions ---------------------------------------------------
@@ -678,19 +665,20 @@ def reduce_presentation(m: FpModule) -> FpModule:
     return FpModule.from_invariants(m.ring, list(tor), fr)
 
 
-def pullback(f: FpMorphism, g: FpMorphism):
-    """Pullback of f : A -> C along g : B -> C, with its two legs.  Along an
-    identity of A it is B itself, with legs g and the identity of B."""
-    p_mod, leg_a, incl_gen, wit = _pullback_leg(f, g)
+def pullback(f: FpMorphism, g: FpMorphism) -> tuple[FpMorphism, FpMorphism]:
+    """The legs (to A, to B) of the pullback of f : A -> C along g : B -> C,
+    their common source.  Along an identity of A it is B itself, with legs g
+    and the identity of B."""
+    leg_a, incl_gen, wit = _pullback_leg(f, g)
     n, r = f.source.generators, f.source.relations
-    leg_b = FpMorphism(p_mod, g.source, incl_gen.take_rows(range(n, incl_gen.rows)),
+    leg_b = FpMorphism(leg_a.source, g.source, incl_gen.take_rows(range(n, incl_gen.rows)),
                        wit.take_rows(range(r, wit.rows)))
-    return p_mod, leg_a, leg_b
+    return leg_a, leg_b
 
 
-def _pullback_leg(f: FpMorphism, g: FpMorphism):
-    """``pullback``'s module and leg to A, with the inclusion into A (+) B
-    and its witness, whose row blocks below A's are the leg to B.
+def _pullback_leg(f: FpMorphism, g: FpMorphism) -> tuple[FpMorphism, IntMatrix, IntMatrix]:
+    """``pullback``'s leg to A, with the inclusion into A (+) B and its
+    witness, whose row blocks below A's are the leg to B.
 
     Where f is the identity of A (the shared identity on generators from A
     to A itself, whatever its witness) the pullback is B with no system
@@ -701,7 +689,7 @@ def _pullback_leg(f: FpMorphism, g: FpMorphism):
         raise ValueError("pullback targets differ")
     a, b = f.source, g.source
     if f.gen is IntMatrix.identity(a.ring, a.generators) and same_module(a, f.target):
-        return (b, g, g.gen.vstack(IntMatrix.identity(b.ring, b.generators)),
+        return (g, g.gen.vstack(IntMatrix.identity(b.ring, b.generators)),
                 g.witness.vstack(IntMatrix.identity(b.ring, b.relations)))
     # the kernel of [f, -g] on A (+) B, posed on matrices: its generators are
     # the kernel of [f.gen | -g.gen | -P_C] cut to A (+) B, its relations
@@ -713,17 +701,16 @@ def _pullback_leg(f: FpMorphism, g: FpMorphism):
     # relations alike
     leg_a = FpMorphism(p_mod, a, incl_gen.take_rows(range(a.generators)),
                        wit.take_rows(range(a.relations)))
-    return p_mod, leg_a, incl_gen, wit
+    return leg_a, incl_gen, wit
 
 
-def pushout(f: FpMorphism, g: FpMorphism):
-    """Pushout of f : C -> A along g : C -> B, with its two legs."""
+def pushout(f: FpMorphism, g: FpMorphism) -> tuple[FpMorphism, FpMorphism]:
+    """The legs (from A, from B) of the pushout of f : C -> A along
+    g : C -> B, their common target."""
     if f.source.presentation != g.source.presentation:
         raise ValueError("pushout sources differ")
     parts = [f.target, g.target]
     total = direct_sum(parts)
     diff = block_morphism(f.source, total, [f.source], parts, {(0, 0): f, (1, 0): negate(g)})
-    proj = cokernel_projection(diff)
-    leg_a = compose(proj, injection(parts, total, 0))
-    leg_b = compose(proj, injection(parts, total, 1))
-    return proj.target, leg_a, leg_b
+    proj = cokernel(diff)
+    return compose(proj, injection(parts, total, 0)), compose(proj, injection(parts, total, 1))

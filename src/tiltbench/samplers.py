@@ -116,7 +116,7 @@ def random_fp_complex(rnd: random.Random, bounds: SizeBounds) -> Complex:
         if not diffs:
             diffs.append(random_morphism(rnd, objs[-1], nxt))
         else:
-            proj = modules.cokernel_projection(diffs[-1])
+            proj = modules.cokernel(diffs[-1])
             diffs.append(modules.compose(random_morphism(rnd, proj.target, nxt), proj))
         objs.append(nxt)
     return Complex(Z, lo, objs, diffs)
@@ -151,8 +151,7 @@ def random_carrier_morphism(ex, rnd: random.Random, bounds: SizeBounds) -> FpMor
 def random_carrier_deflation(ex, rnd: random.Random, bounds: SizeBounds) -> FpMorphism:
     """A deflation in the carrier: corestriction of a random map to its image."""
     f = random_carrier_morphism(ex, rnd, bounds)
-    _, surj, _ = modules.corestrict_to_image(f)
-    return surj
+    return modules.corestrict_to_image(f)[0]
 
 
 def random_unimodular(rnd: random.Random, n: int) -> IntMatrix:

@@ -196,13 +196,13 @@ def _fp_universal_properties(rnd, bounds):
     tgt = samplers.random_module(rnd, bounds)
     f = samplers.random_morphism(rnd, src, tgt)
     payload = {"morphism": serialize.morphism_to_json(f)}
-    k_mod, incl = modules.kernel(f)
+    incl = modules.kernel(f)
     if not modules.is_mono(incl):
         yield "kernel_monic", payload
     if not modules.composite_is_zero(f, incl):
         yield "kernel_killed", payload
     test = samplers.random_module(rnd, bounds)
-    h = samplers.random_morphism(rnd, test, k_mod)
+    h = samplers.random_morphism(rnd, test, incl.source)
     g = modules.compose(incl, h)
     back = modules.factor(g, incl)
     if back is None or not modules.morphism_equal(
@@ -210,13 +210,12 @@ def _fp_universal_properties(rnd, bounds):
         yield "kernel_factorisation_exists", payload
     elif not modules.morphism_equal(back, h):
         yield "kernel_factorisation_unique", payload
-    proj = modules.cokernel_projection(f)
-    c_mod = proj.target
+    proj = modules.cokernel(f)
     if not modules.is_epi(proj):
         yield "cokernel_epi", payload
     if not modules.composite_is_zero(proj, f):
         yield "cokernel_killed", payload
-    h2 = samplers.random_morphism(rnd, c_mod, samplers.random_module(rnd, bounds))
+    h2 = samplers.random_morphism(rnd, proj.target, samplers.random_module(rnd, bounds))
     g2 = modules.compose(h2, proj)
     back2 = modules.cofactor(g2, proj)
     if back2 is None or not modules.morphism_equal(
@@ -229,18 +228,17 @@ def _fp_universal_properties(rnd, bounds):
 def _torsion_pair(rnd, bounds):
     m = samplers.random_module(rnd, bounds)
     n = samplers.random_module(rnd, bounds)
-    t_mod, incl, f_mod, proj = modules.torsion_decompose(m)
+    incl, proj = modules.torsion_decompose(m)
     payload = {"module": serialize.module_to_json(m)}
-    _, _, n_free, _ = modules.torsion_decompose(n)
-    if not modules.hom_group(t_mod, n_free).module.is_zero_module():
+    n_proj = modules.torsion_decompose(n)[1]
+    if not modules.hom_group(incl.source, n_proj.target).module.is_zero_module():
         yield "orthogonality", payload
     if not modules.is_mono(incl) or not modules.is_epi(proj):
         yield "sequence_ends", payload
     if not modules.composite_is_zero(proj, incl) \
             or not modules.in_image(incl, modules.kernel_generators(proj)):
         yield "exactness", payload
-    t2, _, _, _ = modules.torsion_decompose(t_mod)
-    if not t2.is_isomorphic(t_mod):
+    if not modules.torsion_decompose(incl.source)[0].source.is_isomorphic(incl.source):
         yield "idempotence", payload
 
 
@@ -272,34 +270,34 @@ def _exact_structure_axioms(rnd, bounds):
         return
     # a second deflation out of f's target, to compose
     follow = samplers.random_morphism(rnd, f.target, f.target)
-    _, h, _ = modules.corestrict_to_image(follow)
+    h = modules.corestrict_to_image(follow)[0]
     if is_deflation(h, ex) and not is_deflation(modules.compose(h, f), ex):
         yield "composition_of_deflations", payload
     t = samplers.random_morphism(
         rnd, samplers.random_carrier_module(ex, rnd, bounds), f.target)
     # every carrier is closed under submodules, so the module pullback is in it
-    p, leg_f, leg_t = modules.pullback(f, t)
+    leg_t = modules.pullback(f, t)[1]
     if not is_deflation(leg_t, ex):
         yield "pullback_deflation", payload
-    k_mod, k_incl = modules.kernel(f)
+    k_incl = modules.kernel(f)
     if is_inflation(k_incl, ex):
-        q, leg_a, leg_b = carrier_pushout(
-            k_incl, samplers.random_morphism(rnd, k_mod, f.source), ex)
+        leg_b = carrier_pushout(
+            k_incl, samplers.random_morphism(rnd, k_incl.source, f.source), ex)[1]
         if not is_inflation(leg_b, ex):
             yield "pushout_inflation", payload
     # universal properties of the carrier kernel and cokernel
     g = samplers.random_carrier_morphism(ex, rnd, bounds)
-    gk, gk_incl, protocol = d_kernel(g, ex)
+    gk_incl, protocol = d_kernel(g, ex)
     probe = samplers.random_morphism(
-        rnd, samplers.random_carrier_module(ex, rnd, bounds), gk)
+        rnd, samplers.random_carrier_module(ex, rnd, bounds), gk_incl.source)
     j = modules.compose(gk_incl, probe)
     pi, lifted = protocol(j)
     if not modules.morphism_equal(modules.compose(gk_incl, lifted),
                                   modules.compose(j, pi)):
         yield "kernel_cover_protocol", payload
-    gc, gc_proj, coprotocol = d_cokernel(g, ex)
+    gc_proj, coprotocol = d_cokernel(g, ex)
     coprobe = modules.compose(
-        samplers.random_morphism(rnd, gc,
+        samplers.random_morphism(rnd, gc_proj.target,
                                  samplers.random_carrier_module(ex, rnd, bounds)),
         gc_proj)
     iota, descended = coprotocol(coprobe)
@@ -342,7 +340,7 @@ def _heart_identification(rnd, bounds):
     h = module_to_left_heart(m)
     if not heart_membership(LEFT, h):
         yield "representative_in_heart", payload
-    back = left_heart_to_module(LEFT, h)
+    back = left_heart_to_module(h)
     if not back.is_isomorphic(m):
         yield "round_trip_invariants", payload
     # morphism sets: group isomorphism plus full and faithful transport
@@ -371,7 +369,7 @@ def _heart_intersection(rnd, bounds):
     c, rank = samplers.random_disguised_free_stalk(rnd, bounds)
     payload = {"complex": serialize.complex_to_json(c), "rank": rank}
     # the normal form decides both hearts; they are asked again only to name a miss
-    nf = intersection_normal_form(RIGHT, LEFT, c)
+    nf = intersection_normal_form(c)
     if nf is None and not (heart_membership(LEFT, c) and heart_membership(RIGHT, c)):
         yield "disguised_stalk_membership", payload
     elif nf is None or nf.invariant_data() != (rank, ()):
@@ -429,10 +427,6 @@ def _sample_for(spec: TStructureSpec, rnd, bounds: SizeBounds) -> Complex:
     return samplers.random_fp_complex(rnd, bounds)
 
 
-def _resolve(c: Complex) -> Complex:
-    return c if c.is_strict_free() else free_resolution(c)
-
-
 def _axiom_sample(spec: TStructureSpec, rnd, bounds: SizeBounds):
     x = _sample_for(spec, rnd, bounds)
     x2 = _sample_for(spec, rnd, bounds)
@@ -452,7 +446,7 @@ def _aisle_axioms(spec: TStructureSpec, x: Complex, x2: Complex):
         yield "aisle_membership_of_truncation", payload
     if not in_aisle(spec, 0, a.shift(1)):
         yield "aisle_shift_closure", payload
-    hom0 = derived_hom(_resolve(a), _resolve(b), 0)
+    hom0 = derived_hom(free_resolution(a), free_resolution(b), 0)
     if not hom0.is_zero_module():
         yield "orthogonality", payload
     if not triangle_is_distinguished(counit, unit):
@@ -513,13 +507,13 @@ def _tilting_sample(class_tag: ClassTag, mode: str, rnd, bounds: SizeBounds):
         src = _sample_class_module(class_tag, rnd, bounds)
         tgt = _sample_class_module(class_tag, rnd, bounds)
         f = samplers.random_morphism(rnd, src, tgt)
-        k, _ = modules.kernel(f)
+        k = modules.kernel(f).source
         if not _class_contains(class_tag, k):
             yield "kernel_closure", {"kernel": serialize.module_to_json(k)}
         # cokernel condition
         host = _sample_class_module(class_tag, rnd, bounds)
         g = samplers.random_morphism(rnd, samplers.random_module(rnd, bounds), host)
-        c = modules.cokernel(g)  # host modulo im g
+        c = modules.cokernel(g).target  # host modulo im g
         if not _class_contains(class_tag, c):
             yield "cokernel_condition", {"quotient": serialize.module_to_json(c)}
     else:
@@ -546,13 +540,13 @@ def _freyd_pointwise_exactness(rnd, bounds):
     bigger, rel_inj = adjoin_relations(t, extra)
     quotient = FreydObject(ex, bigger)
     pi = FreydMorphism(t, quotient, FpMorphism.identity(t.generators), rel_inj)
-    sub, incl = freyd_kernel(pi)
+    incl = freyd_kernel(pi)
     payload = {"carrier": serialize.morphism_to_json(t.carrier)}
     for probe in probes:
         # quotient has t's generator module, so both values read one hom group
         ev_t = evaluate(t, probe, modules.hom_group(probe, t.generators))
         ev_q = evaluate(quotient, probe, ev_t[1])
-        ev_s = evaluate(sub, probe)
+        ev_s = evaluate(incl.source, probe)
         incl_map = evaluate_map(incl, ev_s, ev_t)
         pi_map = evaluate_map(pi, ev_t, ev_q)
         if not modules.is_mono(incl_map):
@@ -667,7 +661,7 @@ def extension_middle(ex: ExactStructure, rnd, t1: FreydObject, t2: FreydObject) 
     candidates are retried and the split gluing is the fallback.
     """
     q1, q2 = t1.carrier, t2.carrier
-    k2, kappa2 = modules.kernel(q2)
+    kappa2 = modules.kernel(q2)
     delta = None
     for _ in range(4):
         cand = samplers.random_carrier_map(ex, rnd, GLUING_BOUNDS, t2.relations, t1.generators)
@@ -696,8 +690,7 @@ def _serre_sample(ex: ExactStructure, rnd, bounds):
     if not is_effaceable(quotient):
         yield "quotient_closure", payload
     pi = FreydMorphism(t, quotient, FpMorphism.identity(t.generators), rel_inj)
-    sub, _ = freyd_kernel(pi)
-    if not is_effaceable(sub):
+    if not is_effaceable(freyd_kernel(pi).source):
         yield "subobject_closure", payload
     t1 = _random_effaceable(ex, rnd, bounds)
     t2 = _random_effaceable(ex, rnd, bounds)

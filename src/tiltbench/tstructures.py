@@ -20,7 +20,8 @@ returns the counit tau_{<=n} x -> x, whose source is the truncation, and
 ``truncate_ge`` the unit x -> tau_{>=n} x, whose target is.  Every truncated
 complex is x's entries in a window of degrees with at most one new entry at
 either end, given by its differential (``_splice``), and its map is the
-identity on the window.  Memberships are decided by testing that map for
+identity on the window.  A kernel or a cokernel is read as its map, as
+``modules`` returns it.  Memberships are decided by testing that map for
 invertibility in the ambient category, which holds iff its cone is exact
 (``is_quasi_iso``): over a PID a quasi-isomorphism of bounded free
 complexes is a homotopy equivalence, so one decision serves the homotopy
@@ -164,20 +165,19 @@ def truncate_le(spec: TStructureSpec, n: int, x: Complex) -> ChainMap:
     if n < x.lo - (v is TVariant.RIGHT):
         return ChainMap.zero(zero_complex(x.ring), x)
     if v is TVariant.RIGHT:  # x up to degree n + 1, capped by the carrier cokernel of d^n
-        proj = e_cokernel(x.differential_at(n), _FREE_CARRIER)[1]
+        proj = e_cokernel(x.differential_at(n), _FREE_CARRIER)
         down = _induced(modules.cofactor(x.differential_at(n + 1), proj))
         return ChainMap(_splice(x, x.lo, n + 1, above=proj), x,
                         {**_identity_on(x, x.lo, n + 1), n + 2: down})
     # x below degree n, capped by a submodule of ker d^n
     if v is TVariant.LEFT:
-        incl = e_kernel(x.differential_at(n), _FREE_CARRIER)[1]
+        incl = e_kernel(x.differential_at(n), _FREE_CARRIER)
     else:
-        incl = modules.kernel(x.differential_at(n))[1]
+        incl = modules.kernel(x.differential_at(n))
     if v is TVariant.HRS_TILT:  # the cycles whose class in H^n is torsion
-        lifted = modules.factor(x.differential_at(n - 1), incl)
-        h_proj = modules.cokernel_projection(lifted)
-        to_free = modules.compose(modules.free_quotient(h_proj.target)[1], h_proj)
-        incl = modules.compose(incl, modules.kernel(to_free)[1])
+        h_proj = modules.cokernel(modules.factor(x.differential_at(n - 1), incl))
+        to_free = modules.compose(modules.free_quotient(h_proj.target), h_proj)
+        incl = modules.compose(incl, modules.kernel(to_free))
     core = _induced(modules.factor(x.differential_at(n - 1), incl))
     return ChainMap(_splice(x, x.lo, n - 1, above=core), x,
                     {**_identity_on(x, x.lo, n - 1), n: incl})
@@ -197,21 +197,21 @@ def truncate_ge(spec: TStructureSpec, n: int, x: Complex) -> ChainMap:
     if n > x.hi + (v in (TVariant.LEFT, TVariant.HRS_TILT)):
         return ChainMap.zero(x, zero_complex(x.ring))
     if v is TVariant.LEFT:  # x from degree n - 1 on, below it the carrier kernel of d^{n-1}
-        incl = e_kernel(x.differential_at(n - 1), _FREE_CARRIER)[1]
+        incl = e_kernel(x.differential_at(n - 1), _FREE_CARRIER)
         comps = _identity_on(x, n - 1, x.hi)
         if n - 2 >= x.lo:
             comps[n - 2] = _induced(modules.factor(x.differential_at(n - 2), incl))
         return ChainMap(x, _splice(x, n - 1, x.hi, below=incl), comps)
     # x above degree m, below it a quotient proj : x^m -> Q
     if v is TVariant.RIGHT:
-        m, proj = n, e_cokernel(x.differential_at(n - 1), _FREE_CARRIER)[1]
+        m, proj = n, e_cokernel(x.differential_at(n - 1), _FREE_CARRIER)
     elif v is TVariant.NATURAL:
-        m, proj = n - 1, modules.cokernel_projection(modules.kernel(x.differential_at(n - 1))[1])
+        m, proj = n - 1, modules.cokernel(modules.kernel(x.differential_at(n - 1)))
     else:
         counit = truncate_le(spec, n - 1, x)
         if counit.source.is_zero_complex():
             return ChainMap.identity(x)
-        m, proj = n - 1, modules.cokernel_projection(counit.component_at(n - 1))
+        m, proj = n - 1, modules.cokernel(counit.component_at(n - 1))
     desc = _induced(modules.cofactor(x.differential_at(m), proj))
     return ChainMap(x, _splice(x, m + 1, x.hi, below=desc),
                     {m: proj, **_identity_on(x, m + 1, x.hi)})
@@ -342,19 +342,17 @@ def _cokernel_form_window(b: Complex, m: int) -> Complex:
         return b
     if b.lo < m - 1:
         raise ValueError("window fold expects at most one entry below the cut")
-    proj = modules.cokernel_projection(b.differential_at(m - 1))
+    proj = modules.cokernel(b.differential_at(m - 1))
     return _splice(b, m + 1, b.hi, below=_induced(modules.cofactor(b.differential_at(m), proj)))
 
 
 # -- heart equivalence with the module category ------------------------------------
 
-def left_heart_to_module(spec: TStructureSpec, x: Complex) -> FpModule:
+def left_heart_to_module(x: Complex) -> FpModule:
     """The cokernel of the presenting differential of a left-heart object."""
-    if spec.variant is not TVariant.LEFT:
-        raise ValueError("heart equivalence is implemented for the left heart")
-    if not heart_membership(spec, x):
+    if not heart_membership(LEFT, x):
         raise ValueError("complex is not a left-heart object")
-    r = truncate_le(spec, 0, x).source
+    r = truncate_le(LEFT, 0, x).source
     # the aisle representative tops out in degree <= 0; the heart object is
     # the cokernel of its (-1 -> 0) differential (a zero map at the edges)
     return FpModule(r.differential_at(-1).gen)
@@ -394,24 +392,17 @@ def module_map_to_left_heart_map(psi: FpMorphism, hx: Complex, hy: Complex) -> C
     return ChainMap(hx, hy, comps)
 
 
-def intersection_normal_form(spec1: TStructureSpec, spec2: TStructureSpec,
-                             x: Complex) -> Optional[FpModule]:
+def intersection_normal_form(x: Complex) -> Optional[FpModule]:
     """The free stalk a complex in both hearts is isomorphic to, or None."""
-    variants = {spec1.variant, spec2.variant}
-    if variants != {TVariant.LEFT, TVariant.RIGHT}:
-        raise ValueError("intersection normal form needs the left/right pair")
-    left = spec1 if spec1.variant is TVariant.LEFT else spec2
-    if not (heart_membership(spec1, x) and heart_membership(spec2, x)):
+    if not (heart_membership(RIGHT, x) and heart_membership(LEFT, x)):
         return None
-    r = truncate_le(left, 0, x).source
+    r = truncate_le(LEFT, 0, x).source
     if r.lo == r.hi and r.hi == 0:
-        c_mod = r.object_at(0)
-        return modules.reduce_presentation(c_mod)
-    c_mod, proj = e_cokernel(r.differential_at(-1), _FREE_CARRIER)
-    q = ChainMap(r, stalk_complex(c_mod, 0), {0: proj})
-    if not is_quasi_iso(q):
+        return modules.reduce_presentation(r.object_at(0))
+    proj = e_cokernel(r.differential_at(-1), _FREE_CARRIER)
+    if not is_quasi_iso(ChainMap(r, stalk_complex(proj.target, 0), {0: proj})):
         return None
-    return modules.reduce_presentation(c_mod)
+    return modules.reduce_presentation(proj.target)
 
 
 # -- tilting classes ---------------------------------------------------------------

@@ -200,13 +200,13 @@ def pullback_legs(f: FpMorphism, g: FpMorphism) -> tuple[FpMorphism, FpMorphism]
     parts = [f.source, g.source]
     total = direct_sum(parts)
     diff = block_morphism(total, f.target, parts, [f.target], {(0, 0): f, (0, 1): negate(g)})
-    _, incl = kernel(diff)
+    incl = kernel(diff)
     return (compose(projection(total, parts, 0), incl),
             compose(projection(total, parts, 1), incl))
 
 
-def pullback_by_kernels(f: FpMorphism, g: FpMorphism):
-    """Pullback of f : A -> C along g : B -> C with its two legs, from the
+def pullback_by_kernels(f: FpMorphism, g: FpMorphism) -> tuple[FpMorphism, FpMorphism]:
+    """The two legs of the pullback of f : A -> C along g : B -> C, from the
     kernel of [f.gen | -g.gen | -P_C] whatever f is."""
     if f.target.presentation != g.target.presentation:
         raise ValueError("pullback targets differ")
@@ -218,7 +218,7 @@ def pullback_by_kernels(f: FpMorphism, g: FpMorphism):
                        wit.take_rows(range(a.relations)))
     leg_b = FpMorphism(p_mod, b, incl_gen.take_rows(range(a.generators, incl_gen.rows)),
                        wit.take_rows(range(a.relations, wit.rows)))
-    return p_mod, leg_a, leg_b
+    return leg_a, leg_b
 
 
 def row_accumulating_product(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -278,16 +278,16 @@ def reduction_by_full_replays(m: FpModule) -> tuple[FpMorphism, FpMorphism]:
             FpMorphism(canon, m, form.u_inv().take_columns(idx), form.v.take_columns(tor_idx)))
 
 
-def torsion_decompose_by_smith_form(m: FpModule):
-    """(tM, incl, M/tM, proj) of ``modules.torsion_decompose``, read off the
-    chained Smith form of m's presentation."""
+def torsion_decompose_by_smith_form(m: FpModule) -> tuple[FpMorphism, FpMorphism]:
+    """(incl, proj) of ``modules.torsion_decompose``, read off the chained
+    Smith form of m's presentation."""
     form = smith_normal_form(m.presentation)
     diag, tor_idx, free_idx = _chained_diagonal(m, form)
     t_mod = FpModule.from_invariants(m.ring, [diag[i] for i in tor_idx], 0)
     f_mod = FpModule.free(m.ring, len(free_idx))
-    return (t_mod, FpMorphism(t_mod, m, form.u_inv(tor_idx), form.v_columns(tor_idx)),
-            f_mod, FpMorphism(m, f_mod, form.u.take_rows(free_idx),
-                              IntMatrix.zeros(m.ring, 0, m.relations)))
+    return (FpMorphism(t_mod, m, form.u_inv(tor_idx), form.v_columns(tor_idx)),
+            FpMorphism(m, f_mod, form.u.take_rows(free_idx),
+                       IntMatrix.zeros(m.ring, 0, m.relations)))
 
 
 def resolution_by_injective_bases(m: FpModule) -> list[IntMatrix]:

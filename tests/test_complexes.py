@@ -27,7 +27,7 @@ from tiltbench.modules import (
     FpModule,
     FpMorphism,
     cofactor,
-    cokernel_projection,
+    cokernel,
     compose,
     factor,
     image,
@@ -252,8 +252,7 @@ def test_cone_long_exact_cohomology_sequence():
             hi = cohomology_map(incl, n)
             assert compose(hi, hf).gen is not None  # composable
             assert is_zero_morphism(compose(hi, hf))
-            k_mod, k_incl = kernel(hi)
-            im_mod, im_incl = image(hf)
+            k_incl, im_incl = kernel(hi), image(hf)
             assert factor(k_incl, im_incl) is not None
             assert factor(im_incl, k_incl) is not None
 
@@ -262,10 +261,9 @@ def cofactor_cohomology_map(f, n):
     """The induced map on H^n by cofactor through the source's cokernel
     projection, the construction cohomology_map replaced."""
     x, y = f.source, f.target
-    _, incl_x = kernel(x.differential_at(n))
-    _, incl_y = kernel(y.differential_at(n))
-    proj_x = cokernel_projection(factor(x.differential_at(n - 1), incl_x))
-    proj_y = cokernel_projection(factor(y.differential_at(n - 1), incl_y))
+    incl_x, incl_y = kernel(x.differential_at(n)), kernel(y.differential_at(n))
+    proj_x = cokernel(factor(x.differential_at(n - 1), incl_x))
+    proj_y = cokernel(factor(y.differential_at(n - 1), incl_y))
     on_kernels = factor(compose(f.component_at(n), incl_x), incl_y)
     induced = cofactor(compose(proj_y, on_kernels), proj_x)
     assert induced is not None
@@ -329,7 +327,7 @@ def test_derived_hom_matches_enumeration_oracle():
     order = 1
     for d in h0.invariant_data()[1]:
         order *= int(d)
-    assert h0.free_rank() == 0
+    assert h0.invariant_data()[0] == 0
     assert len(classes) == order == 2
 
 
@@ -351,7 +349,7 @@ def test_derived_hom_enumeration_oracle_z3():
     order = 1
     for d in h0.invariant_data()[1]:
         order *= int(d)
-    assert h0.free_rank() == 0
+    assert h0.invariant_data()[0] == 0
     assert len(classes) == order == 3
 
 
@@ -544,7 +542,7 @@ def test_exactness_lifts_the_kernel_cover_not_the_inclusion():
     two = FpMorphism.from_generator_matrix(z4, z4, zmat([[2]]))
     c = Complex(Z, 0, [z4, z4, z4], [two, two])
     assert cohomology(c, 1).is_zero_module()
-    assert factor(kernel(two)[1], two) is None
+    assert factor(kernel(two), two) is None
     assert not is_exact(c)
     # 0 -> Z/2 -> Z/4 --2--> Z/4 -> Z/2 -> 0 is exact in every degree
     into = FpMorphism.from_generator_matrix(z2, z4, zmat([[2]]))

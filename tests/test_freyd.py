@@ -35,7 +35,7 @@ from tiltbench.modules import (
     FpModule,
     FpMorphism,
     cofactor,
-    cokernel_projection,
+    cokernel,
     compose,
     hom_group,
     is_epi,
@@ -204,9 +204,9 @@ def test_freyd_kernel_and_cokernel_pointwise():
     four = FreydObject(FP_MAX, FpMorphism.from_generator_matrix(z, z, zmat([[4]])))
     two = FreydObject(FP_MAX, FpMorphism.from_generator_matrix(z, z, zmat([[2]])))
     eta = FreydMorphism.from_generator(four, two, FpMorphism.identity(z))
-    c, proj = freyd_cokernel(eta)
-    assert c.is_zero_functor()  # pointwise surjective
-    k, incl = freyd_kernel(eta)
+    assert freyd_cokernel(eta).target.is_zero_functor()  # pointwise surjective
+    incl = freyd_kernel(eta)
+    k = incl.source
     assert not k.is_zero_functor()
     # probe the exactness at a few arguments
     for probe in (FpModule.free(Z, 1), FpModule.cyclic(Z, 8)):
@@ -224,13 +224,13 @@ def value_map(eta: FreydMorphism, probe: FpModule) -> FpMorphism:
     return evaluate_map(eta, evaluate(eta.source, probe), evaluate(eta.target, probe))
 
 
-def kernel_from_both_legs(eta: FreydMorphism):
+def kernel_from_both_legs(eta: FreydMorphism) -> FreydMorphism:
     """freyd_kernel built from the first pullback with both its legs."""
     f, g = eta.source, eta.target
-    _, p_to_u2, _ = modules.pullback(eta.gen, g.carrier)
-    _, q_to_p, q_to_u1 = modules.pullback(p_to_u2, f.carrier)
+    p_to_u2, _ = modules.pullback(eta.gen, g.carrier)
+    q_to_p, q_to_u1 = modules.pullback(p_to_u2, f.carrier)
     k, _, tgt_inv, _, src_inv = freyd._reduce_carrier(f.ex, q_to_p)
-    return k, FreydMorphism(k, f, compose(p_to_u2, tgt_inv), compose(q_to_u1, src_inv))
+    return FreydMorphism(k, f, compose(p_to_u2, tgt_inv), compose(q_to_u1, src_inv))
 
 
 def test_freyd_kernel_builds_only_the_pullback_leg_it_reads(morphisms_built):
@@ -244,9 +244,10 @@ def test_freyd_kernel_builds_only_the_pullback_leg_it_reads(morphisms_built):
     for i in range(10):
         rnd = rng_for(31, "kernel-legs", i)
         pi, _ = pointwise_exactness_maps(rnd, bounds, random_carrier_morphism)
-        for eta in (pi, freyd_cokernel(pi)[1]):
+        for eta in (pi, freyd_cokernel(pi)):
             kernel_route += eta.gen.gen is not IntMatrix.identity(Z, eta.gen.source.generators)
-            (k, incl), (old_k, old_incl) = freyd_kernel(eta), kernel_from_both_legs(eta)
+            incl, old_incl = freyd_kernel(eta), kernel_from_both_legs(eta)
+            k, old_k = incl.source, old_incl.source
             assert morphisms_built(freyd_kernel, eta) == \
                 morphisms_built(kernel_from_both_legs, eta) - 1
             assert k.carrier.gen == old_k.carrier.gen
@@ -371,7 +372,7 @@ def test_pullback_of_pointwise_epi_stays_epi():
     eta = FreydMorphism.from_generator(four, two, FpMorphism.identity(z))
     assert pointwise_epi(eta)
     other = FreydMorphism.from_generator(two, two, FpMorphism.identity(z))
-    p, leg_other, leg_eta = freyd_pullback(other, eta)
+    leg_other, leg_eta = freyd_pullback(other, eta)
     assert pointwise_epi(leg_other)
 
 
@@ -391,8 +392,7 @@ def pointwise_exactness_maps(rnd, bounds, carrier=random_carrier_deflation):
     bigger, rel_inj = adjoin_relations(t, extra)
     pi = FreydMorphism(t, FreydObject(FP_MAX, bigger), FpMorphism.identity(t.generators),
                        rel_inj)
-    _, incl = freyd_kernel(pi)
-    return pi, incl
+    return pi, freyd_kernel(pi)
 
 
 def pushforward_by_generator(f, src, tgt):
@@ -417,7 +417,7 @@ def cofactor_evaluate_map(eta, probe):
     ends = []
     for obj in (eta.source, eta.target):
         h2, h1 = hom_group(probe, obj.generators), hom_group(probe, obj.relations)
-        proj = cokernel_projection(pushforward_by_generator(obj.carrier, h1, h2))
+        proj = cokernel(pushforward_by_generator(obj.carrier, h1, h2))
         ends.append((h2, proj))
     (src_h2, src_proj), (tgt_h2, tgt_proj) = ends
     lifted = pushforward_by_generator(eta.gen, src_h2, tgt_h2)
@@ -427,8 +427,8 @@ def cofactor_evaluate_map(eta, probe):
 
 
 def cofactor_project_morphism(eta):
-    src_proj = cokernel_projection(eta.source.carrier)
-    tgt_proj = cokernel_projection(eta.target.carrier)
+    src_proj = cokernel(eta.source.carrier)
+    tgt_proj = cokernel(eta.target.carrier)
     induced = cofactor(compose(tgt_proj, eta.gen), src_proj)
     assert induced is not None
     return induced

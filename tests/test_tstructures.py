@@ -332,12 +332,12 @@ def test_heart_equivalence_round_trip():
     m = FpModule(zmat([[2, 0], [0, 3]]))
     h = module_to_left_heart(m)
     assert heart_membership(LEFT, h)
-    back = left_heart_to_module(LEFT, h)
+    back = left_heart_to_module(h)
     assert back.is_isomorphic(m)
     # free stalks map to themselves
     free = FpModule.free(Z, 2)
     h2 = module_to_left_heart(free)
-    assert left_heart_to_module(LEFT, h2).is_isomorphic(free)
+    assert left_heart_to_module(h2).is_isomorphic(free)
 
 
 def test_heart_equivalence_on_morphisms():
@@ -356,12 +356,12 @@ def test_heart_equivalence_on_morphisms():
 
 def test_intersection_normal_form():
     z2 = fc(0, [], first_rank=2)
-    nf = intersection_normal_form(RIGHT, LEFT, z2)
+    nf = intersection_normal_form(z2)
     assert nf is not None and nf.invariant_data() == (2, ())
     res = fc(-1, [[[2]]])
-    assert intersection_normal_form(RIGHT, LEFT, res) is None
+    assert intersection_normal_form(res) is None
     zero = fc(0, [], first_rank=0)
-    nf0 = intersection_normal_form(RIGHT, LEFT, zero)
+    nf0 = intersection_normal_form(zero)
     assert nf0 is not None and nf0.is_zero_module()
 
 
